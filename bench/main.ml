@@ -1531,7 +1531,9 @@ let incr_exp () =
   row "  the single dirty body into the persistent environment, re-check\n";
   row "  exactly one function, run >100x faster than a cold check of the\n";
   row "  edited corpus, and produce byte-identical diagnostics -- at\n";
-  row "  every -j and across a save/load service restart.  Written to\n";
+  row "  every -j and across a save/load service restart.  The body edit\n";
+  row "  is gated again under +xproc, where the warm request must also\n";
+  row "  refresh the effect summaries it affects.  Written to\n";
   row "  BENCH_incr.json.\n\n";
   let modules = 240 and fns_per_module = 25 in
   let p =
@@ -1600,37 +1602,62 @@ let incr_exp () =
       (Incr.Service.tier_name oc.Incr.Service.oc_tier)
       oc.Incr.Service.oc_rechecked
   in
-  (* -j 1 *)
-  let svc = Incr.Service.create ~flags () in
-  let oc_cold, t_cold = time (fun () -> run svc files0) in
-  show "cold (pristine corpus)" 1 t_cold oc_cold;
-  let oc_warm, t_warm = time (fun () -> run svc files1) in
-  show "warm (one body edited)" 1 t_warm oc_warm;
-  (* the byte-identity and speedup reference: a cold check of the
-     edited corpus in a fresh service *)
-  let svc_ref = Incr.Service.create ~flags () in
-  let oc_ref, t_ref = time (fun () -> run svc_ref files1) in
-  show "cold (edited corpus, reference)" 1 t_ref oc_ref;
-  expect_tier "cold" "cold" oc_cold;
-  expect_tier "warm body edit" "patched" oc_warm;
-  if oc_warm.Incr.Service.oc_rechecked <> 1 then
-    fail "warm body edit re-checked %d functions (want exactly 1)"
-      oc_warm.Incr.Service.oc_rechecked;
-  expect_same "warm vs cold reference" (render oc_warm) (render oc_ref);
-  let speedup = if t_warm > 0.0 then t_ref /. t_warm else 0.0 in
-  row "  warm re-check speedup over cold: %.0fx\n\n" speedup;
-  if speedup <= 100.0 then
-    fail "warm re-check only %.1fx faster than cold (want >100x)" speedup;
-  (* -j 4: same requests through the domain pool, byte-identical
-     output (forced to 4 domains even on one core, like E10) *)
+  (* scenario A under [flags], at -j 1 and -j 4 (forced to 4 domains
+     even on one core, like E10): the warm request must patch, re-check
+     exactly one function, beat a cold check of the edited corpus in a
+     fresh service by >100x, and match it byte for byte.  Returns the
+     warm service, the reference service and outcome, and the figures
+     for BENCH_incr.json ([xproc_]-prefixed under +xproc). *)
   let jobs = 4 in
-  let svc4 = Incr.Service.create ~flags () in
-  let oc_cold4, t_cold4 = time (fun () -> run ~jobs svc4 files0) in
-  show "cold (pristine corpus)" jobs t_cold4 oc_cold4;
-  let oc_warm4, t_warm4 = time (fun () -> run ~jobs svc4 files1) in
-  show "warm (one body edited)" jobs t_warm4 oc_warm4;
-  expect_same "-j cold" (render oc_cold4) (render oc_cold);
-  expect_same "-j warm" (render oc_warm4) (render oc_warm);
+  let body_edit ~xproc =
+    let flags = { flags with Annot.Flags.xproc } in
+    let label, prefix = if xproc then (" +xproc", "xproc_") else ("", "") in
+    let svc = Incr.Service.create ~flags () in
+    let oc_cold, t_cold = time (fun () -> run svc files0) in
+    show ("cold (pristine corpus)" ^ label) 1 t_cold oc_cold;
+    let oc_warm, t_warm = time (fun () -> run svc files1) in
+    show ("warm (one body edited)" ^ label) 1 t_warm oc_warm;
+    let svc_ref = Incr.Service.create ~flags () in
+    let oc_ref, t_ref = time (fun () -> run svc_ref files1) in
+    show ("cold (edited, reference)" ^ label) 1 t_ref oc_ref;
+    expect_tier ("cold" ^ label) "cold" oc_cold;
+    expect_tier ("warm body edit" ^ label) "patched" oc_warm;
+    if oc_warm.Incr.Service.oc_rechecked <> 1 then
+      fail "warm body edit%s re-checked %d functions (want exactly 1)" label
+        oc_warm.Incr.Service.oc_rechecked;
+    expect_same ("warm vs cold reference" ^ label) (render oc_warm)
+      (render oc_ref);
+    let speedup = if t_warm > 0.0 then t_ref /. t_warm else 0.0 in
+    row "  warm re-check speedup over cold%s: %.0fx\n\n" label speedup;
+    if speedup <= 100.0 then
+      fail "warm re-check%s only %.1fx faster than cold (want >100x)" label
+        speedup;
+    let svc4 = Incr.Service.create ~flags () in
+    let oc_cold4, t_cold4 = time (fun () -> run ~jobs svc4 files0) in
+    show ("cold (pristine corpus)" ^ label) jobs t_cold4 oc_cold4;
+    let oc_warm4, t_warm4 = time (fun () -> run ~jobs svc4 files1) in
+    show ("warm (one body edited)" ^ label) jobs t_warm4 oc_warm4;
+    expect_same ("-j cold" ^ label) (render oc_cold4) (render oc_cold);
+    expect_same ("-j warm" ^ label) (render oc_warm4) (render oc_warm);
+    let figures =
+      Telemetry.Json.
+        [
+          ("cold_seconds", Float t_cold);
+          ("cold_edited_seconds", Float t_ref);
+          ("warm_seconds", Float t_warm);
+          ("speedup", Float speedup);
+          ("warm_rechecked", Int oc_warm.Incr.Service.oc_rechecked);
+          ("cold_j4_seconds", Float t_cold4);
+          ("warm_j4_seconds", Float t_warm4);
+        ]
+    in
+    (svc, svc_ref, oc_ref, List.map (fun (k, v) -> (prefix ^ k, v)) figures)
+  in
+  let svc, svc_ref, oc_ref, figures = body_edit ~xproc:false in
+  (* the same edit under +xproc: the warm request refreshes the effect
+     summaries of the edited function and of the callers they reach
+     instead of solving the whole program again *)
+  let _, _, _, xproc_figures = body_edit ~xproc:true in
   (* scenario B: the funsig edit must re-check the function plus its
      callers -- and nothing close to the whole corpus *)
   let oc_sig, t_sig = time (fun () -> run svc files2) in
@@ -1668,7 +1695,7 @@ let incr_exp () =
   let doc =
     Telemetry.Json.(
       Obj
-        [
+        ([
           ("experiment", String "incr");
           ("seed", Int !seed_flag);
           ("modules", Int modules);
@@ -1676,11 +1703,9 @@ let incr_exp () =
           ("lines", Int p.Progen.loc);
           ("functions", Int total_fns);
           ("jobs", Int jobs);
-          ("cold_seconds", Float t_cold);
-          ("cold_edited_seconds", Float t_ref);
-          ("warm_seconds", Float t_warm);
-          ("speedup", Float speedup);
-          ("warm_rechecked", Int oc_warm.Incr.Service.oc_rechecked);
+        ]
+        @ figures
+        @ [
           ("funsig_seconds", Float t_sig);
           ("funsig_rechecked", Int oc_sig.Incr.Service.oc_rechecked);
           ("restart_seconds", Float t_restart);
@@ -1689,9 +1714,8 @@ let incr_exp () =
           ("warnings", Int (List.length oc_ref.Incr.Service.oc_kept));
           ( "suppressed",
             Int (List.length oc_ref.Incr.Service.oc_suppressed) );
-          ("cold_j4_seconds", Float t_cold4);
-          ("warm_j4_seconds", Float t_warm4);
-        ])
+          ]
+        @ xproc_figures))
   in
   let oc = open_out "BENCH_incr.json" in
   output_string oc (Telemetry.Json.to_string doc);

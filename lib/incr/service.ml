@@ -8,8 +8,14 @@
       warm path never re-hashes unchanged sources.
     - [fns]: per-function summaries keyed by (defining file, name).  An
       entry pins the checked AST object, the funsig hash of the function
-      and of each direct callee, the type-environment hash and the
-      canonical flag string; it is valid while all of those still hold.
+      and of each direct callee, under [+xproc] each direct callee's
+      effect-summary hash, the type-environment hash and the canonical
+      flag string; it is valid while all of those still hold.
+    - [summaries]: under [+xproc], the effect summaries of [env] with the
+      call graph they were solved over.  A Patched request refreshes
+      them for the bodies it swapped in ({!Summary.refresh}); every
+      other tier solves them again.  [summary_hashes] holds their hashes
+      for the entries' callee-summary comparison.
     - [persisted]: content-key → diagnostics, loaded from a {!save}d
       artifact; a miss whose full content key is present here adopts the
       stored diagnostics instead of re-checking.
@@ -86,9 +92,11 @@ type t = {
   files : (string, file_entry) Hashtbl.t;
   fns : (string * string, fn_entry) Hashtbl.t;
   mutable sig_hashes : (string, string) Hashtbl.t;
+  mutable summaries : Summary.solution option;
+      (** the [+xproc] effect summaries of [env]; [None] otherwise *)
   mutable summary_hashes : (string, string) Hashtbl.t;
-      (** function → effect-summary hash; refreshed at the top of every
-          revalidation when [+xproc] is on, empty otherwise *)
+      (** function → effect-summary hash; brought up to date at the top
+          of every revalidation when [+xproc] is on, empty otherwise *)
   mutable typeenv_hash : string;
   mutable gen : int;
   persisted : (string, string * string * Diag.t list) Hashtbl.t;
@@ -114,6 +122,7 @@ let create ?(flags = Flags.default) ?(no_stdlib = false) ?(load_libs = [])
     files = Hashtbl.create 64;
     fns = Hashtbl.create 256;
     sig_hashes = Hashtbl.create 256;
+    summaries = None;
     summary_hashes = Hashtbl.create 256;
     typeenv_hash = "";
     gen = 0;
@@ -246,14 +255,12 @@ let full_key t (fs : Sema.funsig) (fd : Ast.fundef) =
 let skip_body =
   { Ast.s = Ast.Sskip; Ast.sloc = { Loc.file = ""; line = 0; col = 0 } }
 
-(* True when the two units declare the same interfaces at the same
-   locations — every topdecl structurally equal except that function
-   bodies may differ.  Location-inclusive on purpose: a body edit that
-   shifts later lines makes the later functions compare unequal here?
-   No — this compares interfaces only; shifted function *headers* make
-   their [f_loc]s differ, so a line-count-changing edit falls through to
-   the per-function body check below, which treats shifted functions as
-   dirty (their cached diagnostics would carry stale line numbers). *)
+(* True when the two units have the same top-level declarations in the
+   same order, every one structurally equal including its locations,
+   except that function bodies may differ: a function definition is
+   compared with its body blanked out.  Because locations count, a body
+   edit that shifts the headers of later functions is not body-only and
+   takes the Rebuilt tier. *)
 let body_only_change (old_tu : Ast.tunit) (new_tu : Ast.tunit) =
   List.length old_tu.Ast.tu_decls = List.length new_tu.Ast.tu_decls
   && List.for_all2
@@ -371,46 +378,67 @@ let make_entry t (fs : Sema.funsig) (fd : Ast.fundef) diags =
     fn_gen = t.gen;
   }
 
+(* [+xproc]: bring the effect summaries and their hashes up to date.
+   [patched] holds the definitions a Patched request swapped in; only
+   their components and the callers their new summaries reach are
+   re-solved and re-hashed.  Every other tier solves from scratch.
+   Returns the table and whether any summary hash may have moved. *)
+let update_summaries t env ~patched =
+  if not t.flags.Flags.xproc then begin
+    t.summaries <- None;
+    if Hashtbl.length t.summary_hashes > 0 then
+      t.summary_hashes <- Hashtbl.create 256;
+    (None, false)
+  end
+  else
+    match (patched, t.summaries) with
+    | Some dirty, Some sol ->
+        let changed = Summary.refresh env sol ~dirty in
+        let tbl = Summary.table sol in
+        List.iter
+          (fun name ->
+            Hashtbl.replace t.summary_hashes name
+              (Summary.hash (Hashtbl.find tbl name)))
+          changed;
+        (Some tbl, changed <> [])
+    | _ ->
+        let sol = Summary.solve env in
+        let tbl = Summary.table sol in
+        let hashes = Hashtbl.create (Hashtbl.length tbl * 2) in
+        Hashtbl.iter
+          (fun name sm -> Hashtbl.replace hashes name (Summary.hash sm))
+          tbl;
+        t.summaries <- Some sol;
+        t.summary_hashes <- hashes;
+        (Some tbl, true)
+
 (* Validate every function of the environment against the cache; adopt
    persisted results by content key; re-check the rest on the checking
    pool, grouped by file exactly like the cold driver.  Returns
    (hits, misses, rechecked). *)
-let revalidate_and_check t ~jobs (env : Sema.program) =
-  (* [+xproc]: refresh the effect-summary table first — validation below
-     compares cached callee-summary hashes against it, so a callee body
-     edit that changes the callee's derived effects (with an unchanged
-     declared signature) invalidates its cached callers *)
-  let summaries =
-    if t.flags.Flags.xproc then begin
-      let tbl = Summary.of_program env in
-      let hashes = Hashtbl.create (Hashtbl.length tbl * 2) in
-      Hashtbl.iter
-        (fun name sm -> Hashtbl.replace hashes name (Summary.hash sm))
-        tbl;
-      t.summary_hashes <- hashes;
-      Some tbl
-    end
-    else begin
-      if Hashtbl.length t.summary_hashes > 0 then
-        t.summary_hashes <- Hashtbl.create 256;
-      None
-    end
-  in
+let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
+  (* summaries first: validation below compares cached callee-summary
+     hashes against them, so a callee body edit that changes the
+     callee's derived effects (with an unchanged declared signature)
+     invalidates its cached callers *)
+  let summaries, moved = update_summaries t env ~patched in
   let pairs = Sema.fundefs env in
   let hits = ref 0 and misses = ref 0 in
   let miss_list =
     List.filter_map
       (fun ((fs : Sema.funsig), fd) ->
         let id = fn_id fs in
-        (* current-generation entries skip full validation, but never the
-           summary comparison: a Patched-tier body edit leaves the
-           generation alone yet can change a callee's derived effects,
-           which must dirty its cached callers under [+xproc] (the list
-           is empty otherwise, so the check is vacuous) *)
+        (* current-generation entries skip full validation, but not the
+           summary comparison when a summary moved: a Patched-tier body
+           edit leaves the generation alone yet can change a callee's
+           derived effects, which must dirty its cached callers under
+           [+xproc].  Until a hash moves, every current entry still
+           holds the hashes it was last validated against. *)
         let sums_current (e : fn_entry) =
-          List.for_all
-            (fun (c, h) -> String.equal h (callee_summary_hash t c))
-            e.fn_callee_sums
+          (not moved)
+          || List.for_all
+               (fun (c, h) -> String.equal h (callee_summary_hash t c))
+               e.fn_callee_sums
         in
         match Hashtbl.find_opt t.fns id with
         | Some e when e.fn_gen = t.gen && sums_current e ->
@@ -516,7 +544,8 @@ let rebuild_pragmas t =
       t.doc_order
 
 (* Decide how to bring the environment up to date with [docs]; returns
-   the tier.  Raises [Diag.Fatal] before committing any state. *)
+   the tier and, for Patched, the definitions whose bodies were swapped
+   in.  Raises [Diag.Fatal] before committing any state. *)
 let update t ~flags ~canon docs =
   let structure_changed =
     t.env = None
@@ -527,7 +556,7 @@ let update t ~flags ~canon docs =
     let was_cold = t.env = None in
     let env, base_pragmas, new_files = build_env t ~flags docs in
     commit_env t ~flags ~canon env base_pragmas new_files docs;
-    if was_cold then Cold else Rebuilt
+    ((if was_cold then Cold else Rebuilt), None)
   end
   else begin
     let changed =
@@ -538,7 +567,7 @@ let update t ~flags ~canon docs =
           | None -> true)
         docs
     in
-    if changed = [] then Clean
+    if changed = [] then (Clean, None)
     else begin
       (* parse every changed file under its recorded typedef scope and
          test for body-only change; any interface difference (or a
@@ -566,10 +595,11 @@ let update t ~flags ~canon docs =
       if not patchable then begin
         let env, base_pragmas, new_files = build_env t ~flags docs in
         commit_env t ~flags ~canon env base_pragmas new_files docs;
-        Rebuilt
+        (Rebuilt, None)
       end
       else begin
         let env = Option.get t.env in
+        let patched = ref [] in
         List.iter
           (fun (d, p) ->
             let fe, tu = Option.get p in
@@ -580,6 +610,7 @@ let update t ~flags ~canon docs =
                   when not (Ast.equal_fundef ofd nfd) ->
                     (* dirty body: swap the AST in place, drop the entry *)
                     ignore (Sema.patch_fundef env nfd);
+                    patched := nfd :: !patched;
                     let id = (d.doc_name, nfd.Ast.f_name) in
                     if Hashtbl.mem t.fns id then begin
                       Hashtbl.remove t.fns id;
@@ -599,7 +630,7 @@ let update t ~flags ~canon docs =
         (* suppression comments live in the per-file pragma lists; a
            body edit may have changed them *)
         env.Sema.p_pragmas <- rebuild_pragmas t;
-        Patched
+        (Patched, Some !patched)
       end
     end
   end
@@ -616,14 +647,14 @@ let check ?(jobs = 1) ?(flag_args = []) t docs =
       let canon = Flags.canonical flags in
       match update t ~flags ~canon docs with
       | exception Diag.Fatal d -> Error d
-      | tier ->
+      | tier, patched ->
           let env = Option.get t.env in
           let hits, misses, rechecked =
             match tier with
             | Clean ->
                 (* nothing to validate: every entry is current *)
                 (List.length (Sema.fundefs env), 0, 0)
-            | _ -> revalidate_and_check t ~jobs env
+            | _ -> revalidate_and_check t ~jobs ~patched env
           in
           t.n_hits <- t.n_hits + hits;
           t.n_misses <- t.n_misses + misses;
@@ -699,6 +730,14 @@ let stats t =
     ("incr_rechecked", t.n_rechecked);
     ("persisted", Hashtbl.length t.persisted);
   ]
+
+let environment t = t.env
+
+let summaries t = Option.map Summary.table t.summaries
+
+let summary_hashes t =
+  Hashtbl.fold (fun name h acc -> (name, h) :: acc) t.summary_hashes []
+  |> List.sort compare
 
 (* ------------------------------------------------------------------ *)
 (* Persistence                                                         *)

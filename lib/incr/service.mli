@@ -111,6 +111,22 @@ val stats : t -> (string * int) list
     gauges ([files], [functions], [entries], [persisted],
     [generation]). *)
 
+(** {1 Inspection} *)
+
+val environment : t -> Sema.program option
+(** The persistent environment the last request checked against. *)
+
+val summaries : t -> Summary.table option
+(** The [+xproc] effect summaries of {!environment} ([None] without
+    [+xproc]).  After a Patched request they were refreshed, not solved
+    again; they always equal {!Summary.of_program} of the
+    environment. *)
+
+val summary_hashes : t -> (string * string) list
+(** Function → {!Summary.hash} of its summary, sorted by name: the
+    hashes the cache compares callers' recorded callee summaries
+    against (empty without [+xproc]). *)
+
 (** {1 Persistence} *)
 
 val cache_kind : string

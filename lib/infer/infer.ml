@@ -2,7 +2,7 @@
     paper's Section 6 complaint that "adding annotations to a large
     legacy system is the main cost of adopting the checker").
 
-    The pass walks the {!Callgraph} bottom-up and, for every
+    The pass walks the {!Summary.Callgraph} bottom-up and, for every
     unannotated pointer slot (return value or parameter) of a defined
     function, proposes Appendix-B annotations and keeps the ones the
     function's own body *proves*:
@@ -32,7 +32,6 @@
 
 open Cfront
 module Ctype = Sema.Ctype
-module Callgraph = Callgraph
 module Ranker = Ranker
 
 type slot = Ranker.slot = Sret | Sparam of int
@@ -322,8 +321,8 @@ let run ?(max_rounds = default_max_rounds) ?(rankers = Ranker.default) ?budget
   List.iter
     (fun ((fs : Sema.funsig), f) -> Hashtbl.replace bodies fs.Sema.fs_name f)
     (Sema.fundefs prog);
-  let cg = Callgraph.build prog in
-  let comps = Callgraph.sccs cg in
+  let cg = Summary.Callgraph.build prog in
+  let comps = Summary.Callgraph.sccs cg in
   let cache : summary_cache = Hashtbl.create 32 in
   let findings = ref [] in
   let rounds_total = ref 0 in

@@ -12,8 +12,6 @@
     connected component, which iterates to a fixpoint with conservative
     retraction).  See [docs/inference.md] for the full algorithm. *)
 
-module Callgraph = Callgraph
-
 module Ranker = Ranker
 (** Candidate sources for the probe engine (name/shape heuristics, the
     exhaustive grid, external suggesters). *)

@@ -17,26 +17,26 @@ type t = {
       (** per node: callees that are themselves defined, call order *)
 }
 
-let build (prog : Sema.program) : t =
-  let defined = Hashtbl.create 16 in
-  List.iter
-    (fun ((fs : Sema.funsig), _) -> Hashtbl.replace defined fs.Sema.fs_name ())
-    (Sema.fundefs prog);
-  let edges = Hashtbl.create 16 in
-  let nodes =
-    List.map
-      (fun ((fs : Sema.funsig), f) ->
-        let callees =
-          List.filter (Hashtbl.mem defined) (Sema.calls_of_fundef f)
-        in
-        Hashtbl.replace edges fs.Sema.fs_name callees;
-        fs.Sema.fs_name)
-      (Sema.fundefs prog)
-  in
-  { cg_nodes = nodes; cg_edges = edges }
-
 let calls (g : t) (name : string) : string list =
   Option.value (Hashtbl.find_opt g.cg_edges name) ~default:[]
+
+let defined_callees (g : t) (f : Cfront.Ast.fundef) : string list =
+  List.filter (Hashtbl.mem g.cg_edges) (Sema.calls_of_fundef f)
+
+let build (prog : Sema.program) : t =
+  let defs = Sema.fundefs prog in
+  let g =
+    {
+      cg_nodes = List.map (fun ((fs : Sema.funsig), _) -> fs.Sema.fs_name) defs;
+      cg_edges = Hashtbl.create 16;
+    }
+  in
+  List.iter (fun name -> Hashtbl.replace g.cg_edges name []) g.cg_nodes;
+  List.iter
+    (fun ((fs : Sema.funsig), f) ->
+      Hashtbl.replace g.cg_edges fs.Sema.fs_name (defined_callees g f))
+    defs;
+  g
 
 (* Tarjan's algorithm.  Components are emitted when their root closes,
    which happens only after every component reachable from them — i.e.

@@ -14,6 +14,11 @@ val calls : t -> string -> string list
 (** Defined functions called directly by [name] (empty for unknown
     names). *)
 
+val defined_callees : t -> Cfront.Ast.fundef -> string list
+(** The body's direct callees that are nodes of the graph, in call
+    order: what {!build} records as the edges of a function with this
+    body. *)
+
 val sccs : t -> string list list
 (** Tarjan's strongly connected components in bottom-up (callee-first)
     order: every component a component calls into precedes it.  Mutual

@@ -777,52 +777,132 @@ let summarize (prog : Sema.program) (tbl : table) (fs : Sema.funsig)
 (* Bottom-up propagation                                               *)
 (* ------------------------------------------------------------------ *)
 
-let of_program (prog : Sema.program) : table =
+type solution = {
+  mutable table : table;
+  mutable defs : (string, Sema.funsig * Ast.fundef) Hashtbl.t;
+      (** the definition each name is summarized from (the last one in
+          source order, like the call graph's edges) *)
+  mutable graph : Callgraph.t;
+  mutable order : string list array;  (** SCCs, callee-first *)
+}
+
+let table sol = sol.table
+
+(* The one per-component solver: seed the component with [bottom] so
+   same-SCC calls see the current iterate, then summarize its members
+   until nothing changes (once, for a non-recursive component).  The
+   result depends only on the members' bodies and on the summaries of
+   the callees outside the component. *)
+let solve_component prog tbl cg defs component =
+  let members = List.filter_map (Hashtbl.find_opt defs) component in
+  List.iter
+    (fun ((fs : Sema.funsig), _) ->
+      Hashtbl.replace tbl fs.Sema.fs_name
+        (bottom fs.Sema.fs_name (List.length fs.Sema.fs_params)))
+    members;
+  let recursive = Callgraph.is_recursive cg component in
+  let rec iterate round =
+    Telemetry.Counter.tick Telemetry.c_summary_rounds;
+    let changed =
+      List.fold_left
+        (fun changed ((fs : Sema.funsig), fd) ->
+          let s = summarize prog tbl fs fd in
+          let prev = Hashtbl.find tbl fs.Sema.fs_name in
+          Hashtbl.replace tbl fs.Sema.fs_name s;
+          changed || not (equal s prev))
+        false members
+    in
+    if changed && recursive then
+      if round + 1 >= max_rounds then begin
+        (* bounded fixpoint: bail out to ⊤ for the whole component *)
+        List.iter
+          (fun ((fs : Sema.funsig), _) ->
+            Telemetry.Counter.tick Telemetry.c_summary_top;
+            Hashtbl.replace tbl fs.Sema.fs_name
+              (top fs.Sema.fs_name (List.length fs.Sema.fs_params)))
+          members
+      end
+      else iterate (round + 1)
+  in
+  if members <> [] then iterate 0;
+  List.iter (fun _ -> Telemetry.Counter.tick Telemetry.c_summary_funcs) members
+
+let solve (prog : Sema.program) : solution =
   let tbl : table = Hashtbl.create 64 in
-  let byname = Hashtbl.create 64 in
+  let defs = Hashtbl.create 64 in
   List.iter
     (fun ((fs : Sema.funsig), fd) ->
-      Hashtbl.replace byname fs.Sema.fs_name (fs, fd))
+      Hashtbl.replace defs fs.Sema.fs_name (fs, fd))
     (Sema.fundefs prog);
   let cg = Callgraph.build prog in
-  List.iter
-    (fun component ->
-      let members =
-        List.filter_map (Hashtbl.find_opt byname) component
-      in
-      (* seed the component so same-SCC calls see the current iterate *)
-      List.iter
-        (fun ((fs : Sema.funsig), _) ->
-          Hashtbl.replace tbl fs.Sema.fs_name
-            (bottom fs.Sema.fs_name (List.length fs.Sema.fs_params)))
-        members;
-      let recursive = Callgraph.is_recursive cg component in
-      let rec iterate round =
-        Telemetry.Counter.tick Telemetry.c_summary_rounds;
-        let changed =
-          List.fold_left
-            (fun changed ((fs : Sema.funsig), fd) ->
-              let s = summarize prog tbl fs fd in
-              let prev = Hashtbl.find tbl fs.Sema.fs_name in
-              Hashtbl.replace tbl fs.Sema.fs_name s;
-              changed || not (equal s prev))
-            false members
-        in
-        if changed && recursive then
-          if round + 1 >= max_rounds then begin
-            (* bounded fixpoint: bail out to ⊤ for the whole component *)
-            List.iter
-              (fun ((fs : Sema.funsig), _) ->
-                Telemetry.Counter.tick Telemetry.c_summary_top;
-                Hashtbl.replace tbl fs.Sema.fs_name
-                  (top fs.Sema.fs_name (List.length fs.Sema.fs_params)))
-              members
-          end
-          else iterate (round + 1)
-      in
-      if members <> [] then iterate 0;
-      List.iter
-        (fun _ -> Telemetry.Counter.tick Telemetry.c_summary_funcs)
-        members)
-    (Callgraph.sccs cg);
-  tbl
+  let order = Array.of_list (Callgraph.sccs cg) in
+  Array.iter (solve_component prog tbl cg defs) order;
+  { table = tbl; defs; graph = cg; order }
+
+let of_program (prog : Sema.program) : table = (solve prog).table
+
+let refresh (prog : Sema.program) (sol : solution)
+    ~(dirty : Ast.fundef list) : string list =
+  (* swap in the new bodies; a definition that is not the one a name is
+     summarized from (a same-named static in another file) changes
+     nothing *)
+  let dirty =
+    List.filter_map
+      (fun (fd : Ast.fundef) ->
+        match Hashtbl.find_opt sol.defs fd.Ast.f_name with
+        | Some ((fs : Sema.funsig), _)
+          when String.equal fs.Sema.fs_loc.Cfront.Loc.file
+                 fd.Ast.f_loc.Cfront.Loc.file ->
+            Hashtbl.replace sol.defs fd.Ast.f_name (fs, fd);
+            Some fd.Ast.f_name
+        | _ -> None)
+      dirty
+  in
+  let same_callees name =
+    Callgraph.calls sol.graph name
+    = Callgraph.defined_callees sol.graph (snd (Hashtbl.find sol.defs name))
+  in
+  if not (List.for_all same_callees dirty) then begin
+    (* the call graph moved: solve from scratch and report the diff *)
+    let fresh = solve prog in
+    let changed =
+      Hashtbl.fold
+        (fun name s acc ->
+          match Hashtbl.find_opt sol.table name with
+          | Some old when equal old s -> acc
+          | _ -> name :: acc)
+        fresh.table []
+    in
+    sol.table <- fresh.table;
+    sol.defs <- fresh.defs;
+    sol.graph <- fresh.graph;
+    sol.order <- fresh.order;
+    changed
+  end
+  else begin
+    (* one callee-first pass: a component is re-solved after every
+       component it calls into, so it sees their final summaries.  The
+       pass allocates nothing per component until a summary changes. *)
+    let changed = Hashtbl.create 16 in
+    let is_dirty f = List.mem f dirty in
+    let calls_changed f =
+      List.exists (Hashtbl.mem changed) (Callgraph.calls sol.graph f)
+    in
+    let stale component =
+      List.exists is_dirty component
+      || (Hashtbl.length changed > 0 && List.exists calls_changed component)
+    in
+    Array.iter
+      (fun component ->
+        if stale component then begin
+          let before = List.map (Hashtbl.find sol.table) component in
+          solve_component prog sol.table sol.graph sol.defs component;
+          List.iter2
+            (fun name old ->
+              if not (equal old (Hashtbl.find sol.table name)) then
+                Hashtbl.replace changed name ())
+            component before
+        end)
+      sol.order;
+    Hashtbl.fold (fun name () acc -> name :: acc) changed []
+  end

@@ -73,6 +73,33 @@ val of_program : Sema.program -> table
     call-graph SCCs; recursive components iterate to a fixpoint (bounded;
     bailing out to {!top}).  Ticks the [summary_*] telemetry counters. *)
 
+(** {1 Incremental refresh} *)
+
+type solution
+(** A solved table together with the call graph and SCC order it was
+    solved over, so that a later body edit can be answered by
+    {!refresh}. *)
+
+val solve : Sema.program -> solution
+(** {!of_program}, keeping the call graph and SCC order. *)
+
+val table : solution -> table
+(** The current summaries.  {!refresh} updates this table in place,
+    except on its fallback, which replaces it. *)
+
+val refresh :
+  Sema.program -> solution -> dirty:Cfront.Ast.fundef list -> string list
+(** Bring [solution] up to date after the definitions in [dirty] had
+    their bodies swapped into [prog] ({!Sema.patch_fundef}); nothing else
+    about [prog] may have changed.  A component is re-solved when a
+    member is dirty or a callee's summary changed in this pass;
+    propagation stops where summaries come out {!equal}.  When a dirty
+    function's defined-callee list changed, the call graph may have
+    moved, so the whole program is solved again.  Either way the table
+    afterwards equals {!of_program}[ prog].  Returns the names whose
+    summaries are no longer {!equal} to their previous ones.  Ticks the
+    [summary_*] counters for the re-solved functions only. *)
+
 val render : t -> string
 (** Stable one-line rendering, the [--dump-summaries] format:
     [name: params=[tok,...] ret=tok] with optional [retnull] / [globesc]

@@ -199,6 +199,208 @@ let test_summary_edit_rechecks_callers () =
   Alcotest.(check int) "default flags: callee only" 1
     oc.Service.oc_rechecked
 
+(* ------------------------------------------------------------------ *)
+(* Incremental summary refresh under +xproc                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A three-module corpus with one editable line per slot.  h0 <- h1 <-
+   h2 <- drive is a helper chain, so a release inserted into h0 reaches
+   two caller levels above it; ev/od is a mutually recursive SCC; leaf
+   starts with no defined callee, so giving it one moves the call graph.
+   Every variant is one line, so no function header shifts and every
+   edit is a body-only (Patched) request. *)
+let refresh_slots =
+  [|
+    ("lib.c", [| "r[0] = 0;"; "free(r);"; "if (r[0] == 'x') { free(r); }";
+                 "r[0] = 5;" |]);
+    ("mid.c", [| "r[0] = 1;"; "if (n == 1) { free(r); }" |]);
+    ("mid.c", [| "r[0] = 2;"; "if (n == 0) { free(r); }"; "free(r);" |]);
+    ("mid.c", [| "r[0] = 3;"; "h0(r);"; "h2(r);"; "free(r);" |]);
+  |]
+
+let refresh_files choice =
+  let slot i = (snd refresh_slots.(i)).(choice.(i)) in
+  [
+    ( "lib.c",
+      "void h0(char *r);\n\
+       void h1(char *r);\n\
+       void h2(char *r);\n\
+       void ev(char *r, int n);\n\
+       void od(char *r, int n);\n\
+       void leaf(char *r);\n\
+       void h0(char *r)\n\
+       {\n" ^ slot 0 ^ "\n\
+       }\n\
+       void h1(char *r)\n\
+       {\n\
+       h0(r);\n\
+       }\n" );
+    ( "mid.c",
+      "void h2(char *r)\n\
+       {\n\
+       h1(r);\n\
+       }\n\
+       void ev(char *r, int n)\n\
+       {\n\
+       if (n > 0) { od(r, n - 1); }\n" ^ slot 1 ^ "\n\
+       }\n\
+       void od(char *r, int n)\n\
+       {\n\
+       if (n > 0) { ev(r, n - 1); }\n" ^ slot 2 ^ "\n\
+       }\n\
+       void leaf(char *r)\n\
+       {\n" ^ slot 3 ^ "\n\
+       }\n" );
+    ( "use.c",
+      "int drive(void)\n\
+       {\n\
+       char *p = (char *) malloc(1);\n\
+       if (p == NULL) { return 1; }\n\
+       p[0] = 'x';\n\
+       h2(p);\n\
+       int v = p[0];\n\
+       return v;\n\
+       }\n\
+       int drive2(void)\n\
+       {\n\
+       char *q = (char *) malloc(1);\n\
+       if (q == NULL) { return 1; }\n\
+       q[0] = 'x';\n\
+       ev(q, 3);\n\
+       leaf(q);\n\
+       return q[0];\n\
+       }\n" );
+  ]
+
+let refresh_functions = 8
+
+(* After a request, the service's summaries must be what a from-scratch
+   solve of its environment gives, its hashes a full re-hash of those,
+   and its diagnostics a cold direct check of the same documents. *)
+let check_refreshed what svc files (oc : Service.outcome) =
+  let env =
+    match Service.environment svc with
+    | Some env -> env
+    | None -> Alcotest.failf "%s: no environment" what
+  in
+  let tbl =
+    match Service.summaries svc with
+    | Some tbl -> tbl
+    | None -> Alcotest.failf "%s: no summaries under +xproc" what
+  in
+  let fresh = Summary.of_program env in
+  let keys t =
+    Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> List.sort compare
+  in
+  Alcotest.(check (list string)) (what ^ ": same key set") (keys fresh)
+    (keys tbl);
+  Hashtbl.iter
+    (fun name sm ->
+      if not (Summary.equal sm (Hashtbl.find tbl name)) then
+        Alcotest.failf "%s: %s is %s, a fresh solve gives %s" what name
+          (Summary.render (Hashtbl.find tbl name))
+          (Summary.render sm))
+    fresh;
+  Alcotest.(check (list (pair string string)))
+    (what ^ ": hashes equal a full re-hash")
+    (List.map
+       (fun k -> (k, Summary.hash (Hashtbl.find fresh k)))
+       (keys fresh))
+    (Service.summary_hashes svc);
+  Alcotest.(check (list string))
+    (what ^ ": diagnostics equal a cold check")
+    (direct ~flags:xproc_flags files)
+    (render oc)
+
+(* Run [f] with telemetry on and return how many functions it
+   summarized. *)
+let summary_funcs_during f =
+  Telemetry.set_enabled true;
+  Telemetry.reset ();
+  let r = Fun.protect ~finally:(fun () -> Telemetry.set_enabled false) f in
+  (r, Telemetry.Counter.value Telemetry.c_summary_funcs)
+
+let patched_request svc choice =
+  let files = refresh_files choice in
+  let oc = run svc files in
+  Alcotest.check tier "patched tier" Service.Patched oc.Service.oc_tier;
+  (files, oc)
+
+let test_refresh_cases () =
+  let svc = Service.create ~flags:xproc_flags () in
+  let choice = [| 0; 0; 0; 0 |] in
+  let files = refresh_files choice in
+  check_refreshed "cold" svc files (run svc files);
+  let hash name = List.assoc name (Service.summary_hashes svc) in
+  (* an effect-neutral body edit re-summarizes the edited function only *)
+  choice.(0) <- 3;
+  let (files, oc), n =
+    summary_funcs_during (fun () -> patched_request svc choice)
+  in
+  Alcotest.(check int) "effect-neutral edit: one function summarized" 1 n;
+  Alcotest.(check int) "effect-neutral edit: one re-check" 1
+    oc.Service.oc_rechecked;
+  check_refreshed "effect-neutral edit" svc files oc;
+  (* inserting free(r) into h0 changes h0, h1 and h2, and stops at
+     drive, whose summary has nothing to change *)
+  let h2_before = hash "h2" in
+  choice.(0) <- 1;
+  let (files, oc), n =
+    summary_funcs_during (fun () -> patched_request svc choice)
+  in
+  Alcotest.(check int) "release inserted: h0, h1, h2, drive summarized" 4 n;
+  Alcotest.(check bool) "two caller levels up, h2's summary changed" true
+    (hash "h2" <> h2_before);
+  check_refreshed "release inserted" svc files oc;
+  (* ... and removing it again *)
+  choice.(0) <- 0;
+  let files, oc = patched_request svc choice in
+  Alcotest.(check string) "release removed: h2 is back" h2_before (hash "h2");
+  check_refreshed "release removed" svc files oc;
+  (* an edit inside the ev/od SCC re-solves the component *)
+  choice.(2) <- 1;
+  let files, oc = patched_request svc choice in
+  check_refreshed "recursive SCC edit" svc files oc;
+  (* a call-adding edit: leaf gains a defined callee, so the whole
+     program is solved again *)
+  choice.(3) <- 1;
+  let (files, oc), n =
+    summary_funcs_during (fun () -> patched_request svc choice)
+  in
+  Alcotest.(check int) "call-adding edit: full solve" refresh_functions n;
+  check_refreshed "call-adding edit" svc files oc;
+  (* the fallback leaves a solution that refreshes incrementally again *)
+  choice.(0) <- 3;
+  let (files, oc), n =
+    summary_funcs_during (fun () -> patched_request svc choice)
+  in
+  Alcotest.(check int) "after the fallback: one function summarized" 1 n;
+  check_refreshed "after the fallback" svc files oc
+
+(* Random sequences of single-slot body edits; every request must leave
+   the service exactly where a from-scratch solve and a cold check
+   would. *)
+let prop_refresh_equivalence =
+  let nslots = Array.length refresh_slots in
+  QCheck.Test.make ~count:40 ~name:"refreshed summaries equal a full solve"
+    QCheck.(list_of_size Gen.(int_range 1 10)
+              (pair (int_bound (nslots - 1)) (int_bound 3)))
+    (fun edits ->
+      let svc = Service.create ~flags:xproc_flags () in
+      let choice = Array.make nslots 0 in
+      let files = refresh_files choice in
+      check_refreshed "cold" svc files (run svc files);
+      List.iteri
+        (fun k (slot, v) ->
+          let n = Array.length (snd refresh_slots.(slot)) in
+          (* always a real edit: never the slot's current variant *)
+          let v = v mod n in
+          choice.(slot) <- (if v = choice.(slot) then (v + 1) mod n else v);
+          let files, oc = patched_request svc choice in
+          check_refreshed (Printf.sprintf "edit %d" k) svc files oc)
+        edits;
+      true)
+
 let test_type_edit_invalidates_all () =
   let svc = Service.create ~flags () in
   ignore (run svc base_files);
@@ -440,6 +642,11 @@ let () =
             test_funsig_edit_rechecks_callers;
           Alcotest.test_case "summary edit recheck" `Quick
             test_summary_edit_rechecks_callers;
+          Alcotest.test_case "summary refresh cases" `Quick
+            test_refresh_cases;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 14 |])
+            prop_refresh_equivalence;
           Alcotest.test_case "type edit" `Quick
             test_type_edit_invalidates_all;
           Alcotest.test_case "flag change" `Quick

@@ -76,23 +76,23 @@ let words outcome fname slot =
 
 let test_callgraph_edges () =
   let prog = program plain_list_src in
-  let g = Infer.Callgraph.build prog in
+  let g = Summary.Callgraph.build prog in
   Alcotest.(check (list string))
     "nodes in source order"
     [ "elem_create"; "list_free"; "list_addh"; "use" ]
-    g.Infer.Callgraph.cg_nodes;
+    g.Summary.Callgraph.cg_nodes;
   (* free/malloc/exit are library functions, not defined: no edges *)
   Alcotest.(check (list string))
     "list_free calls (self-recursion)" [ "list_free" ]
-    (Infer.Callgraph.calls g "list_free");
+    (Summary.Callgraph.calls g "list_free");
   Alcotest.(check (list string))
     "use calls" [ "elem_create"; "list_addh"; "list_free" ]
-    (Infer.Callgraph.calls g "use")
+    (Summary.Callgraph.calls g "use")
 
 let test_callgraph_bottom_up () =
   let prog = program plain_list_src in
-  let g = Infer.Callgraph.build prog in
-  let comps = Infer.Callgraph.sccs g in
+  let g = Summary.Callgraph.build prog in
+  let comps = Summary.Callgraph.sccs g in
   (* every SCC is a singleton here; callees must precede callers *)
   let order = List.concat comps in
   let pos n =
@@ -108,14 +108,14 @@ let test_callgraph_bottom_up () =
   Alcotest.(check bool) "list_addh before use" true
     (pos "list_addh" < pos "use");
   Alcotest.(check bool) "self-recursion detected" true
-    (Infer.Callgraph.is_recursive g [ "list_free" ]);
+    (Summary.Callgraph.is_recursive g [ "list_free" ]);
   Alcotest.(check bool) "non-recursive singleton" false
-    (Infer.Callgraph.is_recursive g [ "use" ])
+    (Summary.Callgraph.is_recursive g [ "use" ])
 
 let test_callgraph_mutual_scc () =
   let prog = program mutual_src in
-  let g = Infer.Callgraph.build prog in
-  let comps = Infer.Callgraph.sccs g in
+  let g = Summary.Callgraph.build prog in
+  let comps = Summary.Callgraph.sccs g in
   let mutual =
     List.find_opt (fun c -> List.length c > 1) comps
     |> Option.map (List.sort String.compare)
@@ -127,7 +127,7 @@ let test_callgraph_mutual_scc () =
   (match mutual with
   | Some c ->
       Alcotest.(check bool) "marked recursive" true
-        (Infer.Callgraph.is_recursive g c)
+        (Summary.Callgraph.is_recursive g c)
   | None -> ())
 
 (* ------------------------------------------------------------------ *)
