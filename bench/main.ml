@@ -395,9 +395,22 @@ let phases () =
   section "E8: pipeline phase breakdown (telemetry)";
   row "  Where checking time goes, per phase, for the employee database\n";
   row "  and a generated 3k-line program.  Written to BENCH_phases.json.\n\n";
+  let flags = E.paper_flags in
+  let db = E.stage E.max_stage in
+  let gen = Progen.generate ~seed:!seed_flag ~modules:8 ~fns_per_module:10 () in
+  (* every text the run parses: the library twice (once for the
+     database, once inside Progen.static_check), the database, the
+     generated program; counted before telemetry goes on *)
+  let expected_tokens =
+    List.fold_left
+      (fun n text -> n + List.length (Cfront.Lexer.tokenize ~file:"" text))
+      0
+      ((Stdspec.source :: Stdspec.source
+        :: List.map (fun (f : E.file) -> f.E.text) db)
+      @ List.map snd gen.Progen.files)
+  in
   Telemetry.reset ();
   Telemetry.set_enabled true;
-  let flags = E.paper_flags in
   let prog = Stdspec.environment ~flags () in
   List.iter
     (fun (f : E.file) ->
@@ -406,9 +419,8 @@ let phases () =
       in
       let tu = Cfront.Parser.parse_string ~typedefs ~file:f.E.name f.E.text in
       ignore (Sema.analyze ~flags ~into:prog tu))
-    (E.stage E.max_stage);
+    db;
   Check.Checker.check_program prog;
-  let gen = Progen.generate ~seed:!seed_flag ~modules:8 ~fns_per_module:10 () in
   ignore (Progen.static_check gen);
   Format.printf "%a" Telemetry.pp_stats ();
   let oc = open_out "BENCH_phases.json" in
@@ -416,8 +428,26 @@ let phases () =
   output_string oc "\n";
   close_out oc;
   row "\n  wrote BENCH_phases.json\n";
+  (* the CI gate: lexing happens inside the parse, one timed token
+     pull at a time, so check that both phases were recorded and that
+     the pulls counted every token *)
+  let total phase =
+    List.fold_left
+      (fun acc (r : Telemetry.phase_row) ->
+        if String.equal r.ph_phase phase then acc +. r.ph_secs else acc)
+      0. (Telemetry.phase_rows ())
+  in
+  let lex = total Telemetry.phase_lex
+  and parse = total Telemetry.phase_parse
+  and tokens = Telemetry.Counter.value Telemetry.c_tokens in
   Telemetry.set_enabled false;
-  Telemetry.reset ()
+  Telemetry.reset ();
+  if not (lex > 0. && parse > 0. && tokens = expected_tokens) then begin
+    Printf.eprintf
+      "phases: lex %.6f s, parse %.6f s, %d tokens counted, %d lexed\n" lex
+      parse tokens expected_tokens;
+    exit 3
+  end
 
 (* ------------------------------------------------------------------ *)
 (* E9: annotation inference vs the hand annotations                    *)

@@ -223,9 +223,6 @@ let rec next lx : Token.t =
   else
     let c = peek lx in
     match c with
-    | '#' when lx.pos = lx.bol || l.col = 1 ->
-        skip_line lx;
-        next lx
     | '#' ->
         skip_line lx;
         next lx
@@ -346,5 +343,3 @@ let tokenize ~file src : Token.t list =
         | _ -> go (t :: acc) (n + 1)
       in
       go [] 0)
-
-let tokenize_array ~file src : Token.t array = Array.of_list (tokenize ~file src)

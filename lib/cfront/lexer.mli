@@ -15,5 +15,3 @@ val next : t -> Token.t
 
 val tokenize : file:string -> string -> Token.t list
 (** Tokenize the whole input.  The result always ends with [Eof]. *)
-
-val tokenize_array : file:string -> string -> Token.t array

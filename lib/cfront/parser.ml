@@ -14,9 +14,19 @@
     - at statement or top level they are recorded as pragmas
       (message-suppression and control comments, interpreted later). *)
 
+(* Tokens are pulled from the lexer on demand into a ring buffer
+   indexed by stream position: [ring.(i land (length ring - 1))] holds
+   token [i] for [head <= i < filled].  The ring holds the current token
+   and whatever lookahead has been pulled past it; it doubles when a
+   lookahead needs more room than it has, since a run of annotation
+   comments before a declaration can be any length. *)
 type t = {
-  toks : Token.t array;
-  mutable pos : int;
+  next : unit -> Token.t;  (** pulls the next token of the stream *)
+  mutable ring : Token.t array;  (** power-of-two length *)
+  mutable head : int;  (** stream position of the current token *)
+  mutable filled : int;  (** stream position after the last token pulled *)
+  mutable tok : Token.t;  (** the current token *)
+  mutable at_eof : bool;  (** the last token pulled was [Eof] *)
   typedefs : (string, unit) Hashtbl.t;
   mutable pragmas : Ast.annot list;  (** reversed *)
   file : string;
@@ -26,25 +36,77 @@ type t = {
           the paper's standard-library excerpts *)
 }
 
-let create ?(spec_mode = false) ~file toks =
+(* The ring's initial length, a power of two: enough for the parser's
+   usual lookahead of a token or two. *)
+let ring_length = 16
+
+let is_eof (t : Token.t) = match t.kind with Token.Eof -> true | _ -> false
+
+let of_pull ~spec_mode ~file next =
+  let tok = next () in
   {
-    toks;
-    pos = 0;
+    next;
+    ring = Array.make ring_length tok;
+    head = 0;
+    filled = 1;
+    tok;
+    at_eof = is_eof tok;
     typedefs = Hashtbl.create 64;
     pragmas = [];
     file;
     spec_mode;
   }
 
-let cur p = p.toks.(p.pos)
-let curk p = (cur p).kind
-let curloc p = (cur p).loc
+(* Token arrays (which end with [Eof], as {!Lexer.tokenize} does) are
+   streamed like the lexer; past the end the stream repeats an [Eof]. *)
+let create ?(spec_mode = false) ~file toks =
+  let n = Array.length toks in
+  let i = ref 0 in
+  let next () =
+    if !i < n then (
+      let t = toks.(!i) in
+      incr i;
+      t)
+    else
+      {
+        Token.kind = Token.Eof;
+        loc = (if n = 0 then Loc.make ~file ~line:1 ~col:1 else toks.(n - 1).Token.loc);
+      }
+  in
+  of_pull ~spec_mode ~file next
+
+let pull p =
+  let len = Array.length p.ring in
+  if p.filled - p.head = len then begin
+    let ring = Array.make (2 * len) p.tok in
+    for i = p.head to p.filled - 1 do
+      ring.(i land ((2 * len) - 1)) <- p.ring.(i land (len - 1))
+    done;
+    p.ring <- ring
+  end;
+  let t = p.next () in
+  p.ring.(p.filled land (Array.length p.ring - 1)) <- t;
+  p.filled <- p.filled + 1;
+  if is_eof t then p.at_eof <- true
+
+let curk p = p.tok.kind
+let curloc p = p.tok.loc
 
 let lak p n =
-  let i = p.pos + n in
-  if i < Array.length p.toks then p.toks.(i).kind else Token.Eof
+  let i = p.head + n in
+  while i >= p.filled && not p.at_eof do
+    pull p
+  done;
+  if i < p.filled then p.ring.(i land (Array.length p.ring - 1)).kind
+  else Token.Eof
 
-let advance p = if p.pos < Array.length p.toks - 1 then p.pos <- p.pos + 1
+(* The stream stays on its [Eof]. *)
+let advance p =
+  if p.head + 1 < p.filled || not p.at_eof then begin
+    if p.head + 1 = p.filled then pull p;
+    p.head <- p.head + 1;
+    p.tok <- p.ring.(p.head land (Array.length p.ring - 1))
+  end
 
 let err p fmt =
   Diag.fatal ~loc:(curloc p) ~code:"parse" fmt
@@ -1067,16 +1129,35 @@ let parse_tunit p : Ast.tunit =
     previously loaded interface libraries). *)
 let parse_string ?(spec_mode = false) ?(typedefs = []) ~file src : Ast.tunit
     =
-  let toks = Lexer.tokenize_array ~file src in
-  let tu =
-    Telemetry.with_span ~file Telemetry.phase_parse (fun () ->
-        let p = create ~spec_mode ~file toks in
-        List.iter (fun n -> Hashtbl.replace p.typedefs n ()) typedefs;
-        parse_tunit p)
+  let lx = Lexer.create ~file src in
+  let parse next =
+    let p = of_pull ~spec_mode ~file next in
+    List.iter (fun n -> Hashtbl.replace p.typedefs n ()) typedefs;
+    parse_tunit p
   in
-  if Telemetry.enabled () then
+  if not (Telemetry.enabled ()) then parse (fun () -> Lexer.next lx)
+  else begin
+    (* Lexing happens inside the parse, one token at a time: time each
+       pull and report the sum as the lex phase, the rest as parse. *)
+    let lex_secs = ref 0. and tokens = ref 0 in
+    let next () =
+      let t0 = Telemetry.now () in
+      let t = Lexer.next lx in
+      lex_secs := !lex_secs +. (Telemetry.now () -. t0);
+      incr tokens;
+      t
+    in
+    let t0 = Telemetry.now () in
+    let record () =
+      let secs = Telemetry.now () -. t0 in
+      Telemetry.record_span ~file Telemetry.phase_lex !lex_secs;
+      Telemetry.Counter.add Telemetry.c_tokens !tokens;
+      Telemetry.record_span ~file Telemetry.phase_parse (secs -. !lex_secs)
+    in
+    let tu = Fun.protect ~finally:record (fun () -> parse next) in
     Telemetry.Counter.add Telemetry.c_ast_nodes (Ast.size_tunit tu);
-  tu
+    tu
+  end
 
 (** Parse an LCL-style specification file: like {!parse_string} but with
     bare-word annotations enabled, matching the paper's notation

@@ -11,6 +11,9 @@ type t
 (** Parser state. *)
 
 val create : ?spec_mode:bool -> file:string -> Token.t array -> t
+(** A parser over a token array ending with [Eof], as {!Lexer.tokenize}
+    returns it.  The array is streamed into the parser the way
+    {!parse_string} streams the lexer's tokens. *)
 
 val parse_tunit : t -> Ast.tunit
 (** Parse a whole translation unit. *)
@@ -22,9 +25,12 @@ val parse_topdecl : t -> Ast.topdecl
 val parse_string :
   ?spec_mode:bool -> ?typedefs:string list -> file:string -> string ->
   Ast.tunit
-(** Lex and parse a source string.  [typedefs] seeds the typedef table
-    (used when checking a module against previously loaded interface
-    libraries).  [spec_mode] enables bare-word annotations. *)
+(** Lex and parse a source string, pulling each token from the lexer
+    as the parser needs it, so the first fatal error the parser
+    reaches is raised, whether a [lex] or a [parse] one.  [typedefs]
+    seeds the typedef table (used when checking a module against
+    previously loaded interface libraries).  [spec_mode] enables
+    bare-word annotations. *)
 
 val parse_spec_string :
   ?typedefs:string list -> file:string -> string -> Ast.tunit

@@ -52,7 +52,20 @@ let keyword_table : (string * kind) list =
     ("while", KwWhile);
   ]
 
-let keyword_of_string s = List.assoc_opt s keyword_table
+(* Built once: every identifier the lexer reads is looked up here. *)
+module Spelling = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+let keyword_kinds = Spelling.of_seq (List.to_seq keyword_table)
+
+let keyword_spellings =
+  Hashtbl.of_seq (Seq.map (fun (s, k) -> (k, s)) (List.to_seq keyword_table))
+
+let keyword_of_string s = Spelling.find_opt keyword_kinds s
 
 (** Human-readable rendering used in parse-error messages
     ("expected ';' before '}'" style). *)
@@ -81,9 +94,6 @@ let describe = function
   | LShiftAssign -> "'<<='" | RShiftAssign -> "'>>='"
   | AmpAssign -> "'&='" | CaretAssign -> "'^='" | PipeAssign -> "'|='"
   | kw -> (
-      (* keywords: recover the spelling from the table *)
-      match
-        List.find_opt (fun (_, k) -> k = kw) keyword_table
-      with
-      | Some (s, _) -> Printf.sprintf "keyword '%s'" s
+      match Hashtbl.find_opt keyword_spellings kw with
+      | Some s -> Printf.sprintf "keyword '%s'" s
       | None -> "token")

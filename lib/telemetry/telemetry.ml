@@ -53,6 +53,12 @@ let state_key : state Domain.DLS.key =
 
 let state () = Domain.DLS.get state_key
 
+(* A completed span goes under the innermost open span, or is a root. *)
+let attach st sp =
+  match st.st_stack with
+  | parent :: _ -> parent.f_children <- sp :: parent.f_children
+  | [] -> st.st_roots <- sp :: st.st_roots
+
 let close_frame st fr =
   let sp =
     {
@@ -70,9 +76,7 @@ let close_frame st fr =
     | [] -> []
   in
   st.st_stack <- pop st.st_stack;
-  match st.st_stack with
-  | parent :: _ -> parent.f_children <- sp :: parent.f_children
-  | [] -> st.st_roots <- sp :: st.st_roots
+  attach st sp
 
 let with_span ?file ?label name f =
   if not !enabled_flag then f ()
@@ -96,6 +100,17 @@ let with_span ?file ?label name f =
         close_frame st fr;
         raise e
   end
+
+let record_span ?file name secs =
+  if !enabled_flag then
+    attach (state ())
+      {
+        sp_name = name;
+        sp_file = file;
+        sp_label = None;
+        sp_secs = Float.max 0. secs;
+        sp_children = [];
+      }
 
 let spans () = List.rev (state ()).st_roots
 

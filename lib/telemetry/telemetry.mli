@@ -68,6 +68,17 @@ val with_span : ?file:string -> ?label:string -> string -> (unit -> 'a) -> 'a
     innermost open span (or as a root).  Exceptions close the span and
     propagate.  When disabled this is exactly [f ()]. *)
 
+val now : unit -> float
+(** The wall clock the spans are timed with, in seconds. *)
+
+val record_span : ?file:string -> string -> float -> unit
+(** [record_span name secs] records a phase its caller has already
+    timed, as a completed childless span of [secs] seconds (clamped at
+    zero) under the innermost open span (or as a root).  For work too
+    finely interleaved with another phase to wrap in {!with_span}: the
+    parser times each token pull and records the sum as the lex phase.
+    When disabled this does nothing. *)
+
 val spans : unit -> span list
 (** Completed root spans, in completion order. *)
 

@@ -291,6 +291,109 @@ let test_paper_figures_parse () =
   ignore (Parser.parse_string ~typedefs:[ "size_t" ] ~file:"t.c" Corpus.Figures.fig5_list_addh)
 
 (* ------------------------------------------------------------------ *)
+(* Token streaming                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The token-array entry point, with the typedef table seeded the way
+   parse_string seeds it: by parsing one [typedef int NAME;] per name
+   ahead of the file's own tokens. *)
+let parse_array ~typedefs ~file text =
+  let prefix =
+    Lexer.tokenize ~file
+      (String.concat "" (List.map (Printf.sprintf "typedef int %s;") typedefs))
+    |> List.filter (fun (t : Token.t) -> not (Token.equal_kind t.kind Token.Eof))
+  in
+  let p =
+    Parser.create ~file (Array.of_list (prefix @ Lexer.tokenize ~file text))
+  in
+  List.iter (fun _ -> ignore (Parser.parse_topdecl p)) typedefs;
+  Parser.parse_tunit p
+
+(* Parse files in order the way olclint does, each against the typedefs
+   of the library and the files before it, and check that streaming
+   from the lexer and parsing a token array give the same AST. *)
+let check_stream_matches_array files =
+  let flags = Annot.Flags.default in
+  let prog = Stdspec.environment ~flags () in
+  List.iter
+    (fun (file, text) ->
+      let typedefs =
+        Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
+      in
+      let streamed = Parser.parse_string ~typedefs ~file text in
+      if not (Ast.equal_tunit streamed (parse_array ~typedefs ~file text)) then
+        Alcotest.failf "%s: streamed and array parses differ" file;
+      ignore (Sema.analyze ~flags ~into:prog streamed))
+    files
+
+let test_stream_figures () =
+  List.iter
+    (fun text -> check_stream_matches_array [ ("fig.c", text) ])
+    Corpus.Figures.
+      [
+        fig1_sample; fig2_sample_null; fig3_sample_fixed; fig4_sample_only_temp;
+        fig5_list_addh; fig5_list_addh_fixed; fig7_erc_create;
+        fig8_employee_setname;
+      ]
+
+let test_stream_employee_db () =
+  for n = 0 to Corpus.Employee_db.max_stage do
+    check_stream_matches_array
+      (List.map
+         (fun (f : Corpus.Employee_db.file) -> (f.name, f.text))
+         (Corpus.Employee_db.stage n))
+  done
+
+let test_stream_progen () =
+  List.iter
+    (fun seed ->
+      check_stream_matches_array
+        (Progen.generate ~seed ~modules:3 ~fns_per_module:4 ()).Progen.files)
+    [ 1; 7; 42 ]
+
+(* A run of annotations longer than the initial ring forces it to grow
+   while the declaration before it has already moved the window off
+   position zero. *)
+let test_stream_long_annotation_run () =
+  let n = 37 in
+  let src =
+    "int x;\n"
+    ^ String.concat " " (List.init n (fun _ -> "/*@null@*/"))
+    ^ " char *p;\nint y;"
+  in
+  let tu = parse src in
+  (match tu.Ast.tu_decls with
+  | [ _; Ast.Tdecl [ d ]; _ ] ->
+      Alcotest.(check string) "declared" "p" d.Ast.d_name;
+      Alcotest.(check int) "annotations kept" n (List.length d.Ast.d_annots)
+  | _ -> Alcotest.fail "expected three declarations");
+  Alcotest.(check bool) "same as the array parse" true
+    (Ast.equal_tunit tu (parse_array ~typedefs:[] ~file:"t.c" src))
+
+let test_keyword_table () =
+  List.iter
+    (fun (s, k) ->
+      Alcotest.(check bool) s true
+        (Option.equal Token.equal_kind (Token.keyword_of_string s) (Some k));
+      Alcotest.(check string) "describe" (Printf.sprintf "keyword '%s'" s)
+        (Token.describe k))
+    Token.keyword_table;
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) s true (Option.is_none (Token.keyword_of_string s)))
+    [ "list"; "If"; "whilex"; "" ]
+
+(* With streaming, the first fatal error the parser reaches wins: a
+   parse error on line 1 is reported even though line 3 does not lex. *)
+let test_fatal_error_precedence () =
+  let src = "int f(void) { return 1 +; }\nint g;\nchar *s = \"abc;\n" in
+  match Parser.parse_string ~file:"err.c" src with
+  | exception Diag.Fatal d ->
+      Alcotest.(check string) "first error in source order"
+        "err.c:1,25: expected expression, got ';'" (Diag.to_string d)
+  | _ -> Alcotest.fail "expected a fatal error"
+
+(* ------------------------------------------------------------------ *)
 (* Pretty-printer round-trips                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -458,6 +561,13 @@ let () =
           Alcotest.test_case "suppression pragmas" `Quick test_parse_suppression_pragmas;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "paper figures" `Quick test_paper_figures_parse;
+          Alcotest.test_case "stream matches array: figures" `Quick test_stream_figures;
+          Alcotest.test_case "stream matches array: employee db" `Quick
+            test_stream_employee_db;
+          Alcotest.test_case "stream matches array: progen" `Quick test_stream_progen;
+          Alcotest.test_case "long annotation run" `Quick test_stream_long_annotation_run;
+          Alcotest.test_case "keyword table" `Quick test_keyword_table;
+          Alcotest.test_case "fatal error precedence" `Quick test_fatal_error_precedence;
         ] );
       ("spec-mode", spec_tests);
       ( "pretty",
