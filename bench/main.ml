@@ -832,9 +832,8 @@ let scale () =
     !seed_flag;
   row "  analysed once each and checked through the Parcheck\n";
   row "  work-stealing domain pool (one task per procedure).  Each\n";
-  row "  configuration does one warm-up run (lowers the checking IR,\n";
-  row "  parks the pool domains) and then reports the minimum of %d timed\n"
-    scale_reps;
+  row "  configuration does one warm-up run (parks the pool domains)\n";
+  row "  and then reports the minimum of %d timed\n" scale_reps;
   row "  runs.  Diagnostics must be identical at every job count;\n";
   row "  wall-clock, store_ops, task/steal counts and speedup are\n";
   row "  written to BENCH_scale.json.\n";
@@ -849,10 +848,8 @@ let scale () =
   let records = ref [] in
   (* sequential store_ops on the largest corpus: the CI regression gate *)
   let seq_store_ops = ref 0 in
-  (* sequential wall-clock totals, IR engine vs the legacy tree walk:
-     the second CI regression gate *)
-  let seq_ir_total = ref 0.0 in
-  let seq_tw_total = ref 0.0 in
+  (* sequential wall-clock total over every corpus *)
+  let seq_total = ref 0.0 in
   List.iter
     (fun (modules, fns) ->
       let functions = modules * fns in
@@ -874,32 +871,17 @@ let scale () =
       in
       (* one analysed program shared by every configuration:
          [check_program] never mutates it (environment-mutating files
-         check against a private {!Sema.copy_for_check}), and the
-         [`Treewalk] configuration is the {e same} record with only the
-         engine flag flipped — the legacy AST-walk yardstick the IR hot
-         path must not regress against (and a live equivalence check).
-         Sharing one heap image means every configuration traverses
-         identical memory, so the timings differ only by engine and
-         job count, not by allocation order or heap size. *)
+         check against a private {!Sema.copy_for_check}).  Sharing one
+         heap image means every configuration traverses identical
+         memory, so the timings differ only by job count, not by
+         allocation order or heap size. *)
       let prog = Progen.analyse p in
-      let twprog =
-        {
-          prog with
-          Sema.flags =
-            { Annot.Flags.default with Annot.Flags.tree_walk = true };
-        }
-      in
-      let configs =
-        List.map (fun jobs -> (`Jobs jobs, prog)) jobs_list
-        @ [ (`Treewalk, twprog) ]
-      in
-      (* one warm-up pass per configuration (lowers the checking IR,
-         parks the pool domains); counters are read from it so they
-         describe exactly one full check *)
+      (* one warm-up pass per configuration (parks the pool domains);
+         counters are read from it so they describe exactly one full
+         check *)
       let measured =
         List.map
-          (fun (kind, prog) ->
-            let jobs = match kind with `Jobs j -> j | `Treewalk -> 1 in
+          (fun jobs ->
             Telemetry.reset ();
             Telemetry.set_enabled true;
             let diags = Parcheck.check_program ~jobs prog in
@@ -914,28 +896,23 @@ let scale () =
               List.map Cfront.Diag.to_string
                 (Cfront.Diag.Collector.sort_emission diags)
             in
-            let what =
-              match kind with
-              | `Jobs j -> Printf.sprintf "-j %d" j
-              | `Treewalk -> "+treewalk"
-            in
-            check_identity ~what rendered;
-            (kind, prog, jobs, ops, elided, steals, rendered, ref infinity))
-          configs
+            check_identity ~what:(Printf.sprintf "-j %d" jobs) rendered;
+            (jobs, ops, elided, steals, rendered, ref infinity))
+          jobs_list
       in
       (* minimum over interleaved timed rounds (timeit-style):
-         steady-state cost, not domain-spawn and IR-lowering noise.
-         The starting configuration rotates each round so no
-         configuration is systematically measured first (or right
-         after) any other.  Compacting once after warm-up packs the
-         live data (AST, lowered IR, summaries) contiguously so no
-         engine pays for the warm-up phase's allocation layout *)
+         steady-state cost, not domain-spawn noise.  The starting
+         configuration rotates each round so no configuration is
+         systematically measured first (or right after) any other.
+         Compacting once after warm-up packs the live data (the
+         analysed program) contiguously so no configuration pays for
+         the warm-up phase's allocation layout *)
       Gc.compact ();
       let marr = Array.of_list measured in
       let nconf = Array.length marr in
       for r = 0 to scale_reps - 1 do
         for i = 0 to nconf - 1 do
-          let _, prog, jobs, _, _, _, _, dt = marr.((i + r) mod nconf) in
+          let jobs, _, _, _, _, dt = marr.((i + r) mod nconf) in
           (* every sample starts from the same GC state: without this,
              whichever configuration inherits the previous one's major
              heap debt pays its collection slice *)
@@ -945,37 +922,31 @@ let scale () =
         done
       done;
       List.iter
-        (fun (kind, prog, _, ops, elided, steals, rendered, dt) ->
+        (fun (jobs, ops, elided, steals, rendered, dt) ->
           let dt = !dt in
-          match kind with
-          | `Jobs jobs ->
-              let tasks = Parcheck.task_count prog in
-              if jobs = 1 then (
-                t1 := dt;
-                seq_store_ops := ops;
-                seq_ir_total := !seq_ir_total +. dt);
-              let speedup = if dt > 0.0 then !t1 /. dt else 1.0 in
-              row "  %9d %5d %9.3fs %12d %10d %6d %7d %8.2fx\n" functions
-                jobs dt ops elided tasks steals speedup;
-              records :=
-                Telemetry.Json.(
-                  Obj
-                    [
-                      ("functions", Int functions);
-                      ("jobs", Int jobs);
-                      ("seconds", Float dt);
-                      ("store_ops", Int ops);
-                      ("store_ops_elided", Int elided);
-                      ("tasks", Int tasks);
-                      ("steals", Int steals);
-                      ("diagnostics", Int (List.length rendered));
-                      ("speedup_vs_j1", Float speedup);
-                    ])
-                :: !records
-          | `Treewalk ->
-              seq_tw_total := !seq_tw_total +. dt;
-              row "  %9d %5s %9.3fs %42s\n" functions "tree" dt
-                "(+treewalk sequential yardstick)")
+          let tasks = Parcheck.task_count prog in
+          if jobs = 1 then (
+            t1 := dt;
+            seq_store_ops := ops;
+            seq_total := !seq_total +. dt);
+          let speedup = if dt > 0.0 then !t1 /. dt else 1.0 in
+          row "  %9d %5d %9.3fs %12d %10d %6d %7d %8.2fx\n" functions jobs dt
+            ops elided tasks steals speedup;
+          records :=
+            Telemetry.Json.(
+              Obj
+                [
+                  ("functions", Int functions);
+                  ("jobs", Int jobs);
+                  ("seconds", Float dt);
+                  ("store_ops", Int ops);
+                  ("store_ops_elided", Int elided);
+                  ("tasks", Int tasks);
+                  ("steals", Int steals);
+                  ("diagnostics", Int (List.length rendered));
+                  ("speedup_vs_j1", Float speedup);
+                ])
+            :: !records)
         measured)
     sizes;
   let doc =
@@ -986,8 +957,7 @@ let scale () =
           ("seed", Int !seed_flag);
           ("cores", Int (Domain.recommended_domain_count ()));
           ("sequential_store_ops", Int !seq_store_ops);
-          ("sequential_ir_seconds", Float !seq_ir_total);
-          ("sequential_treewalk_seconds", Float !seq_tw_total);
+          ("sequential_seconds", Float !seq_total);
           ("rows", List (List.rev !records));
         ])
   in
@@ -996,8 +966,7 @@ let scale () =
   output_string oc "\n";
   close_out oc;
   row "\n  wrote BENCH_scale.json\n";
-  row "  sequential totals: ir %.3fs vs treewalk %.3fs\n" !seq_ir_total
-    !seq_tw_total;
+  row "  sequential total: %.3fs\n" !seq_total;
   match !baseline_flag with
   | None -> ()
   | Some path ->
@@ -1012,18 +981,7 @@ let scale () =
         exit 3)
       else
         row "  store_ops %d within 10%% of baseline %d (%s)\n" !seq_store_ops
-          baseline path;
-      (* the IR interpreter must not be slower than the tree walk it
-         replaced (same 10% noise allowance as the store_ops gate) *)
-      if !seq_ir_total > !seq_tw_total *. 1.1 then (
-        Printf.eprintf
-          "scale: sequential IR wall-clock %.3fs regressed >10%% over the \
-           tree-walk baseline %.3fs\n"
-          !seq_ir_total !seq_tw_total;
-        exit 3)
-      else
-        row "  sequential IR %.3fs within 10%% of treewalk %.3fs\n"
-          !seq_ir_total !seq_tw_total
+          baseline path
 
 (* ------------------------------------------------------------------ *)
 (* E11: the differential soundness oracle                              *)

@@ -67,11 +67,6 @@ type t = {
           (still allocated), and overwriting the sole live reference with
           a realloc result raises [realloclost] (off by default,
           preserving the paper's miss profile) *)
-  tree_walk : bool;
-      (** [+treewalk]: check procedures by walking the AST directly
-          instead of lowering to the flat checking IR first (the legacy
-          engine, kept as an escape hatch and as the equivalence oracle
-          for the IR interpreter; diagnostics are identical either way) *)
   xproc : bool;
       (** [+xproc]: consult bottom-up interprocedural effect summaries at
           call sites whose slot has no explicit or inferred annotation,
@@ -103,7 +98,6 @@ let default =
     loop_exec = false;
     loop_iter = 8;
     alloc_model = false;
-    tree_walk = false;
     xproc = false;
   }
 
@@ -181,7 +175,6 @@ let apply (f : t) (s : string) : (t, flag_error) result =
   | "inferconstraints" -> Ok { f with infer_constraints = set }
   | "loopexec" -> Ok { f with loop_exec = set }
   | "allocmodel" -> Ok { f with alloc_model = set }
-  | "treewalk" -> Ok { f with tree_walk = set }
   | "xproc" -> Ok { f with xproc = set }
   | "loopiter" ->
       (* valueless spelling resets the bound to its default *)
@@ -230,7 +223,6 @@ let canonical (f : t) =
       b "loopexec" f.loop_exec;
       Printf.sprintf "loopiter=%d" f.loop_iter;
       b "allocmodel" f.alloc_model;
-      b "treewalk" f.tree_walk;
       b "xproc" f.xproc;
     ]
 
@@ -240,7 +232,7 @@ let flag_names =
     "imptempparams"; "impoutparams"; "gc"; "indeparrays"; "null"; "def";
     "alloc"; "alias"; "usereleased"; "freeoffset"; "freestatic"; "annotwarn";
     "guards"; "aliastrack"; "inferconstraints"; "loopexec"; "loopiter";
-    "allocmodel"; "treewalk"; "xproc";
+    "allocmodel"; "xproc";
   ]
 
 (* Levenshtein distance, one-row DP. *)

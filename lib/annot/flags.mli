@@ -35,9 +35,6 @@ type t = {
   alloc_model : bool;
       (** [+allocmodel]: path-sensitive allocator-family semantics
           (realloc NULL-branch resurrection, [realloclost]) *)
-  tree_walk : bool;
-      (** [+treewalk]: use the legacy AST tree walk instead of the flat
-          checking IR (identical diagnostics; equivalence oracle) *)
   xproc : bool;
       (** [+xproc]: consult interprocedural effect summaries at call
           sites whose slot has no explicit or inferred annotation

@@ -2873,14 +2873,12 @@ let rec exec env st (stmt : Ast.stmt) : Store.t =
             let f' = exec env f e in
             merge_reporting env ~loc t' f'
         | None -> merge_reporting env ~loc t' f)
-    | Ast.Swhile (c, body) ->
-        exec_while env st ~loc c ~body:(fun env st -> exec env st body)
-    | Ast.Sdo (body, c) ->
-        exec_do env st ~loc ~body:(fun env st -> exec env st body) c
+    | Ast.Swhile (c, body) -> exec_while env st ~loc c body
+    | Ast.Sdo (body, c) -> exec_do env st ~loc body c
     | Ast.Sfor (init, cond, step, body) ->
         (* the initializer runs exactly once in either analysis mode *)
         let st = match init with Some s -> exec env st s | None -> st in
-        exec_for env st ~loc cond step ~body:(fun env st -> exec env st body)
+        exec_for env st ~loc cond step body
     | Ast.Sreturn eopt ->
         let st, ret =
           match eopt with
@@ -3012,53 +3010,49 @@ and exec_decl env ~loc st (d : Ast.decl) : Store.t =
              ~allocloc:d.d_loc ())
   end
 
-(* ---- loop dispatch ----
+(* ---- loop dispatch ---- *)
 
-   The loop analyses are shared between the AST walk and the flat-IR
-   interpreter: [~body] analyses the loop body once from a given store
-   ([fun env st -> exec env st body] or a [run_block] closure). *)
+and exec_while env st ~loc c body =
+  if env.flags.Flags.loop_exec then exec_while_fixpoint env st ~loc c body
+  else exec_while_heuristic env st ~loc c body
 
-and exec_while env st ~loc c ~body =
-  if env.flags.Flags.loop_exec then exec_while_fixpoint env st ~loc c ~body
-  else exec_while_heuristic env st ~loc c ~body
+and exec_do env st ~loc body c =
+  if env.flags.Flags.loop_exec then exec_do_fixpoint env st ~loc body c
+  else exec_do_heuristic env st ~loc body c
 
-and exec_do env st ~loc ~body c =
-  if env.flags.Flags.loop_exec then exec_do_fixpoint env st ~loc ~body c
-  else exec_do_heuristic env st ~loc ~body c
-
-and exec_for env st ~loc cond step ~body =
-  if env.flags.Flags.loop_exec then exec_for_fixpoint env st ~loc cond step ~body
-  else exec_for_heuristic env st ~loc cond step ~body
+and exec_for env st ~loc cond step body =
+  if env.flags.Flags.loop_exec then exec_for_fixpoint env st ~loc cond step body
+  else exec_for_heuristic env st ~loc cond step body
 
 (* ---- the paper's zero-or-one-times loop heuristic (default) ---- *)
 
-and exec_while_heuristic env st ~loc c ~body =
+and exec_while_heuristic env st ~loc c body =
   (* "The while loop is treated identically to an if statement —
      there is no back edge" *)
   push_breakable env;
   let t, f = split_cond env st c in
-  let t' = body env t in
+  let t' = exec env t body in
   let breaks, continues = pop_breakable env in
   merge_all env ~loc ((t' :: f :: breaks) @ continues)
 
-and exec_do_heuristic env st ~loc ~body c =
+and exec_do_heuristic env st ~loc body c =
   (* the body executes at least once — a [do] body is not "zero or one
      times"; a continue re-tests the condition, a break skips it *)
   push_breakable env;
-  let st = body env st in
+  let st = exec env st body in
   let breaks, continues = pop_breakable env in
   let st = merge_all env ~loc (st :: continues) in
   let f = if Store.is_reachable st then snd (split_cond env st c) else st in
   merge_all env ~loc (f :: breaks)
 
-and exec_for_heuristic env st ~loc cond step ~body =
+and exec_for_heuristic env st ~loc cond step body =
   push_breakable env;
   let t, f =
     match cond with
     | Some c -> split_cond env st c
     | None -> (st, Store.unreachable st)
   in
-  let t' = body env t in
+  let t' = exec env t body in
   let t' =
     if Store.is_reachable t' then
       match step with Some s -> fst (eval env t' s) | None -> t'
@@ -3101,41 +3095,41 @@ and loop_fixpoint env st ~(round : env -> Store.t -> Store.t) :
   in
   go (Store.collapse_deep ~depth:loop_depth_cap st) 0
 
-and exec_while_fixpoint env st ~loc c ~body =
+and exec_while_fixpoint env st ~loc c body =
   let round shadow e =
     push_breakable shadow;
     let t, _ = split_cond shadow e c in
-    let bend = body shadow t in
+    let bend = exec shadow t body in
     let _, continues = pop_breakable shadow in
     (* body end and continue paths re-test the condition *)
     List.fold_left Store.widen bend continues
   in
   match loop_fixpoint env st ~round with
-  | `Bailout -> exec_while_heuristic env st ~loc c ~body
+  | `Bailout -> exec_while_heuristic env st ~loc c body
   | `Converged e ->
       push_breakable env;
       let t, f = split_cond env e c in
       (* reporting pass: the body-end state flows to the back edge,
          which the converged entry store already covers *)
-      let (_ : Store.t) = body env t in
+      let (_ : Store.t) = exec env t body in
       let breaks, _ = pop_breakable env in
       merge_all env ~loc (f :: breaks)
 
-and exec_do_fixpoint env st ~loc ~body c =
+and exec_do_fixpoint env st ~loc body c =
   (* the converged store is the BODY entry: the first trip runs from the
      loop's own entry store, preserving at-least-once semantics *)
   let round shadow e =
     push_breakable shadow;
-    let bend = body shadow e in
+    let bend = exec shadow e body in
     let _, continues = pop_breakable shadow in
     let ends = List.fold_left Store.widen bend continues in
     if Store.is_reachable ends then fst (split_cond shadow ends c) else ends
   in
   match loop_fixpoint env st ~round with
-  | `Bailout -> exec_do_heuristic env st ~loc ~body c
+  | `Bailout -> exec_do_heuristic env st ~loc body c
   | `Converged e ->
       push_breakable env;
-      let bend = body env e in
+      let bend = exec env e body in
       let breaks, continues = pop_breakable env in
       let ends = merge_all env ~loc (bend :: continues) in
       let f =
@@ -3143,7 +3137,7 @@ and exec_do_fixpoint env st ~loc ~body c =
       in
       merge_all env ~loc (f :: breaks)
 
-and exec_for_fixpoint env st ~loc cond step ~body =
+and exec_for_fixpoint env st ~loc cond step body =
   let split env e =
     match cond with
     | Some c -> split_cond env e c
@@ -3152,7 +3146,7 @@ and exec_for_fixpoint env st ~loc cond step ~body =
   let round shadow e =
     push_breakable shadow;
     let t, _ = split shadow e in
-    let bend = body shadow t in
+    let bend = exec shadow t body in
     let _, continues = pop_breakable shadow in
     (* continue jumps to the step, as does falling off the body end *)
     let back = List.fold_left Store.widen bend continues in
@@ -3161,11 +3155,11 @@ and exec_for_fixpoint env st ~loc cond step ~body =
     else back
   in
   match loop_fixpoint env st ~round with
-  | `Bailout -> exec_for_heuristic env st ~loc cond step ~body
+  | `Bailout -> exec_for_heuristic env st ~loc cond step body
   | `Converged e ->
       push_breakable env;
       let t, f = split env e in
-      let bend = body env t in
+      let bend = exec env t body in
       (* run the step once for its diagnostics; its abstract effect is
          already folded into the converged entry store *)
       (if Store.is_reachable bend then
@@ -3173,164 +3167,9 @@ and exec_for_fixpoint env st ~loc cond step ~body =
       let breaks, _ = pop_breakable env in
       merge_all env ~loc (f :: breaks)
 
-(* ---- the flat-IR interpreter (the default engine) ---- *)
-
-(* Every case replicates the matching [exec] case exactly; the only
-   difference is that sub-statements are pre-lowered blocks, so the
-   per-procedure walk dispatches over compact instruction arrays instead
-   of the AST ([+treewalk] selects [exec]; diagnostics are identical
-   either way — see docs/performance.md). *)
-
-and run_block env (p : Ir.proc) st (b : Ir.block) : Store.t =
-  let instrs = Array.unsafe_get p.Ir.p_blocks b in
-  run_instrs env p instrs (Array.length instrs) st 0
-
-(* the reachability guard is hoisted out of [run_instr]: a dead state
-   skips the rest of the block without dispatching, and the tail
-   recursion allocates nothing per step *)
-and run_instrs env p instrs n st i =
-  if i >= n || not (Store.is_reachable st) then st
-  else
-    run_instrs env p instrs n
-      (run_instr env p st (Array.unsafe_get instrs i))
-      (i + 1)
-
-and run_instr env (p : Ir.proc) st (ins : Ir.instr) : Store.t =
-    match ins with
-    | Ir.Iexpr (e, loc) ->
-        let st, v = eval env st e in
-        (* an unconsumed only result is an immediate leak *)
-        (match v.v_ref with
-        | Some r
-          when match Sref.view r with
-               | Sref.Root (Sref.Rfresh _) -> true
-               | _ -> false ->
-            leak_check_ref env st r ~what:"statement end" ~loc
-        | _ -> st)
-    | Ir.Iassert e ->
-        (* keep only the path where the assertion holds *)
-        let t, _ = split_cond env st e in
-        t
-    | Ir.Idecl (decls, loc) -> List.fold_left (exec_decl env ~loc) st decls
-    | Ir.Iscope (b, loc) ->
-        push_scope env;
-        let st = run_block env p st b in
-        let scope = pop_scope env in
-        let st =
-          if Store.is_reachable st then
-            leak_check_scope env st scope.vars ~loc
-          else st
-        in
-        List.fold_left
-          (fun st (name, _) -> Store.drop_root st (Sref.Rlocal name))
-          st scope.vars
-    | Ir.Iif (c, bt, bf, loc) -> (
-        let t, f = split_cond env st c in
-        let t' = run_block env p t bt in
-        match bf with
-        | Some b ->
-            let f' = run_block env p f b in
-            merge_reporting env ~loc t' f'
-        | None -> merge_reporting env ~loc t' f)
-    | Ir.Iwhile (c, b, loc) ->
-        exec_while env st ~loc c ~body:(fun env st -> run_block env p st b)
-    | Ir.Ido (b, c, loc) ->
-        exec_do env st ~loc ~body:(fun env st -> run_block env p st b) c
-    | Ir.Ifor (cond, step, b, loc) ->
-        (* the initializer was lowered inline before this instruction *)
-        exec_for env st ~loc cond step
-          ~body:(fun env st -> run_block env p st b)
-    | Ir.Iret (eopt, loc) ->
-        let st, ret =
-          match eopt with
-          | Some e ->
-              let st, v = eval env st e in
-              (st, Some v)
-          | None -> (st, None)
-        in
-        let st = check_exit env st ~ret ~loc in
-        Store.unreachable st
-    | Ir.Ibreak ->
-        note_break env st;
-        Store.unreachable st
-    | Ir.Icontinue ->
-        note_continue env st;
-        Store.unreachable st
-    | Ir.Iswitch (e, arms, has_default, loc) -> (
-        let st, _ = eval env st e in
-        push_breakable env;
-        (* each case arm is analysed from the switch-entry state;
-           fall-through between arms is not modelled (arms were
-           pre-segmented at lowering) *)
-        let arm_ends =
-          Array.to_list
-            (Array.map
-               (fun arm ->
-                 push_scope env;
-                 let st' = run_block env p st arm in
-                 let scope = pop_scope env in
-                 List.fold_left
-                   (fun st (name, _) ->
-                     Store.drop_root st (Sref.Rlocal name))
-                   st' scope.vars)
-               arms)
-        in
-        let breaks, _ = pop_breakable env in
-        let ends = List.filter Store.is_reachable arm_ends in
-        let all = ends @ breaks @ if has_default then [] else [ st ] in
-        match all with
-        | [] -> Store.unreachable st
-        | _ -> merge_all env ~loc all)
-    | Ir.Igoto loc ->
-        emit env ~severity:Diag.Info ~loc ~code:"goto"
-          "goto is not analyzed; paths through this label are not checked";
-        Store.unreachable st
-
 (* ------------------------------------------------------------------ *)
 (* Function and program checking                                       *)
 (* ------------------------------------------------------------------ *)
-
-(* ---- per-domain cache of lowered procedures ----
-
-   A procedure is re-checked by annotation-inference probes and by warm
-   incremental-server requests; lowering is cheap but not free, so each
-   domain memoizes [Ir.lower_fundef] keyed by the definition's name and
-   location.  A hit requires the cached entry to have been lowered from
-   the very same [fundef] value (physical equality) — a re-parsed or
-   patched definition at the same location is re-lowered.  Each key
-   keeps a short chain of distinct definitions rather than just the
-   latest one, so several analysed snapshots of the same source (bench
-   repetitions, server generations) coexist without evicting each
-   other. *)
-
-type ir_entry = { e_fd : Ast.fundef; e_proc : Ir.proc }
-
-let ir_cache_cap = 16384
-let ir_cache_assoc = 8
-
-let ir_cache_key : (string * Loc.t, ir_entry list) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
-
-let lower_cached (f : Ast.fundef) : Ir.proc =
-  let tbl = Domain.DLS.get ir_cache_key in
-  let key = (f.Ast.f_name, f.Ast.f_loc) in
-  let prev =
-    match Hashtbl.find_opt tbl key with Some es -> es | None -> []
-  in
-  match List.find_opt (fun e -> e.e_fd == f) prev with
-  | Some e -> e.e_proc
-  | None ->
-      let p = Ir.lower_fundef f in
-      let e = { e_fd = f; e_proc = p } in
-      if Hashtbl.length tbl >= ir_cache_cap then Hashtbl.reset tbl;
-      let entries =
-        (* re-read: the reset above may have emptied the table *)
-        match Hashtbl.find_opt tbl key with
-        | Some es when List.length es < ir_cache_assoc -> e :: es
-        | _ -> [ e ]
-      in
-      Hashtbl.replace tbl key entries;
-      p
 
 (** Does this signature carry any inference-synthesized annotation? *)
 let funsig_inferred (fs : Sema.funsig) : bool =
@@ -3441,12 +3280,7 @@ let check_fundef ?diags ?exit_obs ?summaries (prog : Sema.program)
       Store.empty
       (List.mapi (fun i p -> (i, p)) fs.Sema.fs_params)
   in
-  let st =
-    if env.flags.Flags.tree_walk then exec env st f.Ast.f_body
-    else
-      let p = lower_cached f in
-      run_block env p st p.Ir.p_entry
-  in
+  let st = exec env st f.Ast.f_body in
   if Store.is_reachable st then begin
     let loc = f.Ast.f_loc in
     (if

@@ -206,7 +206,7 @@ let callee_summary_hash t name =
   match Hashtbl.find_opt t.summary_hashes name with Some h -> h | None -> "?"
 
 let cache_kind = "summary-cache"
-let cache_version = 1
+let cache_version = 2
 
 (* The full content key of one function result — the on-disk identity.
    It covers every input the checker reads for this function: the cache

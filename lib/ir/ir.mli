@@ -1,23 +1,20 @@
-(** The flat checking IR.
+(** The flat IR the [+xproc] summary pass walks.
 
-    [lower_fundef] compiles a function body once into a compact array of
-    basic blocks of checking-relevant instructions; the checker's
-    abstract interpreter then runs as a tight loop over instruction
-    arrays instead of re-dispatching on the AST per procedure
-    (docs/performance.md).  Lowering is purely syntactic — instructions
-    keep references into the AST for expressions and declarations, so
-    the interpreter produces byte-identical diagnostics to the tree
-    walk (the [+treewalk] escape hatch selects the legacy walk; the
-    difftest oracle and the parcheck identity tests gate equality).
+    [lower_fundef] compiles a function body into a compact array of
+    basic blocks of checking-relevant instructions.  [Summary]'s effect
+    extraction runs over it; the checker itself walks the AST
+    ([Check.Checker]), so this IR is the summary pass's input, not the
+    checker's.  Lowering is purely syntactic — instructions keep
+    references into the AST for expressions and declarations.
 
     Structured control flow is preserved: loops and branches reference
-    sub-blocks rather than raw jump targets, because the checker's
-    [+loopexec] widening and breakable-scope machinery is defined over
-    loop bodies, not arbitrary edges.  [Scase]/[Sdefault]/[Slabel]
-    wrappers are stripped during lowering (the checker treats them as
-    transparent), [Sskip] disappears, and a [switch] body is
-    pre-segmented into its case arms — work the tree walk re-does every
-    time a procedure is checked. *)
+    sub-blocks rather than raw jump targets, so a walk can give loop
+    bodies their own treatment.  [Scase]/[Sdefault]/[Slabel] wrappers
+    are stripped during lowering, [Sskip] disappears, and a [switch]
+    body is pre-segmented into its case arms.
+
+    {!mutates_env} lives here too: it is the syntactic scan the parallel
+    driver uses to decide which procedures may share the program. *)
 
 type block = int
 (** Index into {!proc.p_blocks}. *)

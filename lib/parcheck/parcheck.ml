@@ -22,7 +22,7 @@
     reused across runs ([pool_reuses] telemetry): repeated checking —
     the incremental server, the differential harness, benchmarks — skips
     the domain spawn/teardown cost and keeps per-domain caches (the
-    checker's lowered-IR cache, the [Sref] intern tables) alive. *)
+    [Sref] intern tables) alive. *)
 
 module Diag = Cfront.Diag
 module Flags = Annot.Flags

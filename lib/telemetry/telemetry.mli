@@ -197,12 +197,11 @@ val c_oom_injections : Counter.t
     OOM fault-injection schedule. *)
 
 val c_ir_instrs : Counter.t
-(** Instructions emitted by the checking-IR lowering pass (one tick per
-    instruction of each freshly lowered procedure; cache hits re-run
-    existing arrays and tick nothing). *)
+(** Instructions emitted by the IR lowering pass (one tick per
+    instruction of each procedure the [+xproc] summary pass lowers). *)
 
 val c_ir_blocks : Counter.t
-(** Basic blocks built by the checking-IR lowering pass. *)
+(** Basic blocks built by the IR lowering pass. *)
 
 val c_tasks_stolen : Counter.t
 (** Per-procedure checking tasks a parallel worker claimed from another

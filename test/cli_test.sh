@@ -10,6 +10,7 @@ OLCRUN="$2"
 OLDIFF="$3"
 EXAMPLES="${4:-examples}"
 DOCS="${5:-docs}"
+LIBS="${6:-lib}"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
@@ -537,6 +538,19 @@ printf '%s\n' "$check_req" '{"op":"shutdown"}' \
 expect_contains "$tmp/srverr" "ignoring cache" "corrupted cache warning"
 sed -n 1p "$tmp/srv3" | grep -q '"tier":"cold"' || fail "corrupted cache must not be adopted"
 
+# a cache from an older format (intact stamp, version 1) is ignored the
+# same way: the version mismatch warns and the first request runs cold
+sed '1s/format [0-9]*/format 1/' "$tmp/cache.olc" > "$tmp/cache.v1"
+head -1 "$tmp/cache.v1" | grep -q "summary-cache format 1 " \
+  || fail "the version-1 cache fixture should carry format 1"
+printf '%s\n' "$check_req" '{"op":"shutdown"}' \
+  | "$OLCLINT" -server -cache "$tmp/cache.v1" > "$tmp/srv4" 2> "$tmp/srverr4" \
+  || fail "server with an old-format cache should still run"
+expect_contains "$tmp/srverr4" "ignoring cache" "old-format cache warning"
+expect_contains "$tmp/srverr4" "format version 1" "old-format cache version in the warning"
+sed -n 1p "$tmp/srv4" | grep -q '"tier":"cold"' || fail "an old-format cache must not be adopted"
+sed -n 1p "$tmp/srv4" | grep -q '"rechecked":0' && fail "an old-format cache's results must be re-checked"
+
 # --- documentation drift gate ------------------------------------------------
 # every checking flag and every telemetry counter must appear in the
 # docs/diagnostics.md tables -- and the tables must list nothing phantom
@@ -562,6 +576,23 @@ sed -n '/^## Render tokens/,/^## /p' "$DOCS/summaries.md" \
   | sed -n 's/^| `\([^`]*\)`.*/\1/p' | sort > "$tmp/tokens.doc"
 diff -u "$tmp/tokens.actual" "$tmp/tokens.doc" > "$tmp/tokens.diff" \
   || { cat "$tmp/tokens.diff" >&2; fail "docs/summaries.md token table drifted from --dump-summaries"; }
+
+# docs/architecture.md must name every library under lib/ as a bold
+# **`name`** entry, list nothing phantom, and spell out the count
+for f in "$LIBS"/*/dune; do
+  sed -n '/(library/,/(name/s/.*(name \([A-Za-z0-9_]*\)).*/\1/p' "$f"
+done | sort > "$tmp/libs.actual"
+[ -s "$tmp/libs.actual" ] || fail "no library names found under $LIBS"
+grep -o '\*\*`[A-Za-z0-9_]*`\*\*' "$DOCS/architecture.md" \
+  | tr -d '*`' | sort -u > "$tmp/libs.doc"
+diff -u "$tmp/libs.actual" "$tmp/libs.doc" > "$tmp/libs.diff" \
+  || { cat "$tmp/libs.diff" >&2; fail "docs/architecture.md library list drifted from lib/*/dune"; }
+numbers=(zero one two three four five six seven eight nine ten eleven twelve
+  thirteen fourteen fifteen sixteen seventeen eighteen nineteen twenty
+  twenty-one twenty-two twenty-three twenty-four twenty-five)
+nlibs=$(wc -l < "$tmp/libs.actual")
+grep -q "repository is ${numbers[$nlibs]:-$nlibs} libraries under" "$DOCS/architecture.md" \
+  || fail "docs/architecture.md should say the repository is ${numbers[$nlibs]:-$nlibs} libraries"
 
 # --- interprocedural summaries: --dump-summaries and +xproc ------------------
 cat > "$tmp/xp.c" <<'EOF'

@@ -1,8 +1,9 @@
-(* The flat checking IR: golden lowerings of the paper's figure
-   programs, the environment-mutation classifier the parallel driver
-   keys on, and the contract the whole engine rests on — the IR
-   interpreter and the legacy AST walk ([+treewalk]) produce identical
-   diagnostics on arbitrary generated programs. *)
+(* The flat checking IR the [+xproc] summary pass walks: golden
+   lowerings of the paper's figure programs and the environment-mutation
+   classifier the parallel driver keys on.  The last group pins the
+   checker's diagnostics on generated and figure programs; the pins were
+   recorded when a second, IR-interpreting engine still existed and
+   agreed with the AST walk byte for byte on every one of them. *)
 
 module Flags = Annot.Flags
 
@@ -105,83 +106,97 @@ let test_mutates_env () =
     (mutates "struct s { int a; };\nvoid f(struct s v) { v.a = 0; }")
 
 (* ------------------------------------------------------------------ *)
-(* IR interpreter == tree walk, on generated programs                  *)
+(* Diagnostic pins                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let render_result (r : Check.result) =
-  String.concat "\n"
-    (List.map
-       (fun d -> Telemetry.Json.to_string (Cfront.Diag.to_json d))
-       (r.Check.reports @ r.Check.suppressed))
-
-let check_equiv ~what flags p =
-  let ir = render_result (Progen.static_check ~flags p) in
-  let tw =
-    render_result
-      (Progen.static_check ~flags:{ flags with Flags.tree_walk = true } p)
+(* Each pin is the diagnostic count and the MD5 of the rendered JSON
+   records (reports, then suppressed), one per line. *)
+let check_pin ~what (count, digest) (r : Check.result) =
+  let ds = r.Check.reports @ r.Check.suppressed in
+  let rendered =
+    String.concat "\n"
+      (List.map (fun d -> Telemetry.Json.to_string (Cfront.Diag.to_json d)) ds)
   in
-  Alcotest.(check string) what ir tw
+  if (List.length ds, Digest.to_hex (Digest.string rendered)) <> (count, digest)
+  then
+    Alcotest.failf "%s: pinned %d diagnostics (%s), got %d:\n%s" what count
+      digest (List.length ds) rendered
 
-let test_equiv_progen () =
-  (* buggy, message-rich programs across several seeds: the IR engine
-     must reproduce the tree walk byte for byte *)
+let test_pins_progen () =
+  (* buggy, message-rich programs across several seeds *)
   let flags = Flags.(allimponly_off default) in
   List.iter
-    (fun seed ->
+    (fun (seed, pin) ->
       let p =
         Progen.generate ~seed ~modules:3 ~fns_per_module:5
           ~bugs:Progen.all_bug_kinds ()
       in
-      check_equiv ~what:(Printf.sprintf "seed %d" seed) flags p)
-    [ 1; 2; 3; 4; 5 ];
+      check_pin ~what:(Printf.sprintf "seed %d" seed) pin
+        (Progen.static_check ~flags p))
+    [
+      (1, (3, "8020b01027ba49bfd69ac78f2ea3326e"));
+      (2, (3, "8e1ed4ae0c9ac8259ef8b23847fecce3"));
+      (3, (3, "9da2320b29627cc9125df4287c103127"));
+      (4, (3, "3662d17573705a6b5fc39207bed05760"));
+      (5, (3, "a8035c3c2709ccc93bd58e741e94a6b1"));
+    ];
   List.iter
-    (fun seed ->
+    (fun (seed, pin) ->
       let p =
         Progen.generate ~seed ~modules:4 ~fns_per_module:4 ~annotated:false ()
       in
-      check_equiv ~what:(Printf.sprintf "unannotated seed %d" seed) flags p)
-    [ 6; 7 ]
+      check_pin ~what:(Printf.sprintf "unannotated seed %d" seed) pin
+        (Progen.static_check ~flags p))
+    [
+      (6, (24, "9d1292bcabcb3eddf48779415202a8f6"));
+      (7, (24, "f437774217bd82fdace70ad9f10bb994"));
+    ]
 
-let test_equiv_progen_modes () =
-  (* the loop-fixpoint and allocator-model paths route through the same
-     shared loop analyses; equality must hold there too *)
+let test_pins_progen_modes () =
+  (* the loop-fixpoint and allocator-model paths *)
   let p =
     Progen.generate ~seed:11 ~modules:3 ~fns_per_module:5
       ~bugs:Progen.all_bug_kinds ()
   in
-  check_equiv ~what:"+loopexec"
-    { Flags.default with Flags.loop_exec = true }
-    p;
-  check_equiv ~what:"+allocmodel"
-    { Flags.default with Flags.alloc_model = true }
-    p;
-  check_equiv ~what:"+loopexec +allocmodel -allimponly"
-    Flags.(allimponly_off
-             { default with loop_exec = true; alloc_model = true })
-    p
-
-let test_equiv_figures () =
-  (* every figure program through both engines, in the stdlib
-     environment (the paper's own flag set) *)
+  let pin = (3, "ce36c58291d2f50eee672ad625c5a438") in
   List.iter
-    (fun (name, src) ->
-      let run flags =
-        render_result
-          (Stdspec.check ~flags:Flags.(allimponly_off flags)
-             ~file:(name ^ ".c") src)
-      in
-      Alcotest.(check string) name
-        (run Flags.default)
-        (run { Flags.default with Flags.tree_walk = true }))
+    (fun (what, flags) -> check_pin ~what pin (Progen.static_check ~flags p))
     [
-      ("fig1", Corpus.Figures.fig1_sample);
-      ("fig2", Corpus.Figures.fig2_sample_null);
-      ("fig3", Corpus.Figures.fig3_sample_fixed);
-      ("fig4", Corpus.Figures.fig4_sample_only_temp);
-      ("fig5", Corpus.Figures.fig5_list_addh);
-      ("fig5_fixed", Corpus.Figures.fig5_list_addh_fixed);
-      ("fig7", Corpus.Figures.fig7_erc_create);
-      ("fig8", Corpus.Figures.fig8_employee_setname);
+      ("+loopexec", { Flags.default with Flags.loop_exec = true });
+      ("+allocmodel", { Flags.default with Flags.alloc_model = true });
+      ( "+loopexec +allocmodel -allimponly",
+        Flags.(
+          allimponly_off { default with loop_exec = true; alloc_model = true })
+      );
+    ]
+
+let test_pins_figures () =
+  (* every figure program in the stdlib environment, with the paper's
+     own flag set; the figures with no diagnostics pin the empty digest *)
+  let none = (0, "d41d8cd98f00b204e9800998ecf8427e") in
+  List.iter
+    (fun (name, src, pin) ->
+      check_pin ~what:name pin
+        (Stdspec.check
+           ~flags:Flags.(allimponly_off default)
+           ~file:(name ^ ".c") src))
+    [
+      ("fig1", Corpus.Figures.fig1_sample, none);
+      ( "fig2",
+        Corpus.Figures.fig2_sample_null,
+        (1, "cce12938eb5eb5b007e6a609c60bba84") );
+      ("fig3", Corpus.Figures.fig3_sample_fixed, none);
+      ( "fig4",
+        Corpus.Figures.fig4_sample_only_temp,
+        (2, "e91aa905989243f6e9f0b82b127fdc43") );
+      ( "fig5",
+        Corpus.Figures.fig5_list_addh,
+        (2, "3605652c1c5fe6d8585da3cac308f00d") );
+      ("fig5_fixed", Corpus.Figures.fig5_list_addh_fixed, none);
+      ("fig7", Corpus.Figures.fig7_erc_create, none);
+      ( "fig8",
+        Corpus.Figures.fig8_employee_setname,
+        (1, "8f4c343de81b0ddd6d6ea0fefa1f7189") );
     ]
 
 let () =
@@ -194,10 +209,10 @@ let () =
           Alcotest.test_case "fig7 golden" `Quick test_golden_fig7;
         ] );
       ("mutation", [ Alcotest.test_case "mutates_env" `Quick test_mutates_env ]);
-      ( "equivalence",
+      ( "pins",
         [
-          Alcotest.test_case "progen programs" `Quick test_equiv_progen;
-          Alcotest.test_case "analysis modes" `Quick test_equiv_progen_modes;
-          Alcotest.test_case "figure programs" `Quick test_equiv_figures;
+          Alcotest.test_case "progen programs" `Quick test_pins_progen;
+          Alcotest.test_case "analysis modes" `Quick test_pins_progen_modes;
+          Alcotest.test_case "figure programs" `Quick test_pins_figures;
         ] );
     ]
