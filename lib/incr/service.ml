@@ -2,15 +2,17 @@
 
     Cache structure:
 
-    - [files]: per-file parse artifacts — the source text, its digest,
-      the typedef-name snapshot it was parsed under, and the AST.  A
-      request's changed set is found by comparing texts (memcmp), so the
-      warm path never re-hashes unchanged sources.
+    - [files]: per-file parse artifacts — the source text, the
+      typedef-name snapshot it was parsed under, and the AST.  A
+      request's changed set is found by comparing texts (memcmp), so no
+      source text is ever hashed.
     - [fns]: per-function summaries keyed by (defining file, name).  An
       entry pins the checked AST object, the funsig hash of the function
       and of each direct callee, under [+xproc] each direct callee's
       effect-summary hash, the type-environment hash and the canonical
       flag string; it is valid while all of those still hold.
+      [order] indexes the current entries in definition order, which is
+      the order {!assemble} reads them in.
     - [summaries]: under [+xproc], the effect summaries of [env] with the
       call graph they were solved over.  A Patched request refreshes
       them for the bodies it swapped in ({!Summary.refresh}); every
@@ -19,6 +21,11 @@
     - [persisted]: content-key → diagnostics, loaded from a {!save}d
       artifact; a miss whose full content key is present here adopts the
       stored diagnostics instead of re-checking.
+
+    Every hash above (funsig, type environment, body) is a structural
+    digest of the value itself ({!digest_of}: MD5 of its marshalled
+    bytes), never of a printed form, so deriving keys costs no
+    formatting.
 
     Update tiers, cheapest first:
 
@@ -37,9 +44,11 @@
       re-checks exactly the edited function and the functions that call
       it.
 
-    Checking always runs against {!Sema.copy_for_check} copies on the
-    {!Parcheck.map_tasks} pool, grouped by file, so results are
-    byte-identical to a cold [olclint] run at every [-j]. *)
+    Checking runs on the {!Parcheck.map_tasks} pool, grouped by file.
+    A file with a body that can register block-scope declarations
+    checks against a {!Sema.copy_for_check} copy and every other file
+    reads the environment in place -- the cold driver's rule -- so
+    results are byte-identical to a cold [olclint] run at every [-j]. *)
 
 module Ast = Cfront.Ast
 module Diag = Cfront.Diag
@@ -73,7 +82,6 @@ type fn_entry = {
 
 type file_entry = {
   fe_text : string;
-  fe_digest : string;  (** hex digest of [fe_text] *)
   fe_typedefs : string list;  (** typedef names in scope at parse time *)
   fe_ast : Ast.tunit;
 }
@@ -91,6 +99,11 @@ type t = {
   mutable doc_order : string list;
   files : (string, file_entry) Hashtbl.t;
   fns : (string * string, fn_entry) Hashtbl.t;
+  mutable order : fn_entry array;
+      (** the [fns] entry of each function at its {!Sema.fundefs}
+          position: rebuilt by every full revalidation; a Patched one
+          replaces only the swapped-in bodies' slots, whose positions
+          {!Sema.patch_fundef} keeps *)
   mutable sig_hashes : (string, string) Hashtbl.t;
   mutable summaries : Summary.solution option;
       (** the [+xproc] effect summaries of [env]; [None] otherwise *)
@@ -98,6 +111,10 @@ type t = {
       (** function → effect-summary hash; brought up to date at the top
           of every revalidation when [+xproc] is on, empty otherwise *)
   mutable typeenv_hash : string;
+  mutable mutating_files : (string, unit) Hashtbl.t;
+      (** defining files with a body that can register block-scope
+          declarations ({!Ir.mutates_env}); found afresh for every new
+          environment and only ever grown by a Patched body *)
   mutable gen : int;
   persisted : (string, string * string * Diag.t list) Hashtbl.t;
       (** content key → (file, fn, diagnostics) *)
@@ -121,10 +138,12 @@ let create ?(flags = Flags.default) ?(no_stdlib = false) ?(load_libs = [])
     doc_order = [];
     files = Hashtbl.create 64;
     fns = Hashtbl.create 256;
+    order = [||];
     sig_hashes = Hashtbl.create 256;
     summaries = None;
     summary_hashes = Hashtbl.create 256;
     typeenv_hash = "";
+    mutating_files = Hashtbl.create 16;
     gen = 0;
     persisted = Hashtbl.create 64;
     n_hits = 0;
@@ -158,46 +177,48 @@ type outcome = {
 
 let hex s = Digest.to_hex (Digest.string s)
 
+(* The structural digest every content key is built from: the MD5 of
+   the value's marshalled bytes.  [No_sharing] makes those bytes a
+   function of the value's structure alone; with sharing, two equal ASTs
+   built with different physical sharing would serialize differently
+   and miss.  Invariant: every value digested here ([Ast.fundef],
+   [Sema.funsig]/[suinfo]/[globalvar], [Ctype.t], [Annot.set], strings
+   and integers) is immutable and acyclic and holds no closure,
+   [Hashtbl], lazy value or mutable field, so structurally equal values
+   marshal to equal bytes. *)
+let digest_of v = hex (Marshal.to_string v [ Marshal.No_sharing ])
+
 (* The funsig hash covers the full derived signature — name, resolved
    types, annotations (provenance bits included), globals/modifies
    lists, linkage and the declaration location.  Including the location
    keeps cached note lines honest: a callee whose declaration moved
    conservatively invalidates its callers. *)
-let funsig_hash (fs : Sema.funsig) = hex (Sema.show_funsig fs)
+let funsig_hash (fs : Sema.funsig) = digest_of fs
 
 (* Everything a body check can read besides funsigs: struct layouts,
-   typedef expansions and annotations, global variables, enum constants. *)
+   typedef expansions and annotations, global variables, enum constants,
+   digested together in declaration (enums: sorted) order. *)
 let typeenv_fingerprint (env : Sema.program) =
-  let b = Buffer.create 8192 in
-  List.iter
-    (fun tag ->
-      match Hashtbl.find_opt env.Sema.p_structs tag with
-      | Some su -> Buffer.add_string b (Sema.show_suinfo su)
-      | None -> ())
-    (Sema.struct_order env);
-  List.iter
-    (fun name ->
-      match Hashtbl.find_opt env.Sema.p_typedefs name with
-      | Some (ty, set) ->
-          Buffer.add_string b name;
-          Buffer.add_string b (Sema.Ctype.show ty);
-          Buffer.add_string b (Annot.show_set set)
-      | None -> ())
-    (Sema.typedef_order env);
-  List.iter
-    (fun name ->
-      match Hashtbl.find_opt env.Sema.p_globals name with
-      | Some gv -> Buffer.add_string b (Sema.show_globalvar gv)
-      | None -> ())
-    (Sema.global_order env);
+  let in_order tbl order f =
+    List.filter_map
+      (fun name -> Option.map (f name) (Hashtbl.find_opt tbl name))
+      order
+  in
+  let structs =
+    in_order env.Sema.p_structs (Sema.struct_order env) (fun _ su -> su)
+  in
+  let typedefs =
+    in_order env.Sema.p_typedefs (Sema.typedef_order env)
+      (fun name (ty, set) -> (name, ty, set))
+  in
+  let globals =
+    in_order env.Sema.p_globals (Sema.global_order env) (fun _ gv -> gv)
+  in
   let enums =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) env.Sema.p_enum_consts []
     |> List.sort compare
   in
-  List.iter
-    (fun (k, v) -> Buffer.add_string b (Printf.sprintf "%s=%Ld;" k v))
-    enums;
-  hex (Buffer.contents b)
+  digest_of (structs, typedefs, globals, enums)
 
 let callee_hash t name =
   match Hashtbl.find_opt t.sig_hashes name with Some h -> h | None -> "?"
@@ -206,15 +227,24 @@ let callee_summary_hash t name =
   match Hashtbl.find_opt t.summary_hashes name with Some h -> h | None -> "?"
 
 let cache_kind = "summary-cache"
-let cache_version = 2
+let cache_version = 3
+
+(* The function's own funsig hash: the current generation's, or derived
+   afresh for a function the table does not know. *)
+let own_sig_hash t (fs : Sema.funsig) =
+  match Hashtbl.find_opt t.sig_hashes fs.Sema.fs_name with
+  | Some h -> h
+  | None -> funsig_hash fs
 
 (* The full content key of one function result — the on-disk identity.
    It covers every input the checker reads for this function: the cache
    format itself, the flag set, the type environment, the function's own
-   signature, its callees' signatures, and the exact body (the AST
-   printed with locations, so even a pure reformat that moves lines gets
-   a fresh key — diagnostics carry line numbers). *)
+   signature, its callees' signatures, and the exact body (the
+   structural digest of the AST with its locations, so even a pure
+   reformat that moves lines gets a fresh key — diagnostics carry line
+   numbers). *)
 let full_key t (fs : Sema.funsig) (fd : Ast.fundef) =
+  let calls = Sema.calls_of_fundef fd in
   let b = Buffer.create 512 in
   Buffer.add_string b (string_of_int cache_version);
   Buffer.add_char b '\n';
@@ -222,7 +252,7 @@ let full_key t (fs : Sema.funsig) (fd : Ast.fundef) =
   Buffer.add_char b '\n';
   Buffer.add_string b t.typeenv_hash;
   Buffer.add_char b '\n';
-  Buffer.add_string b (funsig_hash fs);
+  Buffer.add_string b (own_sig_hash t fs);
   Buffer.add_char b '\n';
   List.iter
     (fun c ->
@@ -230,11 +260,11 @@ let full_key t (fs : Sema.funsig) (fd : Ast.fundef) =
       Buffer.add_char b '=';
       Buffer.add_string b (callee_hash t c);
       Buffer.add_char b ';')
-    (Sema.calls_of_fundef fd);
+    calls;
   Buffer.add_char b '\n';
   (* [+xproc] only: the checker additionally reads the callees' derived
      effect summaries, so they join the content key.  Gated on the flag
-     to leave every non-xproc key byte-identical to before. *)
+     so that no other key depends on a summary. *)
   if t.flags.Flags.xproc then begin
     List.iter
       (fun c ->
@@ -242,10 +272,10 @@ let full_key t (fs : Sema.funsig) (fd : Ast.fundef) =
         Buffer.add_char b '!';
         Buffer.add_string b (callee_summary_hash t c);
         Buffer.add_char b ';')
-      (Sema.calls_of_fundef fd);
+      calls;
     Buffer.add_char b '\n'
   end;
-  Buffer.add_string b (hex (Ast.show_fundef fd));
+  Buffer.add_string b (digest_of fd);
   hex (Buffer.contents b)
 
 (* ------------------------------------------------------------------ *)
@@ -312,12 +342,7 @@ let build_env t ~flags docs =
       in
       ignore (Sema.analyze ~flags ~into:env ast);
       Hashtbl.replace new_files d.doc_name
-        {
-          fe_text = d.doc_text;
-          fe_digest = hex d.doc_text;
-          fe_typedefs = tdefs;
-          fe_ast = ast;
-        })
+        { fe_text = d.doc_text; fe_typedefs = tdefs; fe_ast = ast })
     docs;
   (env, base_pragmas, new_files)
 
@@ -334,7 +359,18 @@ let commit_env t ~flags ~canon env base_pragmas new_files docs =
     (fun name fs -> Hashtbl.replace sigs name (funsig_hash fs))
     env.Sema.p_funcs;
   t.sig_hashes <- sigs;
+  (* the next revalidation solves the new environment from scratch; the
+     old solution is dead from here on, so let the collector have it
+     while the new one is built *)
+  t.summaries <- None;
   t.typeenv_hash <- typeenv_fingerprint env;
+  let mutating = Hashtbl.create 16 in
+  List.iter
+    (fun ((fs : Sema.funsig), fd) ->
+      if Ir.mutates_env fd then
+        Hashtbl.replace mutating fs.Sema.fs_loc.Loc.file ())
+    (Sema.fundefs env);
+  t.mutating_files <- mutating;
   t.gen <- t.gen + 1
 
 (* ------------------------------------------------------------------ *)
@@ -358,19 +394,14 @@ let entry_valid t (e : fn_entry) (fs : Sema.funsig) (fd : Ast.fundef) =
        e.fn_callee_sums
 
 let make_entry t (fs : Sema.funsig) (fd : Ast.fundef) diags =
+  let calls = Sema.calls_of_fundef fd in
   {
     fn_fd = fd;
-    fn_sig_hash =
-      (match Hashtbl.find_opt t.sig_hashes fs.Sema.fs_name with
-      | Some h -> h
-      | None -> funsig_hash fs);
-    fn_callees =
-      List.map (fun c -> (c, callee_hash t c)) (Sema.calls_of_fundef fd);
+    fn_sig_hash = own_sig_hash t fs;
+    fn_callees = List.map (fun c -> (c, callee_hash t c)) calls;
     fn_callee_sums =
       (if t.flags.Flags.xproc then
-         List.map
-           (fun c -> (c, callee_summary_hash t c))
-           (Sema.calls_of_fundef fd)
+         List.map (fun c -> (c, callee_summary_hash t c)) calls
        else []);
     fn_flags_canon = t.flags_canon;
     fn_typeenv_hash = t.typeenv_hash;
@@ -412,18 +443,40 @@ let update_summaries t env ~patched =
         t.summary_hashes <- hashes;
         (Some tbl, true)
 
-(* Validate every function of the environment against the cache; adopt
-   persisted results by content key; re-check the rest on the checking
-   pool, grouped by file exactly like the cold driver.  Returns
-   (hits, misses, rechecked). *)
+(* Validate every function of the environment against the cache (on
+   the Patched fast path, only the swapped-in bodies); adopt persisted
+   results by content key; re-check the rest on the checking pool,
+   grouped by file exactly like the cold driver; bring [t.order] up to
+   date.  Returns (hits, misses, rechecked). *)
 let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
   (* summaries first: validation below compares cached callee-summary
      hashes against them, so a callee body edit that changes the
      callee's derived effects (with an unchanged declared signature)
      invalidates its cached callers *)
   let summaries, moved = update_summaries t env ~patched in
-  let pairs = Sema.fundefs env in
-  let hits = ref 0 and misses = ref 0 in
+  let all_pairs = Sema.fundefs env in
+  (* a Patched request whose summaries did not move dropped exactly the
+     entries of the bodies it swapped in; every other function keeps its
+     current-generation entry, in its slot of [t.order] (the invariant
+     the Clean tier relies on), so only those bodies, found with their
+     positions, need validating *)
+  let slots =
+    match patched with
+    | Some dirty when not moved ->
+        let rec find i = function
+          | [] -> []
+          | ((_, fd) as pair) :: rest ->
+              if List.memq fd dirty then (i, pair) :: find (i + 1) rest
+              else find (i + 1) rest
+        in
+        Some (find 0 all_pairs)
+    | _ -> None
+  in
+  let pairs =
+    match slots with Some s -> List.map snd s | None -> all_pairs
+  in
+  let hits = ref (List.length all_pairs - List.length pairs)
+  and misses = ref 0 in
   let miss_list =
     List.filter_map
       (fun ((fs : Sema.funsig), fd) ->
@@ -488,12 +541,20 @@ let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
   in
   let results =
     Parcheck.map_tasks ~jobs (Array.length garr) (fun ~par:_ i ->
-        (* always check against a copy: the persistent environment must
-           stay pristine across requests (checking can register
-           block-scope declarations), and per-task copies are exactly
-           the cold driver's [-j] mode, which is byte-identical to
-           in-place checking *)
-        let local = Sema.copy_for_check env in
+        (* the persistent environment must stay pristine across
+           requests.  As in the cold driver, a file with any body that
+           can register block-scope declarations checks against its own
+           copy, even when only bodies that register nothing missed:
+           the parser's typedef table is file-wide, so a sibling can
+           name a type the checker resolves only after that
+           registration.  Every other file reads the environment in
+           place, which is byte-identical to reading a copy. *)
+        let local =
+          match garr.(i) with
+          | ((file, _), _, _) :: _ when Hashtbl.mem t.mutating_files file ->
+              Sema.copy_for_check env
+          | _ -> env
+        in
         List.map
           (fun (_, fs, fd) ->
             let coll = Diag.Collector.create () in
@@ -510,23 +571,22 @@ let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
           Hashtbl.replace t.fns id (make_entry t fs fd diags))
         garr.(i) diag_lists)
     results;
+  (* every function now has its current entry in [t.fns] *)
+  let entry (fs : Sema.funsig) = Hashtbl.find t.fns (fn_id fs) in
+  (match slots with
+  | Some s -> List.iter (fun (i, (fs, _)) -> t.order.(i) <- entry fs) s
+  | None ->
+      t.order <- Array.of_list (List.map (fun (fs, _) -> entry fs) all_pairs));
   (!hits, !misses, !rechecked)
 
 (* Assemble the request's diagnostics exactly like the cold CLI:
    frontend/sema messages, suppression-table errors, then the cached
-   per-function results, sorted into canonical emission order and split
-   by the suppression table. *)
+   per-function results in definition order, sorted into canonical
+   emission order and split by the suppression table. *)
 let assemble t (env : Sema.program) =
   let frontend = Diag.Collector.all env.Sema.diags in
   let table, errs = Check.Suppress.of_pragmas env.Sema.p_pragmas in
-  let checkd =
-    List.concat_map
-      (fun ((fs : Sema.funsig), _) ->
-        match Hashtbl.find_opt t.fns (fn_id fs) with
-        | Some e -> e.fn_diags
-        | None -> [])
-      (Sema.fundefs env)
-  in
+  let checkd = Array.fold_right (fun e acc -> e.fn_diags @ acc) t.order [] in
   let all = Diag.Collector.sort_emission (frontend @ errs @ checkd) in
   Check.Suppress.filter table all
 
@@ -611,6 +671,9 @@ let update t ~flags ~canon docs =
                     (* dirty body: swap the AST in place, drop the entry *)
                     ignore (Sema.patch_fundef env nfd);
                     patched := nfd :: !patched;
+                    if Ir.mutates_env nfd then
+                      Hashtbl.replace t.mutating_files
+                        nfd.Ast.f_loc.Loc.file ();
                     let id = (d.doc_name, nfd.Ast.f_name) in
                     if Hashtbl.mem t.fns id then begin
                       Hashtbl.remove t.fns id;
@@ -622,7 +685,6 @@ let update t ~flags ~canon docs =
             Hashtbl.replace t.files d.doc_name
               {
                 fe_text = d.doc_text;
-                fe_digest = hex d.doc_text;
                 fe_typedefs = fe.fe_typedefs;
                 fe_ast = tu;
               })
@@ -653,7 +715,7 @@ let check ?(jobs = 1) ?(flag_args = []) t docs =
             match tier with
             | Clean ->
                 (* nothing to validate: every entry is current *)
-                (List.length (Sema.fundefs env), 0, 0)
+                (Array.length t.order, 0, 0)
             | _ -> revalidate_and_check t ~jobs ~patched env
           in
           t.n_hits <- t.n_hits + hits;
@@ -668,7 +730,7 @@ let check ?(jobs = 1) ?(flag_args = []) t docs =
               oc_tier = tier;
               oc_kept = kept;
               oc_suppressed = suppressed;
-              oc_functions = List.length (Sema.fundefs env);
+              oc_functions = Array.length t.order;
               oc_hits = hits;
               oc_misses = misses;
               oc_rechecked = rechecked;
@@ -803,19 +865,26 @@ let load t text =
         (Printf.sprintf "summary cache has format version %d, this build reads %d"
            v cache_version)
   | Ok (_, payload) -> (
-      (* summaries follow the [summaries] marker line *)
+      (* summaries follow the [summaries] marker line; the scan jumps
+         from newline to newline and compares in place *)
+      let occurs_at i sub =
+        let n = String.length sub in
+        i + n <= String.length payload
+        &&
+        let rec same k = k = n || (payload.[i + k] = sub.[k] && same (k + 1)) in
+        same 0
+      in
       let marker = "\n" ^ summaries_marker ^ "\n" in
       let rec find i =
-        if i + String.length marker > String.length payload then None
-        else if String.sub payload i (String.length marker) = marker then
-          Some (i + String.length marker)
-        else find (i + 1)
+        match String.index_from_opt payload i '\n' with
+        | None -> None
+        | Some j when occurs_at j marker -> Some (j + String.length marker)
+        | Some j -> find (j + 1)
       in
       let start =
         if
-          String.length payload >= String.length (summaries_marker ^ "\n")
-          && String.sub payload 0 (String.length summaries_marker)
-             = summaries_marker
+          String.length payload > String.length summaries_marker
+          && occurs_at 0 summaries_marker
         then Some (String.length summaries_marker + 1)
         else find 0
       in

@@ -19,10 +19,11 @@
       annotation-dependent callers, and nothing else.
 
     Checking runs on the {!Parcheck.map_tasks} domain pool (misses are
-    grouped by file, each group checks against its own
-    {!Sema.copy_for_check}), so re-check diagnostics are byte-identical
-    for every [jobs] value — and, by construction of the cache, to a
-    cold run.
+    grouped by file; a file with a body that can mutate the environment
+    checks against its own {!Sema.copy_for_check}, the rest read it in
+    place, as in the cold driver), so re-check diagnostics are
+    byte-identical for every [jobs] value — and, by construction of the
+    cache, to a cold run.
 
     Persistence: {!save}/{!load} write and read the summary cache as a
     versioned, hash-stamped artifact (the {!Check.Libspec} framing); a
@@ -126,6 +127,15 @@ val summary_hashes : t -> (string * string) list
 (** Function → {!Summary.hash} of its summary, sorted by name: the
     hashes the cache compares callers' recorded callee summaries
     against (empty without [+xproc]). *)
+
+(** {1 Content keys} *)
+
+val digest_of : 'a -> string
+(** The structural digest every content key is built from: the hex MD5
+    of the value's bytes under [Marshal.No_sharing].  For the immutable,
+    acyclic, closure-free values the keys cover (function ASTs, derived
+    signatures and the type environment) two digests are equal exactly
+    when the values are structurally equal, locations included. *)
 
 (** {1 Persistence} *)
 

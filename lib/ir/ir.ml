@@ -35,8 +35,12 @@ type proc = {
    types with [Sema.resolve_ty], whose mutating paths are: an inline
    struct/union field list or enum item list (registers the definition),
    and an anonymous tag (mints a fresh one).  Block-scope typedef/extern
-   declarations additionally reach [Sema.process_decl].  Everything else
-   the checker does against the program is a read. *)
+   declarations additionally reach [Sema.process_decl].  Resolving a
+   typedef name the program does not define also reports into
+   [p.diags]; the parser accepts such a name only after a block-scope
+   typedef earlier in the same file, so callers apply the scan to a
+   whole file, never to single bodies.  Everything else the checker does
+   against the program is a read. *)
 
 let rec ty_mutates (t : Ast.ty) : bool =
   match t with

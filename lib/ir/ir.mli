@@ -57,9 +57,13 @@ val mutates_env : Cfront.Ast.fundef -> bool
     declaration (they reach [Sema.process_decl]) or any type whose
     resolution registers definitions — an inline [struct]/[union] field
     list, an [enum] item list, or an anonymous tag (they reach the
-    mutating paths of [Sema.resolve_ty]).  The parallel driver checks
-    such procedures against a private {!Sema.copy_for_check} and shares
-    the program read-only across domains for everything else. *)
+    mutating paths of [Sema.resolve_ty]).  A block-scope [typedef] also
+    lets later bodies of the same file name a type the program lacks,
+    which the checker reports into the program's diagnostics, so the
+    answer is meaningful per file: the parallel driver and the
+    incremental service check every file with such a body against a
+    private {!Sema.copy_for_check} and share the program read-only for
+    every other file. *)
 
 val instr_count : proc -> int
 (** Total instructions across all blocks. *)

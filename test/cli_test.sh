@@ -538,18 +538,21 @@ printf '%s\n' "$check_req" '{"op":"shutdown"}' \
 expect_contains "$tmp/srverr" "ignoring cache" "corrupted cache warning"
 sed -n 1p "$tmp/srv3" | grep -q '"tier":"cold"' || fail "corrupted cache must not be adopted"
 
-# a cache from an older format (intact stamp, version 1) is ignored the
-# same way: the version mismatch warns and the first request runs cold
-sed '1s/format [0-9]*/format 1/' "$tmp/cache.olc" > "$tmp/cache.v1"
-head -1 "$tmp/cache.v1" | grep -q "summary-cache format 1 " \
-  || fail "the version-1 cache fixture should carry format 1"
-printf '%s\n' "$check_req" '{"op":"shutdown"}' \
-  | "$OLCLINT" -server -cache "$tmp/cache.v1" > "$tmp/srv4" 2> "$tmp/srverr4" \
-  || fail "server with an old-format cache should still run"
-expect_contains "$tmp/srverr4" "ignoring cache" "old-format cache warning"
-expect_contains "$tmp/srverr4" "format version 1" "old-format cache version in the warning"
-sed -n 1p "$tmp/srv4" | grep -q '"tier":"cold"' || fail "an old-format cache must not be adopted"
-sed -n 1p "$tmp/srv4" | grep -q '"rechecked":0' && fail "an old-format cache's results must be re-checked"
+# a cache from an older format (intact stamp, version 1, or version 2
+# with keys hashed from printed ASTs) is ignored the same way: the
+# version mismatch warns and the first request runs cold
+for v in 1 2; do
+  sed "1s/format [0-9]*/format $v/" "$tmp/cache.olc" > "$tmp/cache.v$v"
+  head -1 "$tmp/cache.v$v" | grep -q "summary-cache format $v " \
+    || fail "the version-$v cache fixture should carry format $v"
+  printf '%s\n' "$check_req" '{"op":"shutdown"}' \
+    | "$OLCLINT" -server -cache "$tmp/cache.v$v" > "$tmp/srv.v$v" 2> "$tmp/srverr.v$v" \
+    || fail "server with a version-$v cache should still run"
+  expect_contains "$tmp/srverr.v$v" "ignoring cache" "version-$v cache warning"
+  expect_contains "$tmp/srverr.v$v" "format version $v" "version-$v cache version in the warning"
+  sed -n 1p "$tmp/srv.v$v" | grep -q '"tier":"cold"' || fail "a version-$v cache must not be adopted"
+  sed -n 1p "$tmp/srv.v$v" | grep -q '"rechecked":0' && fail "a version-$v cache's results must be re-checked"
+done
 
 # --- documentation drift gate ------------------------------------------------
 # every checking flag and every telemetry counter must appear in the

@@ -1,11 +1,14 @@
 (* Incremental checking service tests: cache validity, edit tiers,
-   -j equivalence, persistence, and the NDJSON protocol layer. *)
+   -j equivalence, persistence, content keys, and the NDJSON protocol
+   layer. *)
 
 module Service = Incr.Service
 module Server = Incr.Server
 module Diag = Cfront.Diag
 module J = Telemetry.Json
 module Flags = Annot.Flags
+module Ast = Cfront.Ast
+module Loc = Cfront.Loc
 
 let flags = Flags.default
 
@@ -426,6 +429,69 @@ let test_flag_change_invalidates () =
   let back = run svc base_files in
   Alcotest.(check int) "flip back re-checks" 5 back.Service.oc_rechecked
 
+(* Checking a body with a block-scope [extern] registers that
+   declaration.  The cold driver checks such a file against a private
+   copy of the environment, so the declaration stays out of other
+   files (`olclint a.c b.c` reports [mk] as unrecognized in [b.c]); the
+   service must do the same, and must not leak it into the persistent
+   environment either.  ([direct] checks in place, so it is not the
+   reference here.) *)
+let test_block_scope_decl_stays_local () =
+  let files =
+    [
+      ("a.c", "void reg(void)\n{\nextern /*@null@*/ char *mk(void);\n}\n");
+      ("b.c", "char first(void)\n{\nchar *p = mk();\nreturn *p;\n}\n");
+    ]
+  in
+  let svc = Service.create ~flags () in
+  let cold = render (run svc files) in
+  Alcotest.(check (list string))
+    "cold: mk unrecognized in b.c"
+    [ "b.c:3,11: unrecognized identifier 'mk'" ]
+    (List.map (fun d -> List.hd (String.split_on_char '\n' d)) cold);
+  let oc = run svc (edit "b.c" "return *p;" "return p[0];" files) in
+  Alcotest.check tier "patched tier" Service.Patched oc.Service.oc_tier;
+  Alcotest.(check (list string)) "patched: same diagnostics" cold (render oc)
+
+(* The parser's typedef table is file-wide, so [b] may name a type that
+   only [a]'s body declares.  The cold driver checks such a file against
+   one private copy, [a] first; a body edit of [b] alone registers
+   nothing, yet must still check against a copy, or resolving [T] there
+   reports "unknown type name" into the persistent environment -- once
+   more after every edit. *)
+let test_block_scope_typedef_sibling_edit () =
+  let files n =
+    [
+      ( "t.c",
+        Printf.sprintf
+          "void a(void)\n\
+           {\n\
+           typedef int T;\n\
+           }\n\n\
+           int b(/*@null@*/ int *x)\n\
+           {\n\
+           return (T)*x + %d;\n\
+           }\n"
+          n );
+    ]
+  in
+  List.iter
+    (fun jobs ->
+      let svc = Service.create ~flags () in
+      ignore (run ~jobs svc (files 0));
+      List.iter
+        (fun n ->
+          let oc = run ~jobs svc (files n) in
+          let what = Printf.sprintf "-j %d, edit %d" jobs n in
+          Alcotest.check tier ("patched tier, " ^ what) Service.Patched
+            oc.Service.oc_tier;
+          Alcotest.(check (list string))
+            ("same as cold, " ^ what)
+            (render (run ~jobs (Service.create ~flags ()) (files n)))
+            (render oc))
+        [ 1; 2 ])
+    [ 1; 4 ]
+
 let test_jobs_equivalence () =
   let reference = direct base_files in
   let edited = edit "b.c" "return v;" "return v + 1;" base_files in
@@ -480,6 +546,40 @@ let test_persistence_rejects_corruption () =
   let oc = run fresh base_files in
   Alcotest.(check int) "cold after rejected load" 5 oc.Service.oc_rechecked
 
+(* The [summaries] marker scan: a payload that opens with the marker
+   holds nothing but summaries, and one without it is refused. *)
+let test_persistence_marker_scan () =
+  let svc = Service.create ~flags () in
+  ignore (run svc base_files);
+  let records =
+    match Check.Libspec.unstamp ~kind:Service.cache_kind (Service.save svc) with
+    | Error e -> Alcotest.failf "unstamp: %s" e
+    | Ok (_, payload) ->
+        let marker = "\n[summaries]\n" in
+        let ml = String.length marker in
+        let rec find i =
+          if String.sub payload i ml = marker then i + ml else find (i + 1)
+        in
+        let start = find 0 in
+        String.sub payload start (String.length payload - start)
+  in
+  let stamp payload =
+    Check.Libspec.stamp ~kind:Service.cache_kind
+      ~version:Service.cache_version payload
+  in
+  let fresh = Service.create ~flags () in
+  (match Service.load fresh (stamp ("[summaries]\n" ^ records)) with
+  | Ok n -> Alcotest.(check int) "marker at offset 0: every record read" 5 n
+  | Error e -> Alcotest.failf "marker at offset 0 rejected: %s" e);
+  let oc = run fresh base_files in
+  Alcotest.(check int) "records behind an offset-0 marker adopted" 0
+    oc.Service.oc_rechecked;
+  match Service.load (Service.create ~flags ()) (stamp "flags x\n") with
+  | Ok _ -> Alcotest.fail "payload without a [summaries] marker accepted"
+  | Error e ->
+      Alcotest.(check string) "missing marker"
+        "summary cache has no [summaries] section" e
+
 let test_invalidate () =
   let svc = Service.create ~flags () in
   ignore (run svc base_files);
@@ -526,6 +626,176 @@ let test_stats_shape () =
   Alcotest.(check bool) "sorted by name" true
     (let names = List.map fst stats in
      names = List.sort String.compare names)
+
+(* ------------------------------------------------------------------ *)
+(* Content keys                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The environment the service built for [files]. *)
+let environment_of files =
+  let svc = Service.create ~flags () in
+  ignore (run svc files);
+  match Service.environment svc with
+  | Some env -> env
+  | None -> Alcotest.fail "no environment after a check"
+
+(* Byte offset of a 1-based source position in [text]. *)
+let offset_of text (loc : Loc.t) =
+  let rec line_start i line =
+    if line = 1 then i
+    else line_start (String.index_from text i '\n' + 1) (line - 1)
+  in
+  line_start 0 loc.Loc.line + loc.Loc.col - 1
+
+let insert_at text i s =
+  String.sub text 0 i ^ s ^ String.sub text i (String.length text - i)
+
+(* A corpus and three edited copies of its first file: the first body
+   gains a statement (no line moves), every line moves down by one, and
+   a blank line lands before the file's last function. *)
+let key_variants files =
+  let name, text = List.hd files in
+  let fds =
+    List.filter
+      (fun (fd : Ast.fundef) -> String.equal fd.Ast.f_loc.Loc.file name)
+      (List.map snd (Sema.fundefs (environment_of files)))
+  in
+  let first = List.hd fds and last = List.nth fds (List.length fds - 1) in
+  let with_first text' = (name, text') :: List.tl files in
+  [
+    files;
+    with_first
+      (insert_at text (offset_of text first.Ast.f_body.Ast.sloc + 1) ";");
+    with_first ("\n" ^ text);
+    with_first
+      (insert_at text
+         (offset_of text { last.Ast.f_loc with Loc.col = 1 })
+         "\n");
+  ]
+
+(* The environments of the paper's figures, progen seeds 1, 7 and 42,
+   and the edited copies of each. *)
+let key_envs =
+  lazy
+    (let figures =
+       List.map
+         (fun text -> [ ("fig.c", text) ])
+         Corpus.Figures.
+           [
+             fig1_sample; fig2_sample_null; fig3_sample_fixed;
+             fig4_sample_only_temp; fig5_list_addh; fig5_list_addh_fixed;
+             fig7_erc_create; fig8_employee_setname;
+           ]
+     in
+     let progen =
+       List.map
+         (fun seed ->
+           (Progen.generate ~seed ~modules:3 ~fns_per_module:4 ()).Progen.files)
+         [ 1; 7; 42 ]
+     in
+     List.map environment_of (List.concat_map key_variants (figures @ progen)))
+
+(* The edits land where they should: the body edit re-keys only the
+   first function, the line shift every function of the edited file, the
+   blank line only the function after it. *)
+let test_key_edits () =
+  let files =
+    (Progen.generate ~seed:1 ~modules:3 ~fns_per_module:4 ()).Progen.files
+  in
+  let keyed env =
+    List.map
+      (fun (_, (fd : Ast.fundef)) ->
+        (fd.Ast.f_loc.Loc.file ^ ":" ^ fd.Ast.f_name, Service.digest_of fd))
+      (Sema.fundefs env)
+  in
+  match List.map (fun fs -> keyed (environment_of fs)) (key_variants files) with
+  | [ base; body; shift; blank ] ->
+      let rekeyed variant =
+        List.filter_map
+          (fun ((name, k), (name', k')) ->
+            if not (String.equal name name') then
+              Alcotest.failf "definition order moved: %s vs %s" name name';
+            if String.equal k k' then None else Some name)
+          (List.combine base variant)
+      in
+      let in_m0 =
+        List.filter_map
+          (fun (name, _) ->
+            if String.starts_with ~prefix:"m0.c:" name then Some name else None)
+          base
+      in
+      Alcotest.(check (list string))
+        "body edit" [ List.hd in_m0 ] (rekeyed body);
+      Alcotest.(check (list string)) "line shift" in_m0 (rekeyed shift);
+      Alcotest.(check (list string)) "blank line before the last function"
+        [ List.nth in_m0 (List.length in_m0 - 1) ]
+        (rekeyed blank)
+  | _ -> Alcotest.fail "expected four variants"
+
+(* A copy of [v] that shares no substructure: structurally equal to [v]
+   but physically shared differently. *)
+let unshare v =
+  Marshal.from_string (Marshal.to_string v [ Marshal.No_sharing ]) 0
+
+(* Pairs from [pool]; half of them pair a value with one of the same
+   name (usually the same function in an edited copy), so equal and
+   near-equal pairs are both common. *)
+let pair_arb pool ~name ~print =
+  let index =
+    lazy
+      (let by_name = Hashtbl.create 64 in
+       Array.iteri
+         (fun i v -> Hashtbl.add by_name (name v) i)
+         (Lazy.force pool);
+       by_name)
+  in
+  let gen st =
+    let pool = Lazy.force pool in
+    let n = Array.length pool in
+    let i = Random.State.int st n in
+    let j =
+      if Random.State.bool st then
+        let peers = Hashtbl.find_all (Lazy.force index) (name pool.(i)) in
+        List.nth peers (Random.State.int st (List.length peers))
+      else Random.State.int st n
+    in
+    (pool.(i), pool.(j))
+  in
+  QCheck.make ~print:(fun (a, b) -> print a ^ "\n--- and ---\n" ^ print b) gen
+
+(* [key] partitions the values exactly like structural equality [eq]
+   and like the printed form [show] the earlier keys hashed, and does
+   not depend on physical sharing. *)
+let key_property ~name ~count ~pool ~label ~key ~eq ~show =
+  QCheck.Test.make ~count ~name (pair_arb pool ~name:label ~print:show)
+    (fun (a, b) ->
+      let same_key = String.equal (key a) (key b) in
+      same_key = eq a b
+      && same_key = String.equal (show a) (show b)
+      && String.equal (key (unshare a)) (key a))
+
+let prop_body_key_equivalence =
+  key_property ~name:"body keys equal iff ASTs equal" ~count:500
+    ~pool:
+      (lazy
+        (Array.of_list
+           (List.concat_map
+              (fun env -> List.map snd (Sema.fundefs env))
+              (Lazy.force key_envs))))
+    ~label:(fun (fd : Ast.fundef) -> fd.Ast.f_name)
+    ~key:Service.digest_of ~eq:Ast.equal_fundef ~show:Ast.show_fundef
+
+let prop_funsig_hash_equivalence =
+  key_property ~name:"funsig digests equal iff funsigs equal" ~count:500
+    ~pool:
+      (lazy
+        (Array.of_list
+           (List.concat_map
+              (fun env ->
+                Hashtbl.fold (fun _ fs acc -> fs :: acc) env.Sema.p_funcs [])
+              (Lazy.force key_envs))))
+    ~label:(fun (fs : Sema.funsig) -> fs.Sema.fs_name)
+    ~key:Service.digest_of ~eq:( = ) ~show:Sema.show_funsig
 
 (* ------------------------------------------------------------------ *)
 (* The protocol layer                                                  *)
@@ -651,6 +921,10 @@ let () =
             test_type_edit_invalidates_all;
           Alcotest.test_case "flag change" `Quick
             test_flag_change_invalidates;
+          Alcotest.test_case "block-scope declaration stays local" `Quick
+            test_block_scope_decl_stays_local;
+          Alcotest.test_case "block-scope typedef, sibling edit" `Quick
+            test_block_scope_typedef_sibling_edit;
           Alcotest.test_case "jobs equivalence" `Quick test_jobs_equivalence;
           Alcotest.test_case "invalidate" `Quick test_invalidate;
           Alcotest.test_case "parse error keeps state" `Quick
@@ -662,6 +936,18 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_persistence_roundtrip;
           Alcotest.test_case "corruption rejected" `Quick
             test_persistence_rejects_corruption;
+          Alcotest.test_case "summaries marker scan" `Quick
+            test_persistence_marker_scan;
+        ] );
+      ( "keys",
+        [
+          Alcotest.test_case "edited copies" `Quick test_key_edits;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 17 |])
+            prop_body_key_equivalence;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 17 |])
+            prop_funsig_hash_equivalence;
         ] );
       ( "protocol",
         [
