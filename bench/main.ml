@@ -586,10 +586,16 @@ let infer_exp () =
   row "  rankers, probe budget 2).  Gate, on the large corpus: guided\n";
   row "  recall >= exhaustive with >= 2x fewer probes, precision >= 0.95,\n";
   row "  and a byte-identical inferred annotation set whether the corpus\n";
-  row "  is re-checked at -j 1 or -j 4.\n\n";
+  row "  is re-checked at -j 1 or -j 4.  Gate, across corpora: the words\n";
+  row "  the exhaustive arm allocates per probe on the large corpus are at\n";
+  row "  most 1.5x those on the small one (a probe costs O(procedure)).\n\n";
   let gflags = Flags.default in
   let corpora = [ ("progen_10k", 24, false); ("progen_100k", 240, true) ] in
   let failures = ref [] in
+  (* exhaustive arm: minor words allocated by [Infer.run] per probe, per
+     corpus, small first.  Inference runs on this domain only, so the
+     count repeats exactly from run to run. *)
+  let words_per_probe = ref [] in
   let fleet_records =
     List.map
       (fun (cname, modules, gated) ->
@@ -607,15 +613,17 @@ let infer_exp () =
            then re-check the annotated result through Parcheck. *)
         let arm ?rankers ?budget ~jobs () =
           let prog = analyze_files ~flags:gflags stripped in
+          let words0 = Gc.minor_words () in
           let outcome, secs =
             time (fun () -> Infer.run ?rankers ?budget prog)
           in
+          let words = Gc.minor_words () -. words0 in
           let diags =
             List.map Cfront.Diag.to_string
               (Cfront.Diag.Collector.sort_emission
                  (Parcheck.check_program ~jobs prog))
           in
-          (prog, outcome, secs, diags)
+          (prog, outcome, secs, words, diags)
         in
         let metrics (outcome : Infer.outcome) =
           let inferred =
@@ -627,9 +635,11 @@ let infer_exp () =
           let matched = List.filter (fun k -> List.mem k declared) inferred in
           (List.length inferred, List.length matched)
         in
-        let _, out_e, secs_e, _ = arm ~rankers:[ Infer.Ranker.grid ] ~jobs:1 () in
-        let prog_g, out_g, secs_g, diags_g1 = arm ~budget:2 ~jobs:1 () in
-        let prog_g4, out_g4, _, diags_g4 = arm ~budget:2 ~jobs:4 () in
+        let _, out_e, secs_e, words_e, _ =
+          arm ~rankers:[ Infer.Ranker.grid ] ~jobs:1 ()
+        in
+        let prog_g, out_g, secs_g, _, diags_g1 = arm ~budget:2 ~jobs:1 () in
+        let prog_g4, out_g4, _, _, diags_g4 = arm ~budget:2 ~jobs:4 () in
         let render_g1 = Infer.render prog_g out_g
         and render_g4 = Infer.render prog_g4 out_g4 in
         let deterministic =
@@ -644,6 +654,8 @@ let infer_exp () =
         let probes_e = out_e.Infer.out_probes
         and probes_g = out_g.Infer.out_probes in
         let probe_ratio = ratio probes_e probes_g in
+        let wpp_e = words_e /. float (max 1 probes_e) in
+        words_per_probe := wpp_e :: !words_per_probe;
         row "  %s: %d modules, %d lines, %d declared annotations\n" cname
           modules p.Progen.loc nd;
         row "    %-12s %9s %9s %10s %7s %8s %8s\n" "arm" "inferred" "matched"
@@ -652,9 +664,10 @@ let infer_exp () =
           nm_e prec_e rec_e probes_e secs_e;
         row "    %-12s %9d %9d %10.2f %7.2f %8d %8.2f\n" "guided" ni_g nm_g
           prec_g rec_g probes_g secs_g;
-        row "    probe ratio %.1fx, %d skipped by budget, -j 1 / -j 4 %s\n\n"
+        row "    probe ratio %.1fx, %d skipped by budget, -j 1 / -j 4 %s\n"
           probe_ratio out_g.Infer.out_skipped
           (if deterministic then "identical" else "DIVERGED");
+        row "    exhaustive arm: %.0f words allocated per probe\n\n" wpp_e;
         if gated then begin
           let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
           if rec_g < rec_e then
@@ -695,11 +708,26 @@ let infer_exp () =
                 arm_json ni_g nm_g prec_g rec_g probes_g secs_g
                   out_g.Infer.out_skipped );
               ("probe_ratio", Float probe_ratio);
+              ("exhaustive_words_per_probe", Float wpp_e);
               ("deterministic", Bool deterministic);
               ("gated", Bool gated);
             ]))
       corpora
   in
+  let probe_words_growth =
+    match !words_per_probe with
+    | [ large; small ] -> large /. small
+    | _ -> assert false
+  in
+  row "  words per probe, large / small corpus: %.2fx (gate: <= 1.5x)\n"
+    probe_words_growth;
+  if probe_words_growth > 1.5 then
+    failures :=
+      Printf.sprintf
+        "probe cost grows with program size: %.2fx the small corpus's \
+         words per probe (bound 1.5x)"
+        probe_words_growth
+      :: !failures;
   let doc =
     Telemetry.Json.(
       Obj
@@ -707,6 +735,7 @@ let infer_exp () =
           ("experiment", String "infer");
           ("sources", List records);
           ("fleet", List fleet_records);
+          ("probe_words_growth", Float probe_words_growth);
           ( "overall",
             Obj
               [

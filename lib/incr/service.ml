@@ -45,10 +45,11 @@
       it.
 
     Checking runs on the {!Parcheck.map_tasks} pool, grouped by file.
-    A file with a body that can register block-scope declarations
-    checks against a {!Sema.copy_for_check} copy and every other file
-    reads the environment in place -- the cold driver's rule -- so
-    results are byte-identical to a cold [olclint] run at every [-j]. *)
+    A miss in a file with a body that can register block-scope
+    declarations re-checks that whole file, in order, against a
+    {!Sema.copy_for_check} copy, and every other file reads the
+    environment in place -- the cold driver's rule -- so results are
+    byte-identical to a cold [olclint] run at every [-j]. *)
 
 module Ast = Cfront.Ast
 module Diag = Cfront.Diag
@@ -535,6 +536,22 @@ let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
           Hashtbl.add tbl file (ref [ (id, fs, fd) ]);
           order := file :: !order)
     to_check;
+  (* a miss in a file with a body that can register block-scope
+     declarations re-checks the whole file, in order, like the cold
+     driver's [File] task: a sibling's result can depend on a type an
+     earlier body registers *)
+  let whole = List.filter (Hashtbl.mem t.mutating_files) !order in
+  if whole <> [] then begin
+    List.iter (fun file -> Hashtbl.replace tbl file (ref [])) whole;
+    List.iter
+      (fun ((fs : Sema.funsig), fd) ->
+        let id = fn_id fs in
+        if Hashtbl.mem t.mutating_files (fst id) then
+          Option.iter
+            (fun cell -> cell := (id, fs, fd) :: !cell)
+            (Hashtbl.find_opt tbl (fst id)))
+      all_pairs
+  end;
   let garr =
     Array.of_list
       (List.rev_map (fun file -> List.rev !(Hashtbl.find tbl file)) !order)
@@ -543,12 +560,10 @@ let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
     Parcheck.map_tasks ~jobs (Array.length garr) (fun ~par:_ i ->
         (* the persistent environment must stay pristine across
            requests.  As in the cold driver, a file with any body that
-           can register block-scope declarations checks against its own
-           copy, even when only bodies that register nothing missed:
-           the parser's typedef table is file-wide, so a sibling can
-           name a type the checker resolves only after that
-           registration.  Every other file reads the environment in
-           place, which is byte-identical to reading a copy. *)
+           can register block-scope declarations (grown to the whole
+           file above) checks against its own copy.  Every other file
+           reads the environment in place, which is byte-identical to
+           reading a copy. *)
         let local =
           match garr.(i) with
           | ((file, _), _, _) :: _ when Hashtbl.mem t.mutating_files file ->
@@ -574,8 +589,9 @@ let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
   (* every function now has its current entry in [t.fns] *)
   let entry (fs : Sema.funsig) = Hashtbl.find t.fns (fn_id fs) in
   (match slots with
-  | Some s -> List.iter (fun (i, (fs, _)) -> t.order.(i) <- entry fs) s
-  | None ->
+  | Some s when whole = [] ->
+      List.iter (fun (i, (fs, _)) -> t.order.(i) <- entry fs) s
+  | _ ->
       t.order <- Array.of_list (List.map (fun (fs, _) -> entry fs) all_pairs));
   (!hits, !misses, !rechecked)
 

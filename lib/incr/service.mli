@@ -19,9 +19,10 @@
       annotation-dependent callers, and nothing else.
 
     Checking runs on the {!Parcheck.map_tasks} domain pool (misses are
-    grouped by file; a file with a body that can mutate the environment
-    checks against its own {!Sema.copy_for_check}, the rest read it in
-    place, as in the cold driver), so re-check diagnostics are
+    grouped by file; a miss in a file with a body that can mutate the
+    environment re-checks that whole file, in order, against its own
+    {!Sema.copy_for_check}, the rest read it in place, as in the cold
+    driver), so re-check diagnostics are
     byte-identical for every [jobs] value — and, by construction of the
     cache, to a cold run.
 

@@ -324,7 +324,7 @@ let run ?(max_rounds = default_max_rounds) ?(rankers = Ranker.default) ?budget
   let cg = Summary.Callgraph.build prog in
   let comps = Summary.Callgraph.sccs cg in
   let cache : summary_cache = Hashtbl.create 32 in
-  let findings = ref [] in
+  let findings_rev = ref [] in
   let rounds_total = ref 0 in
   let procedures = ref 0 in
   let probes_total = ref 0 in
@@ -438,13 +438,14 @@ let run ?(max_rounds = default_max_rounds) ?(rankers = Ranker.default) ?budget
         accepted := List.tl !accepted;
         reinstall !accepted
       done;
-      findings := !findings @ List.rev !accepted
+      findings_rev := !accepted @ !findings_rev
     end
   in
   List.iter do_component comps;
-  Telemetry.Counter.add Telemetry.c_infer_annots (List.length !findings);
+  let findings = List.rev !findings_rev in
+  Telemetry.Counter.add Telemetry.c_infer_annots (List.length findings);
   {
-    out_findings = !findings;
+    out_findings = findings;
     out_rounds = !rounds_total;
     out_sccs = List.length comps;
     out_procedures = !procedures;
@@ -477,20 +478,34 @@ let prototype (fs : Sema.funsig) (fds : finding list) : string =
   ^ params ^ ")"
   ^ (if fs.Sema.fs_varargs then " /* ... */;" else ";")
 
+(* Each annotated function in [func_order], with its signature and its
+   findings in acceptance order.  The findings are grouped by function
+   once, so both renderers stay linear in the number of findings. *)
+let annotated (prog : Sema.program) (o : outcome) :
+    (Sema.funsig * finding list) list =
+  let by_fun = Hashtbl.create 64 in
+  List.iter
+    (fun fd ->
+      Hashtbl.replace by_fun fd.fd_fun
+        (fd :: Option.value (Hashtbl.find_opt by_fun fd.fd_fun) ~default:[]))
+    o.out_findings;
+  List.filter_map
+    (fun name ->
+      match
+        (Hashtbl.find_opt by_fun name, Hashtbl.find_opt prog.Sema.p_funcs name)
+      with
+      | Some fds_rev, Some fs -> Some (fs, List.rev fds_rev)
+      | _ -> None)
+    (Sema.func_order prog)
+
 let render (prog : Sema.program) (o : outcome) : string =
   let buf = Buffer.create 256 in
   List.iter
-    (fun name ->
-      match
-        ( List.filter (fun fd -> String.equal fd.fd_fun name) o.out_findings,
-          Hashtbl.find_opt prog.Sema.p_funcs name )
-      with
-      | [], _ | _, None -> ()
-      | fds, Some fs ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s: %s\n" (Loc.to_string fs.Sema.fs_loc)
-               (prototype fs fds)))
-    (Sema.func_order prog);
+    (fun (fs, fds) ->
+      Buffer.add_string buf
+        (Printf.sprintf "%s: %s\n" (Loc.to_string fs.Sema.fs_loc)
+           (prototype fs fds)))
+    (annotated prog o);
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
@@ -636,43 +651,50 @@ let render_patch (prog : Sema.program) (o : outcome)
     Hashtbl.create 8
   in
   let manual = Buffer.create 0 in
+  (* each source file is split into lines once, however many of its
+     definitions carry findings *)
+  let lines_of : (string, string array option) Hashtbl.t = Hashtbl.create 8 in
+  let lines file =
+    match Hashtbl.find_opt lines_of file with
+    | Some l -> l
+    | None ->
+        let l =
+          Option.map
+            (fun text -> Array.of_list (String.split_on_char '\n' text))
+            (read file)
+        in
+        Hashtbl.add lines_of file l;
+        l
+  in
   List.iter
-    (fun name ->
-      match
-        ( List.filter (fun fd -> String.equal fd.fd_fun name) o.out_findings,
-          Hashtbl.find_opt prog.Sema.p_funcs name )
-      with
-      | [], _ | _, None -> ()
-      | fds, Some fs -> (
-          let file = fs.Sema.fs_loc.Loc.file in
-          let lineno = fs.Sema.fs_loc.Loc.line in
-          let fallback () =
-            Buffer.add_string manual
-              (Printf.sprintf "# manual: %s: %s\n"
-                 (Loc.to_string fs.Sema.fs_loc)
-                 (prototype fs fds))
-          in
-          match read file with
+    (fun ((fs : Sema.funsig), fds) ->
+      let name = fs.Sema.fs_name in
+      let file = fs.Sema.fs_loc.Loc.file in
+      let lineno = fs.Sema.fs_loc.Loc.line in
+      let fallback () =
+        Buffer.add_string manual
+          (Printf.sprintf "# manual: %s: %s\n"
+             (Loc.to_string fs.Sema.fs_loc)
+             (prototype fs fds))
+      in
+      match lines file with
+      | Some l when lineno >= 1 && lineno <= Array.length l -> (
+          let old_line = l.(lineno - 1) in
+          match splice_line old_line fs fds with
           | None -> fallback ()
-          | Some text -> (
-              let lines = String.split_on_char '\n' text in
-              match List.nth_opt lines (lineno - 1) with
-              | None -> fallback ()
-              | Some old_line -> (
-                  match splice_line old_line fs fds with
-                  | None -> fallback ()
-                  | Some new_line ->
-                      let cell =
-                        match Hashtbl.find_opt hunks file with
-                        | Some c -> c
-                        | None ->
-                            let c = ref [] in
-                            Hashtbl.add hunks file c;
-                            file_order := file :: !file_order;
-                            c
-                      in
-                      cell := (lineno, name, old_line, new_line) :: !cell))))
-    (Sema.func_order prog);
+          | Some new_line ->
+              let cell =
+                match Hashtbl.find_opt hunks file with
+                | Some c -> c
+                | None ->
+                    let c = ref [] in
+                    Hashtbl.add hunks file c;
+                    file_order := file :: !file_order;
+                    c
+              in
+              cell := (lineno, name, old_line, new_line) :: !cell)
+      | _ -> fallback ())
+    (annotated prog o);
   let buf = Buffer.create 1024 in
   Buffer.add_buffer buf manual;
   List.iter

@@ -77,6 +77,11 @@ type globalvar = {
 }
 [@@deriving show]
 
+(* One definition's (signature, body) pair, replaced in place by
+   [update_funsig] and [patch_fundef].  Holding the pair itself lets
+   [fundefs] hand it out without building a new one. *)
+type fundef_slot = { mutable sl_pair : funsig * Ast.fundef }
+
 type program = {
   p_file : string;
   p_structs : (string, suinfo) Hashtbl.t;
@@ -84,8 +89,11 @@ type program = {
   p_enum_consts : (string, int64) Hashtbl.t;
   p_funcs : (string, funsig) Hashtbl.t;
   p_globals : (string, globalvar) Hashtbl.t;
-  mutable p_fundefs_rev : (funsig * Ast.fundef) list;
+  mutable p_fundefs_rev : fundef_slot list;
       (** reversed; use {!fundefs} for source order *)
+  mutable p_fundef_index : (string, fundef_slot list) Hashtbl.t option;
+      (** the slots by name; built by the first write, dropped when a
+          definition is added *)
   mutable p_struct_order_rev : string list;
   mutable p_typedef_order_rev : string list;
   mutable p_global_order_rev : string list;
@@ -105,6 +113,7 @@ let create_program ?(flags = Flags.default) ~file () =
     p_funcs = Hashtbl.create 64;
     p_globals = Hashtbl.create 32;
     p_fundefs_rev = [];
+    p_fundef_index = None;
     p_struct_order_rev = [];
     p_typedef_order_rev = [];
     p_global_order_rev = [];
@@ -532,7 +541,8 @@ let process_fundef p (f : Ast.fundef) =
   in
   add_funsig p fs;
   let fs = Hashtbl.find p.p_funcs f.f_name in
-  p.p_fundefs_rev <- (fs, f) :: p.p_fundefs_rev
+  p.p_fundefs_rev <- { sl_pair = (fs, f) } :: p.p_fundefs_rev;
+  p.p_fundef_index <- None
 
 (** Analyze a translation unit, extending [into] if given (multi-file
     checking shares one program environment, as LCLint does with interface
@@ -572,9 +582,10 @@ let analyze_spec_string ?(flags = Flags.default) ?into ~file src : program =
 (** A disconnected copy for one parallel checking task.  Checking a body
     can extend the symbol tables (block-scope typedefs, struct and extern
     declarations go through {!process_decl}), so concurrent workers must
-    not share them; the copy gets fresh tables and a fresh diagnostics
-    collector while sharing every immutable value (signatures, types,
-    ASTs) with the original. *)
+    not share them; the copy gets fresh tables, fresh definition slots
+    and a fresh diagnostics collector while sharing every immutable value
+    (signatures, types, ASTs) with the original.  Fresh slots keep a
+    write through one program from reaching the other's {!fundefs}. *)
 let copy_for_check p =
   {
     p with
@@ -583,15 +594,37 @@ let copy_for_check p =
     p_enum_consts = Hashtbl.copy p.p_enum_consts;
     p_funcs = Hashtbl.copy p.p_funcs;
     p_globals = Hashtbl.copy p.p_globals;
+    p_fundefs_rev =
+      List.map (fun sl -> { sl_pair = sl.sl_pair }) p.p_fundefs_rev;
+    p_fundef_index = None;
     diags = Diag.Collector.create ();
   }
 
 (* Source-order views of the reversed accumulators. *)
-let fundefs p = List.rev p.p_fundefs_rev
+let fundefs p = List.rev_map (fun sl -> sl.sl_pair) p.p_fundefs_rev
 let struct_order p = List.rev p.p_struct_order_rev
 let typedef_order p = List.rev p.p_typedef_order_rev
 let global_order p = List.rev p.p_global_order_rev
 let func_order p = List.rev p.p_func_order_rev
+
+(* The slots of the definitions named [name].  A slot's name never
+   changes: [update_funsig] writes only a signature of the same name. *)
+let slots_named p name =
+  let index =
+    match p.p_fundef_index with
+    | Some index -> index
+    | None ->
+        let index = Hashtbl.create (2 * List.length p.p_fundefs_rev) in
+        List.iter
+          (fun sl ->
+            let n = (fst sl.sl_pair).fs_name in
+            Hashtbl.replace index n
+              (sl :: Option.value (Hashtbl.find_opt index n) ~default:[]))
+          p.p_fundefs_rev;
+        p.p_fundef_index <- Some index;
+        index
+  in
+  Option.value (Hashtbl.find_opt index name) ~default:[]
 
 (** Replace a function's signature everywhere the program holds one: the
     symbol table AND the (funsig, fundef) pairs captured at definition time.
@@ -600,11 +633,9 @@ let func_order p = List.rev p.p_func_order_rev
     against a stale interface. *)
 let update_funsig p (fs : funsig) : unit =
   Hashtbl.replace p.p_funcs fs.fs_name fs;
-  p.p_fundefs_rev <-
-    List.map
-      (fun ((old_fs : funsig), f) ->
-        if String.equal old_fs.fs_name fs.fs_name then (fs, f) else (old_fs, f))
-      p.p_fundefs_rev
+  List.iter
+    (fun sl -> sl.sl_pair <- (fs, snd sl.sl_pair))
+    (slots_named p fs.fs_name)
 
 (** Swap the AST paired with an already-analyzed definition for a new
     fundef whose interface is structurally identical but whose body
@@ -615,20 +646,16 @@ let update_funsig p (fs : funsig) : unit =
     of the same name in different files never collide.  Returns [false]
     when no such definition is known. *)
 let patch_fundef p (f : Ast.fundef) : bool =
-  let hit = ref false in
-  p.p_fundefs_rev <-
-    List.map
-      (fun ((fs : funsig), old_f) ->
-        if
-          String.equal fs.fs_name f.Ast.f_name
-          && String.equal fs.fs_loc.Loc.file f.Ast.f_loc.Loc.file
-        then begin
-          hit := true;
-          (fs, f)
-        end
-        else (fs, old_f))
-      p.p_fundefs_rev;
-  !hit
+  List.fold_left
+    (fun hit sl ->
+      let fs, _ = sl.sl_pair in
+      if String.equal fs.fs_loc.Loc.file f.Ast.f_loc.Loc.file then begin
+        sl.sl_pair <- (fs, f);
+        true
+      end
+      else hit)
+    false
+    (slots_named p f.Ast.f_name)
 
 (* ------------------------------------------------------------------ *)
 (* Direct calls (call-graph support)                                   *)

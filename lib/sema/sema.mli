@@ -73,6 +73,10 @@ val show_funsig : funsig -> string
 val pp_globalvar : Format.formatter -> globalvar -> unit
 val show_globalvar : globalvar -> string
 
+type fundef_slot
+(** One definition's (signature, body) pair, updated in place by
+    {!update_funsig} and {!patch_fundef}; read it through {!fundefs}. *)
+
 (** The analysed program: symbol tables shared by the checker, the
     interpreter and the interface-library writer.  Multiple translation
     units may be analysed into one program (see {!analyze}). *)
@@ -83,7 +87,8 @@ type program = {
   p_enum_consts : (string, int64) Hashtbl.t;
   p_funcs : (string, funsig) Hashtbl.t;
   p_globals : (string, globalvar) Hashtbl.t;
-  mutable p_fundefs_rev : (funsig * Cfront.Ast.fundef) list;
+  mutable p_fundefs_rev : fundef_slot list;
+  mutable p_fundef_index : (string, fundef_slot list) Hashtbl.t option;
   mutable p_struct_order_rev : string list;
   mutable p_typedef_order_rev : string list;
   mutable p_global_order_rev : string list;
@@ -98,10 +103,14 @@ val create_program : ?flags:Flags.t -> file:string -> unit -> program
 
 val copy_for_check : program -> program
 (** A disconnected copy for one parallel checking task: fresh symbol
-    tables and a fresh diagnostics collector, sharing every immutable
-    value (signatures, types, ASTs) with the original.  Checking a body
-    can extend the tables through {!process_decl}, so concurrent workers
-    must each check against their own copy. *)
+    tables, fresh definition slots and a fresh diagnostics collector,
+    sharing every immutable value (signatures, types, ASTs) with the
+    original.  Checking a body can extend the tables through
+    {!process_decl}, so concurrent workers must each check against their
+    own copy.  The copy does not share slots with its original: an
+    {!update_funsig} or {!patch_fundef} through either one leaves the
+    other's {!fundefs} unchanged.  Its cost is linear in the program's
+    size, like the table copies. *)
 
 val typedef_annots : program -> Ctype.t -> Annot.set
 (** Annotations inherited from the typedef layers of a type. *)
@@ -145,16 +154,25 @@ val func_order : program -> string list
 
 val update_funsig : program -> funsig -> unit
 (** Replace a function's signature in the symbol table and in every
-    captured (funsig, fundef) pair.  Annotation inference installs
-    synthesized annotations through this, keeping both views coherent. *)
+    (funsig, fundef) pair of that name.  Annotation inference installs
+    synthesized annotations through this, keeping both views coherent.
+    A pair that no write has touched keeps the funsig it was defined
+    with, even after a later redeclaration merged into the table.
+
+    Cost: the pairs are found through a name index built by the first
+    {!update_funsig} or {!patch_fundef} after a definition was added
+    (linear in the number of definitions, once); every further call
+    costs O(definitions with that name), whatever the program's size. *)
 
 val patch_fundef : program -> Cfront.Ast.fundef -> bool
 (** Swap the AST paired with an already-analyzed definition for a new
     fundef with a structurally identical interface but a changed body —
     the incremental service's body-only-edit patch path (no re-analysis;
-    the existing funsig stays).  Matches by (definition file, name);
-    [false] when the definition is unknown.  The caller must have
-    verified interface identity. *)
+    the existing funsig stays, and the pair keeps its {!fundefs}
+    position).  Matches by (definition file, name), so of two [static]
+    functions of one name only the named file's is swapped; [false] when
+    the definition is unknown.  The caller must have verified interface
+    identity.  Same cost as {!update_funsig}. *)
 
 val calls_of_fundef : Cfront.Ast.fundef -> string list
 (** Names in direct-call position anywhere in the body, first-occurrence

@@ -492,6 +492,38 @@ let test_block_scope_typedef_sibling_edit () =
         [ 1; 2 ])
     [ 1; 4 ]
 
+(* A sibling's result can depend on the declarations an earlier body of
+   its file registers: with [T] a pointer type, [b] dereferences null;
+   resolved without [a]'s typedef, [T] is [int] and nothing is reported.
+   A miss in such a file re-checks the whole file in order, as the cold
+   driver does, so the patched answer keeps the warning. *)
+let test_mutating_file_rechecked_whole () =
+  let files n =
+    [
+      ( "t.c",
+        Printf.sprintf
+          "#include <stdlib.h>\n\
+           int a(void) { typedef char *T; return 0; }\n\
+           int b(void) { T p = NULL; return *p + %d; }\n"
+          n );
+    ]
+  in
+  List.iter
+    (fun jobs ->
+      let cold = render (run ~jobs (Service.create ~flags ()) (files 1)) in
+      Alcotest.(check (list string))
+        (Printf.sprintf "cold reports the dereference, -j %d" jobs)
+        [ "t.c:3,34: Dereference of null pointer p: *p" ]
+        (List.map (fun d -> List.hd (String.split_on_char '\n' d)) cold);
+      let svc = Service.create ~flags () in
+      ignore (run ~jobs svc (files 0));
+      let oc = run ~jobs svc (files 1) in
+      let what = Printf.sprintf "-j %d" jobs in
+      Alcotest.check tier ("patched tier, " ^ what) Service.Patched
+        oc.Service.oc_tier;
+      Alcotest.(check (list string)) ("same as cold, " ^ what) cold (render oc))
+    [ 1; 4 ]
+
 let test_jobs_equivalence () =
   let reference = direct base_files in
   let edited = edit "b.c" "return v;" "return v + 1;" base_files in
@@ -925,6 +957,8 @@ let () =
             test_block_scope_decl_stays_local;
           Alcotest.test_case "block-scope typedef, sibling edit" `Quick
             test_block_scope_typedef_sibling_edit;
+          Alcotest.test_case "mutating file re-checked whole" `Quick
+            test_mutating_file_rechecked_whole;
           Alcotest.test_case "jobs equivalence" `Quick test_jobs_equivalence;
           Alcotest.test_case "invalidate" `Quick test_invalidate;
           Alcotest.test_case "parse error keeps state" `Quick

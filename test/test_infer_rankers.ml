@@ -427,6 +427,44 @@ let test_bulk_idempotent () =
         (Infer.render_patch prog2 outcome2 ~read:(fun f ->
              List.assoc_opt f patched))
 
+(* Golden pins, recorded before the bookkeeping of [Infer.run] and the
+   renderers was made linear: on the stripped rich corpora of three
+   seeds, the number of findings and the MD5 of the -infer-bulk patch
+   and of the [Infer.render] report must not move. *)
+let bulk_pins =
+  [
+    ( 1,
+      414,
+      "00cfcdad942fdda398f4e635be395ae6",
+      "ba19f01e2400398cd7cea511330e7552" );
+    ( 7,
+      392,
+      "9421a53f9ebd43f40885b95cd36dfd05",
+      "6963247dafe802a0d130d4a5c55eb464" );
+    ( 42,
+      387,
+      "da56ea6b87fad5a6b8dd5c4c34410a7f",
+      "e6f678ff88e5aab2ae2cb2179c4ce6de" );
+  ]
+
+let test_bulk_pins () =
+  List.iter
+    (fun (seed, count, patch_md5, render_md5) ->
+      let files = stripped_files (small_corpus ~modules:8 ~fns:25 seed) in
+      let prog = analyze files in
+      let outcome = Infer.run prog in
+      let patch =
+        Infer.render_patch prog outcome ~read:(fun f -> List.assoc_opt f files)
+      in
+      let md5 s = Digest.to_hex (Digest.string s) in
+      let what = Printf.sprintf "seed %d: " seed in
+      Alcotest.(check int) (what ^ "findings") count
+        (List.length outcome.Infer.out_findings);
+      Alcotest.(check string) (what ^ "patch") patch_md5 (md5 patch);
+      Alcotest.(check string) (what ^ "render") render_md5
+        (md5 (Infer.render prog outcome)))
+    bulk_pins
+
 let () =
   Alcotest.run "infer_rankers"
     [
@@ -467,5 +505,6 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_bulk_round_trip;
           Alcotest.test_case "idempotent" `Quick test_bulk_idempotent;
+          Alcotest.test_case "pins" `Quick test_bulk_pins;
         ] );
     ]

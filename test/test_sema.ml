@@ -182,6 +182,152 @@ let test_source_order_views () =
   Alcotest.(check (list string)) "struct order" [ "a"; "b" ] (Sema.struct_order prog);
   Alcotest.(check (list string)) "global order" [ "g1"; "g2" ] (Sema.global_order prog)
 
+(* ------------------------------------------------------------------ *)
+(* Definition pairs: update_funsig, patch_fundef, copy_for_check       *)
+(* ------------------------------------------------------------------ *)
+
+let analyse_files files =
+  match files with
+  | [] -> invalid_arg "analyse_files"
+  | (file, src) :: rest ->
+      let prog = Sema.analyze_string ~file src in
+      List.iter
+        (fun (file, src) -> ignore (Sema.analyze_string ~into:prog ~file src))
+        rest;
+      prog
+
+(* The one function definition of [src], parsed as file [file]. *)
+let fundef_of ~file src =
+  let tu = Cfront.Parser.parse_string ~file src in
+  match
+    List.find_map
+      (function Cfront.Ast.Tfundef f -> Some f | _ -> None)
+      tu.Cfront.Ast.tu_decls
+  with
+  | Some f -> f
+  | None -> Alcotest.failf "no definition in %s" file
+
+let pair_files prog =
+  List.map
+    (fun ((fs : Sema.funsig), (f : Cfront.Ast.fundef)) ->
+      (fs.Sema.fs_name, f.Cfront.Ast.f_loc.Cfront.Loc.file))
+    (Sema.fundefs prog)
+
+let statics =
+  [
+    ("a.c", "static int f(char *p) { return 0; }");
+    ("b.c", "static int f(char *p) { return 1; }");
+  ]
+
+let with_notnull (fs : Sema.funsig) =
+  {
+    fs with
+    Sema.fs_params =
+      List.map
+        (fun (pr : Sema.param) ->
+          let an = pr.Sema.pr_annots.Sema.an in
+          {
+            pr with
+            Sema.pr_annots =
+              Sema.explicit { an with Annot.an_null = Some Annot.NotNull };
+          })
+        fs.Sema.fs_params;
+  }
+
+let test_update_funsig_statics () =
+  let prog = analyse_files statics in
+  let fs' = with_notnull (fs prog "f") in
+  Sema.update_funsig prog fs';
+  Alcotest.(check bool) "table" true (fs prog "f" == fs');
+  Alcotest.(check (list bool)) "both pairs rewritten" [ true; true ]
+    (List.map (fun (pfs, _) -> pfs == fs') (Sema.fundefs prog));
+  Alcotest.(check (list (pair string string))) "pairs keep their bodies"
+    [ ("f", "a.c"); ("f", "b.c") ] (pair_files prog)
+
+let test_patch_fundef_statics () =
+  let prog = analyse_files statics in
+  let before = Sema.fundefs prog in
+  let nb = fundef_of ~file:"b.c" "static int f(char *p) { return 2; }" in
+  Alcotest.(check bool) "b.c patched" true (Sema.patch_fundef prog nb);
+  (match (before, Sema.fundefs prog) with
+  | [ (sa, fa); (sb, _) ], [ (sa', fa'); (sb', fb') ] ->
+      Alcotest.(check bool) "a.c body untouched" true (fa' == fa);
+      Alcotest.(check bool) "b.c body swapped" true (fb' == nb);
+      Alcotest.(check bool) "signatures untouched" true (sa' == sa && sb' == sb)
+  | _ -> Alcotest.fail "expected two pairs");
+  let nc = fundef_of ~file:"c.c" "static int f(char *p) { return 3; }" in
+  Alcotest.(check bool) "unknown file" false (Sema.patch_fundef prog nc);
+  let ng = fundef_of ~file:"a.c" "static int g(char *p) { return 3; }" in
+  Alcotest.(check bool) "unknown name" false (Sema.patch_fundef prog ng)
+
+let test_pair_keeps_definition_funsig () =
+  let prog =
+    analyse
+      "int g(char *p) { return 0; }\nextern int g(/*@null@*/ char *p);"
+  in
+  let table = fs prog "g" in
+  let null_of (fs : Sema.funsig) =
+    (List.hd fs.Sema.fs_params).Sema.pr_annots.Sema.an.Annot.an_null
+  in
+  Alcotest.(check bool) "table merged the redeclaration" true
+    (null_of table = Some Annot.Null);
+  (match Sema.fundefs prog with
+  | [ (pfs, _) ] ->
+      Alcotest.(check bool) "pair keeps its own funsig" true
+        (pfs != table && null_of pfs = None)
+  | _ -> Alcotest.fail "expected one pair");
+  (* a write of another name leaves it alone too *)
+  Sema.update_funsig prog
+    { table with Sema.fs_name = "h"; fs_params = [] };
+  match Sema.fundefs prog with
+  | [ (pfs, _) ] -> Alcotest.(check bool) "still its own" true (null_of pfs = None)
+  | _ -> Alcotest.fail "expected one pair"
+
+let test_fundefs_order_after_writes () =
+  let src n = Printf.sprintf "int f%d(char *p) { return %d; }\n" n n in
+  let prog = analyse (String.concat "" (List.map src [ 1; 2; 3; 4 ])) in
+  let names () = List.map fst (pair_files prog) in
+  Sema.update_funsig prog (with_notnull (fs prog "f3"));
+  ignore (Sema.patch_fundef prog (fundef_of ~file:"t.c" (src 1 ^ " ")));
+  Sema.update_funsig prog (with_notnull (fs prog "f1"));
+  Alcotest.(check (list string)) "source order" [ "f1"; "f2"; "f3"; "f4" ]
+    (names ());
+  (* a definition added after the first write is found by the next one *)
+  ignore (Sema.analyze_string ~into:prog ~file:"u.c" (src 5));
+  let f5 = with_notnull (fs prog "f5") in
+  Sema.update_funsig prog f5;
+  Alcotest.(check (list string)) "appended" [ "f1"; "f2"; "f3"; "f4"; "f5" ]
+    (names ());
+  Alcotest.(check bool) "new pair written" true
+    (fst (List.nth (Sema.fundefs prog) 4) == f5);
+  Alcotest.(check (list bool)) "written pairs" [ true; false; true; false; true ]
+    (List.map
+       (fun ((pfs : Sema.funsig), _) ->
+         (List.hd pfs.Sema.fs_params).Sema.pr_annots.Sema.an.Annot.an_null
+         = Some Annot.NotNull)
+       (Sema.fundefs prog))
+
+(* A copy gets its own slots: writes through either program stay out of
+   the other's [fundefs]. *)
+let test_copy_for_check_slots () =
+  let prog = analyse_files statics in
+  let copy = Sema.copy_for_check prog in
+  let orig_pairs = Sema.fundefs prog in
+  let fs' = with_notnull (fs prog "f") in
+  Sema.update_funsig prog fs';
+  Alcotest.(check bool) "copy keeps its pairs" true
+    (List.for_all2
+       (fun (a, fa) (b, fb) -> a == b && fa == fb)
+       orig_pairs (Sema.fundefs copy));
+  Alcotest.(check bool) "copy keeps its table" true
+    (fs copy "f" != fs');
+  let na = fundef_of ~file:"a.c" "static int f(char *p) { return 9; }" in
+  Alcotest.(check bool) "copy patched" true (Sema.patch_fundef copy na);
+  Alcotest.(check bool) "original keeps its body" true
+    (snd (List.hd (Sema.fundefs prog)) == snd (List.hd orig_pairs));
+  Alcotest.(check bool) "copy sees its own patch" true
+    (snd (List.hd (Sema.fundefs copy)) == na)
+
 (* property: const_eval agrees with direct arithmetic on random trees *)
 let prop_const_eval =
   let rec build depth rng : string * int64 =
@@ -229,6 +375,16 @@ let () =
           Alcotest.test_case "function pointers" `Quick test_function_pointers_not_implicit;
           Alcotest.test_case "decl/def merge" `Quick test_decl_then_def_merge;
           Alcotest.test_case "globals list" `Quick test_globals_list;
+        ] );
+      ( "definitions",
+        [
+          Alcotest.test_case "update statics" `Quick test_update_funsig_statics;
+          Alcotest.test_case "patch statics" `Quick test_patch_fundef_statics;
+          Alcotest.test_case "definition funsig kept" `Quick
+            test_pair_keeps_definition_funsig;
+          Alcotest.test_case "order after writes" `Quick
+            test_fundefs_order_after_writes;
+          Alcotest.test_case "copy slots" `Quick test_copy_for_check_slots;
         ] );
       ( "diagnostics",
         [
