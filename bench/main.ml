@@ -420,7 +420,7 @@ let phases () =
       let tu = Cfront.Parser.parse_string ~typedefs ~file:f.E.name f.E.text in
       ignore (Sema.analyze ~flags ~into:prog tu))
     db;
-  Check.Checker.check_program prog;
+  ignore (Check.Checker.check_program prog);
   ignore (Progen.static_check gen);
   Format.printf "%a" Telemetry.pp_stats ();
   let oc = open_out "BENCH_phases.json" in

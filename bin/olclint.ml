@@ -194,18 +194,13 @@ let run files flag_args load_libs lcl_specs dump_lib no_stdlib quiet stats
       if stats then Format.eprintf "%a%!" Telemetry.pp_stats ();
       0
   | _ ->
-  (* [-j 0] means "one domain per recommended core".  Checking always
-     goes through the parallel driver — [jobs = 1] is the same per-file
-     code on this domain — so output is identical for every [-j]. *)
+  (* [-j 0] means "one domain per recommended core".  Every [-j] runs
+     the one task plan ([jobs = 1] on this domain) and the one emission
+     step, so output is identical for every [-j]. *)
   let jobs = if jobs <= 0 then Parcheck.default_jobs () else jobs in
-  let check_diags = Parcheck.check_program ~jobs prog in
-  let table, errs = Check.Suppress.of_pragmas prog.Sema.p_pragmas in
-  List.iter (Cfront.Diag.Collector.emit prog.Sema.diags) errs;
-  let all =
-    Cfront.Diag.Collector.sort_emission
-      (Cfront.Diag.Collector.all prog.Sema.diags @ check_diags)
+  let kept, suppressed =
+    Check.finish prog (Parcheck.check_program ~jobs prog)
   in
-  let kept, suppressed = Check.Suppress.filter table all in
   (* -json: one record per diagnostic (kept and suppressed) on stdout;
      the human summary moves to stderr so stdout stays pure NDJSON *)
   if json then

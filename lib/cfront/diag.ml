@@ -177,23 +177,15 @@ let to_string d = Fmt.str "%a" pp d
 module Collector = struct
   type diag = t
 
-  type t = { mutable rev : diag list; mutable count : int }
+  type t = { mutable rev : diag list }
 
-  let create () = { rev = []; count = 0 }
+  let create () = { rev = [] }
 
   let emit c d =
     c.rev <- d :: c.rev;
-    c.count <- c.count + 1;
     Telemetry.count (Telemetry.diag_counter_prefix ^ category d) 1
 
   let all c = List.rev c.rev
-  let count c = c.count
-  let errors c = List.filter (fun d -> d.severity = Err) (all c)
-
-  (** Diagnostics sorted by source position (file, line, col), stable for
-      equal positions. *)
-  let sorted c =
-    List.stable_sort (fun a b -> Loc.compare_pos a.loc b.loc) (all c)
 
   let sort_emission ds =
     List.stable_sort
@@ -203,10 +195,7 @@ module Collector = struct
         | c -> c)
       ds
 
-  let by_code c code = List.filter (fun d -> d.code = code) (all c)
-  let clear c =
-    c.rev <- [];
-    c.count <- 0
+  let clear c = c.rev <- []
 end
 
 exception Fatal of t

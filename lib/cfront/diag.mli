@@ -74,18 +74,12 @@ module Collector : sig
   val create : unit -> t
   val emit : t -> diag -> unit
   val all : t -> diag list
-  val count : t -> int
-  val errors : t -> diag list
-
-  val sorted : t -> diag list
-  (** Sorted by source position, stable for equal positions. *)
 
   val sort_emission : diag list -> diag list
   (** Canonical emission order for the CLI: (file, line, column, code),
       stable beyond that — deterministic and diffable no matter how many
       files were given or how checking was parallelized. *)
 
-  val by_code : t -> string -> diag list
   val clear : t -> unit
 end
 

@@ -3,7 +3,8 @@
     [run ~file src] performs the whole pipeline the paper describes: parse
     (annotations included), extract interfaces, check every function body
     against the interface annotations, then apply stylized-comment
-    suppression.  Diagnostics come back in source order. *)
+    suppression.  Diagnostics come back in canonical emission order
+    (source position, then code), as the CLI prints them. *)
 
 module State = State
 module Sref = Sref
@@ -18,23 +19,30 @@ module Flags = Annot.Flags
 
 type result = {
   program : Sema.program;
-  reports : Diag.t list;  (** kept diagnostics, in source order *)
+  reports : Diag.t list;  (** kept diagnostics, in emission order *)
   suppressed : Diag.t list;  (** diagnostics silenced by stylized comments *)
 }
 
-let report_count r = List.length r.reports
-let by_code r code = List.filter (fun (d : Diag.t) -> d.Diag.code = code) r.reports
+(** The one emission step: frontend/sema messages, suppression-table
+    errors and the checker's diagnostics, in canonical emission order,
+    split by the suppression table.  [prog.diags] is only read. *)
+let finish (prog : Sema.program) (check_diags : Diag.t list) :
+    Diag.t list * Diag.t list =
+  let table, errs = Suppress.of_pragmas prog.Sema.p_pragmas in
+  List.iter
+    (fun d ->
+      Telemetry.count (Telemetry.diag_counter_prefix ^ Diag.category d) 1)
+    errs;
+  Suppress.filter table
+    (Diag.Collector.sort_emission
+       (Diag.Collector.all prog.Sema.diags @ errs @ check_diags))
 
 (** Check a parsed translation unit.  [into] lets callers pre-load
     interface libraries (see {!Libspec}) so the unit is checked modularly. *)
 let run_tunit ?(flags = Flags.default) ?into (tu : Ast.tunit) : result =
   let program = Sema.analyze ~flags ?into tu in
-  Checker.check_program program;
-  let table, errs = Suppress.of_pragmas program.Sema.p_pragmas in
-  List.iter (Diag.Collector.emit program.Sema.diags) errs;
-  let all = Diag.Collector.sorted program.Sema.diags in
-  let kept, suppressed = Suppress.filter table all in
-  { program; reports = kept; suppressed }
+  let reports, suppressed = finish program (Checker.check_program program) in
+  { program; reports; suppressed }
 
 (** Parse and check a source string. *)
 let run ?(flags = Flags.default) ?into ~file (src : string) : result =
@@ -45,16 +53,6 @@ let run ?(flags = Flags.default) ?into ~file (src : string) : result =
   in
   let tu = Parser.parse_string ~typedefs ~file src in
   run_tunit ~flags ?into tu
-
-(** Render diagnostics the way LCLint prints them. *)
-let render_reports (r : result) : string =
-  String.concat "\n" (List.map Diag.to_string r.reports)
-
-(** One-line-per-message view (primary lines only), useful in tests. *)
-let summaries (r : result) : string list =
-  List.map
-    (fun (d : Diag.t) -> Fmt.str "%a: %s" Loc.pp d.Diag.loc d.Diag.text)
-    r.reports
 
 let codes (r : result) : string list =
   List.map (fun (d : Diag.t) -> d.Diag.code) r.reports

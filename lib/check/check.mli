@@ -1,6 +1,7 @@
 (** Top-level checking API: parse (annotations included), extract
     interfaces, check every function body, apply stylized-comment
-    suppression.  Diagnostics come back in source order. *)
+    suppression.  Diagnostics come back in canonical emission order
+    (source position, then code), as the CLI prints them. *)
 
 module State = State
 module Sref = Sref
@@ -13,12 +14,19 @@ module Flags = Annot.Flags
 
 type result = {
   program : Sema.program;
-  reports : Cfront.Diag.t list;  (** kept diagnostics, source order *)
+  reports : Cfront.Diag.t list;  (** kept diagnostics, emission order *)
   suppressed : Cfront.Diag.t list;  (** silenced by stylized comments *)
 }
 
-val report_count : result -> int
-val by_code : result -> string -> Cfront.Diag.t list
+val finish :
+  Sema.program -> Cfront.Diag.t list -> Cfront.Diag.t list * Cfront.Diag.t list
+(** [finish prog check_diags] is the emission step every driver shares:
+    the frontend/sema messages in [prog.diags], the errors of the
+    suppression table built from [prog]'s pragmas, and [check_diags],
+    sorted with {!Cfront.Diag.Collector.sort_emission} and split into
+    (kept, suppressed).  The table's errors are counted in telemetry but
+    never added to [prog.diags], so a long-lived program can be
+    finished once per request. *)
 
 val run_tunit : ?flags:Flags.t -> ?into:Sema.program -> Cfront.Ast.tunit -> result
 (** Check a parsed translation unit.  [into] pre-loads interface libraries
@@ -26,12 +34,6 @@ val run_tunit : ?flags:Flags.t -> ?into:Sema.program -> Cfront.Ast.tunit -> resu
 
 val run : ?flags:Flags.t -> ?into:Sema.program -> file:string -> string -> result
 (** Parse and check a source string. *)
-
-val render_reports : result -> string
-(** LCLint-style rendering of the kept diagnostics. *)
-
-val summaries : result -> string list
-(** One primary line per message. *)
 
 val codes : result -> string list
 (** The diagnostic codes, in report order. *)

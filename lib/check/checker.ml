@@ -2873,7 +2873,9 @@ let rec exec env st (stmt : Ast.stmt) : Store.t =
             let f' = exec env f e in
             merge_reporting env ~loc t' f'
         | None -> merge_reporting env ~loc t' f)
-    | Ast.Swhile (c, body) -> exec_while env st ~loc c body
+    | Ast.Swhile (c, body) ->
+        (* [while (c) body] is [for (; c; ) body] *)
+        exec_for env st ~loc (Some c) None body
     | Ast.Sdo (body, c) -> exec_do env st ~loc body c
     | Ast.Sfor (init, cond, step, body) ->
         (* the initializer runs exactly once in either analysis mode *)
@@ -3012,10 +3014,6 @@ and exec_decl env ~loc st (d : Ast.decl) : Store.t =
 
 (* ---- loop dispatch ---- *)
 
-and exec_while env st ~loc c body =
-  if env.flags.Flags.loop_exec then exec_while_fixpoint env st ~loc c body
-  else exec_while_heuristic env st ~loc c body
-
 and exec_do env st ~loc body c =
   if env.flags.Flags.loop_exec then exec_do_fixpoint env st ~loc body c
   else exec_do_heuristic env st ~loc body c
@@ -3025,15 +3023,6 @@ and exec_for env st ~loc cond step body =
   else exec_for_heuristic env st ~loc cond step body
 
 (* ---- the paper's zero-or-one-times loop heuristic (default) ---- *)
-
-and exec_while_heuristic env st ~loc c body =
-  (* "The while loop is treated identically to an if statement —
-     there is no back edge" *)
-  push_breakable env;
-  let t, f = split_cond env st c in
-  let t' = exec env t body in
-  let breaks, continues = pop_breakable env in
-  merge_all env ~loc ((t' :: f :: breaks) @ continues)
 
 and exec_do_heuristic env st ~loc body c =
   (* the body executes at least once — a [do] body is not "zero or one
@@ -3046,6 +3035,8 @@ and exec_do_heuristic env st ~loc body c =
   merge_all env ~loc (f :: breaks)
 
 and exec_for_heuristic env st ~loc cond step body =
+  (* "The while loop is treated identically to an if statement —
+     there is no back edge" *)
   push_breakable env;
   let t, f =
     match cond with
@@ -3094,26 +3085,6 @@ and loop_fixpoint env st ~(round : env -> Store.t -> Store.t) :
     end
   in
   go (Store.collapse_deep ~depth:loop_depth_cap st) 0
-
-and exec_while_fixpoint env st ~loc c body =
-  let round shadow e =
-    push_breakable shadow;
-    let t, _ = split_cond shadow e c in
-    let bend = exec shadow t body in
-    let _, continues = pop_breakable shadow in
-    (* body end and continue paths re-test the condition *)
-    List.fold_left Store.widen bend continues
-  in
-  match loop_fixpoint env st ~round with
-  | `Bailout -> exec_while_heuristic env st ~loc c body
-  | `Converged e ->
-      push_breakable env;
-      let t, f = split_cond env e c in
-      (* reporting pass: the body-end state flows to the back edge,
-         which the converged entry store already covers *)
-      let (_ : Store.t) = exec env t body in
-      let breaks, _ = pop_breakable env in
-      merge_all env ~loc (f :: breaks)
 
 and exec_do_fixpoint env st ~loc body c =
   (* the converged store is the BODY entry: the first trip runs from the
@@ -3292,12 +3263,81 @@ let check_fundef ?diags ?exit_obs ?summaries (prog : Sema.program)
   end;
   ignore (pop_scope env)
 
-(** Check every function defined in the program.  Diagnostics accumulate in
-    [prog.diags]. *)
-let check_program (prog : Sema.program) : unit =
+(* ------------------------------------------------------------------ *)
+(* The task plan                                                       *)
+(* ------------------------------------------------------------------ *)
+
+type task =
+  | Proc of (Sema.funsig * Ast.fundef)
+  | File of (Sema.funsig * Ast.fundef) list
+
+let task_procs = function Proc def -> [ def ] | File defs -> defs
+
+(* A body that can register declarations ({!Ir.mutates_env}) may change
+   what a later body of its file sees, so such a file is one task, its
+   bodies checked in order against a private copy; every other
+   procedure reads the program in place.  A replaced body stands for
+   the results computed while it was current: if it could register
+   declarations, its file is re-checked whole too.  The rule depends
+   only on the program, never on who runs the tasks. *)
+let plan ?(replaced = []) (prog : Sema.program) defs : task array =
+  let mutates f = Ir.mutates_env f in
+  let file_of (f : Ast.fundef) = f.Ast.f_loc.Loc.file in
+  let old_bodies = Hashtbl.create 4 in
+  List.iter (fun f -> Hashtbl.add old_bodies (file_of f) f) replaced;
+  let whole = Hashtbl.create 16 in
+  (* filled in place rather than concatenated from per-procedure
+     lists, so planning a large program allocates little besides one
+     block per task *)
+  let tasks = Array.make (List.length defs) (File []) in
+  let n = ref 0 in
+  let add task =
+    tasks.(!n) <- task;
+    incr n
+  in
+  List.iter
+    (fun ((_, f) as def) ->
+      let file = file_of f in
+      match Hashtbl.find_opt whole file with
+      | Some true -> ()
+      | Some false -> add (Proc def)
+      | None ->
+          let file_defs = Sema.fundefs_in prog file in
+          let w =
+            List.exists mutates (Hashtbl.find_all old_bodies file)
+            || List.exists (fun (_, f) -> mutates f) file_defs
+          in
+          Hashtbl.add whole file w;
+          add (if w then File file_defs else Proc def))
+    defs;
+  Array.sub tasks 0 !n
+
+let check_task ?summaries (prog : Sema.program) = function
+  | Proc (fs, f) ->
+      let diags = Diag.Collector.create () in
+      check_fundef ~diags ?summaries prog fs f;
+      [ Diag.Collector.all diags ]
+  | File defs ->
+      (* the copy's own collector receives what the checker and sema
+         report for each body; it is read back into that body's result *)
+      let local = Sema.copy_for_check prog in
+      List.map
+        (fun (fs, f) ->
+          check_fundef ?summaries local fs f;
+          let diags = Diag.Collector.all local.Sema.diags in
+          Diag.Collector.clear local.Sema.diags;
+          diags)
+        defs
+
+let check_program ?(map = fun n f -> Array.init n f) (prog : Sema.program) =
+  let tasks = plan prog (Sema.fundefs prog) in
+  (* [+xproc]: the SCC fixpoint is sequential (callees before callers);
+     solving it before any task leaves every task reading the finished
+     table, so no schedule changes a summary *)
   let summaries =
     if prog.Sema.flags.Flags.xproc then Some (Summary.of_program prog)
     else None
   in
-  List.iter (fun (fs, f) -> check_fundef ?summaries prog fs f)
-    (Sema.fundefs prog)
+  map (Array.length tasks) (fun i ->
+      List.concat (check_task ?summaries prog tasks.(i)))
+  |> Array.to_list |> List.concat

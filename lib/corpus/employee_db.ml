@@ -550,12 +550,10 @@ let check ?(flags = Annot.Flags.default) (n : int) : Check.result =
       let tu = Cfront.Parser.parse_string ~typedefs ~file:f.name f.text in
       ignore (Sema.analyze ~flags ~into:prog tu))
     files;
-  Check.Checker.check_program prog;
-  let table, errs = Check.Suppress.of_pragmas prog.Sema.p_pragmas in
-  List.iter (Cfront.Diag.Collector.emit prog.Sema.diags) errs;
-  let all = Cfront.Diag.Collector.sorted prog.Sema.diags in
-  let kept, suppressed = Check.Suppress.filter table all in
-  { Check.program = prog; reports = kept; suppressed }
+  let reports, suppressed =
+    Check.finish prog (Check.Checker.check_program prog)
+  in
+  { Check.program = prog; reports; suppressed }
 
 (** Anomaly counts per category for one stage, under the paper's
     expository flags ([-allimponly]). *)

@@ -44,11 +44,13 @@
       re-checks exactly the edited function and the functions that call
       it.
 
-    Checking runs on the {!Parcheck.map_tasks} pool, grouped by file.
-    A miss in a file with a body that can register block-scope
-    declarations re-checks that whole file, in order, against a
-    {!Sema.copy_for_check} copy, and every other file reads the
-    environment in place -- the cold driver's rule -- so results are
+    The misses are checked through {!Check.Checker.plan}, the plan the
+    cold drivers run, on the {!Parcheck.map_tasks} pool: a miss in a
+    file with a body that can register block-scope declarations (or
+    whose swapped-out body could) re-checks that whole file, in order,
+    against a {!Sema.copy_for_check} copy, and every other miss reads
+    the environment in place.  The answer is assembled by
+    {!Check.finish}, the cold drivers' emission step, so it is
     byte-identical to a cold [olclint] run at every [-j]. *)
 
 module Ast = Cfront.Ast
@@ -112,10 +114,6 @@ type t = {
       (** function → effect-summary hash; brought up to date at the top
           of every revalidation when [+xproc] is on, empty otherwise *)
   mutable typeenv_hash : string;
-  mutable mutating_files : (string, unit) Hashtbl.t;
-      (** defining files with a body that can register block-scope
-          declarations ({!Ir.mutates_env}); found afresh for every new
-          environment and only ever grown by a Patched body *)
   mutable gen : int;
   persisted : (string, string * string * Diag.t list) Hashtbl.t;
       (** content key → (file, fn, diagnostics) *)
@@ -144,7 +142,6 @@ let create ?(flags = Flags.default) ?(no_stdlib = false) ?(load_libs = [])
     summaries = None;
     summary_hashes = Hashtbl.create 256;
     typeenv_hash = "";
-    mutating_files = Hashtbl.create 16;
     gen = 0;
     persisted = Hashtbl.create 64;
     n_hits = 0;
@@ -228,7 +225,7 @@ let callee_summary_hash t name =
   match Hashtbl.find_opt t.summary_hashes name with Some h -> h | None -> "?"
 
 let cache_kind = "summary-cache"
-let cache_version = 3
+let cache_version = 4
 
 (* The function's own funsig hash: the current generation's, or derived
    afresh for a function the table does not know. *)
@@ -365,13 +362,6 @@ let commit_env t ~flags ~canon env base_pragmas new_files docs =
      while the new one is built *)
   t.summaries <- None;
   t.typeenv_hash <- typeenv_fingerprint env;
-  let mutating = Hashtbl.create 16 in
-  List.iter
-    (fun ((fs : Sema.funsig), fd) ->
-      if Ir.mutates_env fd then
-        Hashtbl.replace mutating fs.Sema.fs_loc.Loc.file ())
-    (Sema.fundefs env);
-  t.mutating_files <- mutating;
   t.gen <- t.gen + 1
 
 (* ------------------------------------------------------------------ *)
@@ -446,15 +436,17 @@ let update_summaries t env ~patched =
 
 (* Validate every function of the environment against the cache (on
    the Patched fast path, only the swapped-in bodies); adopt persisted
-   results by content key; re-check the rest on the checking pool,
-   grouped by file exactly like the cold driver; bring [t.order] up to
-   date.  Returns (hits, misses, rechecked). *)
+   results by content key; re-check the rest through the cold drivers'
+   plan on the checking pool; bring [t.order] up to date.  [patched]
+   holds the (old, new) bodies a Patched request swapped.  Returns
+   (hits, misses, rechecked). *)
 let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
   (* summaries first: validation below compares cached callee-summary
      hashes against them, so a callee body edit that changes the
      callee's derived effects (with an unchanged declared signature)
      invalidates its cached callers *)
-  let summaries, moved = update_summaries t env ~patched in
+  let dirty = Option.map (List.map snd) patched in
+  let summaries, moved = update_summaries t env ~patched:dirty in
   let all_pairs = Sema.fundefs env in
   (* a Patched request whose summaries did not move dropped exactly the
      entries of the bodies it swapped in; every other function keeps its
@@ -462,7 +454,7 @@ let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
      the Clean tier relies on), so only those bodies, found with their
      positions, need validating *)
   let slots =
-    match patched with
+    match dirty with
     | Some dirty when not moved ->
         let rec find i = function
           | [] -> []
@@ -478,10 +470,13 @@ let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
   in
   let hits = ref (List.length all_pairs - List.length pairs)
   and misses = ref 0 in
+  (* the bodies the dropped results were computed with *)
+  let replaced =
+    ref (match patched with Some p -> List.map fst p | None -> [])
+  in
   let miss_list =
-    List.filter_map
+    List.filter
       (fun ((fs : Sema.funsig), fd) ->
-        let id = fn_id fs in
         (* current-generation entries skip full validation, but not the
            summary comparison when a summary moved: a Patched-tier body
            edit leaves the generation alone yet can change a callee's
@@ -494,18 +489,21 @@ let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
                (fun (c, h) -> String.equal h (callee_summary_hash t c))
                e.fn_callee_sums
         in
-        match Hashtbl.find_opt t.fns id with
+        match Hashtbl.find_opt t.fns (fn_id fs) with
         | Some e when e.fn_gen = t.gen && sums_current e ->
             incr hits;
-            None
+            false
         | Some e when entry_valid t e fs fd ->
             e.fn_gen <- t.gen;
             e.fn_fd <- fd;
             incr hits;
-            None
-        | _ ->
+            false
+        | old ->
+            (match old with
+            | Some e when e.fn_fd != fd -> replaced := e.fn_fd :: !replaced
+            | _ -> ());
             incr misses;
-            Some (id, fs, fd))
+            true)
       pairs
   in
   (* a miss whose content key is in the persisted cache adopts the
@@ -513,98 +511,52 @@ let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
   let to_check =
     if Hashtbl.length t.persisted = 0 then miss_list
     else
-      List.filter_map
-        (fun ((id, fs, fd) as m) ->
+      List.filter
+        (fun (fs, fd) ->
           match Hashtbl.find_opt t.persisted (full_key t fs fd) with
           | Some (_, _, diags) ->
-              Hashtbl.replace t.fns id (make_entry t fs fd diags);
+              Hashtbl.replace t.fns (fn_id fs) (make_entry t fs fd diags);
               incr hits;
               decr misses;
-              None
-          | None -> Some m)
+              false
+          | None -> true)
         miss_list
   in
-  (* group by file, preserving definition order, like [Parcheck] *)
-  let tbl = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun (id, fs, fd) ->
-      let file = fst id in
-      match Hashtbl.find_opt tbl file with
-      | Some cell -> cell := (id, fs, fd) :: !cell
-      | None ->
-          Hashtbl.add tbl file (ref [ (id, fs, fd) ]);
-          order := file :: !order)
-    to_check;
-  (* a miss in a file with a body that can register block-scope
-     declarations re-checks the whole file, in order, like the cold
-     driver's [File] task: a sibling's result can depend on a type an
-     earlier body registers *)
-  let whole = List.filter (Hashtbl.mem t.mutating_files) !order in
-  if whole <> [] then begin
-    List.iter (fun file -> Hashtbl.replace tbl file (ref [])) whole;
-    List.iter
-      (fun ((fs : Sema.funsig), fd) ->
-        let id = fn_id fs in
-        if Hashtbl.mem t.mutating_files (fst id) then
-          Option.iter
-            (fun cell -> cell := (id, fs, fd) :: !cell)
-            (Hashtbl.find_opt tbl (fst id)))
-      all_pairs
-  end;
-  let garr =
-    Array.of_list
-      (List.rev_map (fun file -> List.rev !(Hashtbl.find tbl file)) !order)
-  in
+  let tasks = Check.Checker.plan ~replaced:!replaced env to_check in
+  (* the persistent environment stays pristine: [Proc] tasks only read
+     it, and a [File] task writes its own copy *)
   let results =
-    Parcheck.map_tasks ~jobs (Array.length garr) (fun ~par:_ i ->
-        (* the persistent environment must stay pristine across
-           requests.  As in the cold driver, a file with any body that
-           can register block-scope declarations (grown to the whole
-           file above) checks against its own copy.  Every other file
-           reads the environment in place, which is byte-identical to
-           reading a copy. *)
-        let local =
-          match garr.(i) with
-          | ((file, _), _, _) :: _ when Hashtbl.mem t.mutating_files file ->
-              Sema.copy_for_check env
-          | _ -> env
-        in
-        List.map
-          (fun (_, fs, fd) ->
-            let coll = Diag.Collector.create () in
-            Check.Checker.check_fundef ~diags:coll ?summaries local fs fd;
-            Diag.Collector.all coll)
-          garr.(i))
+    Parcheck.map_tasks ~jobs (Array.length tasks) (fun ~par:_ i ->
+        Check.Checker.check_task ?summaries env tasks.(i))
   in
   let rechecked = ref 0 in
   Array.iteri
     (fun i diag_lists ->
       List.iter2
-        (fun (id, fs, fd) diags ->
+        (fun (fs, fd) diags ->
           incr rechecked;
-          Hashtbl.replace t.fns id (make_entry t fs fd diags))
-        garr.(i) diag_lists)
+          Hashtbl.replace t.fns (fn_id fs) (make_entry t fs fd diags))
+        (Check.Checker.task_procs tasks.(i))
+        diag_lists)
     results;
-  (* every function now has its current entry in [t.fns] *)
+  (* every function now has its current entry in [t.fns]; a whole-file
+     task also replaced entries outside [slots] *)
   let entry (fs : Sema.funsig) = Hashtbl.find t.fns (fn_id fs) in
+  let whole =
+    Array.exists (function Check.Checker.File _ -> true | _ -> false) tasks
+  in
   (match slots with
-  | Some s when whole = [] ->
+  | Some s when not whole ->
       List.iter (fun (i, (fs, _)) -> t.order.(i) <- entry fs) s
   | _ ->
       t.order <- Array.of_list (List.map (fun (fs, _) -> entry fs) all_pairs));
   (!hits, !misses, !rechecked)
 
-(* Assemble the request's diagnostics exactly like the cold CLI:
-   frontend/sema messages, suppression-table errors, then the cached
-   per-function results in definition order, sorted into canonical
-   emission order and split by the suppression table. *)
+(* The request's answer: the cached per-function results in definition
+   order through the cold drivers' emission step. *)
 let assemble t (env : Sema.program) =
-  let frontend = Diag.Collector.all env.Sema.diags in
-  let table, errs = Check.Suppress.of_pragmas env.Sema.p_pragmas in
-  let checkd = Array.fold_right (fun e acc -> e.fn_diags @ acc) t.order [] in
-  let all = Diag.Collector.sort_emission (frontend @ errs @ checkd) in
-  Check.Suppress.filter table all
+  Check.finish env
+    (Array.fold_right (fun e acc -> e.fn_diags @ acc) t.order [])
 
 (* ------------------------------------------------------------------ *)
 (* The check request                                                   *)
@@ -620,8 +572,8 @@ let rebuild_pragmas t =
       t.doc_order
 
 (* Decide how to bring the environment up to date with [docs]; returns
-   the tier and, for Patched, the definitions whose bodies were swapped
-   in.  Raises [Diag.Fatal] before committing any state. *)
+   the tier and, for Patched, the (old, new) definitions whose bodies
+   were swapped.  Raises [Diag.Fatal] before committing any state. *)
 let update t ~flags ~canon docs =
   let structure_changed =
     t.env = None
@@ -686,10 +638,7 @@ let update t ~flags ~canon docs =
                   when not (Ast.equal_fundef ofd nfd) ->
                     (* dirty body: swap the AST in place, drop the entry *)
                     ignore (Sema.patch_fundef env nfd);
-                    patched := nfd :: !patched;
-                    if Ir.mutates_env nfd then
-                      Hashtbl.replace t.mutating_files
-                        nfd.Ast.f_loc.Loc.file ();
+                    patched := (ofd, nfd) :: !patched;
                     let id = (d.doc_name, nfd.Ast.f_name) in
                     if Hashtbl.mem t.fns id then begin
                       Hashtbl.remove t.fns id;

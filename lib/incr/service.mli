@@ -18,13 +18,14 @@
       function, and a funsig change re-checks the function plus its
       annotation-dependent callers, and nothing else.
 
-    Checking runs on the {!Parcheck.map_tasks} domain pool (misses are
-    grouped by file; a miss in a file with a body that can mutate the
-    environment re-checks that whole file, in order, against its own
-    {!Sema.copy_for_check}, the rest read it in place, as in the cold
-    driver), so re-check diagnostics are
-    byte-identical for every [jobs] value — and, by construction of the
-    cache, to a cold run.
+    The misses are checked through {!Check.Checker.plan}, the task plan
+    the cold drivers run, on the {!Parcheck.map_tasks} domain pool (a
+    miss in a file with a body that can mutate the environment
+    re-checks that whole file, in order, against its own
+    {!Sema.copy_for_check}; the rest read it in place), and every answer
+    goes through {!Check.finish}, the cold drivers' emission step.  So
+    re-check diagnostics are byte-identical for every [jobs] value —
+    and, by construction of the cache, to a cold run.
 
     Persistence: {!save}/{!load} write and read the summary cache as a
     versioned, hash-stamped artifact (the {!Check.Libspec} framing); a

@@ -13,8 +13,9 @@
     are stripped during lowering, [Sskip] disappears, and a [switch]
     body is pre-segmented into its case arms.
 
-    {!mutates_env} lives here too: it is the syntactic scan the parallel
-    driver uses to decide which procedures may share the program. *)
+    {!mutates_env} lives here too: it is the syntactic scan the task plan
+    ([Check.Checker.plan]) uses to decide which procedures may share
+    the program. *)
 
 type block = int
 (** Index into {!proc.p_blocks}. *)
@@ -59,11 +60,11 @@ val mutates_env : Cfront.Ast.fundef -> bool
     list, an [enum] item list, or an anonymous tag (they reach the
     mutating paths of [Sema.resolve_ty]).  A block-scope [typedef] also
     lets later bodies of the same file name a type the program lacks,
-    which the checker reports into the program's diagnostics, so the
-    answer is meaningful per file: the parallel driver and the
-    incremental service check every file with such a body against a
-    private {!Sema.copy_for_check} and share the program read-only for
-    every other file. *)
+    which sema reports while the checker runs, so the answer is
+    meaningful per file.  Its one caller is [Check.Checker.plan], the
+    task plan every driver runs: a file with such a body is checked
+    whole against a private {!Sema.copy_for_check}, and every other
+    procedure shares the program read-only. *)
 
 val instr_count : proc -> int
 (** Total instructions across all blocks. *)

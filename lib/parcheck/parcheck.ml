@@ -1,14 +1,9 @@
 (** Parallel checking driver (see parcheck.mli for the contract).
 
-    The unit of work is one {e procedure}: checking a procedure whose
-    body cannot mutate the shared program environment ({!Ir.mutates_env})
-    reads the post-sema program strictly read-only, so those tasks run
-    against the original program shared across domains — no
-    {!Sema.copy_for_check} per task.  The few procedures that {e can}
-    mutate the environment (block-scope [typedef]/[extern], inline
-    tag-registering types) keep the old granularity: their whole file is
-    one task checked against a private copy, at every [jobs] value, so
-    within-file symbol visibility matches the previous driver exactly.
+    The tasks are {!Check.Checker.plan}'s, the same ones every driver
+    runs: a procedure that cannot mutate the program environment reads
+    the program shared across domains, and a file holding one that can
+    is one task against a private copy.
 
     Scheduling is work-stealing: every task has an [Atomic] claim flag,
     each worker owns a contiguous range of the task array and drains it
@@ -25,7 +20,6 @@
     [Sref] intern tables) alive. *)
 
 module Diag = Cfront.Diag
-module Flags = Annot.Flags
 
 let default_jobs () = Domain.recommended_domain_count ()
 
@@ -233,75 +227,10 @@ let map_tasks ?(oversubscribe = false) ~jobs (n : int)
 (* Program checking                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Group (funsig, fundef) pairs by defining file, preserving the source
-   order of files and of procedures within a file. *)
-let tasks_of_program (prog : Sema.program) :
-    (string * (Sema.funsig * Cfront.Ast.fundef) list) array =
-  let tbl : (string, (Sema.funsig * Cfront.Ast.fundef) list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let order = ref [] in
-  List.iter
-    (fun ((fs : Sema.funsig), _ as pair) ->
-      let file = fs.Sema.fs_loc.Cfront.Loc.file in
-      match Hashtbl.find_opt tbl file with
-      | Some cell -> cell := pair :: !cell
-      | None ->
-          Hashtbl.add tbl file (ref [ pair ]);
-          order := file :: !order)
-    (Sema.fundefs prog);
-  Array.of_list
-    (List.rev_map
-       (fun file -> (file, List.rev !(Hashtbl.find tbl file)))
-       !order)
-
-type check_task =
-  | Proc of Sema.funsig * Cfront.Ast.fundef
-      (** shares the program read-only across domains *)
-  | File of (Sema.funsig * Cfront.Ast.fundef) list
-      (** checked in order against a private {!Sema.copy_for_check} *)
-
-(* A file whose procedures can mutate the environment stays one task
-   (private copy, old granularity and old within-file visibility);
-   everything else fans out per procedure.  The rule depends only on the
-   input program — never on [jobs] — so every [-j] value schedules the
-   same task list. *)
-let check_tasks (prog : Sema.program) : check_task array =
-  tasks_of_program prog |> Array.to_list
-  |> List.concat_map (fun (_file, fds) ->
-         if List.exists (fun (_, f) -> Ir.mutates_env f) fds then [ File fds ]
-         else List.map (fun (fs, f) -> Proc (fs, f)) fds)
-  |> Array.of_list
-
-let task_count (prog : Sema.program) : int = Array.length (check_tasks prog)
+let task_count (prog : Sema.program) : int =
+  Array.length (Check.Checker.plan prog (Sema.fundefs prog))
 
 let check_program ?(jobs = 1) (prog : Sema.program) : Diag.t list =
-  let tasks = check_tasks prog in
-  (* [+xproc]: derive the effect-summary table bottom-up over the call
-     graph BEFORE fanning out — the SCC fixpoint is inherently
-     sequential (callees before callers), and precomputing it leaves the
-     per-procedure tasks reading the finished table strictly read-only,
-     so the work-stealing schedule stays free to run procedures in any
-     order while every [-j] value consults identical summaries. *)
-  let summaries =
-    if prog.Sema.flags.Flags.xproc then Some (Summary.of_program prog)
-    else None
-  in
-  let run_task ~par:_ i =
-    let coll = Diag.Collector.create () in
-    (match tasks.(i) with
-    | Proc (fs, f) ->
-        Check.Checker.check_fundef ~diags:coll ?summaries prog fs f
-    | File fds ->
-        (* the copy guards the shared tables against this task's own
-           mutations (concurrent or not: [-j 1] takes the same path so
-           diagnostics cannot depend on the job count) *)
-        let local = Sema.copy_for_check prog in
-        List.iter
-          (fun (fs, f) ->
-            Check.Checker.check_fundef ~diags:coll ?summaries local fs f)
-          fds);
-    Diag.Collector.all coll
-  in
-  let results = map_tasks ~jobs (Array.length tasks) run_task in
-  List.concat (Array.to_list results)
+  Check.Checker.check_program
+    ~map:(fun n f -> map_tasks ~jobs n (fun ~par:_ i -> f i))
+    prog

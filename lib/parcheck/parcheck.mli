@@ -1,12 +1,11 @@
 (** Parallel checking driver: run the per-procedure checker over a
     program on a pool of OCaml 5 domains ([olclint -j N]).
 
-    Work is partitioned per {e procedure}: tasks whose body cannot
-    mutate the shared program environment ({!Ir.mutates_env}) check
-    against the original post-sema program, shared read-only across
-    domains; files containing environment-mutating procedures remain
-    file-granular tasks against a private {!Sema.copy_for_check}.
-    Tasks are scheduled by work-stealing (per-task atomic claim flags
+    The tasks are {!Check.Checker.plan}'s, the one plan every driver
+    runs: a procedure whose body cannot mutate the program environment
+    checks against the post-sema program, shared read-only across
+    domains; a file holding one that can is one task against a private
+    {!Sema.copy_for_check}.  Tasks are scheduled by work-stealing (per-task atomic claim flags
     over contiguous per-worker ranges) on a process-wide pool of warm
     worker domains that is reused across runs; each worker records
     telemetry locally and the recordings are merged back
@@ -18,7 +17,8 @@
     (immutable or privately copied) program, and results are
     concatenated in task order regardless of which domain ran what.
     [jobs = 1] runs the same per-task code on the calling domain
-    without spawning anything. *)
+    without spawning anything, exactly as {!Check.Checker.check_program}
+    does. *)
 
 val default_jobs : unit -> int
 (** {!Domain.recommended_domain_count} — what [-j 0] resolves to. *)
@@ -46,16 +46,14 @@ val map_tasks :
     server. *)
 
 val task_count : Sema.program -> int
-(** Number of scheduler tasks [check_program] would create for this
-    program: one per procedure, except that each file containing an
+(** Number of tasks {!Check.Checker.plan} makes for this program: one
+    per procedure, except that each file containing an
     environment-mutating procedure collapses into a single task
     (benchmark reporting). *)
 
 val check_program : ?jobs:int -> Sema.program -> Cfront.Diag.t list
-(** Check every procedure of the program with at most [jobs] (default 1)
-    concurrent domains and return the checker's diagnostics in
-    deterministic order: by file in first-definition order, then by
-    definition and emission order within the file.  Frontend/sema
-    diagnostics already collected in the program are untouched (still in
-    [prog.diags]); combine and sort with
-    {!Cfront.Diag.Collector.sort_emission} for final output. *)
+(** {!Check.Checker.check_program} on at most [jobs] (default 1)
+    concurrent domains: the same diagnostics in the same order for
+    every [jobs] value.  Frontend/sema diagnostics already collected in
+    the program are untouched (still in [prog.diags]); {!Check.finish}
+    combines, sorts and splits them for output. *)

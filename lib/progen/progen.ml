@@ -626,12 +626,10 @@ let analyse ?(flags = Annot.Flags.default) (p : program) : Sema.program =
 let static_check ?(flags = Annot.Flags.default) (p : program) :
     Check.result =
   let prog = analyse ~flags p in
-  Check.Checker.check_program prog;
-  let table, errs = Check.Suppress.of_pragmas prog.Sema.p_pragmas in
-  List.iter (Cfront.Diag.Collector.emit prog.Sema.diags) errs;
-  let all = Cfront.Diag.Collector.sorted prog.Sema.diags in
-  let kept, suppressed = Check.Suppress.filter table all in
-  { Check.program = prog; reports = kept; suppressed }
+  let reports, suppressed =
+    Check.finish prog (Check.Checker.check_program prog)
+  in
+  { Check.program = prog; reports; suppressed }
 
 (** Run a generated program under the run-time checker.  [max_steps]
     bounds execution (the fuzzer's [-timeout-steps]); [oom_fail] forces

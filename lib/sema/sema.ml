@@ -92,8 +92,11 @@ type program = {
   mutable p_fundefs_rev : fundef_slot list;
       (** reversed; use {!fundefs} for source order *)
   mutable p_fundef_index : (string, fundef_slot list) Hashtbl.t option;
-      (** the slots by name; built by the first write, dropped when a
-          definition is added *)
+      (** the slots by name; built by the first [update_funsig], dropped
+          when a definition is added *)
+  mutable p_file_index : (string, fundef_slot list) Hashtbl.t option;
+      (** the slots by defining file; built by the first [fundefs_in] or
+          [patch_fundef], dropped when a definition is added *)
   mutable p_struct_order_rev : string list;
   mutable p_typedef_order_rev : string list;
   mutable p_global_order_rev : string list;
@@ -114,6 +117,7 @@ let create_program ?(flags = Flags.default) ~file () =
     p_globals = Hashtbl.create 32;
     p_fundefs_rev = [];
     p_fundef_index = None;
+    p_file_index = None;
     p_struct_order_rev = [];
     p_typedef_order_rev = [];
     p_global_order_rev = [];
@@ -542,7 +546,8 @@ let process_fundef p (f : Ast.fundef) =
   add_funsig p fs;
   let fs = Hashtbl.find p.p_funcs f.f_name in
   p.p_fundefs_rev <- { sl_pair = (fs, f) } :: p.p_fundefs_rev;
-  p.p_fundef_index <- None
+  p.p_fundef_index <- None;
+  p.p_file_index <- None
 
 (** Analyze a translation unit, extending [into] if given (multi-file
     checking shares one program environment, as LCLint does with interface
@@ -597,6 +602,7 @@ let copy_for_check p =
     p_fundefs_rev =
       List.map (fun sl -> { sl_pair = sl.sl_pair }) p.p_fundefs_rev;
     p_fundef_index = None;
+    p_file_index = None;
     diags = Diag.Collector.create ();
   }
 
@@ -607,6 +613,18 @@ let typedef_order p = List.rev p.p_typedef_order_rev
 let global_order p = List.rev p.p_global_order_rev
 let func_order p = List.rev p.p_func_order_rev
 
+(* The slots grouped by [key], each group in definition order. *)
+let index_slots p ~size key =
+  let index = Hashtbl.create size in
+  List.iter
+    (fun sl ->
+      let k = key sl.sl_pair in
+      match Hashtbl.find index k with
+      | group -> Hashtbl.replace index k (sl :: group)
+      | exception Not_found -> Hashtbl.add index k [ sl ])
+    p.p_fundefs_rev;
+  index
+
 (* The slots of the definitions named [name].  A slot's name never
    changes: [update_funsig] writes only a signature of the same name. *)
 let slots_named p name =
@@ -614,17 +632,32 @@ let slots_named p name =
     match p.p_fundef_index with
     | Some index -> index
     | None ->
-        let index = Hashtbl.create (2 * List.length p.p_fundefs_rev) in
-        List.iter
-          (fun sl ->
-            let n = (fst sl.sl_pair).fs_name in
-            Hashtbl.replace index n
-              (sl :: Option.value (Hashtbl.find_opt index n) ~default:[]))
-          p.p_fundefs_rev;
+        let index =
+          index_slots p ~size:(2 * List.length p.p_fundefs_rev)
+            (fun (fs, _) -> fs.fs_name)
+        in
         p.p_fundef_index <- Some index;
         index
   in
   Option.value (Hashtbl.find_opt index name) ~default:[]
+
+(* The slots of the definitions whose body lies in [file].  A slot's
+   defining file never changes either: [patch_fundef] swaps in a body of
+   the same file. *)
+let slots_in p file =
+  let index =
+    match p.p_file_index with
+    | Some index -> index
+    | None ->
+        let index =
+          index_slots p ~size:16 (fun (_, f) -> f.Ast.f_loc.Loc.file)
+        in
+        p.p_file_index <- Some index;
+        index
+  in
+  Option.value (Hashtbl.find_opt index file) ~default:[]
+
+let fundefs_in p file = List.map (fun sl -> sl.sl_pair) (slots_in p file)
 
 (** Replace a function's signature everywhere the program holds one: the
     symbol table AND the (funsig, fundef) pairs captured at definition time.
@@ -649,13 +682,16 @@ let patch_fundef p (f : Ast.fundef) : bool =
   List.fold_left
     (fun hit sl ->
       let fs, _ = sl.sl_pair in
-      if String.equal fs.fs_loc.Loc.file f.Ast.f_loc.Loc.file then begin
+      if
+        String.equal fs.fs_name f.Ast.f_name
+        && String.equal fs.fs_loc.Loc.file f.Ast.f_loc.Loc.file
+      then begin
         sl.sl_pair <- (fs, f);
         true
       end
       else hit)
     false
-    (slots_named p f.Ast.f_name)
+    (slots_in p f.Ast.f_loc.Loc.file)
 
 (* ------------------------------------------------------------------ *)
 (* Direct calls (call-graph support)                                   *)

@@ -89,6 +89,7 @@ type program = {
   p_globals : (string, globalvar) Hashtbl.t;
   mutable p_fundefs_rev : fundef_slot list;
   mutable p_fundef_index : (string, fundef_slot list) Hashtbl.t option;
+  mutable p_file_index : (string, fundef_slot list) Hashtbl.t option;
   mutable p_struct_order_rev : string list;
   mutable p_typedef_order_rev : string list;
   mutable p_global_order_rev : string list;
@@ -147,6 +148,12 @@ val analyze_spec_string :
 (** Source-order views of the accumulators. *)
 
 val fundefs : program -> (funsig * Cfront.Ast.fundef) list
+
+val fundefs_in : program -> string -> (funsig * Cfront.Ast.fundef) list
+(** The definitions whose body lies in the named file, in definition
+    order.  The first call (or {!patch_fundef}) after a definition was
+    added builds an index by file (linear in the number of definitions,
+    once); every further call costs O(definitions in that file). *)
 val struct_order : program -> string list
 val typedef_order : program -> string list
 val global_order : program -> string list
@@ -160,7 +167,7 @@ val update_funsig : program -> funsig -> unit
     with, even after a later redeclaration merged into the table.
 
     Cost: the pairs are found through a name index built by the first
-    {!update_funsig} or {!patch_fundef} after a definition was added
+    {!update_funsig} after a definition was added
     (linear in the number of definitions, once); every further call
     costs O(definitions with that name), whatever the program's size. *)
 
@@ -172,7 +179,8 @@ val patch_fundef : program -> Cfront.Ast.fundef -> bool
     position).  Matches by (definition file, name), so of two [static]
     functions of one name only the named file's is swapped; [false] when
     the definition is unknown.  The caller must have verified interface
-    identity.  Same cost as {!update_funsig}. *)
+    identity.  Found through the index {!fundefs_in} uses: O(definitions
+    in that file) once the index is built. *)
 
 val calls_of_fundef : Cfront.Ast.fundef -> string list
 (** Names in direct-call position anywhere in the body, first-occurrence

@@ -132,12 +132,7 @@ let static_reports ~flags src ~file : Cfront.Diag.t list =
   in
   let tu = Cfront.Parser.parse_string ~typedefs ~file src in
   ignore (Sema.analyze ~flags ~into:prog tu);
-  Check.Checker.check_program prog;
-  let table, errs = Check.Suppress.of_pragmas prog.Sema.p_pragmas in
-  List.iter (Cfront.Diag.Collector.emit prog.Sema.diags) errs;
-  let all = Cfront.Diag.Collector.sorted prog.Sema.diags in
-  let kept, _suppressed = Check.Suppress.filter table all in
-  kept
+  fst (Check.finish prog (Check.Checker.check_program prog))
 
 let run_task ?(flags = Annot.Flags.default) (t : task) : scored =
   match read_file t.t_file with

@@ -596,6 +596,34 @@ numbers=(zero one two three four five six seven eight nine ten eleven twelve
 nlibs=$(wc -l < "$tmp/libs.actual")
 grep -q "repository is ${numbers[$nlibs]:-$nlibs} libraries under" "$DOCS/architecture.md" \
   || fail "docs/architecture.md should say the repository is ${numbers[$nlibs]:-$nlibs} libraries"
+# ... and the number of alcotest suites in test/dune's (names ...) stanza
+nsuites=$(sed -n '/(names/,/)/p' "$(dirname "$0")/dune" | tr -d '()' \
+  | sed 's/names//' | wc -w)
+[ "$nsuites" -gt 0 ] || fail "no suite names found in test/dune"
+grep -q "${numbers[$nsuites]:-$nsuites} alcotest suites" "$DOCS/architecture.md" \
+  || fail "docs/architecture.md should say test/ holds ${numbers[$nsuites]:-$nsuites} alcotest suites"
+
+# --- what sema reports while a body is checked, at every -j --------------
+# a block-scope redeclaration, and a type name only a closed block
+# declared: the same lines Stdspec.check (the library path) reports
+cat > "$tmp/redecl.c" <<'EOF'
+int g(int x);
+void f(void) { extern char *g(void); }
+EOF
+cat > "$tmp/blocktype.c" <<'EOF'
+int a(void) { return 0; { typedef char *T; } }
+int b(void) { T p = 0; return 1; }
+EOF
+for j in 1 2; do
+  "$OLCLINT" -j "$j" "$tmp/redecl.c" > "$tmp/out" 2>&1
+  expect_contains "$tmp/out" "redecl.c:2,28: function 'g' redeclared with 0 parameters (was 1)" \
+    "-j $j reports the block-scope redeclaration"
+  expect_contains "$tmp/out" "1 code warning" "-j $j redeclaration summary"
+  "$OLCLINT" -j "$j" "$tmp/blocktype.c" > "$tmp/out" 2>&1
+  expect_contains "$tmp/out" "blocktype.c:2,17: unknown type name 'T'" \
+    "-j $j reports the type name a closed block declared"
+  expect_contains "$tmp/out" "1 code warning" "-j $j unknown type summary"
+done
 
 # --- interprocedural summaries: --dump-summaries and +xproc ------------------
 cat > "$tmp/xp.c" <<'EOF'

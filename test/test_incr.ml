@@ -91,12 +91,7 @@ let direct ?(flags = flags) files =
       let tu = Cfront.Parser.parse_string ~typedefs ~file:name text in
       ignore (Sema.analyze ~flags ~into:env tu))
     files;
-  Check.Checker.check_program env;
-  let table, errs = Check.Suppress.of_pragmas env.Sema.p_pragmas in
-  let all =
-    Diag.Collector.sort_emission (Diag.Collector.all env.Sema.diags @ errs)
-  in
-  let kept, suppressed = Check.Suppress.filter table all in
+  let kept, suppressed = Check.finish env (Check.Checker.check_program env) in
   List.map Diag.to_string kept
   @ List.map (fun d -> "sup:" ^ Diag.to_string d) suppressed
 
@@ -524,6 +519,81 @@ let test_mutating_file_rechecked_whole () =
       Alcotest.(check (list string)) ("same as cold, " ^ what) cold (render oc))
     [ 1; 4 ]
 
+(* What sema reports while a body is checked -- a block-scope
+   redeclaration, a type name only a closed block declared -- goes to
+   the collector of the file's private copy.  It joins the result of
+   the body being checked, so the cold and patched answers print what
+   [Stdspec.check] prints, once, at every [-j]. *)
+let test_sema_diags_while_checking () =
+  let first_lines oc =
+    List.map (fun d -> List.hd (String.split_on_char '\n' d)) (render oc)
+  in
+  List.iter
+    (fun (src, what, with_, want) ->
+      let files = [ ("t.c", src) ] in
+      List.iter
+        (fun jobs ->
+          let j = Printf.sprintf ", -j %d" jobs in
+          let svc = Service.create ~flags () in
+          Alcotest.(check (list string))
+            ("cold" ^ j) [ want ]
+            (first_lines (run ~jobs svc files));
+          let oc = run ~jobs svc (edit "t.c" what with_ files) in
+          Alcotest.check tier ("patched tier" ^ j) Service.Patched
+            oc.Service.oc_tier;
+          Alcotest.(check (list string)) ("patched" ^ j) [ want ]
+            (first_lines oc))
+        [ 1; 2 ])
+    [
+      ( "int g(int x);\nvoid f(void) { extern char *g(void); }\n",
+        "g(void); }",
+        "g(void); ; }",
+        "t.c:2,28: function 'g' redeclared with 0 parameters (was 1)" );
+      ( "int a(void) { return 0; { typedef char *T; } }\n\
+         int b(void) { T p = 0; return 1; }\n",
+        "return 1;",
+        "return 2;",
+        "t.c:2,17: unknown type name 'T'" );
+    ]
+
+(* A result computed after a sibling registered a declaration goes stale
+   when an edit removes that declaration: the swapped-out body stands
+   for it, so its file is re-checked whole although no current body
+   registers anything -- after a body-only edit and after one that also
+   changes an interface. *)
+let test_removed_declaration_rechecks_file () =
+  let with_decl =
+    [
+      ( "t.c",
+        "void a(void) { extern /*@null@*/ char *mk(void); }\n\
+         char b(void) { char *p = mk(); return *p; }\n" );
+    ]
+  in
+  let removed = edit "t.c" "extern /*@null@*/ char *mk(void);" ";" with_decl in
+  let cold files = render (run (Service.create ~flags ()) files) in
+  Alcotest.(check bool) "the declaration changes b's result" false
+    (cold with_decl = cold removed);
+  List.iter
+    (fun (what, files, want_tier) ->
+      List.iter
+        (fun jobs ->
+          let svc = Service.create ~flags () in
+          ignore (run ~jobs svc with_decl);
+          let oc = run ~jobs svc files in
+          let j = Printf.sprintf "%s, -j %d" what jobs in
+          Alcotest.check tier ("tier, " ^ j) want_tier oc.Service.oc_tier;
+          Alcotest.(check int) ("whole file re-checked, " ^ j) 2
+            oc.Service.oc_rechecked;
+          Alcotest.(check (list string)) ("same as cold, " ^ j) (cold files)
+            (render oc))
+        [ 1; 4 ])
+    [
+      ("body edit", removed, Service.Patched);
+      ( "interface edit",
+        edit "t.c" "void a(void)" "void a(int u)" removed,
+        Service.Rebuilt );
+    ]
+
 let test_jobs_equivalence () =
   let reference = direct base_files in
   let edited = edit "b.c" "return v;" "return v + 1;" base_files in
@@ -574,6 +644,22 @@ let test_persistence_rejects_corruption () =
   (match Service.load fresh "not a cache at all" with
   | Ok _ -> Alcotest.fail "garbage accepted"
   | Error _ -> ());
+  (* results stored by an older format are refused, not adopted *)
+  (match Check.Libspec.unstamp ~kind:Service.cache_kind blob with
+  | Error e -> Alcotest.failf "unstamp: %s" e
+  | Ok (_, payload) -> (
+      let old =
+        Check.Libspec.stamp ~kind:Service.cache_kind
+          ~version:(Service.cache_version - 1) payload
+      in
+      match Service.load fresh old with
+      | Ok _ -> Alcotest.fail "an older cache format accepted"
+      | Error e ->
+          Alcotest.(check string) "version refusal"
+            (Printf.sprintf
+               "summary cache has format version %d, this build reads %d"
+               (Service.cache_version - 1) Service.cache_version)
+            e));
   (* a rejected load leaves the service fully functional *)
   let oc = run fresh base_files in
   Alcotest.(check int) "cold after rejected load" 5 oc.Service.oc_rechecked
@@ -959,6 +1045,10 @@ let () =
             test_block_scope_typedef_sibling_edit;
           Alcotest.test_case "mutating file re-checked whole" `Quick
             test_mutating_file_rechecked_whole;
+          Alcotest.test_case "sema diagnostics while checking" `Quick
+            test_sema_diags_while_checking;
+          Alcotest.test_case "removed declaration re-checks its file" `Quick
+            test_removed_declaration_rechecks_file;
           Alcotest.test_case "jobs equivalence" `Quick test_jobs_equivalence;
           Alcotest.test_case "invalidate" `Quick test_invalidate;
           Alcotest.test_case "parse error keeps state" `Quick

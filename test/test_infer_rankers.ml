@@ -361,8 +361,8 @@ let fleet_files () =
 
 let check_diags files =
   let prog = analyze files in
-  Check.Checker.check_program prog;
-  diag_strings (Cfront.Diag.Collector.all prog.Sema.diags)
+  let check_diags = Check.Checker.check_program prog in
+  diag_strings (Cfront.Diag.Collector.all prog.Sema.diags @ check_diags)
 
 let test_bulk_round_trip () =
   let annotated = fleet_files () in

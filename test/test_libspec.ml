@@ -100,7 +100,8 @@ let check_client client =
     (Sema.fundefs env);
   List.map
     (fun (d : Cfront.Diag.t) -> d.Cfront.Diag.code)
-    (Cfront.Diag.Collector.sorted env.Sema.diags)
+    (Cfront.Diag.Collector.sort_emission
+       (Cfront.Diag.Collector.all env.Sema.diags))
 
 let test_modular_clean_client () =
   Alcotest.(check (list string)) "clean client" []
@@ -174,7 +175,8 @@ let test_modular_matches_inprocess () =
         if d.Cfront.Diag.loc.Cfront.Loc.file = "client.c" then
           Some (d.Cfront.Diag.code, d.Cfront.Diag.loc.Cfront.Loc.line)
         else None)
-      (Cfront.Diag.Collector.sorted env.Sema.diags)
+      (Cfront.Diag.Collector.sort_emission
+         (Cfront.Diag.Collector.all env.Sema.diags))
   in
   let parse_into env file text =
     let typedefs =

@@ -31,13 +31,15 @@ let analyze_examples ?(flags = Annot.Flags.default) () =
     examples;
   prog
 
-(* exactly the CLI's emission: frontend + check diagnostics, sorted *)
+(* exactly the CLI's -json emission *)
 let render prog check_diags =
+  let kept, suppressed = Check.finish prog check_diags in
   String.concat "\n"
     (List.map
-       (fun d -> Telemetry.Json.to_string (Cfront.Diag.to_json d))
-       (Cfront.Diag.Collector.sort_emission
-          (Cfront.Diag.Collector.all prog.Sema.diags @ check_diags)))
+       (fun (d, suppressed) ->
+         Telemetry.Json.to_string (Cfront.Diag.to_json ~suppressed d))
+       (List.map (fun d -> (d, false)) kept
+       @ List.map (fun d -> (d, true)) suppressed))
 
 let test_seq_vs_parallel () =
   let p1 = analyze_examples () in
