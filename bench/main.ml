@@ -159,14 +159,11 @@ let sec7_scaling () =
   let flags = Flags.default in
   let _, t_mod =
     time (fun () ->
-        let env = Stdspec.environment ~flags () in
-        let env = Check.Libspec.load ~flags ~into:env ~file:"lib.lh" lib in
-        let name, text = List.hd p.Progen.files in
-        let typedefs =
-          Hashtbl.fold (fun k _ acc -> k :: acc) env.Sema.p_typedefs []
+        let ((name, _) as file) = List.hd p.Progen.files in
+        let env =
+          Stdspec.load ~flags ~libs:(Seq.return ("lib.lh", lib))
+            (Seq.return file)
         in
-        let tu = Cfront.Parser.parse_string ~typedefs ~file:name text in
-        ignore (Sema.analyze ~flags ~into:env tu);
         List.iter
           (fun ((fs : Sema.funsig), def) ->
             if fs.Sema.fs_loc.Cfront.Loc.file = name then
@@ -262,17 +259,7 @@ let sec7_missed () =
     (List.sort compare p.Progen.seeded);
   row "\n  employee database (fully annotated): static clean, but the\n";
   row "  run-time leak check still reports storage reachable from globals:\n";
-  let flags = E.paper_flags in
-  let prog = Stdspec.environment ~flags () in
-  List.iter
-    (fun (f : E.file) ->
-      let typedefs =
-        Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
-      in
-      let tu = Cfront.Parser.parse_string ~typedefs ~file:f.E.name f.E.text in
-      ignore (Sema.analyze ~flags ~into:prog tu))
-    (E.stage E.max_stage);
-  let rt = Rtcheck.run prog in
+  let rt = Rtcheck.run (E.load ~flags:E.paper_flags E.max_stage) in
   row "    %d leaks, all reachable from globals: %b\n"
     (List.length rt.Rtcheck.leaks)
     (List.for_all
@@ -411,16 +398,7 @@ let phases () =
   in
   Telemetry.reset ();
   Telemetry.set_enabled true;
-  let prog = Stdspec.environment ~flags () in
-  List.iter
-    (fun (f : E.file) ->
-      let typedefs =
-        Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
-      in
-      let tu = Cfront.Parser.parse_string ~typedefs ~file:f.E.name f.E.text in
-      ignore (Sema.analyze ~flags ~into:prog tu))
-    db;
-  ignore (Check.Checker.check_program prog);
+  ignore (Check.Checker.check_program (E.load ~flags E.max_stage));
   ignore (Progen.static_check gen);
   Format.printf "%a" Telemetry.pp_stats ();
   let oc = open_out "BENCH_phases.json" in
@@ -486,17 +464,7 @@ let slot_key (s : Infer.slot) =
   | Infer.Sret -> "ret"
   | Infer.Sparam i -> Printf.sprintf "p%d" i
 
-let analyze_files ~flags files =
-  let prog = Stdspec.environment ~flags () in
-  List.iter
-    (fun (name, text) ->
-      let typedefs =
-        Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
-      in
-      let tu = Cfront.Parser.parse_string ~typedefs ~file:name text in
-      ignore (Sema.analyze ~flags ~into:prog tu))
-    files;
-  prog
+let analyze_files ~flags files = Stdspec.load ~flags (List.to_seq files)
 
 let infer_exp () =
   section "E9: annotation inference vs the hand annotations";
@@ -791,21 +759,7 @@ let micro () =
         (Staged.stage (fun () -> ignore (Progen.static_check gen)));
       Test.make ~name:"interp: employee db"
         (Staged.stage (fun () ->
-             let flags = E.paper_flags in
-             let prog = Stdspec.environment ~flags () in
-             List.iter
-               (fun (f : E.file) ->
-                 let typedefs =
-                   Hashtbl.fold
-                     (fun k _ acc -> k :: acc)
-                     prog.Sema.p_typedefs []
-                 in
-                 let tu =
-                   Cfront.Parser.parse_string ~typedefs ~file:f.E.name f.E.text
-                 in
-                 ignore (Sema.analyze ~flags ~into:prog tu))
-               db_files;
-             ignore (Rtcheck.run prog)));
+             ignore (Rtcheck.run (E.load ~flags:E.paper_flags E.max_stage))));
     ]
   in
   let benchmark test =

@@ -88,40 +88,30 @@ let run files flag_args load_libs lcl_specs dump_lib no_stdlib quiet stats
             Printf.eprintf "olclint: -ranker-spec: %s\n" msg;
             exit 2)
   in
-  let prog =
-    if no_stdlib then Sema.create_program ~flags ~file:"<none>" ()
-    else Stdspec.environment ~flags ()
-  in
   (* original file contents, kept for -infer-bulk's patch renderer *)
   let sources = ref [] in
-  (try
-     List.iter
-       (fun lib ->
-         ignore (Check.Libspec.load ~flags ~into:prog ~file:lib (read_file lib)))
-       load_libs;
-     List.iter
-       (fun spec ->
-         ignore
-           (Sema.analyze_spec_string ~flags ~into:prog ~file:spec
-              (read_file spec)))
-       lcl_specs;
-     List.iter
-       (fun file ->
-         let typedefs =
-           Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
-         in
-         let text = read_file file in
-         sources := (file, text) :: !sources;
-         let tu = Cfront.Parser.parse_string ~typedefs ~file text in
-         ignore (Sema.analyze ~flags ~into:prog tu))
-       files
-   with
-  | Cfront.Diag.Fatal d ->
-      Printf.eprintf "%s\n" (Cfront.Diag.to_string d);
-      exit 2
-  | Sys_error msg ->
-      Printf.eprintf "olclint: %s\n" msg;
-      exit 2);
+  (* every file is read as the loader reaches it, so the first failure
+     in command-line order is the one reported *)
+  let read paths =
+    Seq.map (fun path -> (path, read_file path)) (List.to_seq paths)
+  in
+  let prog =
+    try
+      Stdspec.load ~flags ~no_stdlib ~libs:(read load_libs)
+        ~specs:(read lcl_specs)
+        (Seq.map
+           (fun source ->
+             sources := source :: !sources;
+             source)
+           (read files))
+    with
+    | Cfront.Diag.Fatal d ->
+        Printf.eprintf "%s\n" (Cfront.Diag.to_string d);
+        exit 2
+    | Sys_error msg ->
+        Printf.eprintf "olclint: %s\n" msg;
+        exit 2
+  in
   (* --dump-summaries: print every derived effect summary (the same
      table +xproc consults), sorted by function name, and stop *)
   if dump_summaries then begin

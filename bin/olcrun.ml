@@ -17,24 +17,18 @@ let read_file path =
 
 let run files entry max_steps oom_fail show_output show_profile stats timings =
   if stats || timings then Telemetry.set_enabled true;
-  let flags = Annot.Flags.default in
-  let prog = Stdspec.environment ~flags () in
-  (try
-     List.iter
-       (fun file ->
-         let typedefs =
-           Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
-         in
-         let tu = Cfront.Parser.parse_string ~typedefs ~file (read_file file) in
-         ignore (Sema.analyze ~flags ~into:prog tu))
-       files
-   with
-  | Cfront.Diag.Fatal d ->
-      Printf.eprintf "%s\n" (Cfront.Diag.to_string d);
-      exit 2
-  | Sys_error msg ->
-      Printf.eprintf "olcrun: %s\n" msg;
-      exit 2);
+  let prog =
+    try
+      Stdspec.load
+        (Seq.map (fun file -> (file, read_file file)) (List.to_seq files))
+    with
+    | Cfront.Diag.Fatal d ->
+        Printf.eprintf "%s\n" (Cfront.Diag.to_string d);
+        exit 2
+    | Sys_error msg ->
+        Printf.eprintf "olcrun: %s\n" msg;
+        exit 2
+  in
   let r =
     Telemetry.with_span Telemetry.phase_interp (fun () ->
         Rtcheck.run ~entry ~max_steps ?oom_fail prog)

@@ -37,22 +37,16 @@ let finish (prog : Sema.program) (check_diags : Diag.t list) :
     (Diag.Collector.sort_emission
        (Diag.Collector.all prog.Sema.diags @ errs @ check_diags))
 
-(** Check a parsed translation unit.  [into] lets callers pre-load
-    interface libraries (see {!Libspec}) so the unit is checked modularly. *)
-let run_tunit ?(flags = Flags.default) ?into (tu : Ast.tunit) : result =
-  let program = Sema.analyze ~flags ?into tu in
+(** Check every body of an analysed program, through the emission step. *)
+let run_program (program : Sema.program) : result =
   let reports, suppressed = finish program (Checker.check_program program) in
   { program; reports; suppressed }
 
-(** Parse and check a source string. *)
+(** Parse and check a source string.  [into] lets callers pre-load
+    interface libraries (see {!Libspec}) so the unit is checked
+    modularly. *)
 let run ?(flags = Flags.default) ?into ~file (src : string) : result =
-  let typedefs =
-    match into with
-    | Some p -> Hashtbl.fold (fun k _ acc -> k :: acc) p.Sema.p_typedefs []
-    | None -> []
-  in
-  let tu = Parser.parse_string ~typedefs ~file src in
-  run_tunit ~flags ?into tu
+  run_program (Sema.analyze_string ~flags ?into ~file src)
 
 let codes (r : result) : string list =
   List.map (fun (d : Diag.t) -> d.Diag.code) r.reports

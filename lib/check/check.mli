@@ -28,12 +28,14 @@ val finish :
     never added to [prog.diags], so a long-lived program can be
     finished once per request. *)
 
-val run_tunit : ?flags:Flags.t -> ?into:Sema.program -> Cfront.Ast.tunit -> result
-(** Check a parsed translation unit.  [into] pre-loads interface libraries
-    (see {!Libspec}) for modular checking. *)
+val run_program : Sema.program -> result
+(** Check every body of an analysed program ({!Checker.check_program})
+    and split the diagnostics with {!finish}. *)
 
 val run : ?flags:Flags.t -> ?into:Sema.program -> file:string -> string -> result
-(** Parse and check a source string. *)
+(** Parse and check a source string ({!Sema.analyze_string}).  [into]
+    pre-loads interface libraries (see {!Libspec}) for modular
+    checking. *)
 
 val codes : result -> string list
 (** The diagnostic codes, in report order. *)

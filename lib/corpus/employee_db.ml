@@ -534,26 +534,19 @@ let line_count n =
       acc + List.length (String.split_on_char '\n' f.text))
     0 (stage n)
 
+(** Analyse one stage's modules, in order, into one program over the
+    annotated standard library. *)
+let load ?(flags = Annot.Flags.default) (n : int) : Sema.program =
+  Stdspec.load ~flags
+    (Seq.map (fun f -> (f.name, f.text)) (List.to_seq (stage n)))
+
 (** Check one stage: all modules analysed into one program environment over
     the annotated standard library, then checked.  Returns the combined
     result. *)
 let check ?(flags = Annot.Flags.default) (n : int) : Check.result =
-  let prog = Stdspec.environment ~flags () in
-  let files = stage n in
   (* analyse every module first (interfaces), then check; LCLint sees each
      module's interface through headers, which sequential analysis models *)
-  List.iter
-    (fun f ->
-      let typedefs =
-        Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
-      in
-      let tu = Cfront.Parser.parse_string ~typedefs ~file:f.name f.text in
-      ignore (Sema.analyze ~flags ~into:prog tu))
-    files;
-  let reports, suppressed =
-    Check.finish prog (Check.Checker.check_program prog)
-  in
-  { Check.program = prog; reports; suppressed }
+  Check.run_program (load ~flags n)
 
 (** Anomaly counts per category for one stage, under the paper's
     expository flags ([-allimponly]). *)

@@ -16,9 +16,12 @@ val max_stage : int
 val line_count : int -> int
 (** Total source lines of a stage. *)
 
+val load : ?flags:Annot.Flags.t -> int -> Sema.program
+(** Analyse all modules of a stage, in order, into one environment over
+    the annotated standard library ({!Stdspec.load}). *)
+
 val check : ?flags:Annot.Flags.t -> int -> Check.result
-(** Analyse all modules of a stage into one environment over the annotated
-    standard library, then check. *)
+(** {!load} a stage, then check it. *)
 
 (** Anomaly counts by the paper's categories. *)
 type counts = {

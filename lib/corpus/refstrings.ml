@@ -94,6 +94,5 @@ let check ?(flags = Annot.Flags.default) (client : string) : Check.result =
 
 (** Interpret the implementation together with a client. *)
 let interpret (client : string) : Rtcheck.result =
-  Rtcheck.run_source
-    ~stdlib_env:(fun () -> Stdspec.environment ())
-    ~file:"refstrings.c" (source ^ "\n" ^ client)
+  Rtcheck.run
+    (Stdspec.load (Seq.return ("refstrings.c", source ^ "\n" ^ client)))

@@ -225,7 +225,7 @@ let callee_summary_hash t name =
   match Hashtbl.find_opt t.summary_hashes name with Some h -> h | None -> "?"
 
 let cache_kind = "summary-cache"
-let cache_version = 4
+let cache_version = 5
 
 (* The function's own funsig hash: the current generation's, or derived
    afresh for a function the table does not know. *)
@@ -234,14 +234,34 @@ let own_sig_hash t (fs : Sema.funsig) =
   | Some h -> h
   | None -> funsig_hash fs
 
+(* [mutators env file]: the digest of the bodies in [file] that can
+   register declarations ({!Ir.mutates_env}), memoised per file.  Such a
+   body changes what the later bodies of its file see, so every
+   function of the file keys over it; covering the later ones too
+   over-approximates, which is sound. *)
+let mutators (env : Sema.program) =
+  let memo = Hashtbl.create 16 in
+  fun file ->
+    match Hashtbl.find_opt memo file with
+    | Some d -> d
+    | None ->
+        let d =
+          digest_of
+            (List.filter_map
+               (fun (_, fd) -> if Ir.mutates_env fd then Some fd else None)
+               (Sema.fundefs_in env file))
+        in
+        Hashtbl.add memo file d;
+        d
+
 (* The full content key of one function result — the on-disk identity.
    It covers every input the checker reads for this function: the cache
-   format itself, the flag set, the type environment, the function's own
-   signature, its callees' signatures, and the exact body (the
-   structural digest of the AST with its locations, so even a pure
-   reformat that moves lines gets a fresh key — diagnostics carry line
-   numbers). *)
-let full_key t (fs : Sema.funsig) (fd : Ast.fundef) =
+   format itself, the flag set, the type environment, the mutating
+   bodies of its file ([mutators]), the function's own signature, its
+   callees' signatures, and the exact body (the structural digest of the
+   AST with its locations, so even a pure reformat that moves lines gets
+   a fresh key — diagnostics carry line numbers). *)
+let full_key t ~mutators (fs : Sema.funsig) (fd : Ast.fundef) =
   let calls = Sema.calls_of_fundef fd in
   let b = Buffer.create 512 in
   Buffer.add_string b (string_of_int cache_version);
@@ -249,6 +269,8 @@ let full_key t (fs : Sema.funsig) (fd : Ast.fundef) =
   Buffer.add_string b t.flags_canon;
   Buffer.add_char b '\n';
   Buffer.add_string b t.typeenv_hash;
+  Buffer.add_char b '\n';
+  Buffer.add_string b (mutators fd.Ast.f_loc.Loc.file);
   Buffer.add_char b '\n';
   Buffer.add_string b (own_sig_hash t fs);
   Buffer.add_char b '\n';
@@ -305,43 +327,35 @@ let body_only_change (old_tu : Ast.tunit) (new_tu : Ast.tunit) =
 (* Environment (re)construction                                        *)
 (* ------------------------------------------------------------------ *)
 
-let typedef_snapshot (env : Sema.program) = Sema.typedef_order env
-
-(* Build a complete environment for [docs], reusing cached ASTs for
-   files whose text and typedef scope are unchanged.  Raises
-   [Diag.Fatal] on frontend errors — the caller commits no state until
-   this returns. *)
+(* Build a complete environment for [docs] through the program loader.
+   Its parse step reuses the cached AST of a file whose text and typedef
+   scope are both unchanged, and records what every file was parsed
+   under.  Raises [Diag.Fatal] on frontend errors — the caller commits
+   no state until this returns. *)
 let build_env t ~flags docs =
-  let env =
-    if t.no_stdlib then Sema.create_program ~flags ~file:"<none>" ()
-    else Stdspec.environment ~flags ()
-  in
-  List.iter
-    (fun (name, text) ->
-      ignore (Check.Libspec.load ~flags ~into:env ~file:name text))
-    t.libs;
-  List.iter
-    (fun (name, text) ->
-      ignore (Sema.analyze_spec_string ~flags ~into:env ~file:name text))
-    t.specs;
-  let base_pragmas = env.Sema.p_pragmas in
   let new_files = Hashtbl.create (List.length docs * 2) in
-  List.iter
-    (fun d ->
-      let tdefs = typedef_snapshot env in
-      let ast =
-        match Hashtbl.find_opt t.files d.doc_name with
-        | Some fe
-          when String.equal fe.fe_text d.doc_text && fe.fe_typedefs = tdefs ->
-            fe.fe_ast
-        | _ ->
-            Cfront.Parser.parse_string ~typedefs:tdefs ~file:d.doc_name
-              d.doc_text
-      in
-      ignore (Sema.analyze ~flags ~into:env ast);
-      Hashtbl.replace new_files d.doc_name
-        { fe_text = d.doc_text; fe_typedefs = tdefs; fe_ast = ast })
-    docs;
+  let doc_pragmas = ref 0 in
+  let parse ~typedefs ~file text =
+    let ast =
+      match Hashtbl.find_opt t.files file with
+      | Some fe
+        when String.equal fe.fe_text text && fe.fe_typedefs = typedefs ->
+          fe.fe_ast
+      | _ -> Cfront.Parser.parse_string ~typedefs ~file text
+    in
+    doc_pragmas := !doc_pragmas + List.length ast.Ast.tu_pragmas;
+    Hashtbl.replace new_files file
+      { fe_text = text; fe_typedefs = typedefs; fe_ast = ast };
+    ast
+  in
+  let env =
+    Stdspec.load ~flags ~no_stdlib:t.no_stdlib ~libs:(List.to_seq t.libs)
+      ~specs:(List.to_seq t.specs) ~parse
+      (Seq.map (fun d -> (d.doc_name, d.doc_text)) (List.to_seq docs))
+  in
+  (* the libraries' and specs' pragmas come before every document's *)
+  let n_base = List.length env.Sema.p_pragmas - !doc_pragmas in
+  let base_pragmas = List.filteri (fun i _ -> i < n_base) env.Sema.p_pragmas in
   (env, base_pragmas, new_files)
 
 let commit_env t ~flags ~canon env base_pragmas new_files docs =
@@ -511,9 +525,10 @@ let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
   let to_check =
     if Hashtbl.length t.persisted = 0 then miss_list
     else
+      let mutators = mutators env in
       List.filter
         (fun (fs, fd) ->
-          match Hashtbl.find_opt t.persisted (full_key t fs fd) with
+          match Hashtbl.find_opt t.persisted (full_key t ~mutators fs fd) with
           | Some (_, _, diags) ->
               Hashtbl.replace t.fns (fn_id fs) (make_entry t fs fd diags);
               incr hits;
@@ -800,11 +815,12 @@ let save t =
   let written = Hashtbl.create 256 in
   (match t.env with
   | Some env ->
+      let mutators = mutators env in
       List.iter
         (fun ((fs : Sema.funsig), fd) ->
           match Hashtbl.find_opt t.fns (fn_id fs) with
           | Some e when e.fn_gen = t.gen ->
-              let key = full_key t fs fd in
+              let key = full_key t ~mutators fs fd in
               if not (Hashtbl.mem written key) then begin
                 Hashtbl.add written key ();
                 record key (fst (fn_id fs)) fs.Sema.fs_name e.fn_diags

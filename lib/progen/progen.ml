@@ -611,25 +611,12 @@ let generate ?(seed = 42) ?(modules = 4) ?(fns_per_module = 6)
 
 (** Analyse a generated program into a fresh stdlib environment. *)
 let analyse ?(flags = Annot.Flags.default) (p : program) : Sema.program =
-  let prog = Stdspec.environment ~flags () in
-  List.iter
-    (fun (name, text) ->
-      let typedefs =
-        Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
-      in
-      let tu = Cfront.Parser.parse_string ~typedefs ~file:name text in
-      ignore (Sema.analyze ~flags ~into:prog tu))
-    p.files;
-  prog
+  Stdspec.load ~flags (List.to_seq p.files)
 
 (** Statically check a generated program; returns the kept reports. *)
 let static_check ?(flags = Annot.Flags.default) (p : program) :
     Check.result =
-  let prog = analyse ~flags p in
-  let reports, suppressed =
-    Check.finish prog (Check.Checker.check_program prog)
-  in
-  { Check.program = prog; reports; suppressed }
+  Check.run_program (analyse ~flags p)
 
 (** Run a generated program under the run-time checker.  [max_steps]
     bounds execution (the fuzzer's [-timeout-steps]); [oom_fail] forces

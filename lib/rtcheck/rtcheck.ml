@@ -136,19 +136,6 @@ let run ?(entry = "main") ?(max_steps = 2_000_000) ?(max_errors = 100)
     profile = Heap.profile_rows heap;
   }
 
-(** Parse, analyse and run a single source string against the standard
-    library environment provided by the caller. *)
-let run_source ?(flags = Annot.Flags.default) ?entry ?max_steps ?max_errors
-    ?oom_fail ~(stdlib_env : unit -> Sema.program) ~file (src : string) :
-    result =
-  let prog = stdlib_env () in
-  let typedefs =
-    Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
-  in
-  let tu = Parser.parse_string ~typedefs ~file src in
-  ignore (Sema.analyze ~flags ~into:prog tu);
-  run ?entry ?max_steps ?max_errors ?oom_fail prog
-
 (** Render a result summary (used by the CLI and examples). *)
 let pp_summary ppf (r : result) =
   Fmt.pf ppf "exit: %s, steps: %d, allocs: %d, frees: %d@\n"

@@ -44,12 +44,5 @@ val run :
     allocation request #n (1-based) to fail once — OOM fault injection
     for the out-of-memory paths static checking reasons about. *)
 
-val run_source :
-  ?flags:Annot.Flags.t -> ?entry:string -> ?max_steps:int -> ?max_errors:int ->
-  ?oom_fail:int -> stdlib_env:(unit -> Sema.program) -> file:string -> string ->
-  result
-(** Parse, analyse and run one source string in the given library
-    environment. *)
-
 val pp_summary : Format.formatter -> result -> unit
 val pp_profile : Format.formatter -> result -> unit

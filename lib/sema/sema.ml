@@ -567,15 +567,23 @@ let analyze ?(flags = Flags.default) ?into (tu : Ast.tunit) : program =
       p.p_pragmas <- p.p_pragmas @ tu.tu_pragmas;
       p)
 
-(** Parse and analyze a source string in one step. *)
-let analyze_string ?(flags = Flags.default) ?(spec_mode = false) ?into ~file
-    src : program =
-  let typedefs =
-    match into with
-    | Some p -> Hashtbl.fold (fun k _ acc -> k :: acc) p.p_typedefs []
-    | None -> []
+(* Source-order views of the reversed accumulators. *)
+let fundefs p = List.rev_map (fun sl -> sl.sl_pair) p.p_fundefs_rev
+let struct_order p = List.rev p.p_struct_order_rev
+let typedef_order p = List.rev p.p_typedef_order_rev
+let global_order p = List.rev p.p_global_order_rev
+let func_order p = List.rev p.p_func_order_rev
+
+(** Parse and analyze a source string in one step: the parse sees the
+    typedef names [into] declares so far as type names. *)
+let analyze_string ?(flags = Flags.default) ?(spec_mode = false) ?parse ?into
+    ~file src : program =
+  let typedefs = match into with Some p -> typedef_order p | None -> [] in
+  let tu =
+    match parse with
+    | Some parse -> parse ~typedefs ~file src
+    | None -> Parser.parse_string ~spec_mode ~typedefs ~file src
   in
-  let tu = Parser.parse_string ~spec_mode ~typedefs ~file src in
   analyze ~flags ?into tu
 
 (** Analyze an LCL-style specification (bare-word annotations, as in the
@@ -605,13 +613,6 @@ let copy_for_check p =
     p_file_index = None;
     diags = Diag.Collector.create ();
   }
-
-(* Source-order views of the reversed accumulators. *)
-let fundefs p = List.rev_map (fun sl -> sl.sl_pair) p.p_fundefs_rev
-let struct_order p = List.rev p.p_struct_order_rev
-let typedef_order p = List.rev p.p_typedef_order_rev
-let global_order p = List.rev p.p_global_order_rev
-let func_order p = List.rev p.p_func_order_rev
 
 (* The slots grouped by [key], each group in definition order. *)
 let index_slots p ~size key =

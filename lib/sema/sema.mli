@@ -137,8 +137,15 @@ val analyze :
     libraries). *)
 
 val analyze_string :
-  ?flags:Flags.t -> ?spec_mode:bool -> ?into:program -> file:string ->
-  string -> program
+  ?flags:Flags.t -> ?spec_mode:bool ->
+  ?parse:(typedefs:string list -> file:string -> string -> Cfront.Ast.tunit) ->
+  ?into:program -> file:string -> string -> program
+(** Parse a source string under the typedef names [into] has declared so
+    far ({!typedef_order}) and analyse it into [into].  [parse] replaces
+    {!Cfront.Parser.parse_string} (the incremental service passes a
+    lookup that reuses a cached AST); [spec_mode] applies to the default
+    parser only.  [Stdspec.load] runs every source of a program through
+    this. *)
 
 val analyze_spec_string :
   ?flags:Flags.t -> ?into:program -> file:string -> string -> program

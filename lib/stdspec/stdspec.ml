@@ -100,11 +100,31 @@ let environment ?(flags = Annot.Flags.default) () : Sema.program =
   (* the standard library must itself be annotation-clean *)
   prog
 
-(** Check a source string against the standard library (the common entry
-    point used by the examples, tests and the CLI). *)
+(** The program loader (see stdspec.mli), in the order the paper's
+    modular checking sees interfaces (Sections 6 and 7). *)
+let load ?(flags = Annot.Flags.default) ?(no_stdlib = false)
+    ?(libs = Seq.empty) ?(specs = Seq.empty) ?parse sources : Sema.program =
+  let prog =
+    if no_stdlib then Sema.create_program ~flags ~file:"<none>" ()
+    else environment ~flags ()
+  in
+  Seq.iter
+    (fun (file, text) ->
+      ignore (Check.Libspec.load ~flags ~into:prog ~file text))
+    libs;
+  Seq.iter
+    (fun (file, text) ->
+      ignore (Sema.analyze_spec_string ~flags ~into:prog ~file text))
+    specs;
+  Seq.iter
+    (fun (file, text) ->
+      ignore (Sema.analyze_string ~flags ?parse ~into:prog ~file text))
+    sources;
+  prog
+
+(** Check a source string against the standard library. *)
 let check ?(flags = Annot.Flags.default) ~file src : Check.result =
-  let prog = environment ~flags () in
-  Check.run ~flags ~into:prog ~file src
+  Check.run_program (load ~flags (Seq.return (file, src)))
 
 (* ------------------------------------------------------------------ *)
 (* The same library in LCL specification notation                      *)

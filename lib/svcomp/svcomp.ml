@@ -125,29 +125,20 @@ let classes_of_subproperty = function
         "free-offset"; "free-static"; "leak"; "global-leak";
       ]
 
-let static_reports ~flags src ~file : Cfront.Diag.t list =
-  let prog = Stdspec.environment ~flags () in
-  let typedefs =
-    Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
-  in
-  let tu = Cfront.Parser.parse_string ~typedefs ~file src in
-  ignore (Sema.analyze ~flags ~into:prog tu);
-  fst (Check.finish prog (Check.Checker.check_program prog))
-
 let run_task ?(flags = Annot.Flags.default) (t : task) : scored =
   match read_file t.t_file with
   | exception Sys_error m ->
       { s_task = t; s_verdict = Vunknown; s_codes = [];
         s_detail = "cannot read input: " ^ m }
   | src -> (
-      match static_reports ~flags src ~file:(Filename.basename t.t_file) with
+      match Stdspec.check ~flags ~file:(Filename.basename t.t_file) src with
       | exception Cfront.Diag.Fatal d ->
           { s_task = t; s_verdict = Vunknown; s_codes = [];
             s_detail = "parse failure: " ^ Cfront.Diag.to_string d }
       | exception e ->
           { s_task = t; s_verdict = Vunknown; s_codes = [];
             s_detail = "analysis failure: " ^ Printexc.to_string e }
-      | reports ->
+      | { Check.reports; _ } ->
           let classes = classes_of_subproperty t.t_subproperty in
           let witnesses =
             List.filter

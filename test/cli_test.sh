@@ -11,6 +11,7 @@ OLDIFF="$3"
 EXAMPLES="${4:-examples}"
 DOCS="${5:-docs}"
 LIBS="${6:-lib}"
+ROOT="${7:-.}"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
@@ -160,6 +161,16 @@ int f( {
 EOF
 "$OLCLINT" "$tmp/bad.c" > "$tmp/out" 2>&1
 [ $? -eq 2 ] || fail "parse error should exit 2"
+# sources are read one at a time, in order: the first failure on the
+# command line is the one reported, a parse error or an unreadable file
+"$OLCLINT" "$tmp/bad.c" "$tmp/missing.c" > "$tmp/out" 2>&1
+[ $? -eq 2 ] || fail "a parse error before a missing file should exit 2"
+[ "$(cat "$tmp/out")" = "$tmp/bad.c:1,8: expected type specifier, got '{'" ] \
+  || { cat "$tmp/out" >&2; fail "a parse error before a missing file is reported first"; }
+"$OLCLINT" "$tmp/missing.c" "$tmp/bad.c" > "$tmp/out" 2>&1
+[ $? -eq 2 ] || fail "a missing file before a parse error should exit 2"
+[ "$(cat "$tmp/out")" = "olclint: $tmp/missing.c: No such file or directory" ] \
+  || { cat "$tmp/out" >&2; fail "a missing file before a parse error is reported first"; }
 
 # --- allocation profile ----------------------------------------------------
 cat > "$tmp/prof.c" <<'CEOF'
@@ -538,10 +549,11 @@ printf '%s\n' "$check_req" '{"op":"shutdown"}' \
 expect_contains "$tmp/srverr" "ignoring cache" "corrupted cache warning"
 sed -n 1p "$tmp/srv3" | grep -q '"tier":"cold"' || fail "corrupted cache must not be adopted"
 
-# a cache from an older format (intact stamp, version 1, or version 2
-# with keys hashed from printed ASTs) is ignored the same way: the
-# version mismatch warns and the first request runs cold
-for v in 1 2; do
+# a cache from an older format (intact stamp: version 1; version 2 with
+# keys hashed from printed ASTs; version 4, whose keys miss the file's
+# block-scope declarations) is ignored the same way: the version
+# mismatch warns and the first request runs cold
+for v in 1 2 4; do
   sed "1s/format [0-9]*/format $v/" "$tmp/cache.olc" > "$tmp/cache.v$v"
   head -1 "$tmp/cache.v$v" | grep -q "summary-cache format $v " \
     || fail "the version-$v cache fixture should carry format $v"
@@ -602,6 +614,30 @@ nsuites=$(sed -n '/(names/,/)/p' "$(dirname "$0")/dune" | tr -d '()' \
 [ "$nsuites" -gt 0 ] || fail "no suite names found in test/dune"
 grep -q "${numbers[$nsuites]:-$nsuites} alcotest suites" "$DOCS/architecture.md" \
   || fail "docs/architecture.md should say test/ holds ${numbers[$nsuites]:-$nsuites} alcotest suites"
+
+# --- one program loader ------------------------------------------------------
+# Stdspec.load builds every program: each source is parsed under the
+# typedef names declared before it, in Sema.analyze_string.  Any other .ml
+# that reads a program's typedef table (p_typedefs, typedef_order) and
+# hands names to a parser's ~typedefs is a hand-copied loader.  Allowed:
+# sema.ml (the loader's parse step), the incremental service (its
+# cached-AST parse step and the Patched tier's re-parse under the scope
+# it recorded) and test_cfront.ml's streamed-vs-array parity test.
+loader_files=$(grep -rlE --include='*.ml' 'p_typedefs|typedef_order' \
+  "$ROOT/lib" "$ROOT/bin" "$ROOT/bench" "$ROOT/test")
+[ -n "$loader_files" ] || fail "no .ml reads the typedef table under $ROOT"
+for f in $loader_files; do
+  grep -q '~typedefs' "$f" || continue
+  case "${f#"$ROOT"/}" in
+    lib/sema/sema.ml | lib/incr/service.ml | test/test_cfront.ml) ;;
+    *) fail "${f#"$ROOT"/} threads a program's typedef names into the parser: build the program with Stdspec.load" ;;
+  esac
+done
+# ... and of those, only the parity test folds p_typedefs into a name list
+for f in "$ROOT/lib/sema/sema.ml" "$ROOT/lib/incr/service.ml"; do
+  tr '\n' ' ' < "$f" | grep -qE 'k :: acc\) *[A-Za-z_.]*p_typedefs' \
+    && fail "${f#"$ROOT"/} folds p_typedefs into a name list: use Sema.typedef_order"
+done
 
 # --- what sema reports while a body is checked, at every -j --------------
 # a block-scope redeclaration, and a type name only a closed block

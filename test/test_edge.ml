@@ -122,9 +122,7 @@ let test_function_pointer_call () =
 (* ------------------------------------------------------------------ *)
 
 let run src =
-  Rtcheck.run_source
-    ~stdlib_env:(fun () -> Stdspec.environment ())
-    ~file:"t.c" src
+  Rtcheck.run (Stdspec.load (Seq.return ("t.c", src)))
 
 let test_interp_conditional_expr () =
   let r = run "int main(void) { int x = 5; return x > 3 ? 10 : 20; }" in

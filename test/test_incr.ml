@@ -82,15 +82,7 @@ let render (oc : Service.outcome) =
 (* The cold CLI pipeline, for reference output: stdlib environment,
    parse+sema each file, whole-program check, suppression split. *)
 let direct ?(flags = flags) files =
-  let env = Stdspec.environment ~flags () in
-  List.iter
-    (fun (name, text) ->
-      let typedefs =
-        Hashtbl.fold (fun k _ acc -> k :: acc) env.Sema.p_typedefs []
-      in
-      let tu = Cfront.Parser.parse_string ~typedefs ~file:name text in
-      ignore (Sema.analyze ~flags ~into:env tu))
-    files;
+  let env = Stdspec.load ~flags (List.to_seq files) in
   let kept, suppressed = Check.finish env (Check.Checker.check_program env) in
   List.map Diag.to_string kept
   @ List.map (fun d -> "sup:" ^ Diag.to_string d) suppressed
@@ -411,6 +403,31 @@ let test_type_edit_invalidates_all () =
   Alcotest.(check (list string))
     "matches a cold check of the edit" (direct edited) (render oc)
 
+(* The service builds its environment through the program loader, whose
+   parse step reuses a cached AST only when the file's text and the
+   typedef names in scope are both unchanged: removing [a.c]'s typedef
+   must make the untouched [b.c] parse again, as a cold check does. *)
+let test_removed_typedef_reparses () =
+  let files =
+    [
+      ("a.c", "typedef char *T;\nint a(void) { return 0; }\n");
+      ("b.c", "int b(void) { T p; p = 0; return *p; }\n");
+    ]
+  in
+  let edited = edit "a.c" "typedef char *T;\n" "" files in
+  let answer svc files =
+    match Service.check svc (docs files) with
+    | Ok oc -> render oc
+    | Error d -> [ "error: " ^ Diag.to_string d ]
+  in
+  let cold files = answer (Service.create ~flags ()) files in
+  Alcotest.(check bool) "the typedef changes how b.c parses" false
+    (cold files = cold edited);
+  let svc = Service.create ~flags () in
+  ignore (answer svc files);
+  Alcotest.(check (list string)) "warm equals cold" (cold edited)
+    (answer svc edited)
+
 let test_flag_change_invalidates () =
   let svc = Service.create ~flags () in
   ignore (run svc base_files);
@@ -561,15 +578,17 @@ let test_sema_diags_while_checking () =
    for it, so its file is re-checked whole although no current body
    registers anything -- after a body-only edit and after one that also
    changes an interface. *)
+let with_decl =
+  [
+    ( "t.c",
+      "void a(void) { extern /*@null@*/ char *mk(void); }\n\
+       char b(void) { char *p = mk(); return *p; }\n" );
+  ]
+
+let removed_decl = edit "t.c" "extern /*@null@*/ char *mk(void);" ";" with_decl
+
 let test_removed_declaration_rechecks_file () =
-  let with_decl =
-    [
-      ( "t.c",
-        "void a(void) { extern /*@null@*/ char *mk(void); }\n\
-         char b(void) { char *p = mk(); return *p; }\n" );
-    ]
-  in
-  let removed = edit "t.c" "extern /*@null@*/ char *mk(void);" ";" with_decl in
+  let removed = removed_decl in
   let cold files = render (run (Service.create ~flags ()) files) in
   Alcotest.(check bool) "the declaration changes b's result" false
     (cold with_decl = cold removed);
@@ -629,6 +648,22 @@ let test_persistence_roundtrip () =
   Alcotest.(check int) "all adopted" 5 oc.Service.oc_hits;
   Alcotest.(check (list string))
     "same diagnostics after restart" (render first) (render oc)
+
+(* The same removal across a restart: the cache saved while [a]'s
+   [extern] was in force must not hand [b] its old result.  Every
+   function's content key covers the environment-mutating bodies of its
+   file. *)
+let test_persistence_removed_declaration () =
+  let svc = Service.create ~flags () in
+  ignore (run svc with_decl);
+  let fresh = Service.create ~flags () in
+  (match Service.load fresh (Service.save svc) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "load: %s" msg);
+  let cold = render (run (Service.create ~flags ()) removed_decl) in
+  Alcotest.(check (list string))
+    "restart equals cold" cold
+    (render (run fresh removed_decl))
 
 let test_persistence_rejects_corruption () =
   let svc = Service.create ~flags () in
@@ -1037,6 +1072,8 @@ let () =
             prop_refresh_equivalence;
           Alcotest.test_case "type edit" `Quick
             test_type_edit_invalidates_all;
+          Alcotest.test_case "removed typedef re-parses" `Quick
+            test_removed_typedef_reparses;
           Alcotest.test_case "flag change" `Quick
             test_flag_change_invalidates;
           Alcotest.test_case "block-scope declaration stays local" `Quick
@@ -1058,6 +1095,8 @@ let () =
       ( "persistence",
         [
           Alcotest.test_case "roundtrip" `Quick test_persistence_roundtrip;
+          Alcotest.test_case "removed declaration" `Quick
+            test_persistence_removed_declaration;
           Alcotest.test_case "corruption rejected" `Quick
             test_persistence_rejects_corruption;
           Alcotest.test_case "summaries marker scan" `Quick

@@ -8,13 +8,7 @@ module Flags = Annot.Flags
 let default_flags = Flags.default
 
 let program ?(flags = default_flags) src =
-  let prog = Stdspec.environment ~flags () in
-  let typedefs =
-    Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
-  in
-  let tu = Cfront.Parser.parse_string ~typedefs ~file:"t.c" src in
-  ignore (Sema.analyze ~flags ~into:prog tu);
-  prog
+  Stdspec.load ~flags (Seq.return ("t.c", src))
 
 (* The list_plain.c walkthrough (constructor, recursive destructor, the
    paper's list_addh, a client), annotations stripped. *)

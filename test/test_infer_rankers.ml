@@ -8,16 +8,7 @@ module Flags = Annot.Flags
 module Ranker = Infer.Ranker
 
 let analyze ?(flags = Flags.default) files =
-  let prog = Stdspec.environment ~flags () in
-  List.iter
-    (fun (name, text) ->
-      let typedefs =
-        Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
-      in
-      let tu = Cfront.Parser.parse_string ~typedefs ~file:name text in
-      ignore (Sema.analyze ~flags ~into:prog tu))
-    files;
-  prog
+  Stdspec.load ~flags (List.to_seq files)
 
 let program src = analyze [ ("t.c", src) ]
 

@@ -22,12 +22,13 @@ let lib_src =
 
 let flags = Flags.(allimponly_off default)
 
-let build_lib () =
-  let prog = Stdspec.environment ~flags () in
-  let typedefs = Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs [] in
-  let tu = Cfront.Parser.parse_string ~typedefs ~file:"node.c" lib_src in
-  ignore (Sema.analyze ~flags ~into:prog tu);
-  prog
+let build_lib () = Stdspec.load ~flags (Seq.return ("node.c", lib_src))
+
+(* a client checked against the dumped library of [lib_src] *)
+let load_client client =
+  Stdspec.load ~flags
+    ~libs:(Seq.return ("node.lh", Check.Libspec.save (build_lib ())))
+    (Seq.return ("client.c", client))
 
 let test_save_parses () =
   let prog = build_lib () in
@@ -83,16 +84,7 @@ let test_idempotent () =
   Alcotest.(check string) "fixpoint" (body text1) (body text2)
 
 let check_client client =
-  let env = Stdspec.environment ~flags () in
-  let env =
-    Check.Libspec.load ~flags ~into:env ~file:"node.lh"
-      (Check.Libspec.save (build_lib ()))
-  in
-  let typedefs = Hashtbl.fold (fun k _ acc -> k :: acc) env.Sema.p_typedefs [] in
-  let tu = Cfront.Parser.parse_string ~typedefs ~file:"client.c" client in
-  ignore (Sema.analyze ~flags ~into:env tu);
-  let before = List.length (Cfront.Diag.Collector.all env.Sema.diags) in
-  ignore before;
+  let env = load_client client in
   List.iter
     (fun ((fs : Sema.funsig), def) ->
       if fs.Sema.fs_loc.Cfront.Loc.file = "client.c" then
@@ -178,27 +170,14 @@ let test_modular_matches_inprocess () =
       (Cfront.Diag.Collector.sort_emission
          (Cfront.Diag.Collector.all env.Sema.diags))
   in
-  let parse_into env file text =
-    let typedefs =
-      Hashtbl.fold (fun k _ acc -> k :: acc) env.Sema.p_typedefs []
-    in
-    let tu = Cfront.Parser.parse_string ~typedefs ~file text in
-    ignore (Sema.analyze ~flags ~into:env tu)
-  in
   (* in-process: library source and client in one environment *)
-  let whole = Stdspec.environment ~flags () in
-  parse_into whole "node.c" lib_src;
-  parse_into whole "client.c" client;
-  let whole_codes = client_codes whole in
-  (* modular: dumped library loaded, then the client *)
-  let modular =
-    Check.Libspec.load ~flags
-      ~into:(Stdspec.environment ~flags ())
-      ~file:"node.lh"
-      (Check.Libspec.save (build_lib ()))
+  let whole_codes =
+    client_codes
+      (Stdspec.load ~flags
+         (List.to_seq [ ("node.c", lib_src); ("client.c", client) ]))
   in
-  parse_into modular "client.c" client;
-  let modular_codes = client_codes modular in
+  (* modular: dumped library loaded, then the client *)
+  let modular_codes = client_codes (load_client client) in
   Alcotest.(check (list (pair string int)))
     "same diagnostics" whole_codes modular_codes;
   Alcotest.(check bool) "found something" true (whole_codes <> [])

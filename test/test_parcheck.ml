@@ -20,16 +20,8 @@ let examples =
 (* a fresh environment per run: checking may extend symbol tables, so
    the two runs must not share one *)
 let analyze_examples ?(flags = Annot.Flags.default) () =
-  let prog = Stdspec.environment ~flags () in
-  List.iter
-    (fun file ->
-      let typedefs =
-        Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
-      in
-      let tu = Cfront.Parser.parse_string ~typedefs ~file (read_file file) in
-      ignore (Sema.analyze ~flags ~into:prog tu))
-    examples;
-  prog
+  Stdspec.load ~flags
+    (Seq.map (fun file -> (file, read_file file)) (List.to_seq examples))
 
 (* exactly the CLI's -json emission *)
 let render prog check_diags =

@@ -85,10 +85,8 @@ let test_heap_leak_graph () =
 (* Interpreter                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let run ?max_steps src =
-  Rtcheck.run_source ?max_steps
-    ~stdlib_env:(fun () -> Stdspec.environment ())
-    ~file:"t.c" src
+let load src = Stdspec.load (Seq.return ("t.c", src))
+let run ?max_steps src = Rtcheck.run ?max_steps (load src)
 
 let test_arithmetic () =
   let r = run "int main(void) { return (3 + 4) * 2 - 5 % 3; }" in
@@ -222,15 +220,14 @@ let test_error_limit_marker () =
   (* every loop iteration reads an undefined value: the error cap, not
      the step cap, stops the run *)
   let r =
-    Rtcheck.run_source ~max_errors:10
-      ~stdlib_env:(fun () -> Stdspec.environment ())
-      ~file:"t.c"
-      "int main(void) {\n\
-       int x;\n\
-       int i;\n\
-       for (i = 0; i < 100000; i++) { if (x > 0) { } }\n\
-       return 0;\n\
-       }"
+    Rtcheck.run ~max_errors:10
+      (load
+         "int main(void) {\n\
+          int x;\n\
+          int i;\n\
+          for (i = 0; i < 100000; i++) { if (x > 0) { } }\n\
+          return 0;\n\
+          }")
   in
   match r.Rtcheck.aborted with
   | Some (Rtcheck.Aerror_limit _) ->
@@ -332,20 +329,8 @@ let test_path_dependence () =
 (* ------------------------------------------------------------------ *)
 
 let run_db stage =
-  let flags = Corpus.Employee_db.paper_flags in
-  let prog = Stdspec.environment ~flags () in
-  List.iter
-    (fun (f : Corpus.Employee_db.file) ->
-      let typedefs =
-        Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
-      in
-      let tu =
-        Cfront.Parser.parse_string ~typedefs
-          ~file:f.Corpus.Employee_db.name f.Corpus.Employee_db.text
-      in
-      ignore (Sema.analyze ~flags ~into:prog tu))
-    (Corpus.Employee_db.stage stage);
-  Rtcheck.run prog
+  Rtcheck.run
+    (Corpus.Employee_db.load ~flags:Corpus.Employee_db.paper_flags stage)
 
 let test_db_runs () =
   let r = run_db 7 in

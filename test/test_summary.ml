@@ -9,14 +9,7 @@ module Flags = Annot.Flags
 
 let flags = Flags.default
 
-let program src =
-  let env = Stdspec.environment ~flags () in
-  let typedefs =
-    Hashtbl.fold (fun k _ acc -> k :: acc) env.Sema.p_typedefs []
-  in
-  let tu = Cfront.Parser.parse_string ~typedefs ~file:"s.c" src in
-  ignore (Sema.analyze ~flags ~into:env tu);
-  env
+let program src = Stdspec.load ~flags (Seq.return ("s.c", src))
 
 let summaries src = Summary.of_program (program src)
 
