@@ -1494,6 +1494,12 @@ let patch_once ~file ~what ~with_ text =
   | Some i ->
       String.sub text 0 i ^ with_ ^ String.sub text (i + wl) (tl - i - wl)
 
+(* E13's bound on live-set growth per patched body edit, in words.  On
+   the seed-42 corpus an edit adds about 900 words (its new text, body
+   and results); keeping a second AST of each patched file added about
+   14 300. *)
+let live_growth_bound = 4_000
+
 let incr_exp () =
   section "E13: incremental checking -- warm re-check after one edit";
   row "  A fixed-seed generated corpus is checked cold through the\n";
@@ -1505,7 +1511,9 @@ let incr_exp () =
   row "  every -j and across a save/load service restart, which must\n";
   row "  itself beat a cold check.  The body edit is gated again under\n";
   row "  +xproc, where the warm request must also refresh the effect\n";
-  row "  summaries it affects.  Written to BENCH_incr.json.\n\n";
+  row "  summaries it affects.  Last, 20 body edits may grow the live\n";
+  row "  set by at most %d words each.  Written to BENCH_incr.json.\n\n"
+    live_growth_bound;
   let modules = 240 and fns_per_module = 25 in
   let p =
     Progen.generate ~seed:!seed_flag ~modules ~fns_per_module
@@ -1674,6 +1682,44 @@ let incr_exp () =
   if t_restart >= t_ref then
     fail "restart took %.3fs, not faster than a cold check (%.3fs)" t_restart
       t_ref;
+  (* memory over an edit session, after every timed request: the live
+     words after a cold check and after a run of body edits, one module
+     each.  A patched file keeps one AST per definition, so an edit may
+     add its new text, body and results to the live set, but not a
+     second copy of the edited file's AST *)
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let mem_edits = 20 in
+  let svc_mem = Incr.Service.create ~flags () in
+  ignore (run svc_mem files0);
+  let live_cold = live_words () in
+  let files_mem =
+    List.fold_left
+      (fun files k ->
+        let files =
+          edit_file
+            (Printf.sprintf "m%d.c" (200 + k))
+            "  r->weight = r->weight + by;\n"
+            (Printf.sprintf "  r->weight = r->weight + by + %d;\n" (k + 1))
+            files
+        in
+        expect_tier "memory body edit" "patched" (run svc_mem files);
+        files)
+      files0
+      (List.init mem_edits Fun.id)
+  in
+  let live_edited = live_words () in
+  (* the service and its documents stay reachable through the second
+     measurement, or it would count the whole environment as freed *)
+  ignore (Sys.opaque_identity (svc_mem, files_mem));
+  let growth_per_edit = (live_edited - live_cold) / mem_edits in
+  row "  live words: %d after cold, %d after %d body edits (%+d per edit)\n"
+    live_cold live_edited mem_edits growth_per_edit;
+  if growth_per_edit > live_growth_bound then
+    fail "live set grew %d words per body edit (want <= %d)" growth_per_edit
+      live_growth_bound;
   let doc =
     Telemetry.Json.(
       Obj
@@ -1694,6 +1740,9 @@ let incr_exp () =
           ("restart_rechecked", Int oc_restart.Incr.Service.oc_rechecked);
           ("restart_speedup", Float restart_speedup);
           ("cache_bytes", Int (String.length blob));
+          ("live_words_cold", Int live_cold);
+          ("live_words_edited", Int live_edited);
+          ("live_growth_per_edit", Int growth_per_edit);
           ("warnings", Int (List.length oc_ref.Incr.Service.oc_kept));
           ( "suppressed",
             Int (List.length oc_ref.Incr.Service.oc_suppressed) );

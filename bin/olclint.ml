@@ -88,7 +88,8 @@ let run files flag_args load_libs lcl_specs dump_lib no_stdlib quiet stats
             Printf.eprintf "olclint: -ranker-spec: %s\n" msg;
             exit 2)
   in
-  (* original file contents, kept for -infer-bulk's patch renderer *)
+  (* original file contents, kept only for -infer-bulk's patch
+     renderer: no other mode reads them after analysis *)
   let sources = ref [] in
   (* every file is read as the loader reaches it, so the first failure
      in command-line order is the one reported *)
@@ -101,7 +102,7 @@ let run files flag_args load_libs lcl_specs dump_lib no_stdlib quiet stats
         ~specs:(read lcl_specs)
         (Seq.map
            (fun source ->
-             sources := source :: !sources;
+             if infer_bulk then sources := source :: !sources;
              source)
            (read files))
     with

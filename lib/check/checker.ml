@@ -1429,10 +1429,10 @@ and do_assign env st ~(lhs_ref : Sref.t) ~(lhs_ty : Ctype.t) ~(rhs : value)
   let st =
     Sref.Set.fold
       (fun img st ->
-        List.fold_left
-          (fun st (r, _) ->
+        Store.fold
+          (fun r _ st ->
             if Sref.derived_from ~outer:img r then Store.remove st r else st)
-          st (Store.bindings st))
+          st st)
       images st
   in
   let def =
@@ -1631,8 +1631,8 @@ and incomplete_refs env st (r : Sref.t) : Sref.t list =
               | _ -> Sref.deref r :: acc))
       | DSpdefined ->
           (* recurse into tracked children, honouring relaxed annotations *)
-          List.fold_left
-            (fun acc (child, _) ->
+          Store.fold
+            (fun child _ acc ->
               match Sref.base child with
               | Some b when Sref.equal b r ->
                   let an = annots_of_ref env child in
@@ -1641,7 +1641,7 @@ and incomplete_refs env st (r : Sref.t) : Sref.t list =
                       acc
                   | _ -> go child acc)
               | _ -> acc)
-            acc (Store.bindings st)
+            st acc
     end
   and relaxed_field (fl : Sema.field) =
     match fl.Sema.sf_annots.Sema.an.Annot.an_def with
@@ -1654,8 +1654,8 @@ and incomplete_refs env st (r : Sref.t) : Sref.t list =
     (possibly) null but whose declared annotations say non-null (the
     "Null storage c->vals derivable from return value" anomaly). *)
 and null_derivable env st (r : Sref.t) : (Sref.t * Store.refstate) list =
-  List.filter_map
-    (fun (child, (s : Store.refstate)) ->
+  Store.fold
+    (fun child (s : Store.refstate) acc ->
       if
         Sref.derived_from ~outer:r child
         && (match s.Store.rs_def with
@@ -1667,9 +1667,10 @@ and null_derivable env st (r : Sref.t) : (Sref.t * Store.refstate) list =
         (match annots.Annot.an_null with
         | Some Annot.Null | Some Annot.RelNull -> false
         | _ -> true)
-      then Some (child, s)
-      else None)
-    (Store.bindings st)
+      then (child, s) :: acc
+      else acc)
+    st []
+  |> List.rev
 
 (* ------------------------------------------------------------------ *)
 (* Function calls                                                      *)
@@ -2114,8 +2115,8 @@ and check_obligation_transfer env st (fs : Sema.funsig) (p : Sema.param)
         | Some r ->
             (* tracked descendants holding obligations... *)
             let st =
-              List.fold_left
-                (fun st (child, (s : Store.refstate)) ->
+              Store.fold
+                (fun child (s : Store.refstate) st ->
                   if
                     Sref.derived_from ~outer:r child
                     && has_obligation s.Store.rs_alloc
@@ -2129,7 +2130,7 @@ and check_obligation_transfer env st (fs : Sema.funsig) (p : Sema.param)
                     Store.set_alloc ~loc:aloc st child ASerror
                   end
                   else st)
-                st (Store.bindings st)
+                st st
             in
             (* ...and untouched only fields, which default to live (the
                object arrived completely defined) *)
@@ -2319,11 +2320,11 @@ and check_call_globals env st (fs : Sema.funsig) ~loc : Store.t =
           in
           (* drop stale derived refs *)
           let st =
-            List.fold_left
-              (fun st (child, _) ->
+            Store.fold
+              (fun child _ st ->
                 if Sref.derived_from ~outer:r child then Store.remove st child
                 else st)
-              st (Store.bindings st)
+              st st
           in
           Store.set st r after)
     st fs.Sema.fs_globals
@@ -2679,8 +2680,8 @@ let check_exit env st ~(ret : value option) ~loc : Store.t =
   in
   (* ---- globals ---- *)
   let st =
-    List.fold_left
-      (fun st (r, (s : Store.refstate)) ->
+    Store.fold
+      (fun r (s : Store.refstate) st ->
         match Sref.view r with
         | Sref.Root (Sref.Rglobal g) -> (
             match Hashtbl.find_opt env.prog.Sema.p_globals g with
@@ -2742,7 +2743,7 @@ let check_exit env st ~(ret : value option) ~loc : Store.t =
                 in
                 st)
         | _ -> st)
-      st (Store.bindings st)
+      st st
   in
   (* ---- locals still in scope, and unconsumed fresh storage ---- *)
   let st =
@@ -2751,12 +2752,12 @@ let check_exit env st ~(ret : value option) ~loc : Store.t =
       st env.scopes
   in
   let st =
-    List.fold_left
-      (fun st (r, _) ->
+    Store.fold
+      (fun r _ st ->
         match Sref.view r with
         | Sref.Root (Sref.Rfresh _) -> leak_check_ref env st r ~what:"return" ~loc
         | _ -> st)
-      st (Store.bindings st)
+      st st
   in
   st
 

@@ -113,7 +113,7 @@ let remove st r =
   end
 let unreachable st = { st with reachable = false }
 let is_reachable st = st.reachable
-let bindings st = Sref.Map.bindings st.map
+let fold f st acc = Sref.Map.fold f st.map acc
 
 let update st r f =
   let s = get st r in
@@ -212,20 +212,32 @@ let set_alloc ?loc st r a =
   update_images st r (fun s -> { s with rs_alloc = a; rs_allocloc = loc })
 
 (** Drop every binding whose reference involves [root] (scope exit), and
-    remove dangling alias edges pointing into the dropped set. *)
+    remove dangling alias edges pointing into the dropped set.  Runs on
+    every declaration and scope exit, so it allocates only for what it
+    changes: a store with no binding under [root] comes back physically
+    unchanged, and only the alias sets that meet the dropped set are
+    rewritten. *)
 let drop_root st root =
-  let keep, dropped =
-    Sref.Map.partition (fun r _ -> not (Sref.mentions_root root r)) st.map
+  let dropped =
+    Sref.Map.fold
+      (fun r _ acc ->
+        if Sref.mentions_root root r then Sref.Set.add r acc else acc)
+      st.map Sref.Set.empty
   in
-  let dropped_refs =
-    Sref.Map.fold (fun r _ acc -> Sref.Set.add r acc) dropped Sref.Set.empty
-  in
-  let keep =
-    Sref.Map.map
-      (fun s -> { s with rs_aliases = Sref.Set.diff s.rs_aliases dropped_refs })
-      keep
-  in
-  { st with map = keep }
+  if Sref.Set.is_empty dropped then st
+  else
+    let keep = Sref.Set.fold Sref.Map.remove dropped st.map in
+    let map =
+      Sref.Map.fold
+        (fun r s acc ->
+          if Sref.Set.disjoint s.rs_aliases dropped then acc
+          else
+            Sref.Map.add r
+              { s with rs_aliases = Sref.Set.diff s.rs_aliases dropped }
+              acc)
+        keep keep
+    in
+    { st with map }
 
 (** References rooted at [root] currently tracked. *)
 let refs_with_root st root =

@@ -43,7 +43,8 @@ val set : t -> Sref.t -> refstate -> t
 
 val remove : t -> Sref.t -> t
 val update : t -> Sref.t -> (refstate -> refstate) -> t
-val bindings : t -> (Sref.t * refstate) list
+val fold : (Sref.t -> refstate -> 'a -> 'a) -> t -> 'a -> 'a
+(** Fold over the bindings in increasing reference order. *)
 
 val unreachable : t -> t
 (** Mark the path dead (after [return] or an [exits] call). *)
@@ -78,7 +79,8 @@ val refine_null : ?loc:Cfront.Loc.t -> t -> Sref.t -> nullstate -> t
 
 val drop_root : t -> Sref.root -> t
 (** Scope exit: drop every binding mentioning the root and prune dangling
-    alias edges. *)
+    alias edges.  Returns the store physically unchanged when no binding
+    mentions the root. *)
 
 val refs_with_root : t -> Sref.root -> (Sref.t * refstate) list
 

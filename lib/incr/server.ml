@@ -17,9 +17,10 @@ let strings_of = function
   | _ -> None
 
 (* A [files] entry: "path" (read from disk) or {"name":..,"text":..}
-   (in-memory document). *)
-let doc_of_entry = function
-  | J.String path -> Ok (Service.doc_of_file path)
+   (in-memory document).  A path whose bytes are unchanged comes back
+   as the service's stored text, without allocating a copy. *)
+let doc_of_entry t = function
+  | J.String path -> Ok (Service.doc_of_file ~current:t path)
   | J.Obj _ as o -> (
       match
         ( Option.bind (J.member "name" o) J.to_string_opt,
@@ -67,7 +68,7 @@ let handle t request =
             List.fold_left
               (fun acc e ->
                 Result.bind acc (fun acc ->
-                    match doc_of_entry e with
+                    match doc_of_entry t e with
                     | Ok d -> Ok (d :: acc)
                     | Error _ as err -> err))
               (Ok []) items
@@ -106,9 +107,18 @@ let handle t request =
           ],
         true )
   | "stats" ->
+      (* the process's major heap next to the service's gauges *)
+      let gc = Gc.quick_stat () in
+      let heap =
+        [ ("heap_words", gc.Gc.heap_words); ("top_heap_words", gc.Gc.top_heap_words) ]
+      in
       ( J.Obj
           ([ ("op", J.String "stats"); ("ok", J.Bool true) ]
-          @ List.map (fun (k, v) -> (k, J.Int v)) (Service.stats t)),
+          @ List.map
+              (fun (k, v) -> (k, J.Int v))
+              (List.merge
+                 (fun (a, _) (b, _) -> String.compare a b)
+                 (Service.stats t) heap)),
         true )
   | "shutdown" ->
       (J.Obj [ ("op", J.String "shutdown"); ("ok", J.Bool true) ], false)
@@ -142,6 +152,13 @@ let serve ?cache t ic oc =
         output_string oc (J.to_string response);
         output_char oc '\n';
         flush oc;
+        (* a cold or rebuilt answer leaves the previous environment and
+           the build's temporaries behind: collect them while the client
+           reads the answer, so the heap does not grow by an environment
+           per rebuild before the collector catches up *)
+        (match J.member "tier" response with
+        | Some (J.String ("cold" | "rebuilt")) -> Gc.full_major ()
+        | _ -> ());
         continue := keep
   done;
   match cache with

@@ -14,7 +14,10 @@
 
     A [check] entry that is a plain string names a file read from disk;
     an object with [name]/[text] is an in-memory document (an editor
-    buffer).  Responses always carry ["op"] and ["ok"]; see
+    buffer); a path whose bytes are unchanged is answered with the
+    service's stored text ({!Service.doc_of_file}).  [stats] adds the
+    process's [heap_words] and [top_heap_words] to {!Service.stats}.
+    Responses always carry ["op"] and ["ok"]; see
     docs/incremental.md for the full schema.  Malformed input yields an
     [ok:false] response and the server keeps serving — only [shutdown]
     (or end of input) ends the loop. *)
@@ -30,4 +33,6 @@ val serve :
 (** The daemon loop: read NDJSON requests until [shutdown] or EOF.
     With [cache], load a persisted summary cache from that path at
     startup (ignored with a warning on stderr if invalid) and write the
-    cache back on shutdown/EOF. *)
+    cache back on shutdown/EOF.  After flushing the answer to a cold or
+    rebuilt check it runs one {!Gc.full_major}, so the environment the
+    request replaced is freed before the next request is read. *)

@@ -5,7 +5,11 @@
     - [files]: per-file parse artifacts — the source text, the
       typedef-name snapshot it was parsed under, and the AST.  A
       request's changed set is found by comparing texts (memcmp), so no
-      source text is ever hashed.
+      source text is ever hashed; a path-named document whose bytes are
+      unchanged arrives as the stored string itself ({!doc_of_file}),
+      which makes the comparison a pointer test.  After a Patched
+      request the AST shares every unchanged declaration with the
+      environment: one AST per definition.
     - [fns]: per-function summaries keyed by (defining file, name).  An
       entry pins the checked AST object, the funsig hash of the function
       and of each direct callee, under [+xproc] each direct callee's
@@ -60,13 +64,6 @@ module Flags = Annot.Flags
 module J = Telemetry.Json
 
 type doc = { doc_name : string; doc_text : string }
-
-let doc_of_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      { doc_name = path; doc_text = really_input_string ic (in_channel_length ic) })
 
 type fn_entry = {
   mutable fn_fd : Ast.fundef;  (** the AST object the summary is for *)
@@ -149,6 +146,54 @@ let create ?(flags = Flags.default) ?(no_stdlib = false) ?(load_libs = [])
     n_invalidated = 0;
     n_rechecked = 0;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Reading documents                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* One read buffer per domain: a per-file buffer would allocate as much
+   as the text it saves. *)
+let read_buffer = Domain.DLS.new_key (fun () -> Bytes.create 65536)
+
+(* Do the remaining [String.length text] bytes of [ic] equal [text]?
+   Reads through [read_buffer] and compares 8 bytes at a time, so an
+   unchanged file costs no allocation. *)
+let same_contents ic text =
+  let buf = Domain.DLS.get read_buffer in
+  let len = String.length text in
+  let rec chunk off =
+    off >= len
+    ||
+    let n = min (Bytes.length buf) (len - off) in
+    really_input ic buf 0 n;
+    let rec words i =
+      if i + 8 > n then bytes i
+      else
+        Int64.equal (Bytes.get_int64_ne buf i)
+          (String.get_int64_ne text (off + i))
+        && words (i + 8)
+    and bytes i =
+      i >= n
+      || Char.equal (Bytes.unsafe_get buf i) (String.unsafe_get text (off + i))
+         && bytes (i + 1)
+    in
+    words 0 && chunk (off + n)
+  in
+  try chunk 0 with End_of_file -> false
+
+let doc_of_file ?current path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let len = in_channel_length ic in
+      match Option.bind current (fun t -> Hashtbl.find_opt t.files path) with
+      | Some fe
+        when String.length fe.fe_text = len && same_contents ic fe.fe_text ->
+          { doc_name = path; doc_text = fe.fe_text }
+      | _ ->
+          seek_in ic 0;
+          { doc_name = path; doc_text = really_input_string ic len })
 
 type tier = Cold | Clean | Patched | Rebuilt
 
@@ -646,27 +691,34 @@ let update t ~flags ~canon docs =
         List.iter
           (fun (d, p) ->
             let fe, tu = Option.get p in
-            List.iter2
-              (fun od nd ->
-                match (od, nd) with
-                | Ast.Tfundef ofd, Ast.Tfundef nfd
-                  when not (Ast.equal_fundef ofd nfd) ->
-                    (* dirty body: swap the AST in place, drop the entry *)
-                    ignore (Sema.patch_fundef env nfd);
-                    patched := (ofd, nfd) :: !patched;
-                    let id = (d.doc_name, nfd.Ast.f_name) in
-                    if Hashtbl.mem t.fns id then begin
-                      Hashtbl.remove t.fns id;
-                      t.n_invalidated <- t.n_invalidated + 1;
-                      Telemetry.Counter.tick Telemetry.c_incr_invalidations
-                    end
-                | _ -> ())
-              fe.fe_ast.Ast.tu_decls tu.Ast.tu_decls;
+            (* the stored AST keeps every unchanged declaration object
+               (the ones the environment points at) and takes only the
+               swapped bodies from the new parse, so the file holds one
+               AST per definition *)
+            let decls =
+              List.map2
+                (fun od nd ->
+                  match (od, nd) with
+                  | Ast.Tfundef ofd, Ast.Tfundef nfd
+                    when not (Ast.equal_fundef ofd nfd) ->
+                      (* dirty body: swap the AST in place, drop the entry *)
+                      ignore (Sema.patch_fundef env nfd);
+                      patched := (ofd, nfd) :: !patched;
+                      let id = (d.doc_name, nfd.Ast.f_name) in
+                      if Hashtbl.mem t.fns id then begin
+                        Hashtbl.remove t.fns id;
+                        t.n_invalidated <- t.n_invalidated + 1;
+                        Telemetry.Counter.tick Telemetry.c_incr_invalidations
+                      end;
+                      nd
+                  | _ -> od)
+                fe.fe_ast.Ast.tu_decls tu.Ast.tu_decls
+            in
             Hashtbl.replace t.files d.doc_name
               {
                 fe_text = d.doc_text;
                 fe_typedefs = fe.fe_typedefs;
-                fe_ast = tu;
+                fe_ast = { tu with Ast.tu_decls = decls };
               })
           parsed;
         (* suppression comments live in the per-file pragma lists; a
@@ -774,6 +826,8 @@ let stats t =
   ]
 
 let environment t = t.env
+
+let file_ast t name = Option.map (fun fe -> fe.fe_ast) (Hashtbl.find_opt t.files name)
 
 let summaries t = Option.map Summary.table t.summaries
 

@@ -41,12 +41,17 @@ type doc = { doc_name : string; doc_text : string }
 (** One source document: a file name (diagnostic locations use it) and
     its full text. *)
 
-val doc_of_file : string -> doc
-(** Read a document from disk ([Sys_error] on failure). *)
-
 type t
 (** A service instance.  Not thread-safe: one request at a time
     (parallelism happens inside a request, on the checking pool). *)
+
+val doc_of_file : ?current:t -> string -> doc
+(** Read a document from disk ([Sys_error] on failure).  With
+    [current], a file whose bytes equal the text [current] holds for
+    that path is compared in place through a reusable per-domain buffer
+    and answered with the stored string itself (physically), so
+    re-reading an unchanged document allocates nothing; any other file
+    is read into a fresh string. *)
 
 val create :
   ?flags:Annot.Flags.t ->
@@ -118,6 +123,11 @@ val stats : t -> (string * int) list
 
 val environment : t -> Sema.program option
 (** The persistent environment the last request checked against. *)
+
+val file_ast : t -> string -> Cfront.Ast.tunit option
+(** The AST the service holds for a document.  After a Patched request
+    it shares every unchanged declaration object with {!environment}:
+    only the swapped-in bodies are new. *)
 
 val summaries : t -> Summary.table option
 (** The [+xproc] effect summaries of {!environment} ([None] without

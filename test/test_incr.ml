@@ -780,6 +780,92 @@ let test_stats_shape () =
     (let names = List.map fst stats in
      names = List.sort String.compare names)
 
+(* A Patched request keeps one AST per definition: the file entry
+   shares every unchanged declaration with the environment, and only
+   the swapped body is new. *)
+let test_patched_keeps_one_ast () =
+  let svc = Service.create ~flags () in
+  ignore (run svc base_files);
+  let decls () =
+    match Service.file_ast svc "a.c" with
+    | Some tu -> tu.Ast.tu_decls
+    | None -> Alcotest.fail "no AST for a.c"
+  in
+  let before = decls () in
+  let oc =
+    run svc (edit "a.c" "return r->v;" "return r->v + 1;" base_files)
+  in
+  Alcotest.check tier "patched tier" Service.Patched oc.Service.oc_tier;
+  let env = Option.get (Service.environment svc) in
+  let in_env (fd : Ast.fundef) =
+    List.exists (fun (_, fd') -> fd' == fd) (Sema.fundefs_in env "a.c")
+  in
+  let after = decls () in
+  Alcotest.(check int) "same declaration count" (List.length before)
+    (List.length after);
+  List.iter2
+    (fun od nd ->
+      match nd with
+      | Ast.Tfundef fd when fd.Ast.f_name = "rec_value" ->
+          Alcotest.(check bool) "swapped body is new" false (od == nd);
+          Alcotest.(check bool) "swapped body is the environment's" true
+            (in_env fd)
+      | Ast.Tfundef fd ->
+          Alcotest.(check bool)
+            (fd.Ast.f_name ^ " kept") true (od == nd);
+          Alcotest.(check bool)
+            (fd.Ast.f_name ^ " is the environment's") true (in_env fd)
+      | _ -> Alcotest.(check bool) "declaration kept" true (od == nd))
+    before after
+
+(* [doc_of_file ~current] answers an unchanged file with the stored
+   string itself, and any other file with a fresh, equal copy. *)
+let test_doc_of_file_in_place () =
+  let dir = Filename.temp_dir "incr" "docs" in
+  let write name text =
+    let path = Filename.concat dir name in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    path
+  in
+  (* over one 64 KB read buffer: a long comment, then a function *)
+  let big =
+    "/* " ^ String.make 70000 'x' ^ " */\nint big(void) { return 1; }\n"
+  in
+  let cases = [ ("a.c", file_a); ("b.c", file_b); ("e.c", ""); ("big.c", big) ] in
+  let paths = List.map (fun (name, text) -> write name text) cases in
+  let svc = Service.create ~flags () in
+  let first = List.map (fun p -> Service.doc_of_file p) paths in
+  (match Service.check svc first with
+  | Ok _ -> ()
+  | Error d -> Alcotest.failf "service error: %s" (Diag.to_string d));
+  let stored path =
+    (List.find (fun d -> d.Service.doc_name = path) first).Service.doc_text
+  in
+  List.iter
+    (fun path ->
+      Alcotest.(check bool)
+        (Filename.basename path ^ " unchanged: stored string") true
+        ((Service.doc_of_file ~current:svc path).Service.doc_text
+        == stored path))
+    paths;
+  let changed name text =
+    let path = write name text in
+    let d = Service.doc_of_file ~current:svc path in
+    Alcotest.(check string) (name ^ " changed: disk bytes") text
+      d.Service.doc_text;
+    Alcotest.(check bool) (name ^ " changed: fresh string") false
+      (d.Service.doc_text == stored path)
+  in
+  let n = String.length file_a in
+  changed "a.c" (String.sub file_a 0 (n - 1) ^ " ");
+  changed "b.c" (file_b ^ "\n");
+  changed "e.c" "int e;\n";
+  changed "big.c"
+    (String.mapi (fun i c -> if i = 65536 + 10 then 'y' else c) big);
+  changed "a.c" "";
+  List.iter Sys.remove paths;
+  Sys.rmdir dir
+
 (* ------------------------------------------------------------------ *)
 (* Content keys                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -1011,6 +1097,17 @@ let test_protocol_stats_invalidate_shutdown () =
   let stats, _ = Server.handle svc (J.Obj [ ("op", J.String "stats") ]) in
   Alcotest.(check bool) "stats ok" true (get_bool "ok" stats);
   Alcotest.(check int) "stats entries" 5 (get_int "entries" stats);
+  (* the process's heap, next to the service's gauges *)
+  let heap = get_int "heap_words" stats
+  and top = get_int "top_heap_words" stats in
+  Alcotest.(check bool) "heap_words positive" true (heap > 0);
+  Alcotest.(check bool) "top_heap_words >= heap_words" true (top >= heap);
+  (match stats with
+  | J.Obj fields ->
+      let names = List.filter (fun k -> k <> "op" && k <> "ok") (List.map fst fields) in
+      Alcotest.(check (list string)) "gauges sorted by name"
+        (List.sort String.compare names) names
+  | _ -> Alcotest.fail "stats not an object");
   let inv, _ =
     Server.handle svc
       (J.Obj
@@ -1091,6 +1188,10 @@ let () =
           Alcotest.test_case "parse error keeps state" `Quick
             test_parse_error_keeps_state;
           Alcotest.test_case "stats" `Quick test_stats_shape;
+          Alcotest.test_case "patched file keeps one AST" `Quick
+            test_patched_keeps_one_ast;
+          Alcotest.test_case "unchanged file read in place" `Quick
+            test_doc_of_file_in_place;
         ] );
       ( "persistence",
         [

@@ -152,11 +152,25 @@ let test_drop_root () =
     Store.set st (g "gl")
       { (state ()) with Store.rs_aliases = Sref.Set.singleton p }
   in
+  let q = v "q" in
+  let st =
+    Store.set st (g "both")
+      { (state ()) with Store.rs_aliases = Sref.Set.of_list [ p; q ] }
+  in
+  let st = Store.set st (g "other") (state ()) in
+  Alcotest.(check bool) "absent root: store unchanged" true
+    (Store.drop_root st (Sref.Rlocal "absent") == st);
+  let other = Store.get st (g "other") in
   let st = Store.drop_root st (Sref.Rlocal "p") in
   Alcotest.(check bool) "p gone" false (Store.mem st p);
   Alcotest.(check bool) "p->f gone" false (Store.mem st (fld p "f"));
   Alcotest.(check bool) "dangling edge removed" true
-    (Sref.Set.is_empty (Store.get st (g "gl")).Store.rs_aliases)
+    (Sref.Set.is_empty (Store.get st (g "gl")).Store.rs_aliases);
+  Alcotest.(check bool) "other edges kept" true
+    (Sref.Set.equal (Sref.Set.singleton q)
+       (Store.get st (g "both")).Store.rs_aliases);
+  Alcotest.(check bool) "untouched binding kept" true
+    (Store.get st (g "other") == other)
 
 let test_merge_stores () =
   let p = v "p" in
@@ -217,10 +231,10 @@ let prop_merge_idem =
           Store.empty entries
       in
       let merged = Store.merge ~on_conflict:(fun _ -> ()) st st in
-      List.for_all
-        (fun (r, (s : Store.refstate)) ->
-          equal_defstate (Store.get merged r).Store.rs_def s.Store.rs_def)
-        (Store.bindings st))
+      Store.fold
+        (fun r (s : Store.refstate) ok ->
+          ok && equal_defstate (Store.get merged r).Store.rs_def s.Store.rs_def)
+        st true)
 
 (* property: merge is commutative in the observable states.  Locations
    are excluded on purpose — message attribution prefers the first
@@ -256,15 +270,16 @@ let prop_merge_comm =
       let a = store_of ea and b = store_of eb in
       let ab = Store.merge ~on_conflict:(fun _ -> ()) a b in
       let ba = Store.merge ~on_conflict:(fun _ -> ()) b a in
-      List.for_all
-        (fun (r, (x : Store.refstate)) ->
+      Store.fold
+        (fun r (x : Store.refstate) ok ->
           let y = Store.get ba r in
-          equal_defstate x.Store.rs_def y.Store.rs_def
+          ok
+          && equal_defstate x.Store.rs_def y.Store.rs_def
           && equal_nullstate x.Store.rs_null y.Store.rs_null
           && equal_allocstate x.Store.rs_alloc y.Store.rs_alloc
           && Bool.equal x.Store.rs_offset y.Store.rs_offset
           && Sref.Set.equal x.Store.rs_aliases y.Store.rs_aliases)
-        (Store.bindings ab))
+        ab true)
 
 let () =
   Alcotest.run "store"
