@@ -1511,9 +1511,13 @@ let incr_exp () =
   row "  every -j and across a save/load service restart, which must\n";
   row "  itself beat a cold check.  The body edit is gated again under\n";
   row "  +xproc, where the warm request must also refresh the effect\n";
-  row "  summaries it affects.  Last, 20 body edits may grow the live\n";
-  row "  set by at most %d words each.  Written to BENCH_incr.json.\n\n"
+  row "  summaries it affects.  20 body edits may grow the live set by\n";
+  row "  at most %d words each.  Last, the corpus is written to disk and\n"
     live_growth_bound;
+  row "  named by path: once its files have settled (%.0f s), an unchanged\n"
+    Incr.Service.racy_margin;
+  row "  resubmission must read no file and answer like the cold check.\n";
+  row "  Written to BENCH_incr.json.\n\n";
   let modules = 240 and fns_per_module = 25 in
   let p =
     Progen.generate ~seed:!seed_flag ~modules ~fns_per_module
@@ -1720,6 +1724,61 @@ let incr_exp () =
   if growth_per_edit > live_growth_bound then
     fail "live set grew %d words per body edit (want <= %d)" growth_per_edit
       live_growth_bound;
+  (* the path-named arm: the corpus on disk, named by path the way the
+     server reads it.  The cold read records every file's stat stamp
+     inside the racy window; the first resubmission after the margin
+     compares the files once more and settles their stamps, and the
+     next one must cost a stat per file and read nothing *)
+  let dir = Filename.temp_dir "e13" "corpus" in
+  let paths =
+    List.map
+      (fun (name, text) ->
+        let path = Filename.concat dir name in
+        Out_channel.with_open_bin path (fun oc -> output_string oc text);
+        path)
+      files0
+  in
+  let svc_path = Incr.Service.create ~flags () in
+  let doc_reads () = List.assoc "doc_reads" (Incr.Service.stats svc_path) in
+  let path_request () =
+    let before = doc_reads () in
+    let oc, dt =
+      time (fun () ->
+          match
+            Incr.Service.check svc_path
+              (List.map (Incr.Service.doc_of_file ~current:svc_path) paths)
+          with
+          | Ok oc -> oc
+          | Error d ->
+              Printf.eprintf "incr: fatal frontend error: %s\n"
+                (Cfront.Diag.to_string d);
+              exit 2)
+    in
+    (oc, dt, doc_reads () - before)
+  in
+  let oc_path_cold, t_path_cold, reads_cold = path_request () in
+  Unix.sleepf (Incr.Service.racy_margin +. 0.2);
+  let oc_settle, t_settle, reads_settle = path_request () in
+  let oc_settled, t_settled, reads_settled = path_request () in
+  List.iter Sys.remove paths;
+  Sys.rmdir dir;
+  row "\n  by path: cold %.3fs (%d files read), first after the margin %.4fs\n"
+    t_path_cold reads_cold t_settle;
+  row "  (%d read), settled resubmission %.4fs (%d read)\n" reads_settle
+    t_settled reads_settled;
+  expect_tier "path-named cold" "cold" oc_path_cold;
+  expect_tier "path-named resubmission" "clean" oc_settle;
+  expect_tier "path-named settled resubmission" "clean" oc_settled;
+  if reads_cold <> List.length paths then
+    fail "path-named cold check read %d of %d files" reads_cold
+      (List.length paths);
+  if reads_settled <> 0 then
+    fail "settled resubmission read %d files (want 0: one stat each)"
+      reads_settled;
+  expect_same "path-named resubmission vs cold" (render oc_settle)
+    (render oc_path_cold);
+  expect_same "settled resubmission vs cold" (render oc_settled)
+    (render oc_path_cold);
   let doc =
     Telemetry.Json.(
       Obj
@@ -1743,6 +1802,12 @@ let incr_exp () =
           ("live_words_cold", Int live_cold);
           ("live_words_edited", Int live_edited);
           ("live_growth_per_edit", Int growth_per_edit);
+          ("path_cold_seconds", Float t_path_cold);
+          ("path_cold_doc_reads", Int reads_cold);
+          ("path_settle_seconds", Float t_settle);
+          ("path_settle_doc_reads", Int reads_settle);
+          ("path_settled_seconds", Float t_settled);
+          ("path_settled_doc_reads", Int reads_settled);
           ("warnings", Int (List.length oc_ref.Incr.Service.oc_kept));
           ( "suppressed",
             Int (List.length oc_ref.Incr.Service.oc_suppressed) );

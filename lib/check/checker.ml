@@ -104,10 +104,13 @@ type env = {
   diags : Diag.Collector.t;
   exit_obs : (exit_info -> unit) option;
       (** called once per reachable procedure exit (summary extraction) *)
-  proc_inferred : bool;
+  proc_inferred : bool Lazy.t;
       (** this check consults at least one inferred annotation (own
           signature or any direct callee's), so its messages carry the
-          provenance mark *)
+          provenance mark.  Forced at the first emission, or before a
+          block-scope declaration could register a callee
+          ({!exec_decl}), so it reads the signatures the check started
+          with *)
   mutable scopes : scope list;  (** innermost first *)
   mutable breaks : Store.t list list;  (** per enclosing breakable construct *)
   mutable continues : Store.t list list;
@@ -129,7 +132,7 @@ let emit env ?(severity = Diag.Err) ?(notes = []) ~loc ~code fmt =
     (fun text ->
       Diag.Collector.emit env.diags
         (Diag.make ~severity ~notes ~proc:env.fs.Sema.fs_name
-           ~inferred:env.proc_inferred ~loc ~code text))
+           ~inferred:(Lazy.force env.proc_inferred) ~loc ~code text))
     fmt
 
 let push_scope env = env.scopes <- { vars = [] } :: env.scopes
@@ -1239,14 +1242,6 @@ and do_assign env st ~(lhs_ref : Sref.t) ~(lhs_ty : Ctype.t) ~(rhs : value)
           { s with Store.rs_offset = true })
   | _ ->
   let old = Store.get st lhs_ref in
-  (if Sys.getenv_opt "OLCLINT_DEBUG3" <> None then
-     Fmt.epr "[store before %a]@\n%a@\n" Loc.pp loc Store.pp st);
-  (if Sys.getenv_opt "OLCLINT_DEBUG2" <> None then
-     Fmt.epr "[assign %a] lhs=%s old(def=%s null=%s alloc=%s) rhs(def=%s alloc=%s)@\n"
-       Loc.pp loc (Sref.to_string lhs_ref)
-       (defstate_string old.Store.rs_def) (nullstate_string old.Store.rs_null)
-       (allocstate_string old.Store.rs_alloc)
-       (defstate_string rhs.v_def) (allocstate_string rhs.v_alloc));
   (* names of the assigned value, captured before the store is mutated
      (rebinding the lhs invalidates alias paths through it) *)
   let rhs_images_pre =
@@ -1276,12 +1271,6 @@ and do_assign env st ~(lhs_ref : Sref.t) ~(lhs_ty : Ctype.t) ~(rhs : value)
            ]
        | _ -> []
      in
-     (if Sys.getenv_opt "OLCLINT_DEBUG" <> None then
-        Fmt.epr "[dbg mustfree] lhs=%s def=%s null=%s alloc=%s@\n"
-          (Sref.to_string lhs_ref)
-          (defstate_string old.Store.rs_def)
-          (nullstate_string old.Store.rs_null)
-          (allocstate_string old.Store.rs_alloc));
      emit env ~loc ~code:"mustfree" ~notes
        "Only storage %s not released before assignment" (Sref.to_string lhs_ref));
   (* silence the overwritten object's other names so the same leak is not
@@ -2172,13 +2161,6 @@ and check_obligation_transfer env st (fs : Sema.funsig) (p : Sema.param)
         match p.Sema.pr_annots.Sema.an.Annot.an_alloc with
         | Some Annot.Only ->
             (* original reference becomes a dead pointer *)
-            (if Sys.getenv_opt "OLCLINT_DEBUG4" <> None then
-               Fmt.epr "[free-transfer %a] r=%s images={%s}@\nstore:@\n%a@\n" Loc.pp aloc
-                 (Sref.to_string r)
-                 (String.concat ", "
-                    (List.map Sref.to_string
-                       (Sref.Set.elements (Store.alias_images st r))))
-                 Store.pp st);
             Store.set_def ~loc:aloc st r DSdead
         | Some Annot.Keep ->
             (* obligation satisfied, reference still usable *)
@@ -2414,11 +2396,6 @@ let check_exit env st ~(ret : value option) ~loc : Store.t =
       in
       obs { xi_loc = loc; xi_ret; xi_params }
   | None -> ());
-  if Sys.getenv_opt "OLCLINT_DEBUG" <> None then
-    Fmt.epr "--- store at exit of %s (%a) ---@
-%a@
-" env.fs.Sema.fs_name
-      Cfront.Loc.pp loc Store.pp st;
   let fs = env.fs in
   let ret_an = fs.Sema.fs_ret_annots.Sema.an in
   (* ---- return value ---- *)
@@ -2953,11 +2930,9 @@ and exec_decl env ~loc st (d : Ast.decl) : Store.t =
     ignore (Sema.resolve_ty env.prog ~loc d.d_ty);
     st
   end
-  else if d.d_storage = Ast.Stypedef then begin
-    Sema.process_decl env.prog d;
-    st
-  end
-  else if d.d_storage = Ast.Sextern then begin
+  else if d.d_storage = Ast.Stypedef || d.d_storage = Ast.Sextern then begin
+    (* the declaration may add or change a callee's signature *)
+    ignore (Lazy.force env.proc_inferred);
     Sema.process_decl env.prog d;
     st
   end
@@ -3163,13 +3138,14 @@ let check_fundef ?diags ?exit_obs ?summaries (prog : Sema.program)
     Telemetry.phase_check
   @@ fun () ->
   let proc_inferred =
-    funsig_inferred fs
-    || List.exists
-         (fun callee ->
-           match Hashtbl.find_opt prog.Sema.p_funcs callee with
-           | Some g -> funsig_inferred g
-           | None -> false)
-         (Sema.calls_of_fundef f)
+    lazy
+      (funsig_inferred fs
+      || List.exists
+           (fun callee ->
+             match Hashtbl.find_opt prog.Sema.p_funcs callee with
+             | Some g -> funsig_inferred g
+             | None -> false)
+           (Sema.calls_of_fundef f))
   in
   let env =
     {

@@ -18,9 +18,16 @@ let strings_of = function
 
 (* A [files] entry: "path" (read from disk) or {"name":..,"text":..}
    (in-memory document).  A path whose bytes are unchanged comes back
-   as the service's stored text, without allocating a copy. *)
+   as the service's stored text, without allocating a copy.  A path
+   that cannot be read is an error naming it. *)
 let doc_of_entry t = function
-  | J.String path -> Ok (Service.doc_of_file ~current:t path)
+  | J.String path -> (
+      let naming msg =
+        if String.starts_with ~prefix:path msg then msg else path ^ ": " ^ msg
+      in
+      try Ok (Service.doc_of_file ~current:t path) with
+      | Sys_error msg -> Error (naming msg)
+      | Unix.Unix_error (e, _, _) -> Error (naming (Unix.error_message e)))
   | J.Obj _ as o -> (
       match
         ( Option.bind (J.member "name" o) J.to_string_opt,
@@ -152,12 +159,12 @@ let serve ?cache t ic oc =
         output_string oc (J.to_string response);
         output_char oc '\n';
         flush oc;
-        (* a cold or rebuilt answer leaves the previous environment and
-           the build's temporaries behind: collect them while the client
-           reads the answer, so the heap does not grow by an environment
-           per rebuild before the collector catches up *)
+        (* a cold answer leaves the build's temporaries behind: collect
+           them while the client reads the answer.  A rebuild collects
+           the environment it replaces before it builds
+           ({!Service.check}), so one collection per rebuild is enough *)
         (match J.member "tier" response with
-        | Some (J.String ("cold" | "rebuilt")) -> Gc.full_major ()
+        | Some (J.String "cold") -> Gc.full_major ()
         | _ -> ());
         continue := keep
   done;

@@ -15,7 +15,9 @@
     A [check] entry that is a plain string names a file read from disk;
     an object with [name]/[text] is an in-memory document (an editor
     buffer); a path whose bytes are unchanged is answered with the
-    service's stored text ({!Service.doc_of_file}).  [stats] adds the
+    service's stored text ({!Service.doc_of_file}), after one [stat]
+    once its stamp has settled; a path that cannot be read answers
+    [ok:false] with an error naming it.  [stats] adds the
     process's [heap_words] and [top_heap_words] to {!Service.stats}.
     Responses always carry ["op"] and ["ok"]; see
     docs/incremental.md for the full schema.  Malformed input yields an
@@ -33,6 +35,7 @@ val serve :
 (** The daemon loop: read NDJSON requests until [shutdown] or EOF.
     With [cache], load a persisted summary cache from that path at
     startup (ignored with a warning on stderr if invalid) and write the
-    cache back on shutdown/EOF.  After flushing the answer to a cold or
-    rebuilt check it runs one {!Gc.full_major}, so the environment the
-    request replaced is freed before the next request is read. *)
+    cache back on shutdown/EOF.  After flushing the answer to a cold
+    check it runs one {!Gc.full_major}, so the build's temporaries are
+    freed before the next request is read; a rebuilt check collected
+    the environment it replaced before building ({!Service.check}). *)

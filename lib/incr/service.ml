@@ -10,6 +10,11 @@
       which makes the comparison a pointer test.  After a Patched
       request the AST shares every unchanged declaration with the
       environment: one AST per definition.
+    - [stamps]: per path, the [Unix.stat] stamp {!doc_of_file} saw next
+      to the text it returned.  An unchanged stamp whose text the
+      service still holds answers the path after one [stat], without
+      opening the file, once the stamp is outside the racy window
+      ([racy_margin]).
     - [fns]: per-function summaries keyed by (defining file, name).  An
       entry pins the checked AST object, the funsig hash of the function
       and of each direct callee, under [+xproc] each direct callee's
@@ -86,6 +91,20 @@ type file_entry = {
   fe_ast : Ast.tunit;
 }
 
+(* What [stat] said about a path when {!doc_of_file} returned
+   [sp_text] for it. *)
+type stamp = {
+  sp_dev : int;
+  sp_ino : int;
+  sp_size : int;
+  sp_mtime : float;
+  sp_ctime : float;
+  sp_text : string;
+  sp_trusted : bool;
+      (** mtime and ctime were [racy_margin] older than the read: any
+          later write gets a different mtime or ctime *)
+}
+
 type t = {
   base_flags : Flags.t;
   no_stdlib : bool;
@@ -98,6 +117,7 @@ type t = {
       (** pragmas contributed by libraries/specs, before any document *)
   mutable doc_order : string list;
   files : (string, file_entry) Hashtbl.t;
+  stamps : (string, stamp) Hashtbl.t;
   fns : (string * string, fn_entry) Hashtbl.t;
   mutable order : fn_entry array;
       (** the [fns] entry of each function at its {!Sema.fundefs}
@@ -118,6 +138,7 @@ type t = {
   mutable n_misses : int;
   mutable n_invalidated : int;
   mutable n_rechecked : int;
+  mutable n_doc_reads : int;  (** documents whose bytes were read *)
 }
 
 let create ?(flags = Flags.default) ?(no_stdlib = false) ?(load_libs = [])
@@ -133,6 +154,7 @@ let create ?(flags = Flags.default) ?(no_stdlib = false) ?(load_libs = [])
     base_pragmas = [];
     doc_order = [];
     files = Hashtbl.create 64;
+    stamps = Hashtbl.create 64;
     fns = Hashtbl.create 256;
     order = [||];
     sig_hashes = Hashtbl.create 256;
@@ -145,6 +167,7 @@ let create ?(flags = Flags.default) ?(no_stdlib = false) ?(load_libs = [])
     n_misses = 0;
     n_invalidated = 0;
     n_rechecked = 0;
+    n_doc_reads = 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -181,19 +204,65 @@ let same_contents ic text =
   in
   try chunk 0 with End_of_file -> false
 
-let doc_of_file ?current path =
+(* The file's text: [held] itself when the bytes equal it, else a
+   fresh string. *)
+let read_text ?held path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
       let len = in_channel_length ic in
-      match Option.bind current (fun t -> Hashtbl.find_opt t.files path) with
-      | Some fe
-        when String.length fe.fe_text = len && same_contents ic fe.fe_text ->
-          { doc_name = path; doc_text = fe.fe_text }
+      match held with
+      | Some text when String.length text = len && same_contents ic text ->
+          text
       | _ ->
           seek_in ic 0;
-          { doc_name = path; doc_text = really_input_string ic len })
+          really_input_string ic len)
+
+(* How much older than a read a file's mtime and ctime must be before
+   their stamp is trusted without reading the bytes (git's racy-git
+   rule).  A write within the same timestamp tick as the one the read
+   saw leaves the stamp unchanged, so the margin must cover the
+   coarsest file-timestamp granularity in common use: 2 s (FAT).  A
+   file written within the margin of a read is compared again on every
+   request until a comparison happens outside it. *)
+let racy_margin = 2.0
+
+let doc_of_file ?current path =
+  match current with
+  | None -> { doc_name = path; doc_text = read_text path }
+  | Some t -> (
+      let held =
+        Option.map (fun fe -> fe.fe_text) (Hashtbl.find_opt t.files path)
+      in
+      let read_at = Unix.gettimeofday () in
+      let st = Unix.stat path in
+      (* a directory opens, then fails to read with a misleading error *)
+      if st.Unix.st_kind = Unix.S_DIR then
+        raise (Sys_error (path ^ ": Is a directory"));
+      match (Hashtbl.find_opt t.stamps path, held) with
+      | Some sp, Some text
+        when sp.sp_trusted && sp.sp_text == text && sp.sp_ino = st.Unix.st_ino
+             && sp.sp_dev = st.Unix.st_dev && sp.sp_size = st.Unix.st_size
+             && Float.equal sp.sp_mtime st.Unix.st_mtime
+             && Float.equal sp.sp_ctime st.Unix.st_ctime ->
+          { doc_name = path; doc_text = text }
+      | _ ->
+          let text = read_text ?held path in
+          t.n_doc_reads <- t.n_doc_reads + 1;
+          let settled = read_at -. racy_margin in
+          Hashtbl.replace t.stamps path
+            {
+              sp_dev = st.Unix.st_dev;
+              sp_ino = st.Unix.st_ino;
+              sp_size = st.Unix.st_size;
+              sp_mtime = st.Unix.st_mtime;
+              sp_ctime = st.Unix.st_ctime;
+              sp_text = text;
+              sp_trusted =
+                st.Unix.st_mtime <= settled && st.Unix.st_ctime <= settled;
+            };
+          { doc_name = path; doc_text = text })
 
 type tier = Cold | Clean | Patched | Rebuilt
 
@@ -411,6 +480,10 @@ let commit_env t ~flags ~canon env base_pragmas new_files docs =
   t.doc_order <- List.map (fun d -> d.doc_name) docs;
   Hashtbl.reset t.files;
   Hashtbl.iter (Hashtbl.replace t.files) new_files;
+  (* a stamp pins its text: keep only those of the documents checked *)
+  Hashtbl.filter_map_inplace
+    (fun path sp -> if Hashtbl.mem t.files path then Some sp else None)
+    t.stamps;
   let sigs = Hashtbl.create (Hashtbl.length env.Sema.p_funcs * 2) in
   Hashtbl.iter
     (fun name fs -> Hashtbl.replace sigs name (funsig_hash fs))
@@ -631,9 +704,45 @@ let rebuild_pragmas t =
         | None -> [])
       t.doc_order
 
+(* Build and commit the environment of [docs].  The replaced
+   environment and its summaries are dropped and collected first, so
+   the old and the new one are never live together.  If the build
+   raises [Diag.Fatal], the previous environment is built again from
+   the cached ASTs of [t.doc_order] (their texts and typedef scopes are
+   unchanged, so nothing is parsed) and the error is re-raised: the
+   service answers as before.  After an [invalidate] of some of its
+   files that is not possible, and the old environment stays live
+   while the new one is built. *)
+let rebuild t ~flags ~canon docs =
+  let restorable =
+    Option.is_some t.env && List.for_all (Hashtbl.mem t.files) t.doc_order
+  in
+  if restorable then begin
+    t.env <- None;
+    t.summaries <- None;
+    Gc.full_major ()
+  end;
+  match build_env t ~flags docs with
+  | env, base_pragmas, new_files ->
+      commit_env t ~flags ~canon env base_pragmas new_files docs
+  | exception (Diag.Fatal _ as e) ->
+      if restorable then begin
+        let docs =
+          List.map
+            (fun name ->
+              { doc_name = name; doc_text = (Hashtbl.find t.files name).fe_text })
+            t.doc_order
+        in
+        let env, _, _ = build_env t ~flags:t.flags docs in
+        t.env <- Some env;
+        if t.flags.Flags.xproc then t.summaries <- Some (Summary.solve env)
+      end;
+      raise e
+
 (* Decide how to bring the environment up to date with [docs]; returns
    the tier and, for Patched, the (old, new) definitions whose bodies
-   were swapped.  Raises [Diag.Fatal] before committing any state. *)
+   were swapped.  Raises [Diag.Fatal] with the service answering as
+   before. *)
 let update t ~flags ~canon docs =
   let structure_changed =
     t.env = None
@@ -642,8 +751,7 @@ let update t ~flags ~canon docs =
   in
   if structure_changed then begin
     let was_cold = t.env = None in
-    let env, base_pragmas, new_files = build_env t ~flags docs in
-    commit_env t ~flags ~canon env base_pragmas new_files docs;
+    rebuild t ~flags ~canon docs;
     ((if was_cold then Cold else Rebuilt), None)
   end
   else begin
@@ -681,8 +789,7 @@ let update t ~flags ~canon docs =
           parsed
       in
       if not patchable then begin
-        let env, base_pragmas, new_files = build_env t ~flags docs in
-        commit_env t ~flags ~canon env base_pragmas new_files docs;
+        rebuild t ~flags ~canon docs;
         (Rebuilt, None)
       end
       else begin
@@ -780,6 +887,7 @@ let invalidate t files =
       dropped := Hashtbl.length t.fns;
       Hashtbl.reset t.fns;
       Hashtbl.reset t.files;
+      Hashtbl.reset t.stamps;
       Hashtbl.reset t.persisted;
       t.env <- None;
       t.doc_order <- []
@@ -787,6 +895,7 @@ let invalidate t files =
       List.iter
         (fun name ->
           Hashtbl.remove t.files name;
+          Hashtbl.remove t.stamps name;
           let victims =
             Hashtbl.fold
               (fun ((f, _) as id) _ acc ->
@@ -813,6 +922,7 @@ let invalidate t files =
 
 let stats t =
   [
+    ("doc_reads", t.n_doc_reads);
     ("entries", Hashtbl.length t.fns);
     ("files", Hashtbl.length t.files);
     ( "functions",
@@ -828,6 +938,8 @@ let stats t =
 let environment t = t.env
 
 let file_ast t name = Option.map (fun fe -> fe.fe_ast) (Hashtbl.find_opt t.files name)
+
+let stamped t path = Hashtbl.mem t.stamps path
 
 let summaries t = Option.map Summary.table t.summaries
 

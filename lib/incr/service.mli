@@ -47,11 +47,23 @@ type t
 
 val doc_of_file : ?current:t -> string -> doc
 (** Read a document from disk ([Sys_error] on failure).  With
-    [current], a file whose bytes equal the text [current] holds for
-    that path is compared in place through a reusable per-domain buffer
-    and answered with the stored string itself (physically), so
-    re-reading an unchanged document allocates nothing; any other file
-    is read into a fresh string. *)
+    [current], the path is [Unix.stat]ed first ([Unix.Unix_error] on
+    failure) and its stamp (device, inode, size, mtime, ctime) recorded
+    next to the text returned.  If the stamp equals the one recorded
+    last, [current] still holds that text, and that stamp's mtime and
+    ctime were at least {!racy_margin} older than the read that recorded
+    it (git's racy-git rule: a later write cannot have kept them), the
+    stored string is returned without opening the file.  Otherwise the
+    file is read: bytes equal to the text [current] holds are compared
+    in place through a reusable per-domain buffer and answered with the
+    stored string itself (physically), so re-reading an unchanged
+    document allocates nothing; any other file is read into a fresh
+    string.  Each read counts in the [doc_reads] gauge of {!stats}. *)
+
+val racy_margin : float
+(** How much older than the read that recorded it a stamp's mtime and
+    ctime must be before {!doc_of_file} trusts it: 2 s, the coarsest
+    file-timestamp granularity in common use. *)
 
 val create :
   ?flags:Annot.Flags.t ->
@@ -104,20 +116,24 @@ val check :
     change of effective flag set invalidates everything (the flag set is
     part of every cache key).  [Error d] reports a fatal frontend error
     (parse/lex); the service keeps its previous state and the next
-    request proceeds normally. *)
+    request proceeds normally.  A request that rebuilds the environment
+    frees the previous one (one full major collection) before building
+    the new one, and builds the previous one again from its cached ASTs
+    if the new one fails. *)
 
 val invalidate : t -> string list option -> int
 (** Drop cached state: [None] everything (including persisted-key
     adoptions), [Some files] the named files' parse artifacts and
-    function summaries.  Returns the number of function entries
-    dropped. *)
+    function summaries, with the {!doc_of_file} stamps of the files
+    dropped.  Returns the number of function entries dropped. *)
 
 val stats : t -> (string * int) list
 (** Cumulative service statistics, sorted by name: [incr_hits],
     [incr_misses], [incr_invalidations], [incr_rechecked] (mirroring the
     telemetry counters, but maintained even when telemetry is off) plus
     gauges ([files], [functions], [entries], [persisted],
-    [generation]). *)
+    [generation]) and [doc_reads], the number of {!doc_of_file} calls
+    with [current] that read the file's bytes. *)
 
 (** {1 Inspection} *)
 
@@ -128,6 +144,10 @@ val file_ast : t -> string -> Cfront.Ast.tunit option
 (** The AST the service holds for a document.  After a Patched request
     it shares every unchanged declaration object with {!environment}:
     only the swapped-in bodies are new. *)
+
+val stamped : t -> string -> bool
+(** Whether the service holds a {!doc_of_file} stat stamp for the
+    path. *)
 
 val summaries : t -> Summary.table option
 (** The [+xproc] effect summaries of {!environment} ([None] without

@@ -566,6 +566,20 @@ for v in 1 2 4; do
   sed -n 1p "$tmp/srv.v$v" | grep -q '"rechecked":0' && fail "a version-$v cache's results must be re-checked"
 done
 
+# a path that cannot be read is an ok:false answer naming it; the
+# server keeps serving and exits 0 on shutdown
+printf '%s\n' \
+  "{\"op\":\"check\",\"files\":[\"$tmp/missing.c\"]}" \
+  '{"op":"stats"}' \
+  '{"op":"shutdown"}' \
+  | "$OLCLINT" -server > "$tmp/srv4" 2> "$tmp/srverr4" \
+  || fail "server should survive a missing path and exit 0 on shutdown"
+sed -n 1p "$tmp/srv4" | grep -q '"ok":false' || fail "a missing path should answer ok:false"
+sed -n 1p "$tmp/srv4" | grep -qF "$tmp/missing.c" || fail "the missing-path error should name the path"
+sed -n 2p "$tmp/srv4" | grep -q '"op":"stats","ok":true' || fail "stats should answer after a missing path"
+sed -n 3p "$tmp/srv4" | grep -q '"op":"shutdown","ok":true' || fail "shutdown should answer after a missing path"
+[ -s "$tmp/srverr4" ] && { cat "$tmp/srverr4" >&2; fail "a missing path should write nothing to stderr"; }
+
 # --- documentation drift gate ------------------------------------------------
 # every checking flag and every telemetry counter must appear in the
 # docs/diagnostics.md tables -- and the tables must list nothing phantom

@@ -759,7 +759,65 @@ let test_parse_error_keeps_state () =
   let again = run svc base_files in
   Alcotest.check tier "still clean" Service.Clean again.Service.oc_tier;
   Alcotest.(check (list string))
-    "same diagnostics" (render first) (render again)
+    "same diagnostics" (render first) (render again);
+  (* a request that takes the rebuilt tier drops the environment before
+     it builds: a new broken file, and a flag change over a broken b.c,
+     fail in the build and must leave the previous environment rebuilt
+     from the cached ASTs, no document parsed again *)
+  let rebuild_fails what ?flag_args files =
+    (match Service.check ?flag_args svc (docs files) with
+    | Ok _ -> Alcotest.failf "%s: syntax error accepted" what
+    | Error _ -> ());
+    let env =
+      match Service.environment svc with
+      | Some env -> env
+      | None -> Alcotest.failf "%s: environment not restored" what
+    in
+    List.iter
+      (fun (name, _) ->
+        let cached =
+          match Service.file_ast svc name with
+          | Some tu -> tu.Ast.tu_decls
+          | None -> Alcotest.failf "%s: no AST for %s" what name
+        in
+        List.iter
+          (fun (_, fd) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %s is the cached AST's" what fd.Ast.f_name)
+              true
+              (List.exists
+                 (function Ast.Tfundef fd' -> fd' == fd | _ -> false)
+                 cached))
+          (Sema.fundefs_in env name))
+      base_files;
+    let again = run svc base_files in
+    Alcotest.check tier (what ^ ": still clean") Service.Clean
+      again.Service.oc_tier;
+    Alcotest.(check (list string))
+      (what ^ ": same diagnostics") (render first) (render again)
+  in
+  rebuild_fails "new broken file"
+    (base_files @ [ ("c.c", "int broken(void) { return 1") ]);
+  rebuild_fails "flag change" ~flag_args:[ "+loopexec" ] broken;
+  (* the restored environment takes the next edit like any other *)
+  let edited = edit "a.c" "return r->v;" "return r->v + 1;" base_files in
+  let oc = run svc edited in
+  Alcotest.check tier "patched after the restore" Service.Patched
+    oc.Service.oc_tier;
+  Alcotest.(check (list string))
+    "patched after the restore: a cold check" (direct edited) (render oc);
+  (* under +xproc the restored environment carries its summaries *)
+  let xsvc = Service.create ~flags:xproc_flags () in
+  ignore (run xsvc xproc_files);
+  (match
+     Service.check xsvc
+       (docs (xproc_files @ [ ("c.c", "int broken(void) { return 1") ]))
+   with
+  | Ok _ -> Alcotest.fail "+xproc: syntax error accepted"
+  | Error _ -> ());
+  let oc = run xsvc xproc_files in
+  Alcotest.check tier "+xproc: still clean" Service.Clean oc.Service.oc_tier;
+  check_refreshed "+xproc restore" xsvc xproc_files oc
 
 let test_stats_shape () =
   let svc = Service.create ~flags () in
@@ -865,6 +923,138 @@ let test_doc_of_file_in_place () =
   changed "a.c" "";
   List.iter Sys.remove paths;
   Sys.rmdir dir
+
+(* Documents on disk for the stat-stamp tests: [a.c] and [b.c] in a
+   fresh directory, read the way the server reads a path. *)
+type disk = { dir : string; pa : string; pb : string }
+
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
+let make_disk () =
+  let dir = Filename.temp_dir "incr" "stamps" in
+  let d =
+    { dir; pa = Filename.concat dir "a.c"; pb = Filename.concat dir "b.c" }
+  in
+  write_file d.pa file_a;
+  write_file d.pb file_b;
+  d
+
+let remove_disk d =
+  List.iter Sys.remove [ d.pa; d.pb ];
+  Sys.rmdir d.dir
+
+let doc_reads svc = List.assoc "doc_reads" (Service.stats svc)
+
+(* One path-named request: the documents it read, its outcome, and the
+   number of files whose bytes it read.  The answer must equal a cold
+   check of what is on disk now. *)
+let disk_request ?jobs what svc d =
+  let before = doc_reads svc in
+  let ds = List.map (Service.doc_of_file ~current:svc) [ d.pa; d.pb ] in
+  let oc =
+    match Service.check ?jobs svc ds with
+    | Ok oc -> oc
+    | Error e -> Alcotest.failf "%s: service error: %s" what (Diag.to_string e)
+  in
+  let on_disk =
+    List.map (fun p -> (p, In_channel.with_open_bin p In_channel.input_all))
+      [ d.pa; d.pb ]
+  in
+  Alcotest.(check (list string))
+    (what ^ ": a cold check of the files") (direct on_disk) (render oc);
+  (ds, oc, doc_reads svc - before)
+
+let text_of ds path =
+  (List.find (fun doc -> doc.Service.doc_name = path) ds).Service.doc_text
+
+(* Inside the racy window every request reads the files (here at
+   -j 4): a same-size edit written right after a request is seen, a
+   [touch] that keeps the bytes answers with the stored string, and
+   [invalidate] drops the stamps of the files it drops. *)
+let test_stamps_racy_window () =
+  let d = make_disk () in
+  let svc = Service.create ~flags () in
+  let ds0, oc, reads = disk_request ~jobs:4 "cold" svc d in
+  Alcotest.check tier "cold" Service.Cold oc.Service.oc_tier;
+  Alcotest.(check int) "cold reads both files" 2 reads;
+  Alcotest.(check bool) "a.c stamped" true (Service.stamped svc d.pa);
+  (* same size, same second: only the bytes tell *)
+  write_file d.pa (replace ~what:"r->v = v;" ~with_:"r->v = 7;" file_a);
+  let ds1, oc, reads = disk_request ~jobs:4 "same-size edit" svc d in
+  Alcotest.check tier "same-size edit patched" Service.Patched
+    oc.Service.oc_tier;
+  Alcotest.(check int) "racy files are read" 2 reads;
+  Alcotest.(check bool) "unchanged b.c: stored string" true
+    (text_of ds1 d.pb == text_of ds0 d.pb);
+  Unix.utimes d.pa 0.0 0.0;
+  let ds2, oc, _ = disk_request ~jobs:4 "touch" svc d in
+  Alcotest.check tier "touch is clean" Service.Clean oc.Service.oc_tier;
+  Alcotest.(check bool) "touched a.c: stored string" true
+    (text_of ds2 d.pa == text_of ds1 d.pa);
+  ignore (Service.invalidate svc (Some [ d.pa ]));
+  Alcotest.(check bool) "invalidated a.c unstamped" false
+    (Service.stamped svc d.pa);
+  Alcotest.(check bool) "b.c keeps its stamp" true (Service.stamped svc d.pb);
+  ignore (Service.invalidate svc None);
+  Alcotest.(check bool) "invalidate all: b.c unstamped" false
+    (Service.stamped svc d.pb);
+  remove_disk d
+
+(* Once a comparison happened [racy_margin] after the files' last
+   change, an unchanged resubmission costs a [stat] per file and reads
+   nothing; an in-memory buffer in between, a [touch], and a same-size
+   replacement through [rename] with the old mtime restored, are still
+   seen. *)
+let test_stamps_settled () =
+  let d = make_disk () in
+  (* a whole-second mtime, so that [Unix.utimes] can restore it exactly;
+     setting it makes ctime now, which keeps the files racy *)
+  let mtime = Float.round (Unix.gettimeofday ()) -. 10.0 in
+  List.iter (fun p -> Unix.utimes p mtime mtime) [ d.pa; d.pb ];
+  let svc = Service.create ~flags () in
+  let ds0, _, _ = disk_request "cold" svc d in
+  let _, _, reads = disk_request "old mtime, new ctime" svc d in
+  Alcotest.(check int) "a new ctime keeps the stamps racy" 2 reads;
+  Unix.sleepf (Service.racy_margin +. 0.2);
+  let _, _, reads = disk_request "first after the margin" svc d in
+  Alcotest.(check int) "the racy stamps are compared once more" 2 reads;
+  let ds, oc, reads = disk_request "settled resubmission" svc d in
+  Alcotest.check tier "settled resubmission clean" Service.Clean
+    oc.Service.oc_tier;
+  Alcotest.(check int) "settled resubmission reads nothing" 0 reads;
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) (Filename.basename p ^ ": stored string") true
+        (text_of ds p == text_of ds0 p))
+    [ d.pa; d.pb ];
+  (* an in-memory buffer for a.c replaces the text the service holds:
+     a.c's settled stamp no longer vouches for what the service has *)
+  let buffer = replace ~what:"return r->v;" ~with_:"return r->v + 1;" file_a in
+  ignore (run svc [ (d.pa, buffer); (d.pb, file_b) ]);
+  let ds1, oc, reads = disk_request "after an in-memory buffer" svc d in
+  Alcotest.check tier "back to the file: patched" Service.Patched
+    oc.Service.oc_tier;
+  Alcotest.(check int) "only the file under the buffer is read" 1 reads;
+  Unix.utimes d.pa 0.0 0.0;
+  let ds, oc, reads = disk_request "touch" svc d in
+  Alcotest.check tier "touch is clean" Service.Clean oc.Service.oc_tier;
+  Alcotest.(check int) "only the touched file is read" 1 reads;
+  Alcotest.(check bool) "touched a.c: stored string" true
+    (text_of ds d.pa == text_of ds1 d.pa);
+  let old = Unix.stat d.pb in
+  let tmp = Filename.concat d.dir "b.c.new" in
+  write_file tmp (replace ~what:"rec_create(2)" ~with_:"rec_create(3)" file_b);
+  Sys.rename tmp d.pb;
+  Unix.utimes d.pb old.Unix.st_atime old.Unix.st_mtime;
+  let ds, oc, reads = disk_request "rename, old mtime" svc d in
+  Alcotest.check tier "replaced b.c patched" Service.Patched
+    oc.Service.oc_tier;
+  Alcotest.(check int) "the replaced file and the still racy a.c are read" 2
+    reads;
+  Alcotest.(check bool) "replaced b.c: fresh string" false
+    (text_of ds d.pb == text_of ds0 d.pb);
+  remove_disk d
 
 (* ------------------------------------------------------------------ *)
 (* Content keys                                                        *)
@@ -1147,7 +1337,43 @@ let test_protocol_errors () =
   in
   Alcotest.(check bool) "syntax error not ok" false (get_bool "ok" syntax);
   Alcotest.(check bool) "error text present" true
-    (String.length (get_string "error" syntax) > 0)
+    (String.length (get_string "error" syntax) > 0);
+  (* a path that cannot be read (stat fails, or the read does) is an
+     error naming it; the service is left as it was and keeps serving *)
+  let svc = Service.create ~flags () in
+  ignore (Server.handle svc (check_request base_files));
+  let stats () =
+    let st, _ = Server.handle svc (J.Obj [ ("op", J.String "stats") ]) in
+    Alcotest.(check bool) "stats answers" true (get_bool "ok" st);
+    List.map (fun k -> get_int k st) [ "entries"; "files"; "generation" ]
+  in
+  let before = stats () in
+  let dir = Filename.temp_dir "incr" "paths" in
+  List.iter
+    (fun (path, why) ->
+      let resp, keep =
+        Server.handle svc
+          (J.Obj
+             [
+               ("op", J.String "check");
+               ("files", J.List [ J.String path ]);
+             ])
+      in
+      Alcotest.(check bool) (path ^ ": keeps serving") true keep;
+      Alcotest.(check bool) (path ^ ": not ok") false (get_bool "ok" resp);
+      Alcotest.(check string) (path ^ ": error names the path")
+        (path ^ ": " ^ why) (get_string "error" resp);
+      Alcotest.(check (list int)) (path ^ ": service unchanged") before
+        (stats ()))
+    [
+      (Filename.concat dir "missing.c", "No such file or directory");
+      (dir, "Is a directory");
+    ];
+  Sys.rmdir dir;
+  let again, _ = Server.handle svc (check_request base_files) in
+  Alcotest.(check string) "then clean" "clean" (get_string "tier" again);
+  let _, keep = Server.handle svc (J.Obj [ ("op", J.String "shutdown") ]) in
+  Alcotest.(check bool) "shutdown after the errors" false keep
 
 let () =
   Alcotest.run "incr"
@@ -1192,6 +1418,9 @@ let () =
             test_patched_keeps_one_ast;
           Alcotest.test_case "unchanged file read in place" `Quick
             test_doc_of_file_in_place;
+          Alcotest.test_case "stat stamps, racy window" `Quick
+            test_stamps_racy_window;
+          Alcotest.test_case "stat stamps, settled" `Quick test_stamps_settled;
         ] );
       ( "persistence",
         [
