@@ -186,8 +186,8 @@ let run files flag_args load_libs lcl_specs dump_lib no_stdlib quiet stats
       0
   | _ ->
   (* [-j 0] means "one domain per recommended core".  Every [-j] runs
-     the one task plan ([jobs = 1] on this domain) and the one emission
-     step, so output is identical for every [-j]. *)
+     the one per-body check ([jobs = 1] on this domain) and the one
+     emission step, so output is identical for every [-j]. *)
   let jobs = if jobs <= 0 then Parcheck.default_jobs () else jobs in
   let kept, suppressed =
     Check.finish prog (Parcheck.check_program ~jobs prog)

@@ -3125,18 +3125,10 @@ let funsig_inferred (fs : Sema.funsig) : bool =
        (fun (p : Sema.param) -> Annot.is_inferred p.Sema.pr_annots.Sema.an)
        fs.Sema.fs_params
 
-(** Check one function definition against its interface.
-
-    [diags] redirects the procedure's messages away from the program's
-    collector (annotation inference probes candidate annotations into a
-    scratch collector); [exit_obs] observes the raw abstract state at
-    every reachable exit (summary extraction). *)
-let check_fundef ?diags ?exit_obs ?summaries (prog : Sema.program)
+(* Check one body against [prog], which the check may write, reporting
+   into [diags]. *)
+let check_body ~diags ?exit_obs ?summaries (prog : Sema.program)
     (fs : Sema.funsig) (f : Ast.fundef) : unit =
-  Telemetry.Counter.tick Telemetry.c_procedures;
-  Telemetry.with_span ~file:fs.Sema.fs_loc.Loc.file ~label:fs.Sema.fs_name
-    Telemetry.phase_check
-  @@ fun () ->
   let proc_inferred =
     lazy
       (funsig_inferred fs
@@ -3152,7 +3144,7 @@ let check_fundef ?diags ?exit_obs ?summaries (prog : Sema.program)
       prog;
       flags = prog.Sema.flags;
       fs;
-      diags = Option.value diags ~default:prog.Sema.diags;
+      diags;
       exit_obs;
       proc_inferred;
       scopes = [];
@@ -3240,81 +3232,42 @@ let check_fundef ?diags ?exit_obs ?summaries (prog : Sema.program)
   end;
   ignore (pop_scope env)
 
-(* ------------------------------------------------------------------ *)
-(* The task plan                                                       *)
-(* ------------------------------------------------------------------ *)
+(** Check one function definition against its interface.
 
-type task =
-  | Proc of (Sema.funsig * Ast.fundef)
-  | File of (Sema.funsig * Ast.fundef) list
-
-let task_procs = function Proc def -> [ def ] | File defs -> defs
-
-(* A body that can register declarations ({!Ir.mutates_env}) may change
-   what a later body of its file sees, so such a file is one task, its
-   bodies checked in order against a private copy; every other
-   procedure reads the program in place.  A replaced body stands for
-   the results computed while it was current: if it could register
-   declarations, its file is re-checked whole too.  The rule depends
-   only on the program, never on who runs the tasks. *)
-let plan ?(replaced = []) (prog : Sema.program) defs : task array =
-  let mutates f = Ir.mutates_env f in
-  let file_of (f : Ast.fundef) = f.Ast.f_loc.Loc.file in
-  let old_bodies = Hashtbl.create 4 in
-  List.iter (fun f -> Hashtbl.add old_bodies (file_of f) f) replaced;
-  let whole = Hashtbl.create 16 in
-  (* filled in place rather than concatenated from per-procedure
-     lists, so planning a large program allocates little besides one
-     block per task *)
-  let tasks = Array.make (List.length defs) (File []) in
-  let n = ref 0 in
-  let add task =
-    tasks.(!n) <- task;
-    incr n
-  in
-  List.iter
-    (fun ((_, f) as def) ->
-      let file = file_of f in
-      match Hashtbl.find_opt whole file with
-      | Some true -> ()
-      | Some false -> add (Proc def)
-      | None ->
-          let file_defs = Sema.fundefs_in prog file in
-          let w =
-            List.exists mutates (Hashtbl.find_all old_bodies file)
-            || List.exists (fun (_, f) -> mutates f) file_defs
-          in
-          Hashtbl.add whole file w;
-          add (if w then File file_defs else Proc def))
-    defs;
-  Array.sub tasks 0 !n
-
-let check_task ?summaries (prog : Sema.program) = function
-  | Proc (fs, f) ->
-      let diags = Diag.Collector.create () in
-      check_fundef ~diags ?summaries prog fs f;
-      [ Diag.Collector.all diags ]
-  | File defs ->
-      (* the copy's own collector receives what the checker and sema
-         report for each body; it is read back into that body's result *)
-      let local = Sema.copy_for_check prog in
-      List.map
-        (fun (fs, f) ->
-          check_fundef ?summaries local fs f;
-          let diags = Diag.Collector.all local.Sema.diags in
-          Diag.Collector.clear local.Sema.diags;
-          diags)
-        defs
+    [diags] redirects the procedure's messages away from the program's
+    collector (annotation inference probes candidate annotations into a
+    scratch collector); [exit_obs] observes the raw abstract state at
+    every reachable exit (summary extraction).  A body that may write
+    the program ({!Sema.body_writes}) is checked against a private copy,
+    and what sema reports into the copy joins the body's messages in
+    order; so a body sees the interfaces and its own declarations only,
+    and every other body reads [prog] without writing it. *)
+let check_fundef ?diags ?exit_obs ?summaries (prog : Sema.program)
+    (fs : Sema.funsig) (f : Ast.fundef) : unit =
+  Telemetry.Counter.tick Telemetry.c_procedures;
+  Telemetry.with_span ~file:fs.Sema.fs_loc.Loc.file ~label:fs.Sema.fs_name
+    Telemetry.phase_check
+  @@ fun () ->
+  let into = Option.value diags ~default:prog.Sema.diags in
+  if Sema.body_writes prog f then begin
+    let local = Sema.copy_for_check prog in
+    check_body ~diags:local.Sema.diags ?exit_obs ?summaries local fs f;
+    List.iter (Diag.Collector.emit into) (Diag.Collector.all local.Sema.diags)
+  end
+  else check_body ~diags:into ?exit_obs ?summaries prog fs f
 
 let check_program ?(map = fun n f -> Array.init n f) (prog : Sema.program) =
-  let tasks = plan prog (Sema.fundefs prog) in
+  let defs = Array.of_list (Sema.fundefs prog) in
   (* [+xproc]: the SCC fixpoint is sequential (callees before callers);
-     solving it before any task leaves every task reading the finished
+     solving it before any body leaves every check reading the finished
      table, so no schedule changes a summary *)
   let summaries =
     if prog.Sema.flags.Flags.xproc then Some (Summary.of_program prog)
     else None
   in
-  map (Array.length tasks) (fun i ->
-      List.concat (check_task ?summaries prog tasks.(i)))
+  map (Array.length defs) (fun i ->
+      let fs, f = defs.(i) in
+      let diags = Diag.Collector.create () in
+      check_fundef ~diags ?summaries prog fs f;
+      Diag.Collector.all diags)
   |> Array.to_list |> List.concat

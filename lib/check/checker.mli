@@ -29,54 +29,30 @@ val check_fundef :
   ?summaries:Summary.table ->
   Sema.program -> Sema.funsig -> Cfront.Ast.fundef -> unit
 (** Check one function definition against its interface.  [diags]
-    redirects messages to a scratch collector (inference probes);
-    [exit_obs] is called at every reachable exit with the raw state
-    (summary extraction); [summaries] supplies interprocedural effect
-    summaries, consulted at unannotated call-site slots when the
-    program's flags enable [+xproc] (pass the {!Summary.of_program}
-    table; without it [+xproc] has no effect on this procedure). *)
+    redirects messages away from [prog.diags] (inference probes, the
+    drivers' per-procedure results); [exit_obs] is called at every
+    reachable exit with the raw state (summary extraction); [summaries]
+    supplies interprocedural effect summaries, consulted at unannotated
+    call-site slots when the program's flags enable [+xproc] (pass the
+    {!Summary.of_program} table; without it [+xproc] has no effect on
+    this procedure).
 
-(** {1 The task plan}
-
-    Every whole-program driver checks through one plan, so the way
-    procedures are grouped and scheduled never changes a diagnostic. *)
-
-type task =
-  | Proc of (Sema.funsig * Cfront.Ast.fundef)
-      (** reads the program in place; safe to share across domains *)
-  | File of (Sema.funsig * Cfront.Ast.fundef) list
-      (** a whole file, checked in order against one
-          {!Sema.copy_for_check} copy *)
-
-val task_procs : task -> (Sema.funsig * Cfront.Ast.fundef) list
-(** The procedures a task checks, in order. *)
-
-val plan :
-  ?replaced:Cfront.Ast.fundef list ->
-  Sema.program -> (Sema.funsig * Cfront.Ast.fundef) list -> task array
-(** [plan prog defs] plans the checking of [defs], a definition-order
-    subset of [Sema.fundefs prog].  A file holding one of [defs] is
-    checked whole, as a [File] task in place of its first procedure,
-    when any of its current bodies, or any of the [replaced] bodies
-    (what an in-place edit swapped out) of that file, can register
-    declarations ({!Ir.mutates_env}); each other procedure is a [Proc]
-    task.  Costs O([defs] + definitions of the files holding them) once
-    {!Sema.fundefs_in}'s index is built. *)
-
-val check_task :
-  ?summaries:Summary.table -> Sema.program -> task -> Cfront.Diag.t list list
-(** Check one task; one diagnostic list per {!task_procs} entry.  A
-    [File] task's copy collects what sema reports while checking (a
-    block-scope redeclaration, an unknown type name) as well, and that
-    too joins the result of the procedure being checked.  A [Proc] task
-    only reads the program; a [File] task writes only its copy. *)
+    A body sees the interfaces and its own declarations only (paper,
+    Sections 3 and 7).  A body that may write the program
+    ({!Sema.body_writes}: a block-scope [typedef] or [extern], an inline
+    tag definition, an anonymous tag, a type name the program lacks) is
+    checked against a private {!Sema.copy_for_check}, and what sema
+    reports into the copy (a block-scope redeclaration, an unknown type
+    name) joins this procedure's messages in emission order.  Every
+    other body only reads [prog], so concurrent checks may share it. *)
 
 val check_program :
   ?map:(int -> (int -> Cfront.Diag.t list) -> Cfront.Diag.t list array) ->
   Sema.program -> Cfront.Diag.t list
-(** Plan and check every function defined in the program and return the
-    checker's diagnostics in plan order.  [map n f] runs [f 0 .. f (n-1)]
-    and returns the results positionally (default: in order on the
-    calling domain; [Parcheck.check_program] passes its domain pool).
-    Computes the {!Summary} table first when the program's flags enable
-    [+xproc].  [prog.diags] is untouched: combine with [Check.finish]. *)
+(** Check every function defined in the program, one {!check_fundef}
+    per {!Sema.fundefs} entry, and return the checker's diagnostics in
+    definition order.  [map n f] runs [f 0 .. f (n-1)] and returns the
+    results positionally (default: in order on the calling domain;
+    [Parcheck.check_program] passes its domain pool).  Computes the
+    {!Summary} table first when the program's flags enable [+xproc].
+    [prog.diags] is untouched: combine with [Check.finish]. *)

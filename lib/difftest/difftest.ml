@@ -662,7 +662,7 @@ let sweep ?(jobs = 1) ?(flags = Annot.Flags.default) (trials : trial list) :
     outcome list =
   let arr = Array.of_list trials in
   let results =
-    Parcheck.map_tasks ~jobs (Array.length arr) (fun ~par:_ i ->
+    Parcheck.map_tasks ~jobs (Array.length arr) (fun i ->
         run_trial ~flags arr.(i))
   in
   Array.to_list results

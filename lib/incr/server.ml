@@ -114,18 +114,25 @@ let handle t request =
           ],
         true )
   | "stats" ->
-      (* the process's major heap next to the service's gauges *)
+      (* the process's major heap next to the service's gauges; the
+         runtime reports its heap sizes as 0 until a major cycle has
+         completed, so they are null until then *)
       let gc = Gc.quick_stat () in
+      let heap_gauge v =
+        if gc.Gc.major_collections > 0 then J.Int v else J.Null
+      in
       let heap =
-        [ ("heap_words", gc.Gc.heap_words); ("top_heap_words", gc.Gc.top_heap_words) ]
+        [
+          ("heap_words", heap_gauge gc.Gc.heap_words);
+          ("top_heap_words", heap_gauge gc.Gc.top_heap_words);
+        ]
       in
       ( J.Obj
           ([ ("op", J.String "stats"); ("ok", J.Bool true) ]
-          @ List.map
-              (fun (k, v) -> (k, J.Int v))
-              (List.merge
-                 (fun (a, _) (b, _) -> String.compare a b)
-                 (Service.stats t) heap)),
+          @ List.merge
+              (fun (a, _) (b, _) -> String.compare a b)
+              (List.map (fun (k, v) -> (k, J.Int v)) (Service.stats t))
+              heap),
         true )
   | "shutdown" ->
       (J.Obj [ ("op", J.String "shutdown"); ("ok", J.Bool true) ], false)

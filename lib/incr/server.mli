@@ -18,7 +18,8 @@
     service's stored text ({!Service.doc_of_file}), after one [stat]
     once its stamp has settled; a path that cannot be read answers
     [ok:false] with an error naming it.  [stats] adds the
-    process's [heap_words] and [top_heap_words] to {!Service.stats}.
+    process's [heap_words] and [top_heap_words] to {!Service.stats},
+    [null] until the first major collection has completed.
     Responses always carry ["op"] and ["ok"]; see
     docs/incremental.md for the full schema.  Malformed input yields an
     [ok:false] response and the server keeps serving — only [shutdown]

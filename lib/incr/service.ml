@@ -53,12 +53,12 @@
       re-checks exactly the edited function and the functions that call
       it.
 
-    The misses are checked through {!Check.Checker.plan}, the plan the
-    cold drivers run, on the {!Parcheck.map_tasks} pool: a miss in a
-    file with a body that can register block-scope declarations (or
-    whose swapped-out body could) re-checks that whole file, in order,
-    against a {!Sema.copy_for_check} copy, and every other miss reads
-    the environment in place.  The answer is assembled by
+    Each miss is re-checked on its own by {!Check.Checker.check_fundef},
+    as the cold drivers check every body, on the {!Parcheck.map_tasks}
+    pool.  A body sees the interfaces and its own declarations only: one
+    that may write the program checks against a private copy, so the
+    persistent environment stays as sema built it, and no result
+    depends on a sibling body.  The answer is assembled by
     {!Check.finish}, the cold drivers' emission step, so it is
     byte-identical to a cold [olclint] run at every [-j]. *)
 
@@ -339,7 +339,7 @@ let callee_summary_hash t name =
   match Hashtbl.find_opt t.summary_hashes name with Some h -> h | None -> "?"
 
 let cache_kind = "summary-cache"
-let cache_version = 5
+let cache_version = 6
 
 (* The function's own funsig hash: the current generation's, or derived
    afresh for a function the table does not know. *)
@@ -348,34 +348,15 @@ let own_sig_hash t (fs : Sema.funsig) =
   | Some h -> h
   | None -> funsig_hash fs
 
-(* [mutators env file]: the digest of the bodies in [file] that can
-   register declarations ({!Ir.mutates_env}), memoised per file.  Such a
-   body changes what the later bodies of its file see, so every
-   function of the file keys over it; covering the later ones too
-   over-approximates, which is sound. *)
-let mutators (env : Sema.program) =
-  let memo = Hashtbl.create 16 in
-  fun file ->
-    match Hashtbl.find_opt memo file with
-    | Some d -> d
-    | None ->
-        let d =
-          digest_of
-            (List.filter_map
-               (fun (_, fd) -> if Ir.mutates_env fd then Some fd else None)
-               (Sema.fundefs_in env file))
-        in
-        Hashtbl.add memo file d;
-        d
-
 (* The full content key of one function result — the on-disk identity.
    It covers every input the checker reads for this function: the cache
-   format itself, the flag set, the type environment, the mutating
-   bodies of its file ([mutators]), the function's own signature, its
-   callees' signatures, and the exact body (the structural digest of the
-   AST with its locations, so even a pure reformat that moves lines gets
-   a fresh key — diagnostics carry line numbers). *)
-let full_key t ~mutators (fs : Sema.funsig) (fd : Ast.fundef) =
+   format itself, the flag set, the type environment, the function's
+   own signature, its callees' signatures, and the exact body (the
+   structural digest of the AST with its locations, so even a pure
+   reformat that moves lines gets a fresh key — diagnostics carry line
+   numbers).  A body's own declarations are part of the body, and no
+   other body's are in force while it is checked. *)
+let full_key t (fs : Sema.funsig) (fd : Ast.fundef) =
   let calls = Sema.calls_of_fundef fd in
   let b = Buffer.create 512 in
   Buffer.add_string b (string_of_int cache_version);
@@ -383,8 +364,6 @@ let full_key t ~mutators (fs : Sema.funsig) (fd : Ast.fundef) =
   Buffer.add_string b t.flags_canon;
   Buffer.add_char b '\n';
   Buffer.add_string b t.typeenv_hash;
-  Buffer.add_char b '\n';
-  Buffer.add_string b (mutators fd.Ast.f_loc.Loc.file);
   Buffer.add_char b '\n';
   Buffer.add_string b (own_sig_hash t fs);
   Buffer.add_char b '\n';
@@ -442,20 +421,25 @@ let body_only_change (old_tu : Ast.tunit) (new_tu : Ast.tunit) =
 (* ------------------------------------------------------------------ *)
 
 (* Build a complete environment for [docs] through the program loader.
-   Its parse step reuses the cached AST of a file whose text and typedef
-   scope are both unchanged, and records what every file was parsed
-   under.  Raises [Diag.Fatal] on frontend errors — the caller commits
-   no state until this returns. *)
-let build_env t ~flags docs =
+   Its parse step reuses the AST of a file whose text and typedef scope
+   are both unchanged: the cached one, or one in [fresh] (files the
+   request already parsed, by name).  It records what every file was
+   parsed under.  Raises [Diag.Fatal] on frontend errors — the caller
+   commits no state until this returns. *)
+let build_env ?(fresh = []) t ~flags docs =
   let new_files = Hashtbl.create (List.length docs * 2) in
   let doc_pragmas = ref 0 in
   let parse ~typedefs ~file text =
+    let reusable fe =
+      String.equal fe.fe_text text && fe.fe_typedefs = typedefs
+    in
     let ast =
       match Hashtbl.find_opt t.files file with
-      | Some fe
-        when String.equal fe.fe_text text && fe.fe_typedefs = typedefs ->
-          fe.fe_ast
-      | _ -> Cfront.Parser.parse_string ~typedefs ~file text
+      | Some fe when reusable fe -> fe.fe_ast
+      | _ -> (
+          match List.assoc_opt file fresh with
+          | Some fe when reusable fe -> fe.fe_ast
+          | _ -> Cfront.Parser.parse_string ~typedefs ~file text)
     in
     doc_pragmas := !doc_pragmas + List.length ast.Ast.tu_pragmas;
     Hashtbl.replace new_files file
@@ -568,17 +552,16 @@ let update_summaries t env ~patched =
 
 (* Validate every function of the environment against the cache (on
    the Patched fast path, only the swapped-in bodies); adopt persisted
-   results by content key; re-check the rest through the cold drivers'
-   plan on the checking pool; bring [t.order] up to date.  [patched]
-   holds the (old, new) bodies a Patched request swapped.  Returns
-   (hits, misses, rechecked). *)
+   results by content key; re-check the rest with
+   {!Check.Checker.check_fundef}, each miss on its own, on the checking
+   pool; bring [t.order] up to date.  [patched] holds the bodies a
+   Patched request swapped in.  Returns (hits, misses, rechecked). *)
 let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
   (* summaries first: validation below compares cached callee-summary
      hashes against them, so a callee body edit that changes the
      callee's derived effects (with an unchanged declared signature)
      invalidates its cached callers *)
-  let dirty = Option.map (List.map snd) patched in
-  let summaries, moved = update_summaries t env ~patched:dirty in
+  let summaries, moved = update_summaries t env ~patched in
   let all_pairs = Sema.fundefs env in
   (* a Patched request whose summaries did not move dropped exactly the
      entries of the bodies it swapped in; every other function keeps its
@@ -586,7 +569,7 @@ let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
      the Clean tier relies on), so only those bodies, found with their
      positions, need validating *)
   let slots =
-    match dirty with
+    match patched with
     | Some dirty when not moved ->
         let rec find i = function
           | [] -> []
@@ -602,10 +585,6 @@ let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
   in
   let hits = ref (List.length all_pairs - List.length pairs)
   and misses = ref 0 in
-  (* the bodies the dropped results were computed with *)
-  let replaced =
-    ref (match patched with Some p -> List.map fst p | None -> [])
-  in
   let miss_list =
     List.filter
       (fun ((fs : Sema.funsig), fd) ->
@@ -630,10 +609,7 @@ let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
             e.fn_fd <- fd;
             incr hits;
             false
-        | old ->
-            (match old with
-            | Some e when e.fn_fd != fd -> replaced := e.fn_fd :: !replaced
-            | _ -> ());
+        | _ ->
             incr misses;
             true)
       pairs
@@ -641,49 +617,41 @@ let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
   (* a miss whose content key is in the persisted cache adopts the
      stored result — a restarted service warms up without re-checking *)
   let to_check =
-    if Hashtbl.length t.persisted = 0 then miss_list
-    else
-      let mutators = mutators env in
-      List.filter
-        (fun (fs, fd) ->
-          match Hashtbl.find_opt t.persisted (full_key t ~mutators fs fd) with
-          | Some (_, _, diags) ->
-              Hashtbl.replace t.fns (fn_id fs) (make_entry t fs fd diags);
-              incr hits;
-              decr misses;
-              false
-          | None -> true)
-        miss_list
+    Array.of_list
+      (if Hashtbl.length t.persisted = 0 then miss_list
+       else
+         List.filter
+           (fun (fs, fd) ->
+             match Hashtbl.find_opt t.persisted (full_key t fs fd) with
+             | Some (_, _, diags) ->
+                 Hashtbl.replace t.fns (fn_id fs) (make_entry t fs fd diags);
+                 incr hits;
+                 decr misses;
+                 false
+             | None -> true)
+           miss_list)
   in
-  let tasks = Check.Checker.plan ~replaced:!replaced env to_check in
-  (* the persistent environment stays pristine: [Proc] tasks only read
-     it, and a [File] task writes its own copy *)
+  (* the persistent environment stays pristine: a body that may write
+     it is checked against its own copy *)
   let results =
-    Parcheck.map_tasks ~jobs (Array.length tasks) (fun ~par:_ i ->
-        Check.Checker.check_task ?summaries env tasks.(i))
+    Parcheck.map_tasks ~jobs (Array.length to_check) (fun i ->
+        let fs, fd = to_check.(i) in
+        let diags = Diag.Collector.create () in
+        Check.Checker.check_fundef ~diags ?summaries env fs fd;
+        Diag.Collector.all diags)
   in
-  let rechecked = ref 0 in
   Array.iteri
-    (fun i diag_lists ->
-      List.iter2
-        (fun (fs, fd) diags ->
-          incr rechecked;
-          Hashtbl.replace t.fns (fn_id fs) (make_entry t fs fd diags))
-        (Check.Checker.task_procs tasks.(i))
-        diag_lists)
+    (fun i diags ->
+      let fs, fd = to_check.(i) in
+      Hashtbl.replace t.fns (fn_id fs) (make_entry t fs fd diags))
     results;
-  (* every function now has its current entry in [t.fns]; a whole-file
-     task also replaced entries outside [slots] *)
+  (* every function now has its current entry in [t.fns] *)
   let entry (fs : Sema.funsig) = Hashtbl.find t.fns (fn_id fs) in
-  let whole =
-    Array.exists (function Check.Checker.File _ -> true | _ -> false) tasks
-  in
   (match slots with
-  | Some s when not whole ->
-      List.iter (fun (i, (fs, _)) -> t.order.(i) <- entry fs) s
-  | _ ->
+  | Some s -> List.iter (fun (i, (fs, _)) -> t.order.(i) <- entry fs) s
+  | None ->
       t.order <- Array.of_list (List.map (fun (fs, _) -> entry fs) all_pairs));
-  (!hits, !misses, !rechecked)
+  (!hits, !misses, Array.length to_check)
 
 (* The request's answer: the cached per-function results in definition
    order through the cold drivers' emission step. *)
@@ -712,8 +680,8 @@ let rebuild_pragmas t =
    unchanged, so nothing is parsed) and the error is re-raised: the
    service answers as before.  After an [invalidate] of some of its
    files that is not possible, and the old environment stays live
-   while the new one is built. *)
-let rebuild t ~flags ~canon docs =
+   while the new one is built.  [fresh] is passed to {!build_env}. *)
+let rebuild ?fresh t ~flags ~canon docs =
   let restorable =
     Option.is_some t.env && List.for_all (Hashtbl.mem t.files) t.doc_order
   in
@@ -722,7 +690,7 @@ let rebuild t ~flags ~canon docs =
     t.summaries <- None;
     Gc.full_major ()
   end;
-  match build_env t ~flags docs with
+  match build_env ?fresh t ~flags docs with
   | env, base_pragmas, new_files ->
       commit_env t ~flags ~canon env base_pragmas new_files docs
   | exception (Diag.Fatal _ as e) ->
@@ -740,9 +708,8 @@ let rebuild t ~flags ~canon docs =
       raise e
 
 (* Decide how to bring the environment up to date with [docs]; returns
-   the tier and, for Patched, the (old, new) definitions whose bodies
-   were swapped.  Raises [Diag.Fatal] with the service answering as
-   before. *)
+   the tier and, for Patched, the definitions whose bodies were swapped
+   in.  Raises [Diag.Fatal] with the service answering as before. *)
 let update t ~flags ~canon docs =
   let structure_changed =
     t.env = None
@@ -789,7 +756,23 @@ let update t ~flags ~canon docs =
           parsed
       in
       if not patchable then begin
-        rebuild t ~flags ~canon docs;
+        (* the rebuild parses a changed file again only if its typedef
+           scope moved *)
+        let fresh =
+          List.filter_map
+            (fun (d, p) ->
+              Option.map
+                (fun (fe, tu) ->
+                  ( d.doc_name,
+                    {
+                      fe_text = d.doc_text;
+                      fe_typedefs = fe.fe_typedefs;
+                      fe_ast = tu;
+                    } ))
+                p)
+            parsed
+        in
+        rebuild ~fresh t ~flags ~canon docs;
         (Rebuilt, None)
       end
       else begin
@@ -810,7 +793,7 @@ let update t ~flags ~canon docs =
                     when not (Ast.equal_fundef ofd nfd) ->
                       (* dirty body: swap the AST in place, drop the entry *)
                       ignore (Sema.patch_fundef env nfd);
-                      patched := (ofd, nfd) :: !patched;
+                      patched := nfd :: !patched;
                       let id = (d.doc_name, nfd.Ast.f_name) in
                       if Hashtbl.mem t.fns id then begin
                         Hashtbl.remove t.fns id;
@@ -981,12 +964,11 @@ let save t =
   let written = Hashtbl.create 256 in
   (match t.env with
   | Some env ->
-      let mutators = mutators env in
       List.iter
         (fun ((fs : Sema.funsig), fd) ->
           match Hashtbl.find_opt t.fns (fn_id fs) with
           | Some e when e.fn_gen = t.gen ->
-              let key = full_key t ~mutators fs fd in
+              let key = full_key t fs fd in
               if not (Hashtbl.mem written key) then begin
                 Hashtbl.add written key ();
                 record key (fst (fn_id fs)) fs.Sema.fs_name e.fn_diags

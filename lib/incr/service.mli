@@ -18,12 +18,12 @@
       function, and a funsig change re-checks the function plus its
       annotation-dependent callers, and nothing else.
 
-    The misses are checked through {!Check.Checker.plan}, the task plan
-    the cold drivers run, on the {!Parcheck.map_tasks} domain pool (a
-    miss in a file with a body that can mutate the environment
-    re-checks that whole file, in order, against its own
-    {!Sema.copy_for_check}; the rest read it in place), and every answer
-    goes through {!Check.finish}, the cold drivers' emission step.  So
+    Each miss is re-checked on its own by {!Check.Checker.check_fundef},
+    as the cold drivers check every body, on the {!Parcheck.map_tasks}
+    domain pool (a body that may write the environment checks against
+    its own {!Sema.copy_for_check}; the rest read it in place), and
+    every answer goes through {!Check.finish}, the cold drivers'
+    emission step.  So
     re-check diagnostics are byte-identical for every [jobs] value —
     and, by construction of the cache, to a cold run.
 

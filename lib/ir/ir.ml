@@ -24,113 +24,13 @@ type proc = {
   p_name : string;
   p_entry : block;
   p_blocks : instr array array;
-  p_mutates_env : bool;
 }
-
-(* ------------------------------------------------------------------ *)
-(* Environment-mutation scan                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* The checker resolves block-scope declaration types and cast/sizeof
-   types with [Sema.resolve_ty], whose mutating paths are: an inline
-   struct/union field list or enum item list (registers the definition),
-   and an anonymous tag (mints a fresh one).  Block-scope typedef/extern
-   declarations additionally reach [Sema.process_decl].  Resolving a
-   typedef name the program does not define also reports into
-   [p.diags]; the parser accepts such a name only after a block-scope
-   typedef earlier in the same file, so callers apply the scan to a
-   whole file, never to single bodies.  Everything else the checker does
-   against the program is a read. *)
-
-let rec ty_mutates (t : Ast.ty) : bool =
-  match t with
-  | Ast.Tbase b -> base_mutates b
-  | Ast.Tptr t -> ty_mutates t
-  | Ast.Tarray (t, size) ->
-      ty_mutates t || (match size with Some e -> expr_mutates e | None -> false)
-  | Ast.Tfunc ft ->
-      ty_mutates ft.Ast.ft_ret
-      || List.exists (fun (p : Ast.param) -> ty_mutates p.Ast.p_ty)
-           ft.Ast.ft_params
-
-and base_mutates (b : Ast.base_type) : bool =
-  match b with
-  | Ast.Tstruct (tag, fields) | Ast.Tunion (tag, fields) ->
-      tag = None || fields <> None
-  | Ast.Tenum (tag, items) -> tag = None || items <> None
-  | _ -> false
-
-and expr_mutates (e : Ast.expr) : bool =
-  match e.Ast.e with
-  | Ast.Eint _ | Ast.Echar _ | Ast.Estring _ | Ast.Efloat _ | Ast.Eident _ ->
-      false
-  | Ast.Ecall (f, args) -> expr_mutates f || List.exists expr_mutates args
-  | Ast.Emember (b, _)
-  | Ast.Earrow (b, _)
-  | Ast.Ederef b
-  | Ast.Eaddr b
-  | Ast.Eunary (_, b)
-  | Ast.Epostincr b
-  | Ast.Epostdecr b
-  | Ast.Epreincr b
-  | Ast.Epredecr b
-  | Ast.Esizeof_expr b ->
-      expr_mutates b
-  | Ast.Ecast (t, b) -> ty_mutates t || expr_mutates b
-  | Ast.Esizeof_type t -> ty_mutates t
-  | Ast.Eindex (a, b)
-  | Ast.Ebinary (_, a, b)
-  | Ast.Eassign (_, a, b)
-  | Ast.Ecomma (a, b) ->
-      expr_mutates a || expr_mutates b
-  | Ast.Econd (a, b, c) -> expr_mutates a || expr_mutates b || expr_mutates c
-
-let rec init_mutates = function
-  | Ast.Iexpr e -> expr_mutates e
-  | Ast.Ilist is -> List.exists init_mutates is
-
-let decl_mutates (d : Ast.decl) : bool =
-  d.Ast.d_storage = Ast.Stypedef
-  || d.Ast.d_storage = Ast.Sextern
-  || ty_mutates d.Ast.d_ty
-  || match d.Ast.d_init with Some i -> init_mutates i | None -> false
-
-let rec stmt_mutates (s : Ast.stmt) : bool =
-  match s.Ast.s with
-  | Ast.Sskip | Ast.Sbreak | Ast.Scontinue | Ast.Sgoto _ -> false
-  | Ast.Sexpr e | Ast.Sassert e | Ast.Sreturn (Some e) -> expr_mutates e
-  | Ast.Sreturn None -> false
-  | Ast.Sdecl ds -> List.exists decl_mutates ds
-  | Ast.Sblock ss -> List.exists stmt_mutates ss
-  | Ast.Sif (c, t, f) ->
-      expr_mutates c || stmt_mutates t
-      || (match f with Some f -> stmt_mutates f | None -> false)
-  | Ast.Swhile (c, b) | Ast.Sdo (b, c) | Ast.Sswitch (c, b) | Ast.Scase (c, b)
-    ->
-      expr_mutates c || stmt_mutates b
-  | Ast.Sfor (i, c, st, b) ->
-      (match i with Some s -> stmt_mutates s | None -> false)
-      || (match c with Some e -> expr_mutates e | None -> false)
-      || (match st with Some e -> expr_mutates e | None -> false)
-      || stmt_mutates b
-  | Ast.Sdefault b | Ast.Slabel (_, b) -> stmt_mutates b
-
-let mutates_env (f : Ast.fundef) : bool = stmt_mutates f.Ast.f_body
 
 (* ------------------------------------------------------------------ *)
 (* Lowering                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type builder = {
-  mutable bd_blocks : instr list array;
-  mutable bd_n : int;
-  mutable bd_mut : bool;
-      (** environment-mutation bit, accumulated during the walk so
-          [lower_fundef] does not need a second traversal *)
-}
-
-let note_expr bd e = if not bd.bd_mut && expr_mutates e then bd.bd_mut <- true
-let note_expr_opt bd = function Some e -> note_expr bd e | None -> ()
+type builder = { mutable bd_blocks : instr list array; mutable bd_n : int }
 
 let new_block (bd : builder) : block =
   if bd.bd_n >= Array.length bd.bd_blocks then begin
@@ -149,43 +49,27 @@ let rec lower_stmt bd b (s : Ast.stmt) : unit =
   let loc = s.Ast.sloc in
   match s.Ast.s with
   | Ast.Sskip -> ()
-  | Ast.Sexpr e ->
-      note_expr bd e;
-      push bd b (Iexpr (e, loc))
-  | Ast.Sassert e ->
-      note_expr bd e;
-      push bd b (Iassert e)
-  | Ast.Sdecl ds ->
-      if (not bd.bd_mut) && List.exists decl_mutates ds then bd.bd_mut <- true;
-      push bd b (Idecl (ds, loc))
+  | Ast.Sexpr e -> push bd b (Iexpr (e, loc))
+  | Ast.Sassert e -> push bd b (Iassert e)
+  | Ast.Sdecl ds -> push bd b (Idecl (ds, loc))
   | Ast.Sblock stmts ->
       let inner = new_block bd in
       List.iter (lower_stmt bd inner) stmts;
       push bd b (Iscope (inner, loc))
   | Ast.Sif (c, then_, else_) ->
-      note_expr bd c;
       let bt = lower_arm bd then_ in
       let bf = Option.map (lower_arm bd) else_ in
       push bd b (Iif (c, bt, bf, loc))
-  | Ast.Swhile (c, body) ->
-      note_expr bd c;
-      push bd b (Iwhile (c, lower_arm bd body, loc))
-  | Ast.Sdo (body, c) ->
-      note_expr bd c;
-      push bd b (Ido (lower_arm bd body, c, loc))
+  | Ast.Swhile (c, body) -> push bd b (Iwhile (c, lower_arm bd body, loc))
+  | Ast.Sdo (body, c) -> push bd b (Ido (lower_arm bd body, c, loc))
   | Ast.Sfor (init, cond, step, body) ->
       (* the initializer runs exactly once, before the loop *)
       Option.iter (lower_stmt bd b) init;
-      note_expr_opt bd cond;
-      note_expr_opt bd step;
       push bd b (Ifor (cond, step, lower_arm bd body, loc))
-  | Ast.Sreturn eopt ->
-      note_expr_opt bd eopt;
-      push bd b (Iret (eopt, loc))
+  | Ast.Sreturn eopt -> push bd b (Iret (eopt, loc))
   | Ast.Sbreak -> push bd b Ibreak
   | Ast.Scontinue -> push bd b Icontinue
   | Ast.Sswitch (e, body) ->
-      note_expr bd e;
       (* pre-segment the body into case arms, exactly like the tree
          walk: a new arm starts at each [case]/[default] label (labels
          run together extend the current arm); a body that is not a
@@ -217,13 +101,7 @@ let rec lower_stmt bd b (s : Ast.stmt) : unit =
       in
       push bd b (Iswitch (e, arm_blocks, has_default, loc))
   (* the checker treats case/default/goto labels as transparent *)
-  | Ast.Scase (c, s) ->
-      (* the guard expression is never evaluated by the checker, but the
-         standalone {!mutates_env} walker scans it conservatively — keep
-         the accumulated bit identical *)
-      note_expr bd c;
-      lower_stmt bd b s
-  | Ast.Sdefault s | Ast.Slabel (_, s) -> lower_stmt bd b s
+  | Ast.Scase (_, s) | Ast.Sdefault s | Ast.Slabel (_, s) -> lower_stmt bd b s
   | Ast.Sgoto _ -> push bd b (Igoto loc)
 
 and lower_arm bd (s : Ast.stmt) : block =
@@ -237,20 +115,13 @@ let instr_count (p : proc) : int =
 let block_instrs (p : proc) (b : block) : instr array = p.p_blocks.(b)
 
 let lower_fundef (f : Ast.fundef) : proc =
-  let bd = { bd_blocks = Array.make 8 []; bd_n = 0; bd_mut = false } in
+  let bd = { bd_blocks = Array.make 8 []; bd_n = 0 } in
   let entry = new_block bd in
   lower_stmt bd entry f.Ast.f_body;
   let blocks =
     Array.init bd.bd_n (fun i -> Array.of_list (List.rev bd.bd_blocks.(i)))
   in
-  let p =
-    {
-      p_name = f.Ast.f_name;
-      p_entry = entry;
-      p_blocks = blocks;
-      p_mutates_env = bd.bd_mut;
-    }
-  in
+  let p = { p_name = f.Ast.f_name; p_entry = entry; p_blocks = blocks } in
   Telemetry.Counter.add Telemetry.c_ir_blocks bd.bd_n;
   Telemetry.Counter.add Telemetry.c_ir_instrs (instr_count p);
   p
@@ -342,9 +213,8 @@ let instr_str (i : instr) : string =
   | Igoto loc -> Printf.sprintf "goto @%s" (loc_str loc)
 
 let pp_proc ppf (p : proc) =
-  Format.fprintf ppf "proc %s entry=b%d blocks=%d instrs=%d mutates=%b@\n"
-    p.p_name p.p_entry (Array.length p.p_blocks) (instr_count p)
-    p.p_mutates_env;
+  Format.fprintf ppf "proc %s entry=b%d blocks=%d instrs=%d@\n" p.p_name
+    p.p_entry (Array.length p.p_blocks) (instr_count p);
   Array.iteri
     (fun bi instrs ->
       Format.fprintf ppf "b%d:@\n" bi;

@@ -11,11 +11,7 @@
     sub-blocks rather than raw jump targets, so a walk can give loop
     bodies their own treatment.  [Scase]/[Sdefault]/[Slabel] wrappers
     are stripped during lowering, [Sskip] disappears, and a [switch]
-    body is pre-segmented into its case arms.
-
-    {!mutates_env} lives here too: it is the syntactic scan the task plan
-    ([Check.Checker.plan]) uses to decide which procedures may share
-    the program. *)
+    body is pre-segmented into its case arms. *)
 
 type block = int
 (** Index into {!proc.p_blocks}. *)
@@ -45,26 +41,11 @@ type proc = {
   p_name : string;
   p_entry : block;  (** the lowered function body *)
   p_blocks : instr array array;
-  p_mutates_env : bool;  (** see {!mutates_env} *)
 }
 
 val lower_fundef : Cfront.Ast.fundef -> proc
 (** Compile one function body.  Ticks the [ir_blocks]/[ir_instrs]
     telemetry counters once per block/instruction built. *)
-
-val mutates_env : Cfront.Ast.fundef -> bool
-(** Can checking this body mutate the shared program environment?
-    True when the body contains a block-scope [typedef] or [extern]
-    declaration (they reach [Sema.process_decl]) or any type whose
-    resolution registers definitions — an inline [struct]/[union] field
-    list, an [enum] item list, or an anonymous tag (they reach the
-    mutating paths of [Sema.resolve_ty]).  A block-scope [typedef] also
-    lets later bodies of the same file name a type the program lacks,
-    which sema reports while the checker runs, so the answer is
-    meaningful per file.  Its one caller is [Check.Checker.plan], the
-    task plan every driver runs: a file with such a body is checked
-    whole against a private {!Sema.copy_for_check}, and every other
-    procedure shares the program read-only. *)
 
 val instr_count : proc -> int
 (** Total instructions across all blocks. *)

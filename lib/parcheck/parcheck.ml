@@ -1,9 +1,8 @@
 (** Parallel checking driver (see parcheck.mli for the contract).
 
-    The tasks are {!Check.Checker.plan}'s, the same ones every driver
-    runs: a procedure that cannot mutate the program environment reads
-    the program shared across domains, and a file holding one that can
-    is one task against a private copy.
+    One task per procedure, each a {!Check.Checker.check_fundef}: a body
+    that cannot write the program reads it shared across domains, and
+    one that can checks against a private copy.
 
     Scheduling is work-stealing: every task has an [Atomic] claim flag,
     each worker owns a contiguous range of the task array and drains it
@@ -146,8 +145,8 @@ end
 (* Work-stealing map                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let map_tasks ?(oversubscribe = false) ~jobs (n : int)
-    (f : par:bool -> int -> 'a) : 'a array =
+let map_tasks ?(oversubscribe = false) ~jobs (n : int) (f : int -> 'a) :
+    'a array =
   if n = 0 then [||]
   else begin
     let jobs = max 1 (min jobs n) in
@@ -163,7 +162,7 @@ let map_tasks ?(oversubscribe = false) ~jobs (n : int)
       if oversubscribe then jobs
       else max 1 (min jobs (Domain.recommended_domain_count ()))
     in
-    if workers <= 1 then Array.init n (fun i -> f ~par:false i)
+    if workers <= 1 then Array.init n f
     else begin
       let results = Array.make n None in
       let claimed = Array.init n (fun _ -> Atomic.make false) in
@@ -174,14 +173,14 @@ let map_tasks ?(oversubscribe = false) ~jobs (n : int)
       let run_range w =
         for i = lo w to hi w - 1 do
           if Atomic.compare_and_set claimed.(i) false true then
-            results.(i) <- Some (f ~par:true i)
+            results.(i) <- Some (f i)
         done;
         for d = 1 to workers - 1 do
           let v = (w + d) mod workers in
           for i = hi v - 1 downto lo v do
             if Atomic.compare_and_set claimed.(i) false true then begin
               Telemetry.Counter.tick Telemetry.c_tasks_stolen;
-              results.(i) <- Some (f ~par:true i)
+              results.(i) <- Some (f i)
             end
           done
         done
@@ -227,10 +226,7 @@ let map_tasks ?(oversubscribe = false) ~jobs (n : int)
 (* Program checking                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let task_count (prog : Sema.program) : int =
-  Array.length (Check.Checker.plan prog (Sema.fundefs prog))
+let task_count (prog : Sema.program) : int = List.length (Sema.fundefs prog)
 
 let check_program ?(jobs = 1) (prog : Sema.program) : Diag.t list =
-  Check.Checker.check_program
-    ~map:(fun n f -> map_tasks ~jobs n (fun ~par:_ i -> f i))
-    prog
+  Check.Checker.check_program ~map:(fun n f -> map_tasks ~jobs n f) prog

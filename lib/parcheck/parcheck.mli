@@ -1,11 +1,11 @@
 (** Parallel checking driver: run the per-procedure checker over a
     program on a pool of OCaml 5 domains ([olclint -j N]).
 
-    The tasks are {!Check.Checker.plan}'s, the one plan every driver
-    runs: a procedure whose body cannot mutate the program environment
-    checks against the post-sema program, shared read-only across
-    domains; a file holding one that can is one task against a private
-    {!Sema.copy_for_check}.  Tasks are scheduled by work-stealing (per-task atomic claim flags
+    One task per procedure, each a {!Check.Checker.check_fundef}: a body
+    that cannot write the program checks against the post-sema program,
+    shared read-only across domains, and one that can
+    ({!Sema.body_writes}) checks against its own {!Sema.copy_for_check}.
+    Tasks are scheduled by work-stealing (per-task atomic claim flags
     over contiguous per-worker ranges) on a process-wide pool of warm
     worker domains that is reused across runs; each worker records
     telemetry locally and the recordings are merged back
@@ -24,7 +24,7 @@ val default_jobs : unit -> int
 (** {!Domain.recommended_domain_count} — what [-j 0] resolves to. *)
 
 val map_tasks :
-  ?oversubscribe:bool -> jobs:int -> int -> (par:bool -> int -> 'a) -> 'a array
+  ?oversubscribe:bool -> jobs:int -> int -> (int -> 'a) -> 'a array
 (** [map_tasks ~jobs n f] evaluates [f i] for [i = 0..n-1] on at most
     [jobs] concurrent domains (the calling domain counts as one and
     works too) and returns the results positionally, so the output never
@@ -38,18 +38,14 @@ val map_tasks :
     Helper domains come from the warm pool when available
     ([pool_reuses] telemetry) and are parked again afterwards; tasks
     left unclaimed in one worker's range are stolen by idle workers
-    ([tasks_stolen]).  [par] tells the task whether it runs
-    concurrently with others and must therefore copy shared mutable
-    state, or sequentially on the calling domain (no spawn).  Worker
-    telemetry recordings are merged into the caller before returning.
-    Reused by the differential-testing harness and the incremental
-    server. *)
+    ([tasks_stolen]).  Tasks may run concurrently, so [f] must not
+    write state another task reads.  Worker telemetry recordings are
+    merged into the caller before returning.  Reused by the
+    differential-testing harness and the incremental server. *)
 
 val task_count : Sema.program -> int
-(** Number of tasks {!Check.Checker.plan} makes for this program: one
-    per procedure, except that each file containing an
-    environment-mutating procedure collapses into a single task
-    (benchmark reporting). *)
+(** Number of tasks {!check_program} runs for this program: one per
+    function definition (benchmark reporting). *)
 
 val check_program : ?jobs:int -> Sema.program -> Cfront.Diag.t list
 (** {!Check.Checker.check_program} on at most [jobs] (default 1)

@@ -95,8 +95,8 @@ type program = {
       (** the slots by name; built by the first [update_funsig], dropped
           when a definition is added *)
   mutable p_file_index : (string, fundef_slot list) Hashtbl.t option;
-      (** the slots by defining file; built by the first [fundefs_in] or
-          [patch_fundef], dropped when a definition is added *)
+      (** the slots by defining file; built by the first [patch_fundef],
+          dropped when a definition is added *)
   mutable p_struct_order_rev : string list;
   mutable p_typedef_order_rev : string list;
   mutable p_global_order_rev : string list;
@@ -614,6 +614,106 @@ let copy_for_check p =
     diags = Diag.Collector.create ();
   }
 
+(* Checking a body reaches the program's writers three ways: a
+   block-scope [typedef] or [extern] goes through [process_decl];
+   resolving a type registers an inline struct/union field list or enum
+   item list and names an anonymous tag; and resolving a type name the
+   program does not define reports into [p.diags].  The walk visits
+   every type the checker resolves (declarations, casts, [sizeof]) and,
+   conservatively, [case] guards, which the checker never evaluates.
+   It runs before every check, inference probes included, so it walks
+   lists by hand: [List.exists] over a closure capturing [p] would
+   allocate on every call. *)
+let rec ty_writes p = function
+  | Ast.Tbase b -> base_writes p b
+  | Ast.Tptr t -> ty_writes p t
+  | Ast.Tarray (t, None) -> ty_writes p t
+  | Ast.Tarray (t, Some e) -> ty_writes p t || expr_writes p e
+  | Ast.Tfunc ft -> ty_writes p ft.Ast.ft_ret || params_write p ft.Ast.ft_params
+
+and params_write p = function
+  | [] -> false
+  | (pa : Ast.param) :: rest -> ty_writes p pa.Ast.p_ty || params_write p rest
+
+and base_writes p = function
+  | Ast.Tstruct (tag, fields) | Ast.Tunion (tag, fields) ->
+      Option.is_none tag || Option.is_some fields
+  | Ast.Tenum (tag, items) -> Option.is_none tag || Option.is_some items
+  | Ast.Tnamed n -> not (Hashtbl.mem p.p_typedefs n)
+  | _ -> false
+
+and expr_writes p (e : Ast.expr) =
+  match e.Ast.e with
+  | Ast.Eint _ | Ast.Echar _ | Ast.Estring _ | Ast.Efloat _ | Ast.Eident _ ->
+      false
+  | Ast.Ecall (fn, args) -> expr_writes p fn || exprs_write p args
+  | Ast.Emember (b, _)
+  | Ast.Earrow (b, _)
+  | Ast.Ederef b
+  | Ast.Eaddr b
+  | Ast.Eunary (_, b)
+  | Ast.Epostincr b
+  | Ast.Epostdecr b
+  | Ast.Epreincr b
+  | Ast.Epredecr b
+  | Ast.Esizeof_expr b ->
+      expr_writes p b
+  | Ast.Ecast (t, b) -> ty_writes p t || expr_writes p b
+  | Ast.Esizeof_type t -> ty_writes p t
+  | Ast.Eindex (a, b)
+  | Ast.Ebinary (_, a, b)
+  | Ast.Eassign (_, a, b)
+  | Ast.Ecomma (a, b) ->
+      expr_writes p a || expr_writes p b
+  | Ast.Econd (a, b, c) -> expr_writes p a || expr_writes p b || expr_writes p c
+
+and exprs_write p = function
+  | [] -> false
+  | e :: rest -> expr_writes p e || exprs_write p rest
+
+and init_writes p = function
+  | Ast.Iexpr e -> expr_writes p e
+  | Ast.Ilist is -> inits_write p is
+
+and inits_write p = function
+  | [] -> false
+  | i :: rest -> init_writes p i || inits_write p rest
+
+and decls_write p = function
+  | [] -> false
+  | (d : Ast.decl) :: rest ->
+      d.Ast.d_storage = Ast.Stypedef
+      || d.Ast.d_storage = Ast.Sextern
+      || ty_writes p d.Ast.d_ty
+      || (match d.Ast.d_init with Some i -> init_writes p i | None -> false)
+      || decls_write p rest
+
+and stmt_writes p (s : Ast.stmt) =
+  match s.Ast.s with
+  | Ast.Sskip | Ast.Sbreak | Ast.Scontinue | Ast.Sgoto _ | Ast.Sreturn None ->
+      false
+  | Ast.Sexpr e | Ast.Sassert e | Ast.Sreturn (Some e) -> expr_writes p e
+  | Ast.Sdecl ds -> decls_write p ds
+  | Ast.Sblock ss -> stmts_write p ss
+  | Ast.Sif (c, t, None) -> expr_writes p c || stmt_writes p t
+  | Ast.Sif (c, t, Some e) ->
+      expr_writes p c || stmt_writes p t || stmt_writes p e
+  | Ast.Swhile (c, b) | Ast.Sdo (b, c) | Ast.Sswitch (c, b) | Ast.Scase (c, b)
+    ->
+      expr_writes p c || stmt_writes p b
+  | Ast.Sfor (i, c, step, b) ->
+      (match i with Some i -> stmt_writes p i | None -> false)
+      || (match c with Some c -> expr_writes p c | None -> false)
+      || (match step with Some e -> expr_writes p e | None -> false)
+      || stmt_writes p b
+  | Ast.Sdefault b | Ast.Slabel (_, b) -> stmt_writes p b
+
+and stmts_write p = function
+  | [] -> false
+  | s :: rest -> stmt_writes p s || stmts_write p rest
+
+let body_writes p (f : Ast.fundef) = stmt_writes p f.Ast.f_body
+
 (* The slots grouped by [key], each group in definition order. *)
 let index_slots p ~size key =
   let index = Hashtbl.create size in
@@ -644,7 +744,8 @@ let slots_named p name =
 
 (* The slots of the definitions whose body lies in [file].  A slot's
    defining file never changes either: [patch_fundef] swaps in a body of
-   the same file. *)
+   the same file.  Far smaller than the by-name index: it holds one
+   bucket per file. *)
 let slots_in p file =
   let index =
     match p.p_file_index with
@@ -657,8 +758,6 @@ let slots_in p file =
         index
   in
   Option.value (Hashtbl.find_opt index file) ~default:[]
-
-let fundefs_in p file = List.map (fun sl -> sl.sl_pair) (slots_in p file)
 
 (** Replace a function's signature everywhere the program holds one: the
     symbol table AND the (funsig, fundef) pairs captured at definition time.

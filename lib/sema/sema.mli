@@ -103,15 +103,23 @@ type program = {
 val create_program : ?flags:Flags.t -> file:string -> unit -> program
 
 val copy_for_check : program -> program
-(** A disconnected copy for one parallel checking task: fresh symbol
-    tables, fresh definition slots and a fresh diagnostics collector,
-    sharing every immutable value (signatures, types, ASTs) with the
-    original.  Checking a body can extend the tables through
-    {!process_decl}, so concurrent workers must each check against their
-    own copy.  The copy does not share slots with its original: an
-    {!update_funsig} or {!patch_fundef} through either one leaves the
+(** A disconnected copy for checking one body that {!body_writes}: fresh
+    symbol tables, fresh definition slots and a fresh diagnostics
+    collector, sharing every immutable value (signatures, types, ASTs)
+    with the original.  The copy does not share slots with its original:
+    an {!update_funsig} or {!patch_fundef} through either one leaves the
     other's {!fundefs} unchanged.  Its cost is linear in the program's
     size, like the table copies. *)
+
+val body_writes : program -> Cfront.Ast.fundef -> bool
+(** Can checking this body write the program?  True when the body holds
+    a block-scope [typedef] or [extern] declaration (they reach
+    {!process_decl}), an inline [struct]/[union] field list or [enum]
+    item list, an anonymous tag (they reach the registering paths of
+    {!resolve_ty}), or a type name the program does not define
+    (resolving it reports into [p.diags]).  Everything else checking
+    does against the program is a read.  A syntactic walk of the body
+    that allocates nothing. *)
 
 val typedef_annots : program -> Ctype.t -> Annot.set
 (** Annotations inherited from the typedef layers of a type. *)
@@ -156,11 +164,6 @@ val analyze_spec_string :
 
 val fundefs : program -> (funsig * Cfront.Ast.fundef) list
 
-val fundefs_in : program -> string -> (funsig * Cfront.Ast.fundef) list
-(** The definitions whose body lies in the named file, in definition
-    order.  The first call (or {!patch_fundef}) after a definition was
-    added builds an index by file (linear in the number of definitions,
-    once); every further call costs O(definitions in that file). *)
 val struct_order : program -> string list
 val typedef_order : program -> string list
 val global_order : program -> string list
@@ -186,8 +189,10 @@ val patch_fundef : program -> Cfront.Ast.fundef -> bool
     position).  Matches by (definition file, name), so of two [static]
     functions of one name only the named file's is swapped; [false] when
     the definition is unknown.  The caller must have verified interface
-    identity.  Found through the index {!fundefs_in} uses: O(definitions
-    in that file) once the index is built. *)
+    identity.  Found through an index by defining file, built by the
+    first call after a definition was added (linear in the number of
+    definitions, once); every further call costs O(definitions in that
+    file). *)
 
 val calls_of_fundef : Cfront.Ast.fundef -> string list
 (** Names in direct-call position anywhere in the body, first-occurrence

@@ -551,9 +551,10 @@ sed -n 1p "$tmp/srv3" | grep -q '"tier":"cold"' || fail "corrupted cache must no
 
 # a cache from an older format (intact stamp: version 1; version 2 with
 # keys hashed from printed ASTs; version 4, whose keys miss the file's
-# block-scope declarations) is ignored the same way: the version
-# mismatch warns and the first request runs cold
-for v in 1 2 4; do
+# block-scope declarations; version 5, whose results let a block-scope
+# declaration reach later bodies of its file) is ignored the same way:
+# the version mismatch warns and the first request runs cold
+for v in 1 2 4 5; do
   sed "1s/format [0-9]*/format $v/" "$tmp/cache.olc" > "$tmp/cache.v$v"
   head -1 "$tmp/cache.v$v" | grep -q "summary-cache format $v " \
     || fail "the version-$v cache fixture should carry format $v"
@@ -579,6 +580,12 @@ sed -n 1p "$tmp/srv4" | grep -qF "$tmp/missing.c" || fail "the missing-path erro
 sed -n 2p "$tmp/srv4" | grep -q '"op":"stats","ok":true' || fail "stats should answer after a missing path"
 sed -n 3p "$tmp/srv4" | grep -q '"op":"shutdown","ok":true' || fail "shutdown should answer after a missing path"
 [ -s "$tmp/srverr4" ] && { cat "$tmp/srverr4" >&2; fail "a missing path should write nothing to stderr"; }
+# that server has finished no major collection, when the runtime's heap
+# sizes still read 0: the gauges are null, not a misleading 0
+sed -n 2p "$tmp/srv4" | grep -qF '"heap_words":null' \
+  || fail "heap_words should be null before the first major collection"
+sed -n 2p "$tmp/srv4" | grep -qF '"top_heap_words":null' \
+  || fail "top_heap_words should be null before the first major collection"
 
 # --- documentation drift gate ------------------------------------------------
 # every checking flag and every telemetry counter must appear in the
@@ -629,6 +636,27 @@ nsuites=$(sed -n '/(names/,/)/p' "$(dirname "$0")/dune" | tr -d '()' \
 grep -q "${numbers[$nsuites]:-$nsuites} alcotest suites" "$DOCS/architecture.md" \
   || fail "docs/architecture.md should say test/ holds ${numbers[$nsuites]:-$nsuites} alcotest suites"
 
+# every backticked `Mod.name` in the prose docs whose module has an
+# interface under lib/ must be declared there (a value, type, exception
+# or record field), so a removed or renamed API cannot linger in the
+# docs.  performance.md narrates removed APIs on purpose and stays out.
+for doc in architecture incremental summaries inference diagnostics testing; do
+  grep -o '`[^`]*`' "$DOCS/$doc.md" \
+    | grep -oE '([A-Z][A-Za-z0-9_]*\.)+[a-z_][A-Za-z0-9_]*' \
+    | sort -u \
+    | while read -r ref; do
+        name="${ref##*.}"
+        mod="${ref%.*}"
+        mod="${mod##*.}"
+        set -- "$LIBS"/*/"${mod,}.mli"
+        [ -f "$1" ] || continue
+        grep -qE "^ *(val|external|type|and|exception)( +[^ =:]+)* +$name( |:|\$)|^ *(mutable +)?$name *:|[{;] *(mutable +)?$name *:" "$1" \
+          || echo "$doc.md: \`$ref\` is not declared in ${1#"$LIBS"/}"
+      done
+done > "$tmp/docrefs.stale"
+[ -s "$tmp/docrefs.stale" ] \
+  && { cat "$tmp/docrefs.stale" >&2; fail "the docs name APIs their lib/ interfaces do not declare"; }
+
 # --- one program loader ------------------------------------------------------
 # Stdspec.load builds every program: each source is parsed under the
 # typedef names declared before it, in Sema.analyze_string.  Any other .ml
@@ -673,6 +701,26 @@ for j in 1 2; do
   expect_contains "$tmp/out" "blocktype.c:2,17: unknown type name 'T'" \
     "-j $j reports the type name a closed block declared"
   expect_contains "$tmp/out" "1 code warning" "-j $j unknown type summary"
+done
+
+# --- one procedure, one check -----------------------------------------------
+# a body sees the interfaces and its own declarations only: a's
+# block-scope extern never reaches b, whether they share a file or not,
+# at any -j, and under inference (whose probes check bodies too)
+printf 'void a(void) { extern /*@null@*/ char *mk(void); }\n' > "$tmp/a.c"
+printf 'char b(void) { char *p = mk(); return *p; }\n' > "$tmp/b.c"
+cat "$tmp/a.c" "$tmp/b.c" > "$tmp/ab.c"
+for run in "ab.c" "a.c b.c" "+inferconstraints a.c b.c" "-j 2 a.c b.c" "-j 2 ab.c"; do
+  args=()
+  for w in $run; do
+    case "$w" in *.c) args+=("$tmp/$w") ;; *) args+=("$w") ;; esac
+  done
+  # the message without its location: ab.c:2,26 and b.c:1,26 are one place
+  "$OLCLINT" "${args[@]}" 2>&1 | sed 's/^[^ ]*:[0-9]*,[0-9]*: //' > "$tmp/ab.out.$run"
+  expect_contains "$tmp/ab.out.$run" "unrecognized identifier 'mk'" \
+    "olclint $run: mk is unknown in b"
+  cmp -s "$tmp/ab.out.ab.c" "$tmp/ab.out.$run" \
+    || { diff "$tmp/ab.out.ab.c" "$tmp/ab.out.$run" >&2; fail "olclint $run should answer as olclint ab.c"; }
 done
 
 # --- interprocedural summaries: --dump-summaries and +xproc ------------------

@@ -1,6 +1,5 @@
 (* The flat checking IR the [+xproc] summary pass walks: golden
-   lowerings of the paper's figure programs and the environment-mutation
-   classifier the parallel driver keys on.  The last group pins the
+   lowerings of the paper's figure programs.  The last group pins the
    checker's diagnostics on generated and figure programs; the pins were
    recorded when a second, IR-interpreting engine still existed and
    agreed with the AST walk byte for byte on every one of them. *)
@@ -26,7 +25,7 @@ let test_golden_fig1 () =
   let p = lower_one ~typedefs:[] ~file:"fig1.c" Corpus.Figures.fig1_sample in
   Alcotest.(check string)
     "fig1 setName"
-    "proc setName entry=b0 blocks=2 instrs=2 mutates=false\n\
+    "proc setName entry=b0 blocks=2 instrs=2\n\
      b0:\n\
     \  scope b1\n\
      b1:\n\
@@ -42,7 +41,7 @@ let test_golden_fig5 () =
   in
   Alcotest.(check string)
     "fig5 list_addh"
-    "proc list_addh entry=b0 blocks=6 instrs=8 mutates=false\n\
+    "proc list_addh entry=b0 blocks=6 instrs=8\n\
      b0:\n\
     \  scope b1\n\
      b1:\n\
@@ -66,7 +65,7 @@ let test_golden_fig7 () =
   in
   Alcotest.(check string)
     "fig7 erc_create"
-    "proc erc_create entry=b0 blocks=4 instrs=9 mutates=false\n\
+    "proc erc_create entry=b0 blocks=4 instrs=9\n\
      b0:\n\
     \  scope b1\n\
      b1:\n\
@@ -81,29 +80,6 @@ let test_golden_fig7 () =
     \  expr error(\"malloc returned null\") @10:5\n\
     \  expr exit(EXIT_FAILURE) @11:5\n"
     (Ir.to_string p)
-
-(* ------------------------------------------------------------------ *)
-(* The environment-mutation classifier                                 *)
-(* ------------------------------------------------------------------ *)
-
-let mutates src =
-  match fundefs_of ~typedefs:[] ~file:"mut.c" src with
-  | f :: _ -> Ir.mutates_env f
-  | [] -> Alcotest.fail "no fundef"
-
-let test_mutates_env () =
-  Alcotest.(check bool) "plain body" false
-    (mutates "void f(int x) { int y; y = x; }");
-  Alcotest.(check bool) "block-scope typedef" true
-    (mutates "void f(void) { typedef int local_t; }");
-  Alcotest.(check bool) "block-scope extern" true
-    (mutates "void f(void) { extern int g; }");
-  Alcotest.(check bool) "inline field list" true
-    (mutates "void f(void) { struct s { int a; } v; v.a = 0; }");
-  Alcotest.(check bool) "enum item list" true
-    (mutates "void f(void) { enum e { A, B } v; v = A; }");
-  Alcotest.(check bool) "named tag reference only" false
-    (mutates "struct s { int a; };\nvoid f(struct s v) { v.a = 0; }")
 
 (* ------------------------------------------------------------------ *)
 (* Diagnostic pins                                                     *)
@@ -211,7 +187,6 @@ let () =
           Alcotest.test_case "fig5 golden" `Quick test_golden_fig5;
           Alcotest.test_case "fig7 golden" `Quick test_golden_fig7;
         ] );
-      ("mutation", [ Alcotest.test_case "mutates_env" `Quick test_mutates_env ]);
       ( "pins",
         [
           Alcotest.test_case "progen programs" `Quick test_pins_progen;

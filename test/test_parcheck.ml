@@ -128,8 +128,8 @@ let test_progen_corpus_jobs () =
   Alcotest.(check string) "-j 1 vs -j 64" seq (run 64)
 
 let test_task_granularity () =
-  (* non-mutating procedures fan out individually: far more tasks than
-     files *)
+  (* every procedure is its own task, whatever its body declares: far
+     more tasks than files *)
   let p =
     Progen.analyse (Progen.generate ~seed:5 ~modules:4 ~fns_per_module:6 ())
   in
@@ -139,7 +139,10 @@ let test_task_granularity () =
          (fun ((fs : Sema.funsig), _) -> fs.Sema.fs_loc.Cfront.Loc.file)
          (Sema.fundefs p))
   in
-  Alcotest.(check bool) "per-procedure tasks" true
+  Alcotest.(check int) "one task per definition"
+    (List.length (Sema.fundefs p))
+    (Parcheck.task_count p);
+  Alcotest.(check bool) "more tasks than files" true
     (Parcheck.task_count p > List.length files)
 
 let test_pool_and_counters () =
@@ -156,7 +159,7 @@ let test_pool_and_counters () =
       let run () =
         Telemetry.reset ();
         let r =
-          Parcheck.map_tasks ~oversubscribe:true ~jobs:4 64 (fun ~par:_ i ->
+          Parcheck.map_tasks ~oversubscribe:true ~jobs:4 64 (fun i ->
               Telemetry.Counter.tick Telemetry.c_procedures;
               i * i)
         in

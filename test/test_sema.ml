@@ -328,6 +328,61 @@ let test_copy_for_check_slots () =
   Alcotest.(check bool) "copy sees its own patch" true
     (snd (List.hd (Sema.fundefs copy)) == na)
 
+(* [body_writes]: which bodies the checker must check against a copy.
+   The program defines [known_t] and [struct s]; [ghost_t] parses as a
+   type name (as after a block-scope typedef earlier in its file) but
+   the program does not define it. *)
+let test_body_writes () =
+  let prog = analyse "typedef int known_t;\nstruct s { int a; };\n" in
+  let fundef src =
+    let tu =
+      Cfront.Parser.parse_string ~typedefs:[ "known_t"; "ghost_t" ]
+        ~file:"w.c" src
+    in
+    match tu.Cfront.Ast.tu_decls with
+    | [ Cfront.Ast.Tfundef f ] -> f
+    | _ -> Alcotest.failf "expected one definition in %S" src
+  in
+  List.iter
+    (fun (what, want, src) ->
+      Alcotest.(check bool) what want (Sema.body_writes prog (fundef src)))
+    [
+      ("plain body", false, "void f(int x) { int y; y = x; }");
+      ("block-scope typedef", true, "void f(void) { typedef int local_t; }");
+      ("block-scope extern", true, "void f(void) { extern int g; }");
+      ( "inline field list",
+        true,
+        "void f(void) { struct t { int a; } v; v.a = 0; }" );
+      ("enum item list", true, "void f(void) { enum e { A, B } v; v = A; }");
+      ("anonymous tag", true, "void f(void) { struct { int a; } v; }");
+      ("named tag reference only", false, "void f(struct s v) { v.a = 0; }");
+      ("known type name", false, "void f(void) { known_t x = (known_t) 1; }");
+      ("unknown type name", true, "void f(void) { ghost_t x; }");
+      ( "unknown type name in a cast",
+        true,
+        "int f(int *p) { return (ghost_t) *p; }" );
+      ( "unknown type name in sizeof",
+        true,
+        "int f(void) { return sizeof(ghost_t); }" );
+      ( "inline tag in a case guard",
+        true,
+        "void f(int x) { switch (x) { case sizeof(struct u { int a; }): \
+         break; } }" );
+    ];
+  (* the scan runs once per checked body: it must not allocate *)
+  let f =
+    fundef
+      "int f(int *p, int n) { known_t k = 0; int i; \
+       for (i = 0; i < n; i++) { if (p[i] > 0) { k = k + (int) p[i]; } } \
+       switch (n) { case 1: return k; default: break; } return 0; }"
+  in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sema.body_writes prog f)
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 100. then Alcotest.failf "1000 scans allocated %.0f words" words
+
 (* property: const_eval agrees with direct arithmetic on random trees *)
 let prop_const_eval =
   let rec build depth rng : string * int64 =
@@ -385,6 +440,7 @@ let () =
           Alcotest.test_case "order after writes" `Quick
             test_fundefs_order_after_writes;
           Alcotest.test_case "copy slots" `Quick test_copy_for_check_slots;
+          Alcotest.test_case "body writes" `Quick test_body_writes;
         ] );
       ( "diagnostics",
         [
