@@ -853,8 +853,8 @@ let scale () =
               exit 3)
       in
       (* one analysed program shared by every configuration:
-         [check_program] never mutates it (a body that may write it
-         checks against a private {!Sema.copy_for_check}).  Sharing one
+         [check_program] never mutates it (each body writes only its
+         own {!Sema.for_check} overlay).  Sharing one
          heap image means every configuration traverses identical
          memory, so the timings differ only by job count, not by
          allocation order or heap size. *)

@@ -180,7 +180,7 @@ let rec type_of_ref env (r : Sref.t) : Ctype.t option =
       List.nth_opt env.fs.fs_params i
       |> Option.map (fun p -> p.Sema.pr_ty)
   | Sref.Root (Sref.Rglobal g) ->
-      Hashtbl.find_opt env.prog.Sema.p_globals g
+      Sema.find_global env.prog g
       |> Option.map (fun gv -> gv.Sema.gv_ty)
   | Sref.Root Sref.Rret -> Some env.fs.fs_ret
   | Sref.Root (Sref.Rfresh _) -> None
@@ -217,7 +217,7 @@ let annots_of_ref env (r : Sref.t) : Annot.set =
       | Some p -> p.Sema.pr_annots.Sema.an
       | None -> Annot.empty)
   | Sref.Root (Sref.Rglobal g) -> (
-      match Hashtbl.find_opt env.prog.Sema.p_globals g with
+      match Sema.find_global env.prog g with
       | Some gv -> gv.Sema.gv_annots.Sema.an
       | None -> Annot.empty)
   | Sref.Root Sref.Rret -> env.fs.fs_ret_annots.Sema.an
@@ -392,7 +392,7 @@ let ident_ref env (name : string) : (Sref.t * Ctype.t) option =
   match find_local env name with
   | Some i -> Some (Sref.root (Sref.Rlocal name), i.li_ty)
   | None -> (
-      match Hashtbl.find_opt env.prog.Sema.p_globals name with
+      match Sema.find_global env.prog name with
       | Some gv -> Some (Sref.root (Sref.Rglobal name), gv.Sema.gv_ty)
       | None -> None)
 
@@ -402,7 +402,7 @@ let touch_global env st (name : string) : Store.t =
   let r = Sref.root (Sref.Rglobal name) in
   if Store.mem st r then st
   else
-    match Hashtbl.find_opt env.prog.Sema.p_globals name with
+    match Sema.find_global env.prog name with
     | Some gv ->
         let annots = gv.Sema.gv_annots.Sema.an in
         let annots =
@@ -608,10 +608,10 @@ let rec eval env st (e : Ast.expr) : Store.t * value =
           let st = check_rvalue_use env st r ~loc in
           (st, value_of_state ty r (Store.get st r))
       | None -> (
-          match Hashtbl.find_opt env.prog.Sema.p_enum_consts name with
+          match Sema.find_enum_const env.prog name with
           | Some _ -> (st, unit_value Ctype.int_)
           | None -> (
-              match Hashtbl.find_opt env.prog.Sema.p_funcs name with
+              match Sema.find_func env.prog name with
               | Some fs ->
                   (* function designator *)
                   let ty =
@@ -1117,7 +1117,7 @@ and split_cond env st (e : Ast.expr) : Store.t * Store.t =
       (* truenull: returns true iff argument is null;
          falsenull: returns true only if the argument is not null *)
       let truenull =
-        match Hashtbl.find_opt env.prog.Sema.p_funcs fname with
+        match Sema.find_func env.prog fname with
         | Some fs -> fs.Sema.fs_ret_annots.Sema.an.Annot.an_truenull
         | None -> false
       in
@@ -1162,7 +1162,7 @@ and null_test env st (e : Ast.expr) ~eq ~loc : Store.t * Store.t =
   | _ -> (st, st)
 
 and is_nulltest_fn env fname =
-  match Hashtbl.find_opt env.prog.Sema.p_funcs fname with
+  match Sema.find_func env.prog fname with
   | Some fs ->
       fs.Sema.fs_ret_annots.Sema.an.Annot.an_truenull
       || fs.Sema.fs_ret_annots.Sema.an.Annot.an_falsenull
@@ -1667,13 +1667,15 @@ and null_derivable env st (r : Sref.t) : (Sref.t * Store.refstate) list =
 
 and eval_call env st (fexpr : Ast.expr) (args : Ast.expr list) ~loc :
     Store.t * value =
-  match fexpr.e with
-  | Ast.Eident name
-    when find_local env name = None
-         && Hashtbl.mem env.prog.Sema.p_funcs name ->
-      let fs = Hashtbl.find env.prog.Sema.p_funcs name in
-      call_known env st fs args ~loc
-  | _ ->
+  let callee =
+    match fexpr.e with
+    | Ast.Eident name when find_local env name = None ->
+        Sema.find_func env.prog name
+    | _ -> None
+  in
+  match callee with
+  | Some fs -> call_known env st fs args ~loc
+  | None ->
       (* unknown callee / function pointer: evaluate everything, assume a
          defined, unmanaged result *)
       let st, _ = eval env st fexpr in
@@ -2247,7 +2249,7 @@ and directly_alias st (v : value) (w : value) =
 and check_call_globals env st (fs : Sema.funsig) ~loc : Store.t =
   List.fold_left
     (fun st (gname, (ga : Annot.set)) ->
-      match Hashtbl.find_opt env.prog.Sema.p_globals gname with
+      match Sema.find_global env.prog gname with
       | None -> st
       | Some gv ->
           let st = touch_global env st gname in
@@ -2661,7 +2663,7 @@ let check_exit env st ~(ret : value option) ~loc : Store.t =
       (fun r (s : Store.refstate) st ->
         match Sref.view r with
         | Sref.Root (Sref.Rglobal g) -> (
-            match Hashtbl.find_opt env.prog.Sema.p_globals g with
+            match Sema.find_global env.prog g with
             | None -> st
             | Some gv ->
                 let declared = gv.Sema.gv_annots.Sema.an in
@@ -3125,16 +3127,16 @@ let funsig_inferred (fs : Sema.funsig) : bool =
        (fun (p : Sema.param) -> Annot.is_inferred p.Sema.pr_annots.Sema.an)
        fs.Sema.fs_params
 
-(* Check one body against [prog], which the check may write, reporting
-   into [diags]. *)
-let check_body ~diags ?exit_obs ?summaries (prog : Sema.program)
+(* Check one body against [prog], the overlay the check writes and
+   reports into. *)
+let check_body ?exit_obs ?summaries (prog : Sema.program)
     (fs : Sema.funsig) (f : Ast.fundef) : unit =
   let proc_inferred =
     lazy
       (funsig_inferred fs
       || List.exists
            (fun callee ->
-             match Hashtbl.find_opt prog.Sema.p_funcs callee with
+             match Sema.find_func prog callee with
              | Some g -> funsig_inferred g
              | None -> false)
            (Sema.calls_of_fundef f))
@@ -3144,7 +3146,7 @@ let check_body ~diags ?exit_obs ?summaries (prog : Sema.program)
       prog;
       flags = prog.Sema.flags;
       fs;
-      diags;
+      diags = prog.Sema.diags;
       exit_obs;
       proc_inferred;
       scopes = [];
@@ -3237,24 +3239,19 @@ let check_body ~diags ?exit_obs ?summaries (prog : Sema.program)
     [diags] redirects the procedure's messages away from the program's
     collector (annotation inference probes candidate annotations into a
     scratch collector); [exit_obs] observes the raw abstract state at
-    every reachable exit (summary extraction).  A body that may write
-    the program ({!Sema.body_writes}) is checked against a private copy,
-    and what sema reports into the copy joins the body's messages in
-    order; so a body sees the interfaces and its own declarations only,
-    and every other body reads [prog] without writing it. *)
+    every reachable exit (summary extraction).  The body is checked
+    against its own {!Sema.for_check} overlay of [prog], so it sees the
+    interfaces and its own declarations only, what sema reports while
+    checking it joins the body's messages in order, and [prog] is only
+    read. *)
 let check_fundef ?diags ?exit_obs ?summaries (prog : Sema.program)
     (fs : Sema.funsig) (f : Ast.fundef) : unit =
   Telemetry.Counter.tick Telemetry.c_procedures;
   Telemetry.with_span ~file:fs.Sema.fs_loc.Loc.file ~label:fs.Sema.fs_name
     Telemetry.phase_check
   @@ fun () ->
-  let into = Option.value diags ~default:prog.Sema.diags in
-  if Sema.body_writes prog f then begin
-    let local = Sema.copy_for_check prog in
-    check_body ~diags:local.Sema.diags ?exit_obs ?summaries local fs f;
-    List.iter (Diag.Collector.emit into) (Diag.Collector.all local.Sema.diags)
-  end
-  else check_body ~diags:into ?exit_obs ?summaries prog fs f
+  let diags = Option.value diags ~default:prog.Sema.diags in
+  check_body ?exit_obs ?summaries (Sema.for_check prog ~diags) fs f
 
 let check_program ?(map = fun n f -> Array.init n f) (prog : Sema.program) =
   let defs = Array.of_list (Sema.fundefs prog) in

@@ -38,13 +38,12 @@ val check_fundef :
     this procedure).
 
     A body sees the interfaces and its own declarations only (paper,
-    Sections 3 and 7).  A body that may write the program
-    ({!Sema.body_writes}: a block-scope [typedef] or [extern], an inline
-    tag definition, an anonymous tag, a type name the program lacks) is
-    checked against a private {!Sema.copy_for_check}, and what sema
-    reports into the copy (a block-scope redeclaration, an unknown type
-    name) joins this procedure's messages in emission order.  Every
-    other body only reads [prog], so concurrent checks may share it. *)
+    Sections 3 and 7): it is checked against its own
+    {!Sema.for_check} overlay of [prog], which takes its block-scope
+    declarations and inline tags, and what sema reports while checking
+    it (a block-scope redeclaration, an unknown type name) joins this
+    procedure's messages in emission order.  [prog] is only read, so
+    concurrent checks may share it. *)
 
 val check_program :
   ?map:(int -> (int -> Cfront.Diag.t list) -> Cfront.Diag.t list array) ->

@@ -137,7 +137,7 @@ let save (prog : Sema.program) : string =
   (* struct and union layouts *)
   List.iter
     (fun tag ->
-      match Hashtbl.find_opt prog.Sema.p_structs tag with
+      match Sema.find_struct prog tag with
       | Some su when String.length tag > 0 && tag.[0] <> '<' ->
           pf "%s %s {\n" (if su.Sema.su_union then "union" else "struct") tag;
           List.iter
@@ -152,7 +152,7 @@ let save (prog : Sema.program) : string =
   (* typedefs *)
   List.iter
     (fun name ->
-      match Hashtbl.find_opt prog.Sema.p_typedefs name with
+      match Sema.find_typedef prog name with
       | Some (ty, set) ->
           pf "%stypedef %s;\n" (annots_prefix set) (decl_string name ty)
       | None -> ())
@@ -161,7 +161,7 @@ let save (prog : Sema.program) : string =
   (* globals (static globals are not part of the interface) *)
   List.iter
     (fun name ->
-      match Hashtbl.find_opt prog.Sema.p_globals name with
+      match Sema.find_global prog name with
       | Some gv when not gv.Sema.gv_static ->
           pf "%sextern %s;\n"
             (annots_prefix gv.Sema.gv_annots.Sema.an)
@@ -172,7 +172,7 @@ let save (prog : Sema.program) : string =
   (* functions *)
   List.iter
     (fun name ->
-      match Hashtbl.find_opt prog.Sema.p_funcs name with
+      match Sema.find_func prog name with
       | Some fs when not fs.Sema.fs_static ->
           let params =
             if fs.Sema.fs_params = [] && not fs.Sema.fs_varargs then "void"

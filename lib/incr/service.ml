@@ -55,12 +55,12 @@
 
     Each miss is re-checked on its own by {!Check.Checker.check_fundef},
     as the cold drivers check every body, on the {!Parcheck.map_tasks}
-    pool.  A body sees the interfaces and its own declarations only: one
-    that may write the program checks against a private copy, so the
-    persistent environment stays as sema built it, and no result
-    depends on a sibling body.  The answer is assembled by
-    {!Check.finish}, the cold drivers' emission step, so it is
-    byte-identical to a cold [olclint] run at every [-j]. *)
+    pool.  A body sees the interfaces and its own declarations only: it
+    checks against its own overlay, so the persistent environment stays
+    as sema built it, and no result depends on a sibling body.  The
+    answer is assembled by {!Check.finish}, the cold drivers' emission
+    step, so it is byte-identical to a cold [olclint] run at every
+    [-j]. *)
 
 module Ast = Cfront.Ast
 module Diag = Cfront.Diag
@@ -631,8 +631,8 @@ let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
              | None -> true)
            miss_list)
   in
-  (* the persistent environment stays pristine: a body that may write
-     it is checked against its own copy *)
+  (* the persistent environment stays pristine: each body writes only
+     its own overlay *)
   let results =
     Parcheck.map_tasks ~jobs (Array.length to_check) (fun i ->
         let fs, fd = to_check.(i) in

@@ -20,10 +20,9 @@
 
     Each miss is re-checked on its own by {!Check.Checker.check_fundef},
     as the cold drivers check every body, on the {!Parcheck.map_tasks}
-    domain pool (a body that may write the environment checks against
-    its own {!Sema.copy_for_check}; the rest read it in place), and
-    every answer goes through {!Check.finish}, the cold drivers'
-    emission step.  So
+    domain pool (each body against its own {!Sema.for_check} overlay,
+    which leaves the environment unwritten), and every answer goes
+    through {!Check.finish}, the cold drivers' emission step.  So
     re-check diagnostics are byte-identical for every [jobs] value —
     and, by construction of the cache, to a cold run.
 

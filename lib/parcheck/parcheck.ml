@@ -1,8 +1,8 @@
 (** Parallel checking driver (see parcheck.mli for the contract).
 
-    One task per procedure, each a {!Check.Checker.check_fundef}: a body
-    that cannot write the program reads it shared across domains, and
-    one that can checks against a private copy.
+    One task per procedure, each a {!Check.Checker.check_fundef}
+    against its own overlay of the program, which the domains share
+    read-only.
 
     Scheduling is work-stealing: every task has an [Atomic] claim flag,
     each worker owns a contiguous range of the task array and drains it

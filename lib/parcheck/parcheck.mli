@@ -2,9 +2,8 @@
     program on a pool of OCaml 5 domains ([olclint -j N]).
 
     One task per procedure, each a {!Check.Checker.check_fundef}: a body
-    that cannot write the program checks against the post-sema program,
-    shared read-only across domains, and one that can
-    ({!Sema.body_writes}) checks against its own {!Sema.copy_for_check}.
+    checks against its own {!Sema.for_check} overlay of the post-sema
+    program, which the domains share read-only.
     Tasks are scheduled by work-stealing (per-task atomic claim flags
     over contiguous per-worker ranges) on a process-wide pool of warm
     worker domains that is reused across runs; each worker records
@@ -14,7 +13,7 @@
     {b Determinism guarantee.}  The returned diagnostics — contents and
     order — are identical for every [jobs] value: the task list depends
     only on the input program, each task's result depends only on that
-    (immutable or privately copied) program, and results are
+    program and the task's own overlay, and results are
     concatenated in task order regardless of which domain ran what.
     [jobs = 1] runs the same per-task code on the calling domain
     without spawning anything, exactly as {!Check.Checker.check_program}

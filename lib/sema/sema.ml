@@ -84,11 +84,15 @@ type fundef_slot = { mutable sl_pair : funsig * Ast.fundef }
 
 type program = {
   p_file : string;
-  p_structs : (string, suinfo) Hashtbl.t;
-  p_typedefs : (string, Ctype.t * Annot.set) Hashtbl.t;
-  p_enum_consts : (string, int64) Hashtbl.t;
-  p_funcs : (string, funsig) Hashtbl.t;
-  p_globals : (string, globalvar) Hashtbl.t;
+  mutable p_structs : (string, suinfo) Hashtbl.t;
+  mutable p_typedefs : (string, Ctype.t * Annot.set) Hashtbl.t;
+  mutable p_enum_consts : (string, int64) Hashtbl.t;
+  mutable p_funcs : (string, funsig) Hashtbl.t;
+  mutable p_globals : (string, globalvar) Hashtbl.t;
+      (** the five symbol tables; the [own_*] writers give an overlay
+          its own table at its first write of that kind *)
+  p_base : program option;
+      (** the program an overlay ({!for_check}) reads through *)
   mutable p_fundefs_rev : fundef_slot list;
       (** reversed; use {!fundefs} for source order *)
   mutable p_fundef_index : (string, fundef_slot list) Hashtbl.t option;
@@ -115,6 +119,7 @@ let create_program ?(flags = Flags.default) ~file () =
     p_enum_consts = Hashtbl.create 32;
     p_funcs = Hashtbl.create 64;
     p_globals = Hashtbl.create 32;
+    p_base = None;
     p_fundefs_rev = [];
     p_fundef_index = None;
     p_file_index = None;
@@ -127,6 +132,78 @@ let create_program ?(flags = Flags.default) ~file () =
     flags;
     anon_counter = 0;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Overlays and table access                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A fresh overlay holds these empty tables until its first write of
+   each kind, so checking a body that declares nothing allocates no
+   table.  Nothing writes them: every write goes through an [own_*]. *)
+let no_structs : (string, suinfo) Hashtbl.t = Hashtbl.create 1
+let no_typedefs : (string, Ctype.t * Annot.set) Hashtbl.t = Hashtbl.create 1
+let no_enum_consts : (string, int64) Hashtbl.t = Hashtbl.create 1
+let no_funcs : (string, funsig) Hashtbl.t = Hashtbl.create 1
+let no_globals : (string, globalvar) Hashtbl.t = Hashtbl.create 1
+
+let for_check p ~diags =
+  {
+    p_file = p.p_file;
+    p_structs = no_structs;
+    p_typedefs = no_typedefs;
+    p_enum_consts = no_enum_consts;
+    p_funcs = no_funcs;
+    p_globals = no_globals;
+    p_base = Some p;
+    p_fundefs_rev = [];
+    p_fundef_index = None;
+    p_file_index = None;
+    p_struct_order_rev = [];
+    p_typedef_order_rev = [];
+    p_global_order_rev = [];
+    p_func_order_rev = [];
+    p_pragmas = p.p_pragmas;
+    diags;
+    flags = p.flags;
+    anon_counter = p.anon_counter;
+  }
+
+(* The table [p] writes: an overlay's own, made at its first write. *)
+let own_structs p =
+  if p.p_structs == no_structs then p.p_structs <- Hashtbl.create 8;
+  p.p_structs
+
+let own_typedefs p =
+  if p.p_typedefs == no_typedefs then p.p_typedefs <- Hashtbl.create 8;
+  p.p_typedefs
+
+let own_enum_consts p =
+  if p.p_enum_consts == no_enum_consts then
+    p.p_enum_consts <- Hashtbl.create 8;
+  p.p_enum_consts
+
+let own_funcs p =
+  if p.p_funcs == no_funcs then p.p_funcs <- Hashtbl.create 8;
+  p.p_funcs
+
+let own_globals p =
+  if p.p_globals == no_globals then p.p_globals <- Hashtbl.create 8;
+  p.p_globals
+
+(* [p]'s own entry for [k], else its base program's: an overlay's
+   declarations shadow the program's.  An empty table is skipped
+   without hashing [k]. *)
+let rec lookup table p k =
+  let t = table p in
+  match if Hashtbl.length t = 0 then None else Hashtbl.find_opt t k with
+  | Some _ as hit -> hit
+  | None -> ( match p.p_base with Some b -> lookup table b k | None -> None)
+
+let find_struct p tag = lookup (fun p -> p.p_structs) p tag
+let find_typedef p name = lookup (fun p -> p.p_typedefs) p name
+let find_enum_const p name = lookup (fun p -> p.p_enum_consts) p name
+let find_func p name = lookup (fun p -> p.p_funcs) p name
+let find_global p name = lookup (fun p -> p.p_globals) p name
 
 let diag p ?(severity = Diag.Err) ?(notes = []) ~loc ~code fmt =
   Fmt.kstr
@@ -156,7 +233,7 @@ let rec typedef_annots p (ty : Ctype.t) : Annot.set =
   match ty with
   | Ctype.Cnamed (name, inner) -> (
       let deeper = typedef_annots p inner in
-      match Hashtbl.find_opt p.p_typedefs name with
+      match find_typedef p name with
       | Some (_, set) -> Annot.override ~base:deeper ~decl:set
       | None -> deeper)
   | _ -> Annot.empty
@@ -217,7 +294,7 @@ let rec const_eval p (e : Ast.expr) : int64 option =
   match e.e with
   | Ast.Eint (v, _) -> Some v
   | Ast.Echar c -> Some (Int64.of_int (Char.code c))
-  | Ast.Eident x -> Hashtbl.find_opt p.p_enum_consts x
+  | Ast.Eident x -> find_enum_const p x
   | Ast.Eunary (Ast.Uneg, e) -> Option.map Int64.neg (const_eval p e)
   | Ast.Eunary (Ast.Ubnot, e) -> Option.map Int64.lognot (const_eval p e)
   | Ast.Eunary (Ast.Unot, e) ->
@@ -284,7 +361,7 @@ and resolve_base p ~loc (b : Ast.base_type) : Ctype.t =
   | Ast.Tfloat -> Ctype.Cfloat Ctype.Ffloat
   | Ast.Tdouble -> Ctype.Cfloat Ctype.Fdouble
   | Ast.Tnamed n -> (
-      match Hashtbl.find_opt p.p_typedefs n with
+      match find_typedef p n with
       | Some (t, _) -> Ctype.Cnamed (n, t)
       | None ->
           diag p ~loc ~code:"type" "unknown type name '%s'" n;
@@ -310,7 +387,7 @@ and resolve_base p ~loc (b : Ast.base_type) : Ctype.t =
                         !next)
                 | None -> !next
               in
-              Hashtbl.replace p.p_enum_consts it.en_name v;
+              Hashtbl.replace (own_enum_consts p) it.en_name v;
               next := Int64.add v 1L)
             items;
           Ctype.Cenum tag)
@@ -322,8 +399,8 @@ and resolve_su p ~loc ~is_union tag fields : Ctype.t =
   | Some fields ->
       (* two-phase: register the tag first so self-referential fields
          (struct s *next) resolve *)
-      if not (Hashtbl.mem p.p_structs tag) then
-        Hashtbl.replace p.p_structs tag
+      if Option.is_none (find_struct p tag) then
+        Hashtbl.replace (own_structs p) tag
           { su_tag = tag; su_union = is_union; su_fields = []; su_loc = loc };
       let resolved =
         List.map
@@ -340,13 +417,13 @@ and resolve_su p ~loc ~is_union tag fields : Ctype.t =
       in
       if not (List.mem tag p.p_struct_order_rev) then
         p.p_struct_order_rev <- tag :: p.p_struct_order_rev;
-      Hashtbl.replace p.p_structs tag
+      Hashtbl.replace (own_structs p) tag
         { su_tag = tag; su_union = is_union; su_fields = resolved; su_loc = loc });
   if is_union then Ctype.Cunion tag else Ctype.Cstruct tag
 
 (** Look up a struct/union field. *)
 let find_field p tag name : field option =
-  match Hashtbl.find_opt p.p_structs tag with
+  match find_struct p tag with
   | Some su -> List.find_opt (fun f -> f.sf_name = name) su.su_fields
   | None -> None
 
@@ -354,7 +431,7 @@ let find_field p tag name : field option =
 let fields_of p (ty : Ctype.t) : field list =
   match Ctype.su_tag ty with
   | Some tag -> (
-      match Hashtbl.find_opt p.p_structs tag with
+      match find_struct p tag with
       | Some su -> su.su_fields
       | None -> [])
   | None -> []
@@ -452,14 +529,14 @@ let merge_funsig p (old_ : funsig) (new_ : funsig) : funsig =
     }
 
 let add_funsig p (fs : funsig) =
-  match Hashtbl.find_opt p.p_funcs fs.fs_name with
+  match find_func p fs.fs_name with
   | Some old_ ->
       if old_.fs_defined && fs.fs_defined then
         diag p ~loc:fs.fs_loc ~code:"decl" "function '%s' redefined" fs.fs_name;
-      Hashtbl.replace p.p_funcs fs.fs_name (merge_funsig p old_ fs)
+      Hashtbl.replace (own_funcs p) fs.fs_name (merge_funsig p old_ fs)
   | None ->
       p.p_func_order_rev <- fs.fs_name :: p.p_func_order_rev;
-      Hashtbl.replace p.p_funcs fs.fs_name fs
+      Hashtbl.replace (own_funcs p) fs.fs_name fs
 
 let process_decl p (d : Ast.decl) =
   if d.d_name = "" then
@@ -472,7 +549,7 @@ let process_decl p (d : Ast.decl) =
     | Ast.Stypedef ->
         if not (List.mem d.d_name p.p_typedef_order_rev) then
           p.p_typedef_order_rev <- d.d_name :: p.p_typedef_order_rev;
-        Hashtbl.replace p.p_typedefs d.d_name (ty, set)
+        Hashtbl.replace (own_typedefs p) d.d_name (ty, set)
     | _ -> (
         match Ctype.unroll ty with
         | Ctype.Cfunc ft ->
@@ -512,7 +589,7 @@ let process_decl p (d : Ast.decl) =
                 gv_loc = d.d_loc;
               }
             in
-            (match Hashtbl.find_opt p.p_globals d.d_name with
+            (match find_global p d.d_name with
             | Some old_ when old_.gv_defined && defined && old_.gv_ty <> ty ->
                 diag p ~loc:d.d_loc ~code:"decl" "global '%s' redefined"
                   d.d_name
@@ -527,10 +604,10 @@ let process_decl p (d : Ast.decl) =
                     gv_defined = old_.gv_defined || defined;
                   }
                 in
-                Hashtbl.replace p.p_globals d.d_name merged
+                Hashtbl.replace (own_globals p) d.d_name merged
             | None ->
                 p.p_global_order_rev <- d.d_name :: p.p_global_order_rev;
-                Hashtbl.replace p.p_globals d.d_name gv))
+                Hashtbl.replace (own_globals p) d.d_name gv))
 
 let process_fundef p (f : Ast.fundef) =
   let ret = resolve_ty p ~loc:f.f_loc f.f_ret in
@@ -592,128 +669,6 @@ let analyze_spec_string ?(flags = Flags.default) ?into ~file src : program =
   analyze_string ~flags ~spec_mode:true ?into ~file src
 
 
-(** A disconnected copy for one parallel checking task.  Checking a body
-    can extend the symbol tables (block-scope typedefs, struct and extern
-    declarations go through {!process_decl}), so concurrent workers must
-    not share them; the copy gets fresh tables, fresh definition slots
-    and a fresh diagnostics collector while sharing every immutable value
-    (signatures, types, ASTs) with the original.  Fresh slots keep a
-    write through one program from reaching the other's {!fundefs}. *)
-let copy_for_check p =
-  {
-    p with
-    p_structs = Hashtbl.copy p.p_structs;
-    p_typedefs = Hashtbl.copy p.p_typedefs;
-    p_enum_consts = Hashtbl.copy p.p_enum_consts;
-    p_funcs = Hashtbl.copy p.p_funcs;
-    p_globals = Hashtbl.copy p.p_globals;
-    p_fundefs_rev =
-      List.map (fun sl -> { sl_pair = sl.sl_pair }) p.p_fundefs_rev;
-    p_fundef_index = None;
-    p_file_index = None;
-    diags = Diag.Collector.create ();
-  }
-
-(* Checking a body reaches the program's writers three ways: a
-   block-scope [typedef] or [extern] goes through [process_decl];
-   resolving a type registers an inline struct/union field list or enum
-   item list and names an anonymous tag; and resolving a type name the
-   program does not define reports into [p.diags].  The walk visits
-   every type the checker resolves (declarations, casts, [sizeof]) and,
-   conservatively, [case] guards, which the checker never evaluates.
-   It runs before every check, inference probes included, so it walks
-   lists by hand: [List.exists] over a closure capturing [p] would
-   allocate on every call. *)
-let rec ty_writes p = function
-  | Ast.Tbase b -> base_writes p b
-  | Ast.Tptr t -> ty_writes p t
-  | Ast.Tarray (t, None) -> ty_writes p t
-  | Ast.Tarray (t, Some e) -> ty_writes p t || expr_writes p e
-  | Ast.Tfunc ft -> ty_writes p ft.Ast.ft_ret || params_write p ft.Ast.ft_params
-
-and params_write p = function
-  | [] -> false
-  | (pa : Ast.param) :: rest -> ty_writes p pa.Ast.p_ty || params_write p rest
-
-and base_writes p = function
-  | Ast.Tstruct (tag, fields) | Ast.Tunion (tag, fields) ->
-      Option.is_none tag || Option.is_some fields
-  | Ast.Tenum (tag, items) -> Option.is_none tag || Option.is_some items
-  | Ast.Tnamed n -> not (Hashtbl.mem p.p_typedefs n)
-  | _ -> false
-
-and expr_writes p (e : Ast.expr) =
-  match e.Ast.e with
-  | Ast.Eint _ | Ast.Echar _ | Ast.Estring _ | Ast.Efloat _ | Ast.Eident _ ->
-      false
-  | Ast.Ecall (fn, args) -> expr_writes p fn || exprs_write p args
-  | Ast.Emember (b, _)
-  | Ast.Earrow (b, _)
-  | Ast.Ederef b
-  | Ast.Eaddr b
-  | Ast.Eunary (_, b)
-  | Ast.Epostincr b
-  | Ast.Epostdecr b
-  | Ast.Epreincr b
-  | Ast.Epredecr b
-  | Ast.Esizeof_expr b ->
-      expr_writes p b
-  | Ast.Ecast (t, b) -> ty_writes p t || expr_writes p b
-  | Ast.Esizeof_type t -> ty_writes p t
-  | Ast.Eindex (a, b)
-  | Ast.Ebinary (_, a, b)
-  | Ast.Eassign (_, a, b)
-  | Ast.Ecomma (a, b) ->
-      expr_writes p a || expr_writes p b
-  | Ast.Econd (a, b, c) -> expr_writes p a || expr_writes p b || expr_writes p c
-
-and exprs_write p = function
-  | [] -> false
-  | e :: rest -> expr_writes p e || exprs_write p rest
-
-and init_writes p = function
-  | Ast.Iexpr e -> expr_writes p e
-  | Ast.Ilist is -> inits_write p is
-
-and inits_write p = function
-  | [] -> false
-  | i :: rest -> init_writes p i || inits_write p rest
-
-and decls_write p = function
-  | [] -> false
-  | (d : Ast.decl) :: rest ->
-      d.Ast.d_storage = Ast.Stypedef
-      || d.Ast.d_storage = Ast.Sextern
-      || ty_writes p d.Ast.d_ty
-      || (match d.Ast.d_init with Some i -> init_writes p i | None -> false)
-      || decls_write p rest
-
-and stmt_writes p (s : Ast.stmt) =
-  match s.Ast.s with
-  | Ast.Sskip | Ast.Sbreak | Ast.Scontinue | Ast.Sgoto _ | Ast.Sreturn None ->
-      false
-  | Ast.Sexpr e | Ast.Sassert e | Ast.Sreturn (Some e) -> expr_writes p e
-  | Ast.Sdecl ds -> decls_write p ds
-  | Ast.Sblock ss -> stmts_write p ss
-  | Ast.Sif (c, t, None) -> expr_writes p c || stmt_writes p t
-  | Ast.Sif (c, t, Some e) ->
-      expr_writes p c || stmt_writes p t || stmt_writes p e
-  | Ast.Swhile (c, b) | Ast.Sdo (b, c) | Ast.Sswitch (c, b) | Ast.Scase (c, b)
-    ->
-      expr_writes p c || stmt_writes p b
-  | Ast.Sfor (i, c, step, b) ->
-      (match i with Some i -> stmt_writes p i | None -> false)
-      || (match c with Some c -> expr_writes p c | None -> false)
-      || (match step with Some e -> expr_writes p e | None -> false)
-      || stmt_writes p b
-  | Ast.Sdefault b | Ast.Slabel (_, b) -> stmt_writes p b
-
-and stmts_write p = function
-  | [] -> false
-  | s :: rest -> stmt_writes p s || stmts_write p rest
-
-let body_writes p (f : Ast.fundef) = stmt_writes p f.Ast.f_body
-
 (* The slots grouped by [key], each group in definition order. *)
 let index_slots p ~size key =
   let index = Hashtbl.create size in
@@ -765,7 +720,7 @@ let slots_in p file =
     two views must never disagree, or the checker would check the body
     against a stale interface. *)
 let update_funsig p (fs : funsig) : unit =
-  Hashtbl.replace p.p_funcs fs.fs_name fs;
+  Hashtbl.replace (own_funcs p) fs.fs_name fs;
   List.iter
     (fun sl -> sl.sl_pair <- (fs, snd sl.sl_pair))
     (slots_named p fs.fs_name)

@@ -79,14 +79,19 @@ type fundef_slot
 
 (** The analysed program: symbol tables shared by the checker, the
     interpreter and the interface-library writer.  Multiple translation
-    units may be analysed into one program (see {!analyze}). *)
+    units may be analysed into one program (see {!analyze}).  An
+    overlay ({!for_check}) holds only what one body declares and reads
+    the rest through [p_base]; read its tables through the [find_*]
+    lookups. *)
 type program = {
   p_file : string;
-  p_structs : (string, suinfo) Hashtbl.t;
-  p_typedefs : (string, Ctype.t * Annot.set) Hashtbl.t;
-  p_enum_consts : (string, int64) Hashtbl.t;
-  p_funcs : (string, funsig) Hashtbl.t;
-  p_globals : (string, globalvar) Hashtbl.t;
+  mutable p_structs : (string, suinfo) Hashtbl.t;
+  mutable p_typedefs : (string, Ctype.t * Annot.set) Hashtbl.t;
+  mutable p_enum_consts : (string, int64) Hashtbl.t;
+  mutable p_funcs : (string, funsig) Hashtbl.t;
+  mutable p_globals : (string, globalvar) Hashtbl.t;
+      (** an overlay's table is replaced by its own at the first write *)
+  p_base : program option;
   mutable p_fundefs_rev : fundef_slot list;
   mutable p_fundef_index : (string, fundef_slot list) Hashtbl.t option;
   mutable p_file_index : (string, fundef_slot list) Hashtbl.t option;
@@ -102,24 +107,24 @@ type program = {
 
 val create_program : ?flags:Flags.t -> file:string -> unit -> program
 
-val copy_for_check : program -> program
-(** A disconnected copy for checking one body that {!body_writes}: fresh
-    symbol tables, fresh definition slots and a fresh diagnostics
-    collector, sharing every immutable value (signatures, types, ASTs)
-    with the original.  The copy does not share slots with its original:
-    an {!update_funsig} or {!patch_fundef} through either one leaves the
-    other's {!fundefs} unchanged.  Its cost is linear in the program's
-    size, like the table copies. *)
+val for_check : program -> diags:Cfront.Diag.Collector.t -> program
+(** An overlay for checking one body against [p]: empty symbol tables
+    and definition list, [p] as its base, [diags] as its collector, and
+    [p]'s anonymous-tag counter.  Everything the check declares
+    (block-scope [typedef]s and [extern]s, inline and anonymous tags,
+    enumerators) and everything sema reports lands in the overlay, so
+    [p] is never written and concurrent checks may share it.  A block
+    [extern] of a known function merges with [p]'s signature.  Costs a
+    record; a table is allocated at its first write. *)
 
-val body_writes : program -> Cfront.Ast.fundef -> bool
-(** Can checking this body write the program?  True when the body holds
-    a block-scope [typedef] or [extern] declaration (they reach
-    {!process_decl}), an inline [struct]/[union] field list or [enum]
-    item list, an anonymous tag (they reach the registering paths of
-    {!resolve_ty}), or a type name the program does not define
-    (resolving it reports into [p.diags]).  Everything else checking
-    does against the program is a read.  A syntactic walk of the body
-    that allocates nothing. *)
+(** Lookups: the program's own entry, else its base's (an overlay's
+    declarations shadow the program's). *)
+
+val find_struct : program -> string -> suinfo option
+val find_typedef : program -> string -> (Ctype.t * Annot.set) option
+val find_enum_const : program -> string -> int64 option
+val find_func : program -> string -> funsig option
+val find_global : program -> string -> globalvar option
 
 val typedef_annots : program -> Ctype.t -> Annot.set
 (** Annotations inherited from the typedef layers of a type. *)

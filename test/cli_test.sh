@@ -681,6 +681,15 @@ for f in "$ROOT/lib/sema/sema.ml" "$ROOT/lib/incr/service.ml"; do
     && fail "${f#"$ROOT"/} folds p_typedefs into a name list: use Sema.typedef_order"
 done
 
+# --- the checker reads the symbol tables through Sema's lookups -----------
+# A body is checked against its own overlay (Sema.for_check), which holds
+# only what that body declares; a direct read of one of its tables misses
+# the program beneath it.  So lib/check reads them through Sema.find_*.
+direct_reads=$(grep -nE 'p_(typedefs|structs|enum_consts|funcs|globals)\b' \
+  "$ROOT"/lib/check/*.ml)
+[ -z "$direct_reads" ] \
+  || { echo "$direct_reads" >&2; fail "lib/check reads a Sema symbol table directly: use the Sema.find_* lookups"; }
+
 # --- what sema reports while a body is checked, at every -j --------------
 # a block-scope redeclaration, and a type name only a closed block
 # declared: the same lines Stdspec.check (the library path) reports

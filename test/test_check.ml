@@ -1219,6 +1219,31 @@ let loopexec_tests =
       test_do_at_least_once_loopexec;
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Work per body                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Checking a body costs what that body costs, whatever else the program
+   holds: a block-scope [extern] in every body must not make a check
+   touch the whole program.  Minor words are deterministic, so doubling
+   the bodies may at most 2.5x the words [check_program] allocates. *)
+let test_block_extern_work_linear () =
+  let words n =
+    let src = Buffer.create (n * 48) in
+    for i = 1 to n do
+      Printf.bprintf src "int f%d(void) { extern int gI; return gI; }\n" i
+    done;
+    let prog = Sema.analyze_string ~file:"x.c" (Buffer.contents src) in
+    let before = Gc.minor_words () in
+    ignore (Check.Checker.check_program prog);
+    Gc.minor_words () -. before
+  in
+  let w1000 = words 1000 in
+  let w2000 = words 2000 in
+  if w2000 > 2.5 *. w1000 then
+    Alcotest.failf "2000 bodies allocate %.0f words, %.2fx the %.0f of 1000"
+      w2000 (w2000 /. w1000) w1000
+
 let () =
   Alcotest.run "check"
     [
@@ -1309,6 +1334,11 @@ let () =
           Alcotest.test_case "line" `Quick test_suppress_line;
           Alcotest.test_case "region" `Quick test_suppress_region;
           Alcotest.test_case "unmatched end" `Quick test_suppress_unmatched_end;
+        ] );
+      ( "work",
+        [
+          Alcotest.test_case "block-scope extern work is linear" `Quick
+            test_block_extern_work_linear;
         ] );
       ( "implicit",
         [

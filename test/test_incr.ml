@@ -497,8 +497,8 @@ let test_flag_change_invalidates () =
   Alcotest.(check int) "flip back re-checks" 5 back.Service.oc_rechecked
 
 (* Checking a body with a block-scope [extern] registers that
-   declaration in a private copy of the environment, so it stays out of
-   every other body (`olclint a.c b.c` reports [mk] as unrecognized in
+   declaration in the body's own overlay of the environment, so it
+   stays out of every other body (`olclint a.c b.c` reports [mk] as unrecognized in
    [b.c]); the service must not leak it into the persistent environment
    either. *)
 let test_block_scope_decl_stays_local () =
@@ -519,9 +519,9 @@ let test_block_scope_decl_stays_local () =
   Alcotest.(check (list string)) "patched: same diagnostics" cold (render oc)
 
 (* The parser's typedef table is file-wide, so [b] may name a type that
-   only [a]'s body declares.  [b] registers nothing, yet must check
-   against a copy, or resolving [T] there reports "unknown type name"
-   into the persistent environment -- once more after every edit. *)
+   only [a]'s body declares.  Resolving [T] in [b] reports "unknown
+   type name" into [b]'s own overlay, never into the persistent
+   environment, so it is not repeated after every edit. *)
 let test_block_scope_typedef_sibling_edit () =
   let files n =
     [
@@ -625,7 +625,7 @@ let test_block_scope_typedef_stays_in_body () =
 
 (* What sema reports while a body is checked -- a block-scope
    redeclaration, a type name only a closed block declared -- goes to
-   the collector of that body's private copy.  It joins the result of
+   the collector of that body's own overlay.  It joins the result of
    the body being checked, so the cold and patched answers print what
    [Stdspec.check] prints, once, at every [-j]. *)
 let test_sema_diags_while_checking () =

@@ -17,8 +17,8 @@ let examples =
     "../examples/sample.c";
   ]
 
-(* a fresh environment per run: checking may extend symbol tables, so
-   the two runs must not share one *)
+(* a fresh environment per run, so neither run can see what the other
+   left behind *)
 let analyze_examples ?(flags = Annot.Flags.default) () =
   Stdspec.load ~flags
     (Seq.map (fun file -> (file, read_file file)) (List.to_seq examples))
@@ -33,6 +33,47 @@ let render prog check_diags =
        (List.map (fun d -> (d, false)) kept
        @ List.map (fun d -> (d, true)) suppressed))
 
+(* Bodies that declare things: each sees its own declarations only, at
+   every -j.  [mk] is null in [f] alone; [T] outlives its block; [m]'s
+   [struct s2] field list stays in [m]. *)
+let block_scope_src =
+  "char f(void)\n\
+   {\n\
+  \  extern /*@null@*/ char *mk(void);\n\
+  \  char *p = mk();\n\
+  \  return *p;\n\
+   }\n\
+   char g(void)\n\
+   {\n\
+  \  extern char *mk(void);\n\
+  \  char *p = mk();\n\
+  \  return *p;\n\
+   }\n\
+   int h(void)\n\
+   {\n\
+  \  { typedef char *T; }\n\
+  \  T q = 0;\n\
+  \  return q == 0;\n\
+   }\n\
+   int k(void)\n\
+   {\n\
+  \  struct { int a; } v;\n\
+  \  enum { RED, BLUE } c = BLUE;\n\
+  \  v.a = 1;\n\
+  \  return v.a + (int) c;\n\
+   }\n\
+   int m(void)\n\
+   {\n\
+  \  struct s2 { int x; } s;\n\
+  \  s.x = 2;\n\
+  \  return s.x;\n\
+   }\n\
+   int n(void)\n\
+   {\n\
+  \  struct s2 *p = 0;\n\
+  \  return p == 0;\n\
+   }\n"
+
 let test_seq_vs_parallel () =
   let p1 = analyze_examples () in
   let seq = render p1 (Parcheck.check_program ~jobs:1 p1) in
@@ -40,7 +81,23 @@ let test_seq_vs_parallel () =
   let par = render p4 (Parcheck.check_program ~jobs:4 p4) in
   Alcotest.(check bool) "some diagnostics produced" true
     (String.length seq > 0);
-  Alcotest.(check string) "sequential vs -j 4 JSON" seq par
+  Alcotest.(check string) "sequential vs -j 4 JSON" seq par;
+  (* checking only reads the program, so both runs may share one *)
+  let prog = Stdspec.load (Seq.return ("b.c", block_scope_src)) in
+  let seq = Parcheck.check_program ~jobs:1 prog in
+  let par = Parcheck.check_program ~jobs:4 prog in
+  Alcotest.(check string) "block-scope declarations, -j 1 vs -j 4"
+    (render prog seq) (render prog par);
+  Alcotest.(check (list string)) "block-scope declarations, warnings"
+    [
+      "b.c:5,3: Only storage p not released before scope exit";
+      "b.c:5,10: Dereference of possibly null pointer p: *p";
+      "b.c:11,3: Only storage p not released before scope exit";
+    ]
+    (List.map
+       (fun d ->
+         List.hd (String.split_on_char '\n' (Cfront.Diag.to_string d)))
+       (fst (Check.finish prog seq)))
 
 let test_more_jobs_than_tasks () =
   let p1 = analyze_examples () in

@@ -166,12 +166,10 @@ let test_unknown_type_reported () =
   | exception Cfront.Diag.Fatal d ->
       Alcotest.(check string) "code" "parse" d.Cfront.Diag.code
   | _ -> Alcotest.fail "expected a parse error");
-  (* a typedef name used before its definition inside a function type is a
-     recoverable sema diagnostic: parse with the name pre-registered *)
-  let tu =
-    Cfront.Parser.parse_string ~typedefs:[ "foo" ] ~file:"t.c" "foo g;"
-  in
-  let prog = Sema.analyze tu in
+  (* a type name the parser knows but the program does not define (the
+     parser's typedef table outlives [z]'s block) is a recoverable sema
+     diagnostic *)
+  let prog = analyse "void z(void) { typedef int foo; }\nfoo g;" in
   Alcotest.(check bool) "type diag" true
     (List.exists
        (fun (d : Cfront.Diag.t) -> d.Cfront.Diag.code = "type")
@@ -183,7 +181,7 @@ let test_source_order_views () =
   Alcotest.(check (list string)) "global order" [ "g1"; "g2" ] (Sema.global_order prog)
 
 (* ------------------------------------------------------------------ *)
-(* Definition pairs: update_funsig, patch_fundef, copy_for_check       *)
+(* Definition pairs: update_funsig, patch_fundef; checking a body      *)
 (* ------------------------------------------------------------------ *)
 
 let analyse_files files =
@@ -307,81 +305,100 @@ let test_fundefs_order_after_writes () =
          = Some Annot.NotNull)
        (Sema.fundefs prog))
 
-(* A copy gets its own slots: writes through either program stay out of
-   the other's [fundefs]. *)
-let test_copy_for_check_slots () =
-  let prog = analyse_files statics in
-  let copy = Sema.copy_for_check prog in
-  let orig_pairs = Sema.fundefs prog in
-  let fs' = with_notnull (fs prog "f") in
-  Sema.update_funsig prog fs';
-  Alcotest.(check bool) "copy keeps its pairs" true
-    (List.for_all2
-       (fun (a, fa) (b, fb) -> a == b && fa == fb)
-       orig_pairs (Sema.fundefs copy));
-  Alcotest.(check bool) "copy keeps its table" true
-    (fs copy "f" != fs');
-  let na = fundef_of ~file:"a.c" "static int f(char *p) { return 9; }" in
-  Alcotest.(check bool) "copy patched" true (Sema.patch_fundef copy na);
-  Alcotest.(check bool) "original keeps its body" true
-    (snd (List.hd (Sema.fundefs prog)) == snd (List.hd orig_pairs));
-  Alcotest.(check bool) "copy sees its own patch" true
-    (snd (List.hd (Sema.fundefs copy)) == na)
-
-(* [body_writes]: which bodies the checker must check against a copy.
-   The program defines [known_t] and [struct s]; [ghost_t] parses as a
-   type name (as after a block-scope typedef earlier in its file) but
-   the program does not define it. *)
-let test_body_writes () =
-  let prog = analyse "typedef int known_t;\nstruct s { int a; };\n" in
-  let fundef src =
-    let tu =
-      Cfront.Parser.parse_string ~typedefs:[ "known_t"; "ghost_t" ]
-        ~file:"w.c" src
-    in
-    match tu.Cfront.Ast.tu_decls with
-    | [ Cfront.Ast.Tfundef f ] -> f
-    | _ -> Alcotest.failf "expected one definition in %S" src
+(* Checking a body only reads the program: whatever the body declares
+   lands in its own overlay, and what sema reports while checking it
+   joins the body's messages.  [ghost_t] parses as a type name after
+   [z]'s block-scope typedef, but the program does not define it. *)
+let test_check_leaves_program () =
+  let header =
+    "typedef int known_t;\nstruct s { int a; };\nextern char *mk(void);\n\
+     void z(void) { typedef int ghost_t; }\n"
   in
+  let first_lines ds =
+    List.map
+      (fun d -> List.hd (String.split_on_char '\n' (Cfront.Diag.to_string d)))
+      ds
+  in
+  let snapshot (p : Sema.program) =
+    ( [
+        Hashtbl.length p.Sema.p_structs;
+        Hashtbl.length p.Sema.p_typedefs;
+        Hashtbl.length p.Sema.p_enum_consts;
+        Hashtbl.length p.Sema.p_funcs;
+        Hashtbl.length p.Sema.p_globals;
+        p.Sema.anon_counter;
+      ],
+      [
+        p.Sema.p_struct_order_rev;
+        p.Sema.p_typedef_order_rev;
+        p.Sema.p_global_order_rev;
+        p.Sema.p_func_order_rev;
+      ] )
+  in
+  let state = Alcotest.(pair (list int) (list (list string))) in
   List.iter
-    (fun (what, want, src) ->
-      Alcotest.(check bool) what want (Sema.body_writes prog (fundef src)))
+    (fun (what, src, want) ->
+      let prog = Sema.analyze_string ~file:"w.c" (header ^ src) in
+      let fs, f =
+        match List.rev (Sema.fundefs prog) with
+        | def :: _ -> def
+        | [] -> Alcotest.failf "%s: no definition" what
+      in
+      let before = snapshot prog in
+      let sema_diags = first_lines (Cfront.Diag.Collector.all prog.Sema.diags) in
+      let diags = Cfront.Diag.Collector.create () in
+      Check.Checker.check_fundef ~diags prog fs f;
+      let reported = first_lines (Cfront.Diag.Collector.all diags) in
+      Alcotest.(check (list string)) (what ^ ": reported") want reported;
+      Alcotest.check state (what ^ ": tables") before (snapshot prog);
+      Alcotest.(check (list string))
+        (what ^ ": collector") sema_diags
+        (first_lines (Cfront.Diag.Collector.all prog.Sema.diags));
+      (* without [~diags] the same messages, and only they, reach the
+         program's collector *)
+      Check.Checker.check_fundef prog fs f;
+      Alcotest.check state (what ^ ": tables, own collector") before
+        (snapshot prog);
+      Alcotest.(check (list string))
+        (what ^ ": own collector") (sema_diags @ want)
+        (first_lines (Cfront.Diag.Collector.all prog.Sema.diags)))
     [
-      ("plain body", false, "void f(int x) { int y; y = x; }");
-      ("block-scope typedef", true, "void f(void) { typedef int local_t; }");
-      ("block-scope extern", true, "void f(void) { extern int g; }");
+      ("plain body", "void f(int x) { int y; y = x; }", []);
+      ("block-scope typedef", "void f(void) { typedef int local_t; }", []);
+      ("block-scope extern", "void f(void) { extern int g; }", []);
       ( "inline field list",
-        true,
-        "void f(void) { struct t { int a; } v; v.a = 0; }" );
-      ("enum item list", true, "void f(void) { enum e { A, B } v; v = A; }");
-      ("anonymous tag", true, "void f(void) { struct { int a; } v; }");
-      ("named tag reference only", false, "void f(struct s v) { v.a = 0; }");
-      ("known type name", false, "void f(void) { known_t x = (known_t) 1; }");
-      ("unknown type name", true, "void f(void) { ghost_t x; }");
+        "void f(void) { struct t { int a; } v; v.a = 0; }",
+        [] );
+      ("enum item list", "void f(void) { enum e { A, B } v; v = A; }", []);
+      ("anonymous tag", "void f(void) { struct { int a; } v; }", []);
+      ("named tag reference only", "void f(struct s v) { v.a = 0; }", []);
+      ( "known type name",
+        "void f(void) { known_t x = (known_t) 1; }",
+        [] );
+      ( "unknown type name",
+        "void f(void) { ghost_t x; }",
+        [ "w.c:5,24: unknown type name 'ghost_t'" ] );
       ( "unknown type name in a cast",
-        true,
-        "int f(int *p) { return (ghost_t) *p; }" );
+        "int f(int *p) { return (ghost_t) *p; }",
+        [ "w.c:5,24: unknown type name 'ghost_t'" ] );
       ( "unknown type name in sizeof",
-        true,
-        "int f(void) { return sizeof(ghost_t); }" );
+        "int f(void) { return sizeof(ghost_t); }",
+        [] );
       ( "inline tag in a case guard",
-        true,
         "void f(int x) { switch (x) { case sizeof(struct u { int a; }): \
-         break; } }" );
-    ];
-  (* the scan runs once per checked body: it must not allocate *)
-  let f =
-    fundef
-      "int f(int *p, int n) { known_t k = 0; int i; \
-       for (i = 0; i < n; i++) { if (p[i] > 0) { k = k + (int) p[i]; } } \
-       switch (n) { case 1: return k; default: break; } return 0; }"
-  in
-  let before = Gc.minor_words () in
-  for _ = 1 to 1000 do
-    ignore (Sema.body_writes prog f)
-  done;
-  let words = Gc.minor_words () -. before in
-  if words > 100. then Alcotest.failf "1000 scans allocated %.0f words" words
+         break; } }",
+        [] );
+      ( "nested-block typedef used later",
+        "int a(void) { { typedef char *T; } T q = 0; return q == 0; }",
+        [] );
+      ( "annotated block-scope extern of a known function",
+        "char f(void) { extern /*@null@*/ char *mk(void); char *p = mk(); \
+         return *p; }",
+        [
+          "w.c:5,73: Dereference of possibly null pointer p: *p";
+          "w.c:5,66: Only storage p not released before scope exit";
+        ] );
+    ]
 
 (* property: const_eval agrees with direct arithmetic on random trees *)
 let prop_const_eval =
@@ -439,8 +456,8 @@ let () =
             test_pair_keeps_definition_funsig;
           Alcotest.test_case "order after writes" `Quick
             test_fundefs_order_after_writes;
-          Alcotest.test_case "copy slots" `Quick test_copy_for_check_slots;
-          Alcotest.test_case "body writes" `Quick test_body_writes;
+          Alcotest.test_case "checking leaves the program unchanged" `Quick
+            test_check_leaves_program;
         ] );
       ( "diagnostics",
         [
