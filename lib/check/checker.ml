@@ -797,9 +797,13 @@ let rec eval env st (e : Ast.expr) : Store.t * value =
       (* a cast changes the static type but not the tracked states; casting
          the constant 0 to a pointer type keeps its definitely-null state *)
       (st, { v with v_ty = cty })
-  | Ast.Esizeof_expr _ | Ast.Esizeof_type _ ->
+  | Ast.Esizeof_expr _ ->
       (* sizeof does not evaluate its operand (and needs no value:
          "Except sizeof, which does not need the value of its argument") *)
+      (st, unit_value Ctype.size_t)
+  | Ast.Esizeof_type ty ->
+      (* ... but its type operand is resolved, as a cast's is *)
+      ignore (Sema.resolve_ty env.prog ~loc ty);
       (st, unit_value Ctype.size_t)
   | Ast.Ecomma (a, b) ->
       let st, _ = eval env st a in

@@ -311,26 +311,20 @@ let funsig_hash (fs : Sema.funsig) = digest_of fs
    typedef expansions and annotations, global variables, enum constants,
    digested together in declaration (enums: sorted) order. *)
 let typeenv_fingerprint (env : Sema.program) =
-  let in_order tbl order f =
-    List.filter_map
-      (fun name -> Option.map (f name) (Hashtbl.find_opt tbl name))
-      order
+  let in_order find order f =
+    List.filter_map (fun name -> Option.map (f name) (find env name)) order
   in
   let structs =
-    in_order env.Sema.p_structs (Sema.struct_order env) (fun _ su -> su)
+    in_order Sema.find_struct (Sema.struct_order env) (fun _ su -> su)
   in
   let typedefs =
-    in_order env.Sema.p_typedefs (Sema.typedef_order env)
+    in_order Sema.find_typedef (Sema.typedef_order env)
       (fun name (ty, set) -> (name, ty, set))
   in
   let globals =
-    in_order env.Sema.p_globals (Sema.global_order env) (fun _ gv -> gv)
+    in_order Sema.find_global (Sema.global_order env) (fun _ gv -> gv)
   in
-  let enums =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) env.Sema.p_enum_consts []
-    |> List.sort compare
-  in
-  digest_of (structs, typedefs, globals, enums)
+  digest_of (structs, typedefs, globals, Sema.enum_consts env)
 
 let callee_hash t name =
   match Hashtbl.find_opt t.sig_hashes name with Some h -> h | None -> "?"
@@ -468,10 +462,14 @@ let commit_env t ~flags ~canon env base_pragmas new_files docs =
   Hashtbl.filter_map_inplace
     (fun path sp -> if Hashtbl.mem t.files path then Some sp else None)
     t.stamps;
-  let sigs = Hashtbl.create (Hashtbl.length env.Sema.p_funcs * 2) in
-  Hashtbl.iter
-    (fun name fs -> Hashtbl.replace sigs name (funsig_hash fs))
-    env.Sema.p_funcs;
+  let names = Sema.func_order env in
+  let sigs = Hashtbl.create (List.length names * 2) in
+  List.iter
+    (fun name ->
+      Option.iter
+        (fun fs -> Hashtbl.replace sigs name (funsig_hash fs))
+        (Sema.find_func env name))
+    names;
   t.sig_hashes <- sigs;
   (* the next revalidation solves the new environment from scratch; the
      old solution is dead from here on, so let the collector have it
@@ -813,7 +811,7 @@ let update t ~flags ~canon docs =
           parsed;
         (* suppression comments live in the per-file pragma lists; a
            body edit may have changed them *)
-        env.Sema.p_pragmas <- rebuild_pragmas t;
+        Sema.set_pragmas env (rebuild_pragmas t);
         (Patched, Some !patched)
       end
     end

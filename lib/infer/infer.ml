@@ -159,6 +159,10 @@ let apply_cand (fs : Sema.funsig) (c : cand) : Sema.funsig =
 (* Probing                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The signature of a function the program knows (every name here is
+   one of its definitions). *)
+let funsig prog name = Option.get (Sema.find_func prog name)
+
 (* Re-check one function against a scratch collector; its diagnostics
    and raw exit states are the procedure summary. *)
 let summarize (prog : Sema.program) (bodies : (string, Ast.fundef) Hashtbl.t)
@@ -166,7 +170,7 @@ let summarize (prog : Sema.program) (bodies : (string, Ast.fundef) Hashtbl.t)
   match Hashtbl.find_opt bodies name with
   | None -> ([], [])
   | Some f ->
-      let fs = Hashtbl.find prog.Sema.p_funcs name in
+      let fs = funsig prog name in
       let scratch = Diag.Collector.create () in
       let exits = ref [] in
       Telemetry.Counter.tick Telemetry.c_infer_summaries;
@@ -268,7 +272,7 @@ let ret_gate (c : cand) (exits : Check.Checker.exit_info list) : bool =
    it was accepted. *)
 let try_cand (prog : Sema.program) (bodies : (string, Ast.fundef) Hashtbl.t)
     (cache : summary_cache) (name : string) (c : cand) : bool =
-  let fs0 = Hashtbl.find prog.Sema.p_funcs name in
+  let fs0 = funsig prog name in
   (* For return-[only] the interesting comparison is against a
      signature with *no* allocation claim at all: under the default
      flags the baseline already carries the implicit only, and probing
@@ -334,7 +338,7 @@ let run ?(max_rounds = default_max_rounds) ?(rankers = Ranker.default) ?budget
     procedures := !procedures + List.length members;
     if members <> [] then begin
       let orig =
-        List.map (fun n -> (n, Hashtbl.find prog.Sema.p_funcs n)) members
+        List.map (fun n -> (n, funsig prog n)) members
       in
       let component_count () =
         List.fold_left
@@ -371,7 +375,7 @@ let run ?(max_rounds = default_max_rounds) ?(rankers = Ranker.default) ?budget
         let again = ref true in
         while !again do
           again := false;
-          let fs = Hashtbl.find prog.Sema.p_funcs name in
+          let fs = funsig prog name in
           let body = Hashtbl.find_opt bodies name in
           let cands = Ranker.pipeline rankers prog fs body in
           Telemetry.Counter.add Telemetry.c_infer_candidates
@@ -424,7 +428,7 @@ let run ?(max_rounds = default_max_rounds) ?(rankers = Ranker.default) ?budget
         List.iter (fun (_, fs) -> Sema.update_funsig prog fs) orig;
         List.iter
           (fun fd ->
-            let fs = Hashtbl.find prog.Sema.p_funcs fd.fd_fun in
+            let fs = funsig prog fd.fd_fun in
             Sema.update_funsig prog
               (apply_cand fs
                  {
@@ -492,7 +496,7 @@ let annotated (prog : Sema.program) (o : outcome) :
   List.filter_map
     (fun name ->
       match
-        (Hashtbl.find_opt by_fun name, Hashtbl.find_opt prog.Sema.p_funcs name)
+        (Hashtbl.find_opt by_fun name, Sema.find_func prog name)
       with
       | Some fds_rev, Some fs -> Some (fs, List.rev fds_rev)
       | _ -> None)

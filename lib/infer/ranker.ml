@@ -409,7 +409,7 @@ let collect_rfacts (prog : Sema.program) (body : Ast.stmt) : rfacts =
         | Ast.Eident ("malloc" | "calloc" | "realloc" | "strdup") ->
             Some false
         | Ast.Eident g -> (
-            match Hashtbl.find_opt prog.Sema.p_funcs g with
+            match Sema.find_func prog g with
             | Some (gs : Sema.funsig) ->
                 let e = gs.Sema.fs_ret_annots in
                 if e.Sema.an.Annot.an_alloc = Some Annot.Only

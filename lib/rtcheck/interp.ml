@@ -195,11 +195,11 @@ let rec type_of_expr st (e : Ast.expr) : Ctype.t =
       match lookup_var st x with
       | Some (_, ty) -> ty
       | None -> (
-          match Hashtbl.find_opt st.prog.Sema.p_funcs x with
+          match Sema.find_func st.prog x with
           | Some fs -> fs.Sema.fs_ret
           | None -> Ctype.int_))
   | Ast.Ecall ({ e = Ast.Eident f; _ }, _) -> (
-      match Hashtbl.find_opt st.prog.Sema.p_funcs f with
+      match Sema.find_func st.prog f with
       | Some fs -> fs.Sema.fs_ret
       | None -> Ctype.int_)
   | Ast.Ecall _ -> Ctype.int_
@@ -252,10 +252,10 @@ let rec eval st (e : Ast.expr) : slot =
               raise (Abort "struct used as rvalue")
           | _ -> ( match Heap.read st.heap p ~loc with Some v -> v | None -> Sundef))
       | None -> (
-          match Hashtbl.find_opt st.prog.Sema.p_enum_consts x with
+          match Sema.find_enum_const st.prog x with
           | Some v -> Sint v
           | None ->
-              if Hashtbl.mem st.prog.Sema.p_funcs x then Sint 0L
+              if Option.is_some (Sema.find_func st.prog x) then Sint 0L
               else raise (Abort (Fmt.str "unbound identifier %s at %a" x Loc.pp loc))))
   | Ast.Ecall (f, args) -> eval_call st f args ~loc
   | Ast.Emember _ | Ast.Earrow _ | Ast.Eindex _ | Ast.Ederef _ -> (

@@ -19,7 +19,7 @@ let rec size_of (prog : Sema.program) (ty : Ctype.t) : int =
   | Ctype.Carray (t, Some n) -> n * size_of prog t
   | Ctype.Carray (t, None) -> size_of prog t
   | Ctype.Cstruct tag -> (
-      match Hashtbl.find_opt prog.Sema.p_structs tag with
+      match Sema.find_struct prog tag with
       | Some su ->
           List.fold_left
             (fun acc (f : Sema.field) -> acc + size_of prog f.Sema.sf_ty)
@@ -27,7 +27,7 @@ let rec size_of (prog : Sema.program) (ty : Ctype.t) : int =
           |> max 1
       | None -> 1)
   | Ctype.Cunion tag -> (
-      match Hashtbl.find_opt prog.Sema.p_structs tag with
+      match Sema.find_struct prog tag with
       | Some su ->
           List.fold_left
             (fun acc (f : Sema.field) -> max acc (size_of prog f.Sema.sf_ty))
@@ -40,7 +40,7 @@ let field_offset (prog : Sema.program) (ty : Ctype.t) (fname : string) :
     (int * Ctype.t) option =
   match Ctype.unroll ty with
   | Ctype.Cstruct tag -> (
-      match Hashtbl.find_opt prog.Sema.p_structs tag with
+      match Sema.find_struct prog tag with
       | Some su ->
           let rec go off = function
             | [] -> None
@@ -51,7 +51,7 @@ let field_offset (prog : Sema.program) (ty : Ctype.t) (fname : string) :
           go 0 su.Sema.su_fields
       | None -> None)
   | Ctype.Cunion tag -> (
-      match Hashtbl.find_opt prog.Sema.p_structs tag with
+      match Sema.find_struct prog tag with
       | Some su ->
           List.find_opt (fun (f : Sema.field) -> f.Sema.sf_name = fname)
             su.Sema.su_fields

@@ -73,9 +73,11 @@ let run ?(entry = "main") ?(max_steps = 2_000_000) ?(max_errors = 100)
     (fun ((fs : Sema.funsig), def) ->
       Hashtbl.replace st.Interp.fundefs fs.Sema.fs_name (fs, def))
     (Sema.fundefs prog);
-  (* global storage, zero-initialized per C semantics *)
-  Hashtbl.iter
-    (fun name (gv : Sema.globalvar) ->
+  (* global storage, zero-initialized per C semantics, in declaration
+     order (a block's id is never printed, so the order shows nowhere) *)
+  List.iter
+    (fun name ->
+      let gv = Option.get (Sema.find_global prog name) in
       if gv.Sema.gv_defined || not (Ctype.is_function gv.Sema.gv_ty) then begin
         let size = Layout.size_of prog gv.Sema.gv_ty in
         let p =
@@ -91,7 +93,7 @@ let run ?(entry = "main") ?(max_steps = 2_000_000) ?(max_errors = 100)
         | None -> ());
         Hashtbl.replace st.Interp.globals name (p, gv.Sema.gv_ty)
       end)
-    prog.Sema.p_globals;
+    (Sema.global_order prog);
   let exit_code, aborted =
     match Hashtbl.find_opt st.Interp.fundefs entry with
     | None ->

@@ -95,16 +95,16 @@ type program = {
       (** the program an overlay ({!for_check}) reads through *)
   mutable p_fundefs_rev : fundef_slot list;
       (** reversed; use {!fundefs} for source order *)
-  mutable p_fundef_index : (string, fundef_slot list) Hashtbl.t option;
-      (** the slots by name; built by the first [update_funsig], dropped
-          when a definition is added *)
-  mutable p_file_index : (string, fundef_slot list) Hashtbl.t option;
-      (** the slots by defining file; built by the first [patch_fundef],
-          dropped when a definition is added *)
+  mutable p_fundef_index : (string, fundef_slot) Hashtbl.t;
+      (** the same slots by name, one binding each, entered as each
+          definition is added; a slot's name never changes, since
+          [update_funsig] writes only a signature of the same name *)
   mutable p_struct_order_rev : string list;
   mutable p_typedef_order_rev : string list;
   mutable p_global_order_rev : string list;
   mutable p_func_order_rev : string list;
+      (** each name once, in source order; membership is asked of the
+          table beside it *)
   mutable p_pragmas : Ast.annot list;
   diags : Diag.Collector.t;
   flags : Flags.t;
@@ -121,8 +121,7 @@ let create_program ?(flags = Flags.default) ~file () =
     p_globals = Hashtbl.create 32;
     p_base = None;
     p_fundefs_rev = [];
-    p_fundef_index = None;
-    p_file_index = None;
+    p_fundef_index = Hashtbl.create 64;
     p_struct_order_rev = [];
     p_typedef_order_rev = [];
     p_global_order_rev = [];
@@ -145,6 +144,7 @@ let no_typedefs : (string, Ctype.t * Annot.set) Hashtbl.t = Hashtbl.create 1
 let no_enum_consts : (string, int64) Hashtbl.t = Hashtbl.create 1
 let no_funcs : (string, funsig) Hashtbl.t = Hashtbl.create 1
 let no_globals : (string, globalvar) Hashtbl.t = Hashtbl.create 1
+let no_fundefs : (string, fundef_slot) Hashtbl.t = Hashtbl.create 1
 
 let for_check p ~diags =
   {
@@ -156,8 +156,7 @@ let for_check p ~diags =
     p_globals = no_globals;
     p_base = Some p;
     p_fundefs_rev = [];
-    p_fundef_index = None;
-    p_file_index = None;
+    p_fundef_index = no_fundefs;
     p_struct_order_rev = [];
     p_typedef_order_rev = [];
     p_global_order_rev = [];
@@ -189,6 +188,10 @@ let own_funcs p =
 let own_globals p =
   if p.p_globals == no_globals then p.p_globals <- Hashtbl.create 8;
   p.p_globals
+
+let own_fundef_index p =
+  if p.p_fundef_index == no_fundefs then p.p_fundef_index <- Hashtbl.create 8;
+  p.p_fundef_index
 
 (* [p]'s own entry for [k], else its base program's: an overlay's
    declarations shadow the program's.  An empty table is skipped
@@ -398,7 +401,9 @@ and resolve_su p ~loc ~is_union tag fields : Ctype.t =
   | None -> ()
   | Some fields ->
       (* two-phase: register the tag first so self-referential fields
-         (struct s *next) resolve *)
+         (struct s *next) resolve; a tag [p] has not defined before
+         joins the order once its fields are resolved *)
+      let fresh = not (Hashtbl.mem p.p_structs tag) in
       if Option.is_none (find_struct p tag) then
         Hashtbl.replace (own_structs p) tag
           { su_tag = tag; su_union = is_union; su_fields = []; su_loc = loc };
@@ -415,7 +420,7 @@ and resolve_su p ~loc ~is_union tag fields : Ctype.t =
             })
           fields
       in
-      if not (List.mem tag p.p_struct_order_rev) then
+      if fresh then
         p.p_struct_order_rev <- tag :: p.p_struct_order_rev;
       Hashtbl.replace (own_structs p) tag
         { su_tag = tag; su_union = is_union; su_fields = resolved; su_loc = loc });
@@ -547,7 +552,7 @@ let process_decl p (d : Ast.decl) =
     let set = annot_set p ~loc:d.d_loc d.d_annots in
     match d.d_storage with
     | Ast.Stypedef ->
-        if not (List.mem d.d_name p.p_typedef_order_rev) then
+        if not (Hashtbl.mem p.p_typedefs d.d_name) then
           p.p_typedef_order_rev <- d.d_name :: p.p_typedef_order_rev;
         Hashtbl.replace (own_typedefs p) d.d_name (ty, set)
     | _ -> (
@@ -621,10 +626,9 @@ let process_fundef p (f : Ast.fundef) =
       ~defined:true ~loc:f.f_loc
   in
   add_funsig p fs;
-  let fs = Hashtbl.find p.p_funcs f.f_name in
-  p.p_fundefs_rev <- { sl_pair = (fs, f) } :: p.p_fundefs_rev;
-  p.p_fundef_index <- None;
-  p.p_file_index <- None
+  let sl = { sl_pair = (Hashtbl.find p.p_funcs f.f_name, f) } in
+  p.p_fundefs_rev <- sl :: p.p_fundefs_rev;
+  Hashtbl.add (own_fundef_index p) f.f_name sl
 
 (** Analyze a translation unit, extending [into] if given (multi-file
     checking shares one program environment, as LCLint does with interface
@@ -651,6 +655,12 @@ let typedef_order p = List.rev p.p_typedef_order_rev
 let global_order p = List.rev p.p_global_order_rev
 let func_order p = List.rev p.p_func_order_rev
 
+let enum_consts p =
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) p.p_enum_consts []
+  |> List.sort compare
+
+let set_pragmas p pragmas = p.p_pragmas <- pragmas
+
 (** Parse and analyze a source string in one step: the parse sees the
     typedef names [into] declares so far as type names. *)
 let analyze_string ?(flags = Flags.default) ?(spec_mode = false) ?parse ?into
@@ -668,52 +678,6 @@ let analyze_string ?(flags = Flags.default) ?(spec_mode = false) ?parse ?into
 let analyze_spec_string ?(flags = Flags.default) ?into ~file src : program =
   analyze_string ~flags ~spec_mode:true ?into ~file src
 
-
-(* The slots grouped by [key], each group in definition order. *)
-let index_slots p ~size key =
-  let index = Hashtbl.create size in
-  List.iter
-    (fun sl ->
-      let k = key sl.sl_pair in
-      match Hashtbl.find index k with
-      | group -> Hashtbl.replace index k (sl :: group)
-      | exception Not_found -> Hashtbl.add index k [ sl ])
-    p.p_fundefs_rev;
-  index
-
-(* The slots of the definitions named [name].  A slot's name never
-   changes: [update_funsig] writes only a signature of the same name. *)
-let slots_named p name =
-  let index =
-    match p.p_fundef_index with
-    | Some index -> index
-    | None ->
-        let index =
-          index_slots p ~size:(2 * List.length p.p_fundefs_rev)
-            (fun (fs, _) -> fs.fs_name)
-        in
-        p.p_fundef_index <- Some index;
-        index
-  in
-  Option.value (Hashtbl.find_opt index name) ~default:[]
-
-(* The slots of the definitions whose body lies in [file].  A slot's
-   defining file never changes either: [patch_fundef] swaps in a body of
-   the same file.  Far smaller than the by-name index: it holds one
-   bucket per file. *)
-let slots_in p file =
-  let index =
-    match p.p_file_index with
-    | Some index -> index
-    | None ->
-        let index =
-          index_slots p ~size:16 (fun (_, f) -> f.Ast.f_loc.Loc.file)
-        in
-        p.p_file_index <- Some index;
-        index
-  in
-  Option.value (Hashtbl.find_opt index file) ~default:[]
-
 (** Replace a function's signature everywhere the program holds one: the
     symbol table AND the (funsig, fundef) pairs captured at definition time.
     Annotation inference uses this to install synthesized annotations; the
@@ -723,7 +687,7 @@ let update_funsig p (fs : funsig) : unit =
   Hashtbl.replace (own_funcs p) fs.fs_name fs;
   List.iter
     (fun sl -> sl.sl_pair <- (fs, snd sl.sl_pair))
-    (slots_named p fs.fs_name)
+    (Hashtbl.find_all p.p_fundef_index fs.fs_name)
 
 (** Swap the AST paired with an already-analyzed definition for a new
     fundef whose interface is structurally identical but whose body
@@ -737,16 +701,13 @@ let patch_fundef p (f : Ast.fundef) : bool =
   List.fold_left
     (fun hit sl ->
       let fs, _ = sl.sl_pair in
-      if
-        String.equal fs.fs_name f.Ast.f_name
-        && String.equal fs.fs_loc.Loc.file f.Ast.f_loc.Loc.file
-      then begin
+      if String.equal fs.fs_loc.Loc.file f.Ast.f_loc.Loc.file then begin
         sl.sl_pair <- (fs, f);
         true
       end
       else hit)
     false
-    (slots_in p f.Ast.f_loc.Loc.file)
+    (Hashtbl.find_all p.p_fundef_index f.Ast.f_name)
 
 (* ------------------------------------------------------------------ *)
 (* Direct calls (call-graph support)                                   *)

@@ -5,7 +5,14 @@
     function — the interface whose annotations drive all checking (paper,
     Section 2).  Implicit annotations are applied here per {!Flags.t} and
     marked, so the checker can word messages the way the paper does
-    ("Implicitly temp storage c passed as only param"). *)
+    ("Implicitly temp storage c passed as only param").
+
+    This module owns the program's tables: it alone writes a {!program}
+    (the type is [private]) and knows how its tables are laid out.  Every
+    other module reads them through the queries below — the [find_*]
+    lookups, the source-order views, {!fundefs} — and changes them only
+    through {!analyze}, {!update_funsig}, {!patch_fundef} and
+    {!set_pragmas}. *)
 
 module Ctype = Ctype
 module Flags = Annot.Flags
@@ -79,22 +86,24 @@ type fundef_slot
 
 (** The analysed program: symbol tables shared by the checker, the
     interpreter and the interface-library writer.  Multiple translation
-    units may be analysed into one program (see {!analyze}).  An
-    overlay ({!for_check}) holds only what one body declares and reads
-    the rest through [p_base]; read its tables through the [find_*]
-    lookups. *)
-type program = {
+    units may be analysed into one program (see {!analyze}).  Read its
+    tables, order lists and definitions through the queries below, never
+    through their fields: an overlay ({!for_check}) holds only what one
+    body declares and reads the rest through [p_base], so a field read
+    of an overlay misses the program beneath it.  [p_file], [p_pragmas],
+    [diags] and [flags] are read directly; the other fields stay visible
+    only for the benchmark harness's reads of [p_typedefs]. *)
+type program = private {
   p_file : string;
   mutable p_structs : (string, suinfo) Hashtbl.t;
   mutable p_typedefs : (string, Ctype.t * Annot.set) Hashtbl.t;
   mutable p_enum_consts : (string, int64) Hashtbl.t;
   mutable p_funcs : (string, funsig) Hashtbl.t;
   mutable p_globals : (string, globalvar) Hashtbl.t;
-      (** an overlay's table is replaced by its own at the first write *)
   p_base : program option;
   mutable p_fundefs_rev : fundef_slot list;
-  mutable p_fundef_index : (string, fundef_slot list) Hashtbl.t option;
-  mutable p_file_index : (string, fundef_slot list) Hashtbl.t option;
+  mutable p_fundef_index : (string, fundef_slot) Hashtbl.t;
+      (** the definitions by name, entered as each is added *)
   mutable p_struct_order_rev : string list;
   mutable p_typedef_order_rev : string list;
   mutable p_global_order_rev : string list;
@@ -174,6 +183,14 @@ val typedef_order : program -> string list
 val global_order : program -> string list
 val func_order : program -> string list
 
+val enum_consts : program -> (string * int64) list
+(** Every enumeration constant and its value, sorted by name.  Like the
+    order views, an overlay's holds only what the overlay declares. *)
+
+val set_pragmas : program -> Cfront.Ast.annot list -> unit
+(** Replace the program's pragma list (the incremental service rebuilds
+    it after patching bodies whose suppression comments changed). *)
+
 val update_funsig : program -> funsig -> unit
 (** Replace a function's signature in the symbol table and in every
     (funsig, fundef) pair of that name.  Annotation inference installs
@@ -181,9 +198,7 @@ val update_funsig : program -> funsig -> unit
     A pair that no write has touched keeps the funsig it was defined
     with, even after a later redeclaration merged into the table.
 
-    Cost: the pairs are found through a name index built by the first
-    {!update_funsig} after a definition was added
-    (linear in the number of definitions, once); every further call
+    Cost: the pairs are found through the definitions index, so a call
     costs O(definitions with that name), whatever the program's size. *)
 
 val patch_fundef : program -> Cfront.Ast.fundef -> bool
@@ -194,10 +209,8 @@ val patch_fundef : program -> Cfront.Ast.fundef -> bool
     position).  Matches by (definition file, name), so of two [static]
     functions of one name only the named file's is swapped; [false] when
     the definition is unknown.  The caller must have verified interface
-    identity.  Found through an index by defining file, built by the
-    first call after a definition was added (linear in the number of
-    definitions, once); every further call costs O(definitions in that
-    file). *)
+    identity.  Found through the definitions index: O(definitions with
+    that name). *)
 
 val calls_of_fundef : Cfront.Ast.fundef -> string list
 (** Names in direct-call position anywhere in the body, first-occurrence

@@ -226,7 +226,7 @@ let rec is_null_lit (e : Ast.expr) =
 
 let is_global ctx st name =
   (not (SMap.mem name st.vars))
-  && Hashtbl.mem ctx.c_prog.Sema.p_globals name
+  && Option.is_some (Sema.find_global ctx.c_prog name)
 
 (** Does this slot carry no explicit or inferred allocation annotation
     (so a summary may speak for it)?  Mirrors the checker's gate. *)
@@ -248,7 +248,8 @@ let rec eval ctx (st : pstate) (e : Ast.expr) : (pstate * aval) list =
       match SMap.find_opt x st.vars with
       | Some v -> [ (st, v) ]
       | None ->
-          if Hashtbl.mem ctx.c_prog.Sema.p_globals x then [ (st, Aglobal) ]
+          if Option.is_some (Sema.find_global ctx.c_prog x) then
+            [ (st, Aglobal) ]
           else [ (st, Aother) ])
   | Ast.Ecast (_, b) -> eval ctx st b
   | Ast.Ecomma (a, b) ->
@@ -373,7 +374,7 @@ and aval_of ctx st (e : Ast.expr) : aval option =
       match SMap.find_opt x st.vars with
       | Some v -> Some v
       | None ->
-          if Hashtbl.mem ctx.c_prog.Sema.p_globals x then Some Aglobal
+          if Option.is_some (Sema.find_global ctx.c_prog x) then Some Aglobal
           else None)
   | Ast.Ecast (_, b) -> aval_of ctx st b
   | Ast.Eint (0L, _) -> Some Anull
@@ -396,7 +397,7 @@ and eval_call ctx st (fe : Ast.expr) (args : Ast.expr list) :
   let conts = List.map (fun (st, avs) -> (st, List.rev avs)) conts in
   match fe.Ast.e with
   | Ast.Eident g when not (SMap.mem g st.vars) -> (
-      match Hashtbl.find_opt ctx.c_prog.Sema.p_funcs g with
+      match Sema.find_func ctx.c_prog g with
       | Some gs ->
           List.concat_map (fun (st, avs) -> apply_known ctx st gs avs) conts
       | None ->

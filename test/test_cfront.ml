@@ -310,20 +310,21 @@ let parse_array ~typedefs ~file text =
   Parser.parse_tunit p
 
 (* Parse files in order the way olclint does, each against the typedefs
-   of the library and the files before it, and check that streaming
+   of the library and the files before it (the scope
+   [Sema.analyze_string] hands its parser), and check that streaming
    from the lexer and parsing a token array give the same AST. *)
 let check_stream_matches_array files =
   let flags = Annot.Flags.default in
   let prog = Stdspec.environment ~flags () in
+  let parse ~typedefs ~file text =
+    let streamed = Parser.parse_string ~typedefs ~file text in
+    if not (Ast.equal_tunit streamed (parse_array ~typedefs ~file text)) then
+      Alcotest.failf "%s: streamed and array parses differ" file;
+    streamed
+  in
   List.iter
     (fun (file, text) ->
-      let typedefs =
-        Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
-      in
-      let streamed = Parser.parse_string ~typedefs ~file text in
-      if not (Ast.equal_tunit streamed (parse_array ~typedefs ~file text)) then
-        Alcotest.failf "%s: streamed and array parses differ" file;
-      ignore (Sema.analyze ~flags ~into:prog streamed))
+      ignore (Sema.analyze_string ~flags ~parse ~into:prog ~file text))
     files
 
 let test_stream_figures () =

@@ -546,7 +546,7 @@ let test_ablation_aliases () =
 let test_spec_mode_stdlib () =
   (* the LCL-notation library provides the same malloc contract *)
   let prog = Stdspec.lcl_environment () in
-  let fs = Hashtbl.find prog.Sema.p_funcs "malloc" in
+  let fs = Option.get (Sema.find_func prog "malloc") in
   let an = fs.Sema.fs_ret_annots.Sema.an in
   Alcotest.(check bool) "null out only" true
     (an.Annot.an_null = Some Annot.Null

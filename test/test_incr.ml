@@ -1290,7 +1290,7 @@ let prop_funsig_hash_equivalence =
         (Array.of_list
            (List.concat_map
               (fun env ->
-                Hashtbl.fold (fun _ fs acc -> fs :: acc) env.Sema.p_funcs [])
+                List.filter_map (Sema.find_func env) (Sema.func_order env))
               (Lazy.force key_envs))))
     ~label:(fun (fs : Sema.funsig) -> fs.Sema.fs_name)
     ~key:Service.digest_of ~eq:( = ) ~show:Sema.show_funsig

@@ -147,10 +147,10 @@ let test_infer_constructor_destructor () =
 let test_infer_provenance_marked () =
   let prog = program plain_list_src in
   ignore (Infer.run prog);
-  let fs = Hashtbl.find prog.Sema.p_funcs "elem_create" in
+  let fs = Option.get (Sema.find_func prog "elem_create") in
   Alcotest.(check bool) "inferred bit on return set" true
     (Annot.is_inferred fs.Sema.fs_ret_annots.Sema.an);
-  let untouched = Hashtbl.find prog.Sema.p_funcs "use" in
+  let untouched = Option.get (Sema.find_func prog "use") in
   Alcotest.(check bool) "untouched slot unmarked" false
     (Annot.is_inferred untouched.Sema.fs_ret_annots.Sema.an)
 
@@ -255,7 +255,7 @@ let test_strip_roundtrip_parses () =
   let stripped = Infer.strip_annotations Corpus.Figures.fig5_list_addh in
   let prog = program stripped in
   Alcotest.(check bool) "stripped fig5 still defines list_addh" true
-    (Hashtbl.mem prog.Sema.p_funcs "list_addh")
+    (Option.is_some (Sema.find_func prog "list_addh"))
 
 let test_strip_preserves_inferred () =
   (* spans carrying the [inferred] provenance word were written by a
@@ -303,7 +303,7 @@ let test_strip_inferred_reinference_idempotent () =
            fd.Infer.fd_word)
        outcome.Infer.out_findings);
   (* the pre-existing machine annotations are still live and marked *)
-  let fs = Hashtbl.find prog.Sema.p_funcs "mk" in
+  let fs = Option.get (Sema.find_func prog "mk") in
   Alcotest.(check bool) "provenance bit survives the round trip" true
     (Annot.is_inferred fs.Sema.fs_ret_annots.Sema.an)
 

@@ -19,11 +19,11 @@ let body_of prog fname =
     (Sema.fundefs prog)
 
 let rank prog (r : Ranker.t) fname =
-  let fs = Hashtbl.find prog.Sema.p_funcs fname in
+  let fs = Option.get (Sema.find_func prog fname) in
   r.Ranker.rk_rank prog fs (body_of prog fname)
 
 let pipeline prog rankers fname =
-  let fs = Hashtbl.find prog.Sema.p_funcs fname in
+  let fs = Option.get (Sema.find_func prog fname) in
   Ranker.pipeline rankers prog fs (body_of prog fname)
 
 let proposes cands slot word =

@@ -38,18 +38,18 @@ let test_save_parses () =
   Alcotest.(check int) "no diagnostics" 0
     (List.length (Cfront.Diag.Collector.all env.Sema.diags));
   Alcotest.(check bool) "node_create present" true
-    (Hashtbl.mem env.Sema.p_funcs "node_create")
+    (Option.is_some (Sema.find_func env "node_create"))
 
 let test_roundtrip_annotations () =
   let prog = build_lib () in
   let env = Check.Libspec.load ~flags ~file:"node.lh" (Check.Libspec.save prog) in
-  let orig = Hashtbl.find prog.Sema.p_funcs "node_create" in
-  let loaded = Hashtbl.find env.Sema.p_funcs "node_create" in
+  let orig = Option.get (Sema.find_func prog "node_create") in
+  let loaded = Option.get (Sema.find_func env "node_create") in
   Alcotest.(check bool) "only ret survives" true
     (Annot.equal_set orig.Sema.fs_ret_annots.Sema.an
        loaded.Sema.fs_ret_annots.Sema.an);
-  let orig_d = Hashtbl.find prog.Sema.p_funcs "node_destroy" in
-  let loaded_d = Hashtbl.find env.Sema.p_funcs "node_destroy" in
+  let orig_d = Option.get (Sema.find_func prog "node_destroy") in
+  let loaded_d = Option.get (Sema.find_func env "node_destroy") in
   List.iter2
     (fun (a : Sema.param) (b : Sema.param) ->
       Alcotest.(check bool) "param annots survive" true
@@ -116,7 +116,7 @@ let test_stdlib_library_clean () =
   Alcotest.(check int) "no diagnostics" 0
     (List.length (Cfront.Diag.Collector.all env.Sema.diags));
   Alcotest.(check bool) "malloc annotations survive" true
-    (let fs = Hashtbl.find env.Sema.p_funcs "malloc" in
+    (let fs = Option.get (Sema.find_func env "malloc") in
      let an = fs.Sema.fs_ret_annots.Sema.an in
      an.Annot.an_null = Some Annot.Null
      && an.Annot.an_def = Some Annot.Out
@@ -127,8 +127,8 @@ let test_inferred_provenance_roundtrip () =
      save/load: a library built from inference output still renders
      its diagnostics as [inferred] hints on the client side *)
   let prog = build_lib () in
-  let fs = Hashtbl.find prog.Sema.p_funcs "node_create" in
-  Hashtbl.replace prog.Sema.p_funcs "node_create"
+  let fs = Option.get (Sema.find_func prog "node_create") in
+  Sema.update_funsig prog
     {
       fs with
       Sema.fs_ret_annots =
@@ -139,13 +139,13 @@ let test_inferred_provenance_roundtrip () =
     };
   let text = Check.Libspec.save prog in
   let env = Check.Libspec.load ~flags ~file:"node.lh" text in
-  let loaded = Hashtbl.find env.Sema.p_funcs "node_create" in
+  let loaded = Option.get (Sema.find_func env "node_create") in
   Alcotest.(check bool) "inferred bit survives" true
     (Annot.is_inferred loaded.Sema.fs_ret_annots.Sema.an);
   Alcotest.(check bool) "annotation value survives" true
     (loaded.Sema.fs_ret_annots.Sema.an.Annot.an_alloc = Some Annot.Only);
   (* an untouched function stays explicit *)
-  let other = Hashtbl.find env.Sema.p_funcs "node_value" in
+  let other = Option.get (Sema.find_func env "node_value") in
   Alcotest.(check bool) "explicit stays explicit" false
     (Annot.is_inferred other.Sema.fs_ret_annots.Sema.an)
 
