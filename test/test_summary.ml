@@ -208,6 +208,102 @@ let test_lattice_elements () =
   Alcotest.(check bool) "top return is Rtop" true
     (top.Summary.sm_ret = Summary.Rtop)
 
+(* ------------------------------------------------------------------ *)
+(* Control flow                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let check_rendered src expected =
+  let tbl = summaries src in
+  List.iter
+    (fun (name, line) ->
+      Alcotest.(check string) name line (Summary.render (find tbl name)))
+    expected
+
+let test_switch_arms () =
+  check_rendered
+    "void sw_def(char *r, int c) { switch (c) { case 1: free(r); break; \
+     default: free(r); } }\n\
+     void sw_nodef(char *r, int c) { switch (c) { case 1: free(r); break; \
+     case 2: free(r); break; } }\n\
+     void sw_group(char *r, int c) { switch (c) { case 1: case 2: free(r); \
+     break; default: break; } }\n\
+     void sw_grpdef(char *r, int c) { switch (c) { case 1: default: \
+     free(r); break; } }\n\
+     void sw_bare(char *r, int c) { switch (c) case 1: free(r); }\n"
+    [
+      (* every arm releases and a default arm exists *)
+      ("sw_def", "sw_def: params=[rel,-] ret=-");
+      (* no default: the scrutinee may match no arm *)
+      ("sw_nodef", "sw_nodef: params=[cond,-] ret=-");
+      (* grouped labels extend one arm; the default arm releases nothing *)
+      ("sw_group", "sw_group: params=[cond,-] ret=-");
+      (* a default label nested under a case label opens no arm of its
+         own, so the switch is treated as having no default *)
+      ("sw_grpdef", "sw_grpdef: params=[cond,-] ret=-");
+      (* a body that is not a compound statement is one arm *)
+      ("sw_bare", "sw_bare: params=[cond,-] ret=-");
+    ]
+
+let test_for_initializer () =
+  check_rendered
+    "char *for_init(int n) { char *p; int i; for (p = (char *) malloc(4), \
+     i = 0; i < n; i++) { } return p; }\n\
+     char *for_decl(int n) { for (char *p = (char *) malloc(4); n > 0; \
+     n--) { return p; } return NULL; }\n"
+    [
+      (* the initializer runs once, before the loop *)
+      ("for_init", "for_init: params=[-] ret=fresh");
+      ("for_decl", "for_decl: params=[-] ret=- retnull");
+    ]
+
+let test_loop_bodies () =
+  check_rendered
+    "void in_while(char *r, int c) { while (c) { free(r); c--; } }\n\
+     void in_do(char *r, int c) { do { free(r); } while (c); }\n"
+    [
+      (* a while body may run zero times: its release is conditional *)
+      ("in_while", "in_while: params=[cond,-] ret=-");
+      (* a do body runs at least once: its release is kept *)
+      ("in_do", "in_do: params=[rel,-] ret=-");
+    ]
+
+let test_labels_and_empty () =
+  check_rendered
+    "void lab(char *r, int c) { if (c) { done: free(r); } else { free(r); \
+     } }\n\
+     void empty(char *r, int c) { if (c) ; else free(r); }\n"
+    [
+      (* a label is transparent: both branches release *)
+      ("lab", "lab: params=[rel,-] ret=-");
+      (* an empty branch releases nothing *)
+      ("empty", "empty: params=[cond,-] ret=-");
+    ]
+
+let test_path_cap () =
+  let ifs n = String.concat " " (List.init n (fun _ -> "if (d) {}")) in
+  let fn name body =
+    Printf.sprintf
+      "char *%s(int c, int d) { char *q = NULL; if (c) q = (char *) \
+       malloc(1); %s return q; }\n"
+      name body
+  in
+  check_rendered
+    (fn "few" (ifs 5) ^ fn "many" (ifs 6)
+    ^ fn "nested" ("{ " ^ ifs 6 ^ " }"))
+    [
+      (* 64 paths are kept apart: one returns NULL *)
+      ("few", "few: params=[-,-] ret=- retnull");
+      (* 128 paths: the NULL half is merged into one survivor, which
+         forgets [q] *)
+      ("many", "many: params=[-,-] ret=-");
+      (* the same cap applies after a compound statement *)
+      ("nested", "nested: params=[-,-] ret=-");
+    ]
+
+let test_goto_is_top () =
+  check_rendered "void jump(char *r) { goto out; out: free(r); }\n"
+    [ ("jump", "jump: params=[top] ret=top") ]
+
 let () =
   Alcotest.run "summary"
     [
@@ -217,6 +313,16 @@ let () =
           Alcotest.test_case "escape and globals" `Quick
             test_escape_and_globals;
           Alcotest.test_case "return effects" `Quick test_return_effects;
+        ] );
+      ( "control flow",
+        [
+          Alcotest.test_case "switch arms" `Quick test_switch_arms;
+          Alcotest.test_case "for initializer" `Quick test_for_initializer;
+          Alcotest.test_case "loop bodies" `Quick test_loop_bodies;
+          Alcotest.test_case "labels and empty statements" `Quick
+            test_labels_and_empty;
+          Alcotest.test_case "path cap" `Quick test_path_cap;
+          Alcotest.test_case "goto is top" `Quick test_goto_is_top;
         ] );
       ( "propagation",
         [
