@@ -217,6 +217,29 @@ let rec pointer_depth = function
   | Tptr t | Tarray (t, _) -> 1 + pointer_depth t
   | _ -> 0
 
+(** [switch_arms body] segments a [switch] body into its case arms, in
+    source order, and says whether it has a [default] arm.  A new arm
+    starts at each top-level [case]/[default] label (labels that run
+    together extend the current arm, so a [default] nested under a
+    [case] label is not seen); statements before the first label form
+    an arm of their own; a body that is not a compound statement is one
+    arm.  The arms keep their label wrappers. *)
+let switch_arms (body : stmt) : stmt list list * bool =
+  match body.s with
+  | Sblock stmts ->
+      let rec segment acc cur has_default = function
+        | [] -> (List.rev (List.rev cur :: acc), has_default)
+        | ({ s = Scase _; _ } as s) :: rest when cur <> [] ->
+            segment (List.rev cur :: acc) [ s ] has_default rest
+        | ({ s = Sdefault _; _ } as s) :: rest when cur <> [] ->
+            segment (List.rev cur :: acc) [ s ] true rest
+        | ({ s = Sdefault _; _ } as s) :: rest ->
+            segment acc (s :: cur) true rest
+        | s :: rest -> segment acc (s :: cur) has_default rest
+      in
+      segment [] [] false stmts
+  | _ -> ([ [ body ] ], false)
+
 (* ------------------------------------------------------------------ *)
 (* Size                                                                *)
 (* ------------------------------------------------------------------ *)

@@ -2792,16 +2792,21 @@ let loop_depth_cap = 3
     iterations: diagnostics go to a scratch collector, exit observation
     is off (a silenced iteration must not feed inference summaries), and
     the scope chain is copied so declarations seen while re-running the
-    body cannot pollute the real environment.  The mutable counters
+    body cannot pollute the real environment.  The body is checked
+    against an overlay of the program ({!Sema.for_check}) that reports
+    to the same scratch collector, so what sema declares or reports
+    during the iteration vanishes with it.  The mutable counters
     start from the real environment's current values and advance
     independently — each iteration gets a fresh copy, so fresh-storage
     and static ids restart identically every round (an allocation in
     the body maps to the same [Rfresh] root each time; otherwise the
     store would grow a new root per iteration and never converge). *)
 let silent_env env =
+  let diags = Diag.Collector.create () in
   {
     env with
-    diags = Diag.Collector.create ();
+    prog = Sema.for_check env.prog ~diags;
+    diags;
     exit_obs = None;
     scopes = List.map (fun s -> { vars = s.vars }) env.scopes;
     conflict_memo = Hashtbl.create 16;
@@ -2886,23 +2891,7 @@ let rec exec env st (stmt : Ast.stmt) : Store.t =
         push_breakable env;
         (* each case arm is analysed from the switch-entry state;
            fall-through between arms is not modelled *)
-        let arms, has_default =
-          match body.s with
-          | Ast.Sblock stmts ->
-              let rec segment acc cur has_default = function
-                | [] -> (List.rev (List.rev cur :: acc), has_default)
-                | ({ Ast.s = Ast.Scase _; _ } as s) :: rest when cur <> [] ->
-                    segment (List.rev cur :: acc) [ s ] has_default rest
-                | ({ Ast.s = Ast.Sdefault _; _ } as s) :: rest when cur <> []
-                  ->
-                    segment (List.rev cur :: acc) [ s ] true rest
-                | ({ Ast.s = Ast.Sdefault _; _ } as s) :: rest ->
-                    segment acc (s :: cur) true rest
-                | s :: rest -> segment acc (s :: cur) has_default rest
-              in
-              segment [] [] false stmts
-          | _ -> ([ [ body ] ], false)
-        in
+        let arms, has_default = Ast.switch_arms body in
         let arm_ends =
           List.map
             (fun arm ->

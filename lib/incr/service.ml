@@ -333,7 +333,7 @@ let callee_summary_hash t name =
   match Hashtbl.find_opt t.summary_hashes name with Some h -> h | None -> "?"
 
 let cache_kind = "summary-cache"
-let cache_version = 6
+let cache_version = 7
 
 (* The function's own funsig hash: the current generation's, or derived
    afresh for a function the table does not know. *)
@@ -937,13 +937,6 @@ let summaries_marker = "[summaries]"
 let save t =
   let b = Buffer.create 65536 in
   Buffer.add_string b ("flags " ^ t.flags_canon ^ "\n");
-  (match t.env with
-  | Some env ->
-      (* the interface section IS an interface library: the same
-         stamped artifact [-dump-lib] writes, loadable with
-         {!Check.Libspec.load} *)
-      Buffer.add_string b (Check.Libspec.save env)
-  | None -> ());
   Buffer.add_string b (summaries_marker ^ "\n");
   let record key file fn diags =
     Buffer.add_string b

@@ -175,10 +175,9 @@ val cache_version : int
 
 val save : t -> string
 (** The summary cache as a versioned, hash-stamped artifact: the
-    environment's interface library (a {!Check.Libspec} section) plus
-    one NDJSON record per cached function result, keyed by content, so a
-    later service — possibly in a fresh process — can adopt results
-    without re-checking. *)
+    canonical flags, then one NDJSON record per cached function result,
+    keyed by content, so a later service — possibly in a fresh process —
+    can adopt results without re-checking. *)
 
 val load : t -> string -> (int, string) result
 (** Load a persisted cache produced by {!save}; [Ok n] is the number of

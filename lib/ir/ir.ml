@@ -70,26 +70,7 @@ let rec lower_stmt bd b (s : Ast.stmt) : unit =
   | Ast.Sbreak -> push bd b Ibreak
   | Ast.Scontinue -> push bd b Icontinue
   | Ast.Sswitch (e, body) ->
-      (* pre-segment the body into case arms, exactly like the tree
-         walk: a new arm starts at each [case]/[default] label (labels
-         run together extend the current arm); a body that is not a
-         compound statement is one arm *)
-      let arms, has_default =
-        match body.Ast.s with
-        | Ast.Sblock stmts ->
-            let rec segment acc cur has_default = function
-              | [] -> (List.rev (List.rev cur :: acc), has_default)
-              | ({ Ast.s = Ast.Scase _; _ } as s) :: rest when cur <> [] ->
-                  segment (List.rev cur :: acc) [ s ] has_default rest
-              | ({ Ast.s = Ast.Sdefault _; _ } as s) :: rest when cur <> [] ->
-                  segment (List.rev cur :: acc) [ s ] true rest
-              | ({ Ast.s = Ast.Sdefault _; _ } as s) :: rest ->
-                  segment acc (s :: cur) true rest
-              | s :: rest -> segment acc (s :: cur) has_default rest
-            in
-            segment [] [] false stmts
-        | _ -> ([ [ body ] ], false)
-      in
+      let arms, has_default = Ast.switch_arms body in
       let arm_blocks =
         Array.of_list
           (List.map
@@ -109,11 +90,6 @@ and lower_arm bd (s : Ast.stmt) : block =
   lower_stmt bd b s;
   b
 
-let instr_count (p : proc) : int =
-  Array.fold_left (fun n b -> n + Array.length b) 0 p.p_blocks
-
-let block_instrs (p : proc) (b : block) : instr array = p.p_blocks.(b)
-
 let lower_fundef (f : Ast.fundef) : proc =
   let bd = { bd_blocks = Array.make 8 []; bd_n = 0 } in
   let entry = new_block bd in
@@ -121,10 +97,7 @@ let lower_fundef (f : Ast.fundef) : proc =
   let blocks =
     Array.init bd.bd_n (fun i -> Array.of_list (List.rev bd.bd_blocks.(i)))
   in
-  let p = { p_name = f.Ast.f_name; p_entry = entry; p_blocks = blocks } in
-  Telemetry.Counter.add Telemetry.c_ir_blocks bd.bd_n;
-  Telemetry.Counter.add Telemetry.c_ir_instrs (instr_count p);
-  p
+  { p_name = f.Ast.f_name; p_entry = entry; p_blocks = blocks }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering (golden tests)                                            *)
@@ -214,7 +187,8 @@ let instr_str (i : instr) : string =
 
 let pp_proc ppf (p : proc) =
   Format.fprintf ppf "proc %s entry=b%d blocks=%d instrs=%d@\n" p.p_name
-    p.p_entry (Array.length p.p_blocks) (instr_count p);
+    p.p_entry (Array.length p.p_blocks)
+    (Array.fold_left (fun n b -> n + Array.length b) 0 p.p_blocks);
   Array.iteri
     (fun bi instrs ->
       Format.fprintf ppf "b%d:@\n" bi;

@@ -1,17 +1,18 @@
-(** The flat IR the [+xproc] summary pass walks.
+(** A flat lowering of function bodies, kept for the benchmark's
+    [ir.lower] replay and its golden tests.  No checker or analysis
+    walks it: the checker ([Check.Checker]) and the [+xproc] summary
+    pass ([Summary]) both walk the AST.
 
     [lower_fundef] compiles a function body into a compact array of
-    basic blocks of checking-relevant instructions.  [Summary]'s effect
-    extraction runs over it; the checker itself walks the AST
-    ([Check.Checker]), so this IR is the summary pass's input, not the
-    checker's.  Lowering is purely syntactic — instructions keep
-    references into the AST for expressions and declarations.
+    basic blocks of checking-relevant instructions.  Lowering is purely
+    syntactic — instructions keep references into the AST for
+    expressions and declarations.
 
     Structured control flow is preserved: loops and branches reference
-    sub-blocks rather than raw jump targets, so a walk can give loop
-    bodies their own treatment.  [Scase]/[Sdefault]/[Slabel] wrappers
-    are stripped during lowering, [Sskip] disappears, and a [switch]
-    body is pre-segmented into its case arms. *)
+    sub-blocks rather than raw jump targets.  [Scase]/[Sdefault]/[Slabel]
+    wrappers are stripped during lowering, [Sskip] disappears, and a
+    [switch] body is segmented into its case arms
+    ({!Cfront.Ast.switch_arms}). *)
 
 type block = int
 (** Index into {!proc.p_blocks}. *)
@@ -44,15 +45,7 @@ type proc = {
 }
 
 val lower_fundef : Cfront.Ast.fundef -> proc
-(** Compile one function body.  Ticks the [ir_blocks]/[ir_instrs]
-    telemetry counters once per block/instruction built. *)
-
-val instr_count : proc -> int
-(** Total instructions across all blocks. *)
-
-val block_instrs : proc -> block -> instr array
-(** The instruction array of one block (effect-extraction walks — the
-    interprocedural summary pass — iterate the IR through this). *)
+(** Compile one function body. *)
 
 val pp_proc : Format.formatter -> proc -> unit
 (** Stable, compact rendering of a lowered procedure (golden tests). *)

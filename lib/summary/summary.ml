@@ -2,9 +2,10 @@
     and docs/summaries.md).
 
     The extraction is a small path-forking abstract interpreter over the
-    flat checking IR: each path carries an abstract value per variable
-    (parameter / fresh allocation / NULL / global / other), a per-parameter
-    effect record, and the null-guard facts learned from conditions.
+    function's syntax tree, the one the checker walks: each path carries
+    an abstract value per variable (parameter / fresh allocation / NULL /
+    global / other), a per-parameter effect record, and the null-guard
+    facts learned from conditions.
     Loops contribute their body effects as may-effects (the zero-or-one
     interpretation the checker itself uses); paths are capped and merged
     so extraction stays linear in practice. *)
@@ -514,144 +515,171 @@ and apply_slot ctx st (gs : Sema.funsig) (gsum : t option) (j : int)
         st
 
 (* ------------------------------------------------------------------ *)
-(* Instructions                                                        *)
+(* Statements                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let rec walk_block ctx (proc : Ir.proc) (sts : pstate list) (b : Ir.block) :
-    flow list =
-  walk_instrs ctx proc sts []
-    (Array.to_list (Ir.block_instrs proc b))
-
-and walk_instrs ctx proc (live : pstate list) (acc : flow list)
-    (instrs : Ir.instr list) : flow list =
-  match instrs with
+(** Run the paths [live] through a statement sequence.  Each step sets
+    the flows that leave the sequence aside in [acc] and caps the paths
+    that go on; at the end, the survivors fall through. *)
+let rec walk_stmts ctx (live : pstate list) (acc : flow list)
+    (stmts : Ast.stmt list) : flow list =
+  match stmts with
   | [] -> List.map (fun s -> Fnext s) live @ acc
-  | i :: rest ->
-      let flows = List.concat_map (fun s -> walk_instr ctx proc s i) live in
-      let nexts, others =
-        List.partition_map
-          (function Fnext s -> Either.Left s | f -> Either.Right f)
-          flows
-      in
-      walk_instrs ctx proc (cap nexts) (others @ acc) rest
+  | s :: rest ->
+      let live, acc = step ctx live acc s in
+      walk_stmts ctx live acc rest
 
-and walk_instr ctx proc (st : pstate) (i : Ir.instr) : flow list =
+(** One path through a branch, loop body or case arm. *)
+and walk_arm ctx (st : pstate) (s : Ast.stmt) : flow list =
+  walk_stmts ctx [ st ] [] [ s ]
+
+(** One statement of a sequence.  An empty statement is no step and a
+    label is transparent; a [for]'s initializer is a step of its own
+    before the loop; every other statement is one step. *)
+and step ctx (live : pstate list) (acc : flow list) (s : Ast.stmt) :
+    pstate list * flow list =
   let nexts conts = List.map (fun (st, _) -> Fnext st) conts in
-  match i with
-  | Ir.Iexpr (e, _) -> nexts (eval ctx st e)
-  | Ir.Iassert e -> nexts (eval ctx st e)
-  | Ir.Idecl (ds, _) ->
-      let conts =
-        List.fold_left
-          (fun conts (d : Ast.decl) ->
-            List.concat_map
-              (fun (st, _) ->
-                if d.Ast.d_name = "" then [ (st, Aother) ]
-                else
-                  let bindings =
-                    match d.Ast.d_init with
-                    | Some (Ast.Iexpr e) -> eval ctx st e
-                    | Some (Ast.Ilist is) ->
-                        let rec flatten st = function
-                          | [] -> [ (st, Aother) ]
-                          | Ast.Iexpr e :: rest ->
-                              List.concat_map
-                                (fun (st, _) -> flatten st rest)
-                                (eval ctx st e)
-                          | Ast.Ilist is :: rest ->
-                              List.concat_map
-                                (fun (st, _) -> flatten st rest)
-                                (flatten st is)
-                        in
-                        flatten st is
-                    | None -> [ (st, Aother) ]
+  let each live acc (f : pstate -> flow list) =
+    let flows = List.concat_map f live in
+    let nexts, others =
+      List.partition_map
+        (function Fnext s -> Either.Left s | f -> Either.Right f)
+        flows
+    in
+    (cap nexts, others @ acc)
+  in
+  match s.Ast.s with
+  | Ast.Sskip -> (live, acc)
+  | Ast.Scase (_, s) | Ast.Sdefault s | Ast.Slabel (_, s) -> step ctx live acc s
+  | Ast.Sexpr e | Ast.Sassert e ->
+      each live acc (fun st -> nexts (eval ctx st e))
+  | Ast.Sdecl ds -> each live acc (fun st -> nexts (walk_decls ctx st ds))
+  | Ast.Sblock stmts -> each live acc (fun st -> walk_stmts ctx [ st ] [] stmts)
+  | Ast.Sif (c, then_, else_) ->
+      each live acc (fun st ->
+          List.concat_map
+            (fun (st, _) ->
+              let taken = walk_arm ctx (refine ctx st c true) then_ in
+              let not_taken =
+                match else_ with
+                | Some e -> walk_arm ctx (refine ctx st c false) e
+                | None -> [ Fnext (refine ctx st c false) ]
+              in
+              taken @ not_taken)
+            (eval ctx st c))
+  | Ast.Swhile (c, body) ->
+      each live acc (fun st ->
+          List.concat_map
+            (fun (st, _) ->
+              let skip = Fnext (refine ctx st c false) in
+              let body = walk_arm ctx (refine ctx st c true) body in
+              skip :: List.map (demote_loop_flow st) body)
+            (eval ctx st c))
+  | Ast.Sfor (init, copt, sopt, body) ->
+      (* the initializer runs exactly once, before the loop *)
+      let live, acc =
+        match init with Some i -> step ctx live acc i | None -> (live, acc)
+      in
+      each live acc (fun st -> walk_for ctx st copt sopt body)
+  | Ast.Sdo (body, c) ->
+      each live acc (fun st ->
+          List.concat_map
+            (fun f ->
+              match f with
+              | Fnext s | Fcont s ->
+                  List.map (fun (s, _) -> Fnext s) (eval ctx s c)
+              | Fbreak s -> [ Fnext s ]
+              | f -> [ f ])
+            (walk_arm ctx st body))
+  | Ast.Sreturn None -> each live acc (fun st -> [ Fret (st, Aother) ])
+  | Ast.Sreturn (Some e) ->
+      each live acc (fun st ->
+          List.map (fun (st, v) -> Fret (st, v)) (eval ctx st e))
+  | Ast.Sbreak -> each live acc (fun st -> [ Fbreak st ])
+  | Ast.Scontinue -> each live acc (fun st -> [ Fcont st ])
+  | Ast.Sswitch (e, body) ->
+      let arms, has_default = Ast.switch_arms body in
+      each live acc (fun st ->
+          List.concat_map
+            (fun (st, _) ->
+              let arm_flows =
+                List.concat_map
+                  (fun arm ->
+                    List.map
+                      (function Fbreak s -> Fnext s | f -> f)
+                      (walk_stmts ctx [ st ] [] arm))
+                  arms
+              in
+              if has_default then arm_flows else Fnext st :: arm_flows)
+            (eval ctx st e))
+  | Ast.Sgoto _ ->
+      (* only a goto that some path reaches makes the body opaque *)
+      each live acc (fun st ->
+          ctx.c_goto <- true;
+          [ Fnext st ])
+
+(** The loop of a [for] (its initializer already run) from one path. *)
+and walk_for ctx st copt sopt body : flow list =
+  let conts =
+    match copt with Some c -> eval ctx st c | None -> [ (st, Aother) ]
+  in
+  List.concat_map
+    (fun (st, _) ->
+      let skip =
+        match copt with
+        | Some c -> Fnext (refine ctx st c false)
+        | None -> Fnext st
+      in
+      let entry =
+        match copt with Some c -> refine ctx st c true | None -> st
+      in
+      let body =
+        (* the step expression runs after each iteration *)
+        List.concat_map
+          (fun f ->
+            match (f, sopt) with
+            | (Fnext s | Fcont s), Some step ->
+                List.map (fun (s, _) -> Fnext s) (eval ctx s step)
+            | (Fnext s | Fcont s), None -> [ Fnext s ]
+            | f, _ -> [ f ])
+          (walk_arm ctx entry body)
+      in
+      skip :: List.map (demote_loop_flow st) body)
+    conts
+
+(** Bind each declared name to its initializer's value, forking as the
+    initializers do. *)
+and walk_decls ctx st (ds : Ast.decl list) : (pstate * aval) list =
+  List.fold_left
+    (fun conts (d : Ast.decl) ->
+      List.concat_map
+        (fun (st, _) ->
+          if d.Ast.d_name = "" then [ (st, Aother) ]
+          else
+            let bindings =
+              match d.Ast.d_init with
+              | Some (Ast.Iexpr e) -> eval ctx st e
+              | Some (Ast.Ilist is) ->
+                  let rec flatten st = function
+                    | [] -> [ (st, Aother) ]
+                    | Ast.Iexpr e :: rest ->
+                        List.concat_map
+                          (fun (st, _) -> flatten st rest)
+                          (eval ctx st e)
+                    | Ast.Ilist is :: rest ->
+                        List.concat_map
+                          (fun (st, _) -> flatten st rest)
+                          (flatten st is)
                   in
-                  List.map
-                    (fun (st, v) ->
-                      ({ st with vars = SMap.add d.Ast.d_name v st.vars }, v))
-                    bindings)
-              conts)
-          [ (st, Aother) ] ds
-      in
-      nexts conts
-  | Ir.Iscope (b, _) -> walk_block ctx proc [ st ] b
-  | Ir.Iif (c, bt, bfo, _) ->
-      List.concat_map
-        (fun (st, _) ->
-          let taken = walk_block ctx proc [ refine ctx st c true ] bt in
-          let not_taken =
-            match bfo with
-            | Some bf -> walk_block ctx proc [ refine ctx st c false ] bf
-            | None -> [ Fnext (refine ctx st c false) ]
-          in
-          taken @ not_taken)
-        (eval ctx st c)
-  | Ir.Iwhile (c, b, _) ->
-      List.concat_map
-        (fun (st, _) ->
-          let skip = Fnext (refine ctx st c false) in
-          let body = walk_block ctx proc [ refine ctx st c true ] b in
-          skip :: List.map (demote_loop_flow st) body)
-        (eval ctx st c)
-  | Ir.Ifor (copt, sopt, b, _) ->
-      let conts =
-        match copt with Some c -> eval ctx st c | None -> [ (st, Aother) ]
-      in
-      List.concat_map
-        (fun (st, _) ->
-          let skip =
-            match copt with
-            | Some c -> Fnext (refine ctx st c false)
-            | None -> Fnext st
-          in
-          let entry =
-            match copt with Some c -> refine ctx st c true | None -> st
-          in
-          let body = walk_block ctx proc [ entry ] b in
-          let body =
-            (* the step expression runs after each iteration *)
-            List.concat_map
-              (fun f ->
-                match (f, sopt) with
-                | (Fnext s | Fcont s), Some step ->
-                    List.map (fun (s, _) -> Fnext s) (eval ctx s step)
-                | (Fnext s | Fcont s), None -> [ Fnext s ]
-                | f, _ -> [ f ])
-              body
-          in
-          skip :: List.map (demote_loop_flow st) body)
-        conts
-  | Ir.Ido (b, c, _) ->
-      let body = walk_block ctx proc [ st ] b in
-      List.concat_map
-        (fun f ->
-          match f with
-          | Fnext s | Fcont s ->
-              List.map (fun (s, _) -> Fnext s) (eval ctx s c)
-          | Fbreak s -> [ Fnext s ]
-          | f -> [ f ])
-        body
-  | Ir.Iret (None, _) -> [ Fret (st, Aother) ]
-  | Ir.Iret (Some e, _) ->
-      List.map (fun (st, v) -> Fret (st, v)) (eval ctx st e)
-  | Ir.Ibreak -> [ Fbreak st ]
-  | Ir.Icontinue -> [ Fcont st ]
-  | Ir.Iswitch (e, arms, has_default, _) ->
-      List.concat_map
-        (fun (st, _) ->
-          let arm_flows =
-            List.concat_map
-              (fun b ->
-                List.map
-                  (function Fbreak s -> Fnext s | f -> f)
-                  (walk_block ctx proc [ st ] b))
-              (Array.to_list arms)
-          in
-          if has_default then arm_flows else Fnext st :: arm_flows)
-        (eval ctx st e)
-  | Ir.Igoto _ ->
-      ctx.c_goto <- true;
-      [ Fnext st ]
+                  flatten st is
+              | None -> [ (st, Aother) ]
+            in
+            List.map
+              (fun (st, v) ->
+                ({ st with vars = SMap.add d.Ast.d_name v st.vars }, v))
+              bindings)
+        conts)
+    [ (st, Aother) ] ds
 
 (** Loop bodies execute zero or more times: a release first observed
     inside the body is only conditional at the loop exit, and an [out]
@@ -693,8 +721,7 @@ let summarize (prog : Sema.program) (tbl : table) (fs : Sema.funsig)
     |> fst
   in
   let st0 = { vars; facts = Array.make nparams pfact0; ges = false } in
-  let proc = Ir.lower_fundef fd in
-  let flows = walk_block ctx proc [ st0 ] proc.Ir.p_entry in
+  let flows = walk_arm ctx st0 fd.Ast.f_body in
   if ctx.c_goto then top fs.Sema.fs_name nparams
   else begin
     (* normal outcomes: explicit returns, plus falling off the end *)

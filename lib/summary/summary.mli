@@ -3,8 +3,8 @@
     Evans' checker stops at procedure boundaries: a call site is
     interpreted through the callee's Appendix-B annotations, and an
     unannotated callee is assumed benign.  This pass derives a
-    memory-effect summary per *defined* function directly from its flat
-    checking IR — per-parameter release/escape/out effects, return
+    memory-effect summary per *defined* function directly from its
+    syntax tree, the one the checker walks — per-parameter release/escape/out effects, return
     effects, and a global-escape bit — propagated bottom-up over the
     Tarjan SCCs of the call graph with a fixpoint for recursion and a
     sound ⊤ ("unknown: assume nothing observable may be relied on") for
@@ -64,7 +64,7 @@ val top : string -> int -> t
 val equal : t -> t -> bool
 
 val summarize : Sema.program -> table -> Sema.funsig -> Cfront.Ast.fundef -> t
-(** One extraction pass over the function's IR, consulting [table] for
+(** One extraction pass over the function's body, consulting [table] for
     already-summarized callees (and the current iterate for same-SCC
     members). *)
 

@@ -237,8 +237,6 @@ let c_incr_misses = Counter.make "incr_misses"
 let c_incr_invalidations = Counter.make "incr_invalidations"
 let c_incr_rechecked = Counter.make "incr_rechecked"
 let c_oom_injections = Counter.make "oom_injections"
-let c_ir_instrs = Counter.make "ir_instrs"
-let c_ir_blocks = Counter.make "ir_blocks"
 let c_tasks_stolen = Counter.make "tasks_stolen"
 let c_pool_reuses = Counter.make "pool_reuses"
 let c_summary_funcs = Counter.make "summary_funcs"

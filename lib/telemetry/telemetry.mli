@@ -196,13 +196,6 @@ val c_oom_injections : Counter.t
 (** Heap allocation requests forced to fail by the runtime checker's
     OOM fault-injection schedule. *)
 
-val c_ir_instrs : Counter.t
-(** Instructions emitted by the IR lowering pass (one tick per
-    instruction of each procedure the [+xproc] summary pass lowers). *)
-
-val c_ir_blocks : Counter.t
-(** Basic blocks built by the IR lowering pass. *)
-
 val c_tasks_stolen : Counter.t
 (** Per-procedure checking tasks a parallel worker claimed from another
     worker's range after draining its own (the work-stealing driver). *)

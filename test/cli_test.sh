@@ -552,9 +552,10 @@ sed -n 1p "$tmp/srv3" | grep -q '"tier":"cold"' || fail "corrupted cache must no
 # a cache from an older format (intact stamp: version 1; version 2 with
 # keys hashed from printed ASTs; version 4, whose keys miss the file's
 # block-scope declarations; version 5, whose results let a block-scope
-# declaration reach later bodies of its file) is ignored the same way:
-# the version mismatch warns and the first request runs cold
-for v in 1 2 4 5; do
+# declaration reach later bodies of its file; version 6, which also
+# embedded an interface library that nothing read) is ignored the same
+# way: the version mismatch warns and the first request runs cold
+for v in 1 2 4 5 6; do
   sed "1s/format [0-9]*/format $v/" "$tmp/cache.olc" > "$tmp/cache.v$v"
   head -1 "$tmp/cache.v$v" | grep -q "summary-cache format $v " \
     || fail "the version-$v cache fixture should carry format $v"
@@ -697,6 +698,19 @@ layout_reads=$(grep -rnE --include='*.ml' \
 [ -z "$layout_reads" ] \
   || { echo "$layout_reads" >&2; fail "code outside sema reads a Sema.program field: use Sema's queries"; }
 
+# --- no production code lowers a body --------------------------------------
+# The checker and the +xproc summary pass both walk the syntax tree.
+# lib/ir stays only for the benchmark's ir.lower replay (perfbench/) and
+# its golden tests (test/test_ir.ml), neither of which is scanned here.
+ir_deps=$(grep -nwH 'ir' "$ROOT"/lib/*/dune "$ROOT/bin/dune" \
+  | grep -v "^$ROOT/lib/ir/dune:")
+[ -z "$ir_deps" ] \
+  || { echo "$ir_deps" >&2; fail "a library or binary outside lib/ir depends on ir"; }
+ir_uses=$(grep -rnE --include='*.ml' --include='*.mli' '\bIr\.' \
+  "$ROOT/lib" "$ROOT/bin" | grep -v "^$ROOT/lib/ir/")
+[ -z "$ir_uses" ] \
+  || { echo "$ir_uses" >&2; fail "code outside lib/ir names Ir: walk the AST instead"; }
+
 # --- what sema reports while a body is checked, at every -j --------------
 # a block-scope redeclaration, and a type name only a closed block
 # declared, in a declaration and in a sizeof: the same lines
@@ -721,6 +735,19 @@ for j in 1 2; do
   expect_contains "$tmp/out" "blocktype.c:3,22: unknown type name 'T'" \
     "-j $j resolves the type operand of sizeof"
   expect_contains "$tmp/out" "2 code warnings" "-j $j unknown type summary"
+done
+
+# a loop body's report comes once, with or without +loopexec: the
+# fixpoint's exploratory rounds report to a collector they throw away
+cat > "$tmp/looptype.c" <<'EOF'
+void z(void) { typedef int ghost_t; }
+int h(void) { int i; for (i = 0; i < 3; i++) { ghost_t x; x = i; } return 0; }
+EOF
+for flag in "" "+loopexec"; do
+  "$OLCLINT" $flag "$tmp/looptype.c" > "$tmp/out" 2>&1
+  [ "$(grep -c "looptype.c:2,56: unknown type name 'ghost_t'" "$tmp/out")" = 1 ] \
+    || { cat "$tmp/out" >&2; fail "${flag:-default}: the loop body's unknown type name should be reported once"; }
+  expect_contains "$tmp/out" "1 code warning" "${flag:-default} loop type summary"
 done
 
 # --- one procedure, one check -----------------------------------------------

@@ -1202,6 +1202,27 @@ let test_do_at_least_once_loopexec () =
   Alcotest.(check bool) "do body analysed at least once under +loopexec" true
     (has_code r "usedef")
 
+(* what sema reports about a loop body is reported once, not once per
+   fixpoint round: an exploratory round checks against its own overlay
+   of the program, whose reports vanish with the round *)
+let test_loopexec_sema_reports_once () =
+  let src =
+    "void z(void) { typedef int ghost_t; }\n\
+     int h(void) { int i; for (i = 0; i < 3; i++) { ghost_t x; x = i; } \
+     return 0; }\n"
+  in
+  let lines flags =
+    List.map
+      (fun (d : Cfront.Diag.t) ->
+        Printf.sprintf "%d,%d: %s" d.Cfront.Diag.loc.Cfront.Loc.line
+          d.Cfront.Diag.loc.Cfront.Loc.col d.Cfront.Diag.text)
+      (check ~flags src).Check.reports
+  in
+  let expected = [ "2,56: unknown type name 'ghost_t'" ] in
+  Alcotest.(check (list string)) "default" expected (lines paper_flags);
+  Alcotest.(check (list string)) "+loopexec" expected
+    (lines { paper_flags with Flags.loop_exec = true })
+
 let loopexec_tests =
   [
     Alcotest.test_case "convergence within bound" `Quick
@@ -1217,6 +1238,8 @@ let loopexec_tests =
       test_do_body_release_default;
     Alcotest.test_case "do at-least-once (+loopexec)" `Quick
       test_do_at_least_once_loopexec;
+    Alcotest.test_case "sema reports once (+loopexec)" `Quick
+      test_loopexec_sema_reports_once;
   ]
 
 (* ------------------------------------------------------------------ *)

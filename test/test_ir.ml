@@ -1,4 +1,4 @@
-(* The flat checking IR the [+xproc] summary pass walks: golden
+(* The flat lowering kept for the benchmark's [ir.lower] replay: golden
    lowerings of the paper's figure programs.  The last group pins the
    checker's diagnostics on generated and figure programs; the pins were
    recorded when a second, IR-interpreting engine still existed and
