@@ -541,12 +541,12 @@ and step ctx (live : pstate list) (acc : flow list) (s : Ast.stmt) :
   let nexts conts = List.map (fun (st, _) -> Fnext st) conts in
   let each live acc (f : pstate -> flow list) =
     let flows = List.concat_map f live in
-    let nexts, others =
+    let going_on, others =
       List.partition_map
         (function Fnext s -> Either.Left s | f -> Either.Right f)
         flows
     in
-    (cap nexts, others @ acc)
+    (cap going_on, others @ acc)
   in
   match s.Ast.s with
   | Ast.Sskip -> (live, acc)
