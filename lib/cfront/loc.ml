@@ -19,7 +19,6 @@ let dummy = { file = "<none>"; line = 0; col = 0 }
 let is_dummy l = l.line = 0
 let make ~file ~line ~col = { file; line; col }
 let span l r = { l; r }
-let span_of_loc l = { l; r = l }
 
 (** [pp] prints in LCLint style: [file.c:LINE] or [file.c:LINE,COL].
     Column is omitted when 1 to match the paper's message excerpts. *)

@@ -19,7 +19,6 @@ val dummy : t
 val is_dummy : t -> bool
 val make : file:string -> line:int -> col:int -> t
 val span : t -> t -> span
-val span_of_loc : t -> span
 
 val pp : Format.formatter -> t -> unit
 (** LCLint style: [file.c:LINE] or [file.c:LINE,COL] (column omitted when

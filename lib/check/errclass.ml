@@ -14,18 +14,10 @@
     [usereleased] covers both a use after free and a double free (the
     second [free] is itself a use of released storage). *)
 
-(* Every class the run-time side can produce.  "bounds" and "bad-arg"
-   have no static witnesses: the Section-2 analysis does not track array
-   bounds, and bad-argument errors are interpreter-level typing
-   complaints. *)
-let all_classes =
-  [
-    "null-deref"; "use-undef"; "use-after-free"; "double-free";
-    "free-offset"; "free-static"; "leak"; "global-leak"; "bounds";
-    "bad-arg";
-  ]
-
-(** The run-time classes a kept diagnostic with this code witnesses. *)
+(** The run-time classes a kept diagnostic with this code witnesses.
+    The run-time classes "bounds" and "bad-arg" have no static
+    witnesses: the Section-2 analysis does not track array bounds, and
+    bad-argument errors are interpreter-level typing complaints. *)
 let of_code = function
   | "nullderef" | "nullpass" | "nullret" | "nullderive" | "globnull" ->
       [ "null-deref" ]
@@ -42,18 +34,6 @@ let of_code = function
   | "refcount" | "realloclost" ->
       [ "leak" ]
   | _ -> []
-
-(** The static codes that can witness a run-time class (the inverse
-    direction, for reporting). *)
-let codes_for cls =
-  List.filter
-    (fun code -> List.mem cls (of_code code))
-    [
-      "nullderef"; "nullpass"; "nullret"; "nullderive"; "globnull";
-      "usedef"; "compdef"; "usereleased"; "escapefree"; "freeoffset";
-      "freestatic"; "mustfree"; "onlytrans"; "branchstate"; "globstate";
-      "compdestroy"; "refcount"; "realloclost";
-    ]
 
 (** Does any kept diagnostic in [reports] witness run-time class [cls]
     in file [file]? *)

@@ -2,16 +2,9 @@
     which static diagnostic codes witness which run-time error classes
     (the vocabulary of [Rtcheck.Heap.error_class]). *)
 
-val all_classes : string list
-(** Every run-time error class, including the two leak classes and the
-    classes with no static witness (["bounds"], ["bad-arg"]). *)
-
 val of_code : string -> string list
 (** The run-time classes a kept diagnostic with this code witnesses
     (empty for codes with no run-time counterpart). *)
-
-val codes_for : string -> string list
-(** The static codes that can witness a run-time class. *)
 
 val witnessed : file:string -> cls:string -> Cfront.Diag.t list -> bool
 (** Does any diagnostic in the list witness class [cls] in [file]? *)

@@ -239,12 +239,6 @@ let drop_root st root =
     in
     { st with map }
 
-(** References rooted at [root] currently tracked. *)
-let refs_with_root st root =
-  Sref.Map.fold
-    (fun r s acc -> if Sref.mentions_root root r then (r, s) :: acc else acc)
-    st.map []
-
 (* ------------------------------------------------------------------ *)
 (* Confluence                                                          *)
 (* ------------------------------------------------------------------ *)

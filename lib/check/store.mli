@@ -82,8 +82,6 @@ val drop_root : t -> Sref.root -> t
     alias edges.  Returns the store physically unchanged when no binding
     mentions the root. *)
 
-val refs_with_root : t -> Sref.root -> (Sref.t * refstate) list
-
 (** A conflict discovered while merging two branches. *)
 type conflict =
   | Cdef of Sref.t * refstate * refstate

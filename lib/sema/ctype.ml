@@ -62,7 +62,6 @@ let su_tag t =
   match unroll t with Cstruct tag | Cunion tag -> Some tag | _ -> None
 
 let int_ = Cint (Iint Signed)
-let uint = Cint (Iint Unsigned)
 let char_ = Cint (Ichar Signed)
 let size_t = Cint (Ilong Unsigned)
 let charptr = Cptr char_

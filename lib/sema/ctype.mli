@@ -62,7 +62,6 @@ val is_aggregate : t -> bool
 val su_tag : t -> string option
 
 val int_ : t
-val uint : t
 val char_ : t
 val size_t : t
 val charptr : t
