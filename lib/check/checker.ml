@@ -239,13 +239,6 @@ let annots_of_ref env (r : Sref.t) : Annot.set =
 
 (* ---------------- [+xproc] summary consultation ------------------- *)
 
-(** Does this slot carry no explicit or inferred allocation annotation,
-    so an interprocedural summary may speak for it?  Explicit (and
-    inference-installed) annotations always win. *)
-let slot_unannotated (e : Sema.eannot) =
-  (e.Sema.alloc_implicit || e.Sema.an.Annot.an_alloc = None)
-  && not e.Sema.an.Annot.an_killref
-
 (** The callee's effect summary, when [+xproc] is on, the callee is
     defined, and a table was supplied. *)
 let summary_of_callee env (fs : Sema.funsig) : Summary.t option =
@@ -1746,7 +1739,7 @@ and call_known env st (fs : Sema.funsig) (args : Ast.expr list) ~loc :
                let sum_effect =
                  match callee_sum with
                  | Some sm
-                   when slot_unannotated p.Sema.pr_annots
+                   when Summary.slot_unannotated p.Sema.pr_annots
                         && i < Array.length sm.Summary.sm_params ->
                      Some sm.Summary.sm_params.(i)
                  | _ -> None
@@ -1782,7 +1775,7 @@ and call_known env st (fs : Sema.funsig) (args : Ast.expr list) ~loc :
     | None -> (
         match callee_sum with
         | Some sm
-          when slot_unannotated fs.Sema.fs_ret_annots
+          when Summary.slot_unannotated fs.Sema.fs_ret_annots
                && Ctype.is_pointer fs.Sema.fs_ret -> (
             match sm.Summary.sm_ret with
             | Summary.Ralias k ->

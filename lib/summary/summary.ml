@@ -219,18 +219,10 @@ type ctx = {
 (* Expressions                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let rec is_null_lit (e : Ast.expr) =
-  match e.Ast.e with
-  | Ast.Eint (0L, _) -> true
-  | Ast.Ecast (_, b) -> is_null_lit b
-  | _ -> false
-
 let is_global ctx st name =
   (not (SMap.mem name st.vars))
   && Option.is_some (Sema.find_global ctx.c_prog name)
 
-(** Does this slot carry no explicit or inferred allocation annotation
-    (so a summary may speak for it)?  Mirrors the checker's gate. *)
 let slot_unannotated (e : Sema.eannot) =
   (e.Sema.alloc_implicit || e.Sema.an.Annot.an_alloc = None)
   && not e.Sema.an.Annot.an_killref
@@ -348,11 +340,13 @@ and refine ctx st (c : Ast.expr) (sense : bool) : pstate =
       if sense then refine ctx (refine ctx st a true) b true else st
   | Ast.Ebinary (Ast.Blor, a, b) ->
       if sense then st else refine ctx (refine ctx st a false) b false
-  | Ast.Ebinary (Ast.Beq, a, b) when is_null_lit b -> refine_null ctx st a sense
-  | Ast.Ebinary (Ast.Beq, a, b) when is_null_lit a -> refine_null ctx st b sense
-  | Ast.Ebinary (Ast.Bne, a, b) when is_null_lit b ->
+  | Ast.Ebinary (Ast.Beq, a, b) when Ast.is_null_constant b ->
+      refine_null ctx st a sense
+  | Ast.Ebinary (Ast.Beq, a, b) when Ast.is_null_constant a ->
+      refine_null ctx st b sense
+  | Ast.Ebinary (Ast.Bne, a, b) when Ast.is_null_constant b ->
       refine_null ctx st a (not sense)
-  | Ast.Ebinary (Ast.Bne, a, b) when is_null_lit a ->
+  | Ast.Ebinary (Ast.Bne, a, b) when Ast.is_null_constant a ->
       refine_null ctx st b (not sense)
   | _ -> (
       (* a bare pointer test: if (p) / while (p) *)

@@ -100,6 +100,12 @@ val refresh :
     summaries are no longer {!equal} to their previous ones.  Ticks the
     [summary_*] counters for the re-solved functions only. *)
 
+val slot_unannotated : Sema.eannot -> bool
+(** Does this slot carry no explicit or inferred allocation annotation,
+    so a summary may speak for it?  Explicit (and inference-installed)
+    annotations always win: the checker consults a summary only at such
+    a slot, and this pass summarizes only such a slot. *)
+
 val render : t -> string
 (** Stable one-line rendering, the [--dump-summaries] format:
     [name: params=[tok,...] ret=tok] with optional [retnull] / [globesc]

@@ -300,6 +300,19 @@ let test_path_cap () =
       ("nested", "nested: params=[-,-] ret=-");
     ]
 
+let test_null_guards () =
+  check_rendered
+    "void by_zero(char *r) { if (r != 0) free(r); }\n\
+     void by_null(char *r) { if (r != NULL) free(r); }\n\
+     void by_cast(char *r) { if ((char *) 0 == r) ; else free(r); }\n"
+    [
+      (* a release guarded by a null test releases on every path where
+         the parameter is non-null, whichever spelling the test uses *)
+      ("by_zero", "by_zero: params=[rel] ret=-");
+      ("by_null", "by_null: params=[rel] ret=-");
+      ("by_cast", "by_cast: params=[rel] ret=-");
+    ]
+
 let test_goto_is_top () =
   check_rendered
     "void jump(char *r) { goto out; out: free(r); }\n\
@@ -328,6 +341,7 @@ let () =
           Alcotest.test_case "labels and empty statements" `Quick
             test_labels_and_empty;
           Alcotest.test_case "path cap" `Quick test_path_cap;
+          Alcotest.test_case "null guards" `Quick test_null_guards;
           Alcotest.test_case "goto is top" `Quick test_goto_is_top;
         ] );
       ( "propagation",
