@@ -15,20 +15,21 @@
       service still holds answers the path after one [stat], without
       opening the file, once the stamp is outside the racy window
       ([racy_margin]).
-    - [fns]: per-function summaries keyed by (defining file, name).  An
-      entry pins the checked AST object, the funsig hash of the function
-      and of each direct callee, under [+xproc] each direct callee's
-      effect-summary hash, the type-environment hash and the canonical
-      flag string; it is valid while all of those still hold.
-      [order] indexes the current entries in definition order, which is
-      the order {!assemble} reads them in.
+    - [fns]: per-function results keyed by (defining file, name).  An
+      entry pins the checked AST object, its direct callees, and the
+      string {!render_deps} gave for it when it was checked: everything
+      besides the body that the result depends on.  It is valid while
+      the body is the same and that string renders the same now; the
+      string with the body's digest is also its content key.  [order]
+      indexes the current entries in definition order, which is the
+      order {!assemble} reads them in.
     - [summaries]: under [+xproc], the effect summaries of [env] with the
       call graph they were solved over.  A Patched request refreshes
       them for the bodies it swapped in ({!Summary.refresh}); every
       other tier solves them again.  [summary_hashes] holds their hashes
-      for the entries' callee-summary comparison.
+      for {!render_deps}.
     - [persisted]: content-key → diagnostics, loaded from a {!save}d
-      artifact; a miss whose full content key is present here adopts the
+      artifact; a miss whose content key is present here adopts the
       stored diagnostics instead of re-checking.
 
     Every hash above (funsig, type environment, body) is a structural
@@ -43,13 +44,13 @@
       structurally identical (declarations and function headers equal
       including locations; only bodies differ).  The new bodies are
       patched into the persistent environment with {!Sema.patch_fundef};
-      unchanged functions keep their entries by generation, dirty ones
-      are dropped and re-checked.  No re-parse of unchanged files, no
-      re-sema of anything.
+      dirty ones are dropped and re-checked, and only the callers of a
+      function whose [+xproc] summary moved are validated again.  No
+      re-parse of unchanged files, no re-sema of anything.
     - {e Rebuilt}: an interface, the file list or the flag set changed.
       The environment is rebuilt (unchanged files reuse cached ASTs so
       only changed files re-parse) and every function revalidates
-      against the new funsig/type-env hashes — a funsig edit therefore
+      against its dependencies rendered anew — a funsig edit therefore
       re-checks exactly the edited function and the functions that call
       it.
 
@@ -71,18 +72,10 @@ module J = Telemetry.Json
 type doc = { doc_name : string; doc_text : string }
 
 type fn_entry = {
-  mutable fn_fd : Ast.fundef;  (** the AST object the summary is for *)
-  fn_sig_hash : string;
-  fn_callees : (string * string) list;  (** direct callee → funsig hash *)
-  fn_callee_sums : (string * string) list;
-      (** direct callee → effect-summary hash; populated only under
-          [+xproc], where a callee {e body} edit that changes the
-          callee's derived effects must re-check this caller even though
-          the callee's declared signature is unchanged *)
-  fn_flags_canon : string;
-  fn_typeenv_hash : string;
+  mutable fn_fd : Ast.fundef;  (** the AST object the result is for *)
+  fn_calls : string list;  (** its direct callees, {!Sema.calls_of_fundef} *)
+  fn_deps : string;  (** {!render_deps} when it was checked *)
   fn_diags : Diag.t list;  (** raw checker output, unsorted, unsuppressed *)
-  mutable fn_gen : int;  (** generation of the last validation *)
 }
 
 type file_entry = {
@@ -131,7 +124,7 @@ type t = {
       (** function → effect-summary hash; brought up to date at the top
           of every revalidation when [+xproc] is on, empty otherwise *)
   mutable typeenv_hash : string;
-  mutable gen : int;
+  mutable gen : int;  (** environments built *)
   persisted : (string, string * string * Diag.t list) Hashtbl.t;
       (** content key → (file, fn, diagnostics) *)
   mutable n_hits : int;
@@ -326,64 +319,64 @@ let typeenv_fingerprint (env : Sema.program) =
   in
   digest_of (structs, typedefs, globals, Sema.enum_consts env)
 
-let callee_hash t name =
-  match Hashtbl.find_opt t.sig_hashes name with Some h -> h | None -> "?"
-
-let callee_summary_hash t name =
-  match Hashtbl.find_opt t.summary_hashes name with Some h -> h | None -> "?"
-
 let cache_kind = "summary-cache"
 let cache_version = 7
+let version_line = string_of_int cache_version ^ "\n"
 
-(* The function's own funsig hash: the current generation's, or derived
-   afresh for a function the table does not know. *)
-let own_sig_hash t (fs : Sema.funsig) =
-  match Hashtbl.find_opt t.sig_hashes fs.Sema.fs_name with
-  | Some h -> h
-  | None -> funsig_hash fs
-
-(* The full content key of one function result — the on-disk identity.
-   It covers every input the checker reads for this function: the cache
-   format itself, the flag set, the type environment, the function's
-   own signature, its callees' signatures, and the exact body (the
-   structural digest of the AST with its locations, so even a pure
-   reformat that moves lines gets a fresh key — diagnostics carry line
-   numbers).  A body's own declarations are part of the body, and no
-   other body's are in force while it is checked. *)
-let full_key t (fs : Sema.funsig) (fd : Ast.fundef) =
-  let calls = Sema.calls_of_fundef fd in
-  let b = Buffer.create 512 in
-  Buffer.add_string b (string_of_int cache_version);
-  Buffer.add_char b '\n';
+(* Everything the result of checking one function depends on besides its
+   body, rendered into [b] (cleared first): the cache format itself, the
+   flag set, the type environment, the function's own signature, the
+   signatures of [calls] (its direct callees) and, under [+xproc] only,
+   their derived effect summaries, which the checker reads there.  A
+   body's own declarations are part of the body, and no other body's are
+   in force while it is checked.  An entry stores this string and is
+   valid while it renders the same; with the body it makes the content
+   key ({!content_key}). *)
+let render_deps b t (fs : Sema.funsig) calls =
+  let hash tbl name =
+    match Hashtbl.find_opt tbl name with Some h -> h | None -> "?"
+  in
+  let callees sep tbl =
+    List.iter
+      (fun c ->
+        Buffer.add_string b c;
+        Buffer.add_char b sep;
+        Buffer.add_string b (hash tbl c);
+        Buffer.add_char b ';')
+      calls;
+    Buffer.add_char b '\n'
+  in
+  Buffer.clear b;
+  Buffer.add_string b version_line;
   Buffer.add_string b t.flags_canon;
   Buffer.add_char b '\n';
   Buffer.add_string b t.typeenv_hash;
   Buffer.add_char b '\n';
-  Buffer.add_string b (own_sig_hash t fs);
+  Buffer.add_string b
+    (match Hashtbl.find_opt t.sig_hashes fs.Sema.fs_name with
+    | Some h -> h
+    | None -> funsig_hash fs);
   Buffer.add_char b '\n';
-  List.iter
-    (fun c ->
-      Buffer.add_string b c;
-      Buffer.add_char b '=';
-      Buffer.add_string b (callee_hash t c);
-      Buffer.add_char b ';')
-    calls;
-  Buffer.add_char b '\n';
-  (* [+xproc] only: the checker additionally reads the callees' derived
-     effect summaries, so they join the content key.  Gated on the flag
-     so that no other key depends on a summary. *)
-  if t.flags.Flags.xproc then begin
-    List.iter
-      (fun c ->
-        Buffer.add_string b c;
-        Buffer.add_char b '!';
-        Buffer.add_string b (callee_summary_hash t c);
-        Buffer.add_char b ';')
-      calls;
-    Buffer.add_char b '\n'
-  end;
-  Buffer.add_string b (digest_of fd);
-  hex (Buffer.contents b)
+  callees '=' t.sig_hashes;
+  if t.flags.Flags.xproc then callees '!' t.summary_hashes
+
+(* One buffer per domain for {!render_deps}: an entry validated in place
+   allocates nothing. *)
+let deps_buffer = Domain.DLS.new_key (fun () -> Buffer.create 1024)
+
+(* Does [b] hold exactly [s]? *)
+let holds b s =
+  let n = String.length s in
+  let rec from i =
+    i = n || (Char.equal (Buffer.nth b i) s.[i] && from (i + 1))
+  in
+  Buffer.length b = n && from 0
+
+(* The content key of one function result — the on-disk identity: its
+   dependencies ({!render_deps}) and the exact body (the structural
+   digest of the AST with its locations, so even a pure reformat that
+   moves lines gets a fresh key — diagnostics carry line numbers). *)
+let content_key deps (fd : Ast.fundef) = hex (deps ^ digest_of fd)
 
 (* ------------------------------------------------------------------ *)
 (* Structural interface comparison (the Patched-tier gate)             *)
@@ -484,47 +477,42 @@ let commit_env t ~flags ~canon env base_pragmas new_files docs =
 
 let fn_id (fs : Sema.funsig) = (fs.Sema.fs_loc.Loc.file, fs.Sema.fs_name)
 
-let entry_valid t (e : fn_entry) (fs : Sema.funsig) (fd : Ast.fundef) =
-  (e.fn_fd == fd || Ast.equal_fundef e.fn_fd fd)
-  && String.equal e.fn_flags_canon t.flags_canon
-  && String.equal e.fn_typeenv_hash t.typeenv_hash
-  && (match Hashtbl.find_opt t.sig_hashes fs.Sema.fs_name with
-     | Some h -> String.equal h e.fn_sig_hash
-     | None -> false)
-  && List.for_all
-       (fun (c, h) -> String.equal h (callee_hash t c))
-       e.fn_callees
-  && List.for_all
-       (fun (c, h) -> String.equal h (callee_summary_hash t c))
-       e.fn_callee_sums
+(* Validate the cached result of [fd]: [Ok e] when entry [e] is for the
+   same body and its dependencies render now ({!render_deps}) as they
+   did when it was checked; otherwise [Error (calls, deps)], the callees
+   and dependencies a new entry for [fd] is made with. *)
+let entry_valid t (fs : Sema.funsig) (fd : Ast.fundef) =
+  let b = Domain.DLS.get deps_buffer in
+  let same =
+    match Hashtbl.find_opt t.fns (fn_id fs) with
+    | Some e when e.fn_fd == fd || Ast.equal_fundef e.fn_fd fd -> Some e
+    | _ -> None
+  in
+  (* an entry for the same body knows its callees *)
+  let calls =
+    match same with Some e -> e.fn_calls | None -> Sema.calls_of_fundef fd
+  in
+  render_deps b t fs calls;
+  match same with
+  | Some e when holds b e.fn_deps -> Ok e
+  | _ -> Error (calls, Buffer.contents b)
 
-let make_entry t (fs : Sema.funsig) (fd : Ast.fundef) diags =
-  let calls = Sema.calls_of_fundef fd in
-  {
-    fn_fd = fd;
-    fn_sig_hash = own_sig_hash t fs;
-    fn_callees = List.map (fun c -> (c, callee_hash t c)) calls;
-    fn_callee_sums =
-      (if t.flags.Flags.xproc then
-         List.map (fun c -> (c, callee_summary_hash t c)) calls
-       else []);
-    fn_flags_canon = t.flags_canon;
-    fn_typeenv_hash = t.typeenv_hash;
-    fn_diags = diags;
-    fn_gen = t.gen;
-  }
+let add_entry t ((fs : Sema.funsig), fd, calls, deps) diags =
+  Hashtbl.replace t.fns (fn_id fs)
+    { fn_fd = fd; fn_calls = calls; fn_deps = deps; fn_diags = diags }
 
 (* [+xproc]: bring the effect summaries and their hashes up to date.
    [patched] holds the definitions a Patched request swapped in; only
    their components and the callers their new summaries reach are
    re-solved and re-hashed.  Every other tier solves from scratch.
-   Returns the table and whether any summary hash may have moved. *)
+   Returns the table and [Some] the names whose summary hash may have
+   moved, or [None] when any may have. *)
 let update_summaries t env ~patched =
   if not t.flags.Flags.xproc then begin
     t.summaries <- None;
     if Hashtbl.length t.summary_hashes > 0 then
       t.summary_hashes <- Hashtbl.create 256;
-    (None, false)
+    (None, Some [])
   end
   else
     match (patched, t.summaries) with
@@ -536,7 +524,7 @@ let update_summaries t env ~patched =
             Hashtbl.replace t.summary_hashes name
               (Summary.hash (Hashtbl.find tbl name)))
           changed;
-        (Some tbl, changed <> [])
+        (Some tbl, Some changed)
     | _ ->
         let sol = Summary.solve env in
         let tbl = Summary.table sol in
@@ -546,7 +534,7 @@ let update_summaries t env ~patched =
           tbl;
         t.summaries <- Some sol;
         t.summary_hashes <- hashes;
-        (Some tbl, true)
+        (Some tbl, None)
 
 (* Validate every function of the environment against the cache (on
    the Patched fast path, only the swapped-in bodies); adopt persisted
@@ -555,24 +543,32 @@ let update_summaries t env ~patched =
    pool; bring [t.order] up to date.  [patched] holds the bodies a
    Patched request swapped in.  Returns (hits, misses, rechecked). *)
 let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
-  (* summaries first: validation below compares cached callee-summary
-     hashes against them, so a callee body edit that changes the
+  (* summaries first: the dependencies of a caller under [+xproc] name
+     its callees' summary hashes, so a callee body edit that changes the
      callee's derived effects (with an unchanged declared signature)
      invalidates its cached callers *)
   let summaries, moved = update_summaries t env ~patched in
   let all_pairs = Sema.fundefs env in
-  (* a Patched request whose summaries did not move dropped exactly the
+  (* a Patched request changed no interface and dropped exactly the
      entries of the bodies it swapped in; every other function keeps its
-     current-generation entry, in its slot of [t.order] (the invariant
-     the Clean tier relies on), so only those bodies, found with their
-     positions, need validating *)
+     entry, in its slot of [t.order] (the invariant the Clean tier
+     relies on), and its dependencies render the same unless a callee's
+     summary moved.  So only those bodies and the callers of a moved
+     summary, found with their positions, need validating *)
   let slots =
-    match patched with
-    | Some dirty when not moved ->
+    match (patched, moved) with
+    | Some dirty, Some moved ->
+        let moved_set = Hashtbl.create 16 in
+        List.iter (fun name -> Hashtbl.replace moved_set name ()) moved;
+        let stale i fd =
+          List.memq fd dirty
+          || (moved <> []
+             && List.exists (Hashtbl.mem moved_set) t.order.(i).fn_calls)
+        in
         let rec find i = function
           | [] -> []
           | ((_, fd) as pair) :: rest ->
-              if List.memq fd dirty then (i, pair) :: find (i + 1) rest
+              if stale i fd then (i, pair) :: find (i + 1) rest
               else find (i + 1) rest
         in
         Some (find 0 all_pairs)
@@ -584,32 +580,16 @@ let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
   let hits = ref (List.length all_pairs - List.length pairs)
   and misses = ref 0 in
   let miss_list =
-    List.filter
+    List.filter_map
       (fun ((fs : Sema.funsig), fd) ->
-        (* current-generation entries skip full validation, but not the
-           summary comparison when a summary moved: a Patched-tier body
-           edit leaves the generation alone yet can change a callee's
-           derived effects, which must dirty its cached callers under
-           [+xproc].  Until a hash moves, every current entry still
-           holds the hashes it was last validated against. *)
-        let sums_current (e : fn_entry) =
-          (not moved)
-          || List.for_all
-               (fun (c, h) -> String.equal h (callee_summary_hash t c))
-               e.fn_callee_sums
-        in
-        match Hashtbl.find_opt t.fns (fn_id fs) with
-        | Some e when e.fn_gen = t.gen && sums_current e ->
-            incr hits;
-            false
-        | Some e when entry_valid t e fs fd ->
-            e.fn_gen <- t.gen;
+        match entry_valid t fs fd with
+        | Ok e ->
             e.fn_fd <- fd;
             incr hits;
-            false
-        | _ ->
+            None
+        | Error (calls, deps) ->
             incr misses;
-            true)
+            Some (fs, fd, calls, deps))
       pairs
   in
   (* a miss whose content key is in the persisted cache adopts the
@@ -619,10 +599,10 @@ let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
       (if Hashtbl.length t.persisted = 0 then miss_list
        else
          List.filter
-           (fun (fs, fd) ->
-             match Hashtbl.find_opt t.persisted (full_key t fs fd) with
+           (fun ((_, fd, _, deps) as miss) ->
+             match Hashtbl.find_opt t.persisted (content_key deps fd) with
              | Some (_, _, diags) ->
-                 Hashtbl.replace t.fns (fn_id fs) (make_entry t fs fd diags);
+                 add_entry t miss diags;
                  incr hits;
                  decr misses;
                  false
@@ -633,16 +613,12 @@ let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
      its own overlay *)
   let results =
     Parcheck.map_tasks ~jobs (Array.length to_check) (fun i ->
-        let fs, fd = to_check.(i) in
+        let fs, fd, _, _ = to_check.(i) in
         let diags = Diag.Collector.create () in
         Check.Checker.check_fundef ~diags ?summaries env fs fd;
         Diag.Collector.all diags)
   in
-  Array.iteri
-    (fun i diags ->
-      let fs, fd = to_check.(i) in
-      Hashtbl.replace t.fns (fn_id fs) (make_entry t fs fd diags))
-    results;
+  Array.iteri (fun i diags -> add_entry t to_check.(i) diags) results;
   (* every function now has its current entry in [t.fns] *)
   let entry (fs : Sema.funsig) = Hashtbl.find t.fns (fn_id fs) in
   (match slots with
@@ -950,16 +926,16 @@ let save t =
             ]));
     Buffer.add_char b '\n'
   in
-  (* live entries first (recomputing their content keys), then any
-     still-unsuperseded adopted records: caches accumulate *)
+  (* live entries first, then any still-unsuperseded adopted records:
+     caches accumulate *)
   let written = Hashtbl.create 256 in
   (match t.env with
   | Some env ->
       List.iter
-        (fun ((fs : Sema.funsig), fd) ->
+        (fun ((fs : Sema.funsig), _) ->
           match Hashtbl.find_opt t.fns (fn_id fs) with
-          | Some e when e.fn_gen = t.gen ->
-              let key = full_key t fs fd in
+          | Some e ->
+              let key = content_key e.fn_deps e.fn_fd in
               if not (Hashtbl.mem written key) then begin
                 Hashtbl.add written key ();
                 record key (fst (fn_id fs)) fs.Sema.fs_name e.fn_diags

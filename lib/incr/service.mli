@@ -12,11 +12,15 @@
       new bodies are patched into the environment ({!Sema.patch_fundef})
       without re-running sema at all;
     - {b per-function check results} keyed by the function's body
-      identity, its own funsig hash, the funsig hashes of its direct
-      callees, the type-environment hash and the canonicalized flag set
-      ({!Annot.Flags.canonical}) — so a body edit re-checks one
-      function, and a funsig change re-checks the function plus its
-      annotation-dependent callers, and nothing else.
+      identity and one rendering of everything else the result depends
+      on: the canonicalized flag set ({!Annot.Flags.canonical}), the
+      type-environment hash, its own funsig hash, the funsig hashes of
+      its direct callees and, under [+xproc], their effect-summary
+      hashes — so a body edit re-checks one function, and a funsig
+      change re-checks the function plus its annotation-dependent
+      callers, and nothing else.  The same rendering with the body's
+      digest is the content key {!save} writes and a restarted service
+      adopts by.
 
     Each miss is re-checked on its own by {!Check.Checker.check_fundef},
     as the cold drivers check every body, on the {!Parcheck.map_tasks}
@@ -130,9 +134,10 @@ val stats : t -> (string * int) list
 (** Cumulative service statistics, sorted by name: [incr_hits],
     [incr_misses], [incr_invalidations], [incr_rechecked] (mirroring the
     telemetry counters, but maintained even when telemetry is off) plus
-    gauges ([files], [functions], [entries], [persisted],
-    [generation]) and [doc_reads], the number of {!doc_of_file} calls
-    with [current] that read the file's bytes. *)
+    gauges ([files], [functions], [entries], [persisted]),
+    [generation], the number of environments built, and [doc_reads],
+    the number of {!doc_of_file} calls with [current] that read the
+    file's bytes. *)
 
 (** {1 Inspection} *)
 
@@ -156,8 +161,8 @@ val summaries : t -> Summary.table option
 
 val summary_hashes : t -> (string * string) list
 (** Function → {!Summary.hash} of its summary, sorted by name: the
-    hashes the cache compares callers' recorded callee summaries
-    against (empty without [+xproc]). *)
+    hashes a caller's cached result depends on (empty without
+    [+xproc]). *)
 
 (** {1 Content keys} *)
 

@@ -716,7 +716,7 @@ let patch_fundef p (f : Ast.fundef) : bool =
 (** Names appearing in direct-call position ([f(...)] with [f] an
     identifier) anywhere in a function body, in first-occurrence order.
     The checker uses this to decide whether a procedure's messages depend
-    on inferred annotations; {!Infer}'s call graph is built from it. *)
+    on inferred annotations; [Summary.Callgraph] is built from it. *)
 let calls_of_fundef (f : Ast.fundef) : string list =
   let seen = Hashtbl.create 16 in
   let acc = ref [] in

@@ -214,4 +214,5 @@ val patch_fundef : program -> Cfront.Ast.fundef -> bool
 
 val calls_of_fundef : Cfront.Ast.fundef -> string list
 (** Names in direct-call position anywhere in the body, first-occurrence
-    order (the edge set of {!Infer}'s call graph). *)
+    order: the edge set of [Summary.Callgraph], and the callees whose
+    signatures and summaries an incremental cache entry depends on. *)

@@ -734,6 +734,87 @@ let test_persistence_removed_declaration () =
   restart_like_cold ~what:"interface edit" ~base:with_decl
     ~target:removed_and_retyped ~rechecked:1
 
+(* The functions [f] checks, by (file, name), read off the
+   per-procedure check spans, with [f]'s result. *)
+let checked_by f =
+  Telemetry.set_enabled true;
+  Telemetry.reset ();
+  let result =
+    Fun.protect ~finally:(fun () -> Telemetry.set_enabled false) f
+  in
+  let rec checked spans =
+    List.concat_map
+      (fun (sp : Telemetry.span) ->
+        (if sp.Telemetry.sp_name = Telemetry.phase_check then
+           [
+             ( Option.get sp.Telemetry.sp_file,
+               Option.get sp.Telemetry.sp_label );
+           ]
+         else [])
+        @ checked sp.Telemetry.sp_children)
+      spans
+  in
+  let names = List.sort compare (checked (Telemetry.spans ())) in
+  Telemetry.reset ();
+  (result, names)
+
+(* One live service takes a sequence of edits.  Before each, a second
+   service is restarted from the cache the live one saved: given the
+   edited documents, it must re-check exactly the functions the live
+   one re-checks ([want] of them), and answer the same, as a cold check
+   does. *)
+let test_persistence_restart_agrees () =
+  let files = base_files @ xproc_files in
+  let steps =
+    [
+      ("body edit", [], edit "b.c" "return v;" "return v + 1;", 1);
+      (* the function and its two callers *)
+      ( "funsig edit",
+        [],
+        edit "a.c" "/*@only@*/ rec *rec_create" "rec *rec_create",
+        3 );
+      ("struct edit", [], edit "a.c" "{ int v;" "{ int v; int extra;", 7);
+      ("flag change", [ "-null" ], Fun.id, 7);
+      ("+xproc on", [ "+xproc" ], Fun.id, 7);
+      (* the callee and the caller its moved summary reaches *)
+      ( "+xproc callee body edit",
+        [ "+xproc" ],
+        edit "h.c" "free(r);" "r[0] = 0;",
+        2 );
+    ]
+  in
+  let live = Service.create ~flags () in
+  ignore (run live files);
+  ignore
+    (List.fold_left
+       (fun files (what, flag_args, change, want) ->
+         let target = change files in
+         let restarted = Service.create ~flags () in
+         (match Service.load restarted (Service.save live) with
+         | Ok _ -> ()
+         | Error msg -> Alcotest.failf "%s: load: %s" what msg);
+         let oc, live_checked =
+           checked_by (fun () -> run ~flag_args live target)
+         in
+         let oc', restart_checked =
+           checked_by (fun () -> run ~flag_args restarted target)
+         in
+         Alcotest.(check (list (pair string string)))
+           (what ^ ": same functions re-checked")
+           live_checked restart_checked;
+         Alcotest.(check (pair int int))
+           (what ^ ": re-checks")
+           (want, want)
+           (oc.Service.oc_rechecked, List.length live_checked);
+         Alcotest.(check (list string))
+           (what ^ ": same answer") (render oc) (render oc');
+         Alcotest.(check (list string))
+           (what ^ ": same as cold")
+           (render (run ~flag_args (Service.create ~flags ()) target))
+           (render oc);
+         target)
+       files steps)
+
 let test_persistence_rejects_corruption () =
   let svc = Service.create ~flags () in
   ignore (run svc base_files);
@@ -1509,6 +1590,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_persistence_roundtrip;
           Alcotest.test_case "removed declaration" `Quick
             test_persistence_removed_declaration;
+          Alcotest.test_case "restart agrees with the live service" `Quick
+            test_persistence_restart_agrees;
           Alcotest.test_case "corruption rejected" `Quick
             test_persistence_rejects_corruption;
           Alcotest.test_case "summaries marker scan" `Quick
