@@ -1591,6 +1591,13 @@ let incr_exp () =
      fresh service by >100x, and match it byte for byte.  Returns the
      warm service, the reference service, outcome and time, and the
      figures for BENCH_incr.json ([xproc_]-prefixed under +xproc). *)
+  (* each timed request starts from a collected heap, outside the timed
+     region: where the previous request left the minor heap would
+     otherwise move the speedup and restart gates *)
+  let time f =
+    Gc.full_major ();
+    time f
+  in
   let jobs = 4 in
   let body_edit ~xproc =
     let flags = { flags with Annot.Flags.xproc } in
