@@ -235,6 +235,118 @@ let test_infer_annotated_source_stable () =
     outcome.Infer.out_findings
 
 (* ------------------------------------------------------------------ *)
+(* Probe cost                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* One allocating constructor: round 1 accepts annotations and, after
+   the last acceptance, rejects the candidates left; round 2 proposes
+   those again under the same installed signatures and accepts nothing. *)
+let one_fn_src =
+  "char *dup(char *s, int n)\n\
+   {\n\
+  \  char *r = (char *) malloc(n);\n\
+  \  if (r == NULL) { exit(1); }\n\
+  \  *r = *s;\n\
+  \  return r;\n\
+   }\n"
+
+(* A mutually recursive pair whose widening retracts an annotation:
+   [f] gains [notnull] on its return while [g]'s return is unannotated,
+   then [g] gains [null], which makes both of [f]'s [return g(..)]
+   complain; the component then checks worse than it began, so [g]'s
+   [null] is retracted.  [h], a component of its own after the pair,
+   ends its run with rejected candidates. *)
+let retract_src =
+  "char *g(int k);\n\
+   char *f(int k)\n\
+   {\n\
+  \  char *r;\n\
+  \  if (k > 0) { return g(k - 1); }\n\
+  \  if (k < -5) { return g(k + 1); }\n\
+  \  r = (char *) malloc(4);\n\
+  \  if (r == NULL) { exit(1); }\n\
+  \  *r = 'a';\n\
+  \  return r;\n\
+   }\n\
+   char *g(int k)\n\
+   {\n\
+  \  char *r;\n\
+  \  if (k > 5) { return f(k - 1); }\n\
+  \  r = (char *) malloc(4);\n\
+  \  if (r == NULL) { return NULL; }\n\
+  \  *r = 'b';\n\
+  \  return r;\n\
+   }\n\
+   char h(char *p) { return *p; }\n"
+
+(* Functions named as in [retract_src] whose candidates that program
+   rejects hold here. *)
+let reuse_src =
+  "void h(char *p) { *p = 'x'; }\n\
+   char *g(int k) { char *r = (char *) malloc(4); \
+   if (r == NULL) { return NULL; } *r = 'd'; return r; }\n"
+
+let finding_strings (o : Infer.outcome) =
+  List.map
+    (fun (fd : Infer.finding) ->
+      Printf.sprintf "%s %s %s" fd.Infer.fd_fun
+        (Infer.show_slot fd.Infer.fd_slot)
+        fd.Infer.fd_word)
+    o.Infer.out_findings
+
+(* Run inference on a fresh program of [src] with telemetry on; return
+   the outcome and how many checker runs it made. *)
+let infer_counting ?max_rounds src =
+  let prog = program src in
+  Telemetry.set_enabled true;
+  Telemetry.reset ();
+  let o =
+    Fun.protect
+      ~finally:(fun () -> Telemetry.set_enabled false)
+      (fun () -> Infer.run ?max_rounds prog)
+  in
+  (o, Telemetry.Counter.value Telemetry.c_infer_summaries)
+
+let test_repeated_probe_no_check () =
+  let first, round1_checks = infer_counting ~max_rounds:1 one_fn_src in
+  Alcotest.(check bool)
+    "round 1 accepts and rejects" true
+    (first.Infer.out_findings <> []
+    && first.Infer.out_probes > List.length first.Infer.out_findings);
+  let o, checks = infer_counting one_fn_src in
+  Alcotest.(check int) "round 2 runs no check" round1_checks checks;
+  Alcotest.(check (list string))
+    "findings"
+    [ "dup Sret only"; "dup (Sparam 0) notnull"; "dup Sret notnull" ]
+    (finding_strings o);
+  Alcotest.(check int) "probes" 7 o.Infer.out_probes;
+  Alcotest.(check int) "rounds" 2 o.Infer.out_rounds
+
+(* What one run learns about rejected candidates must not reach the
+   next: each program below, inferred after the other in one process,
+   gives the findings a fresh process gives.  [reuse_src]'s first probe
+   is [out] on [h]'s parameter, which [retract_src] rejects. *)
+let test_memo_cleared () =
+  let check_retract () =
+    let o, _ = infer_counting retract_src in
+    Alcotest.(check (list string))
+      "retract_src findings"
+      [ "f Sret only"; "f Sret notnull"; "h (Sparam 0) notnull" ]
+      (finding_strings o);
+    Alcotest.(check (pair int int)) "retract_src probes, rounds" (11, 4)
+      (o.Infer.out_probes, o.Infer.out_rounds)
+  in
+  check_retract ();
+  let o, _ = infer_counting reuse_src in
+  Alcotest.(check (list string))
+    "reuse_src findings"
+    [ "h (Sparam 0) out"; "h (Sparam 0) notnull"; "g Sret null" ]
+    (finding_strings o);
+  Alcotest.(check (pair int int)) "reuse_src probes, rounds" (6, 4)
+    (o.Infer.out_probes, o.Infer.out_rounds);
+  check_retract ()
+
+(* ------------------------------------------------------------------ *)
 (* Annotation stripping                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -342,6 +454,13 @@ let () =
           Alcotest.test_case "diags stamped" `Quick test_infer_diags_stamped;
           Alcotest.test_case "annotated source stable" `Quick
             test_infer_annotated_source_stable;
+        ] );
+      ( "probe cost",
+        [
+          Alcotest.test_case "a repeated probe runs no check" `Quick
+            test_repeated_probe_no_check;
+          Alcotest.test_case "memo cleared between runs" `Quick
+            test_memo_cleared;
         ] );
       ( "strip",
         [
