@@ -179,22 +179,41 @@ let summarize (prog : Sema.program) (bodies : (string, Ast.fundef) Hashtbl.t)
         prog fs f;
       (Diag.Collector.all scratch, List.rev !exits)
 
-(* Summaries of the CURRENT installed-signature state, by function name.
-   Probing re-derives the baseline summary of a function for every
-   candidate it tries; within one SCC round that baseline only changes
-   when a candidate is accepted (the annotated signature stays
-   installed) or the widening pass reinstalls signatures — so the cache
-   is filled lazily and reset wholesale on either event.  [try_cand]'s
-   temporary installs bypass it.  This roughly halves the checker runs
-   of [run] without changing any acceptance decision. *)
-type summary_cache = (string, Diag.t list * Check.Checker.exit_info list) Hashtbl.t
+(* What the engine knows about the CURRENT installed signatures.  A
+   check never writes the program, so a function's summary and a
+   candidate's verdict depend only on the body and the signatures
+   installed when they were computed.  Those change only when a
+   candidate is accepted (the annotated signature stays installed) or
+   the widening pass reinstalls signatures, and the memo is emptied on
+   either event ({!forget}).
 
-let summarize_cached (cache : summary_cache) prog bodies name =
-  match Hashtbl.find_opt cache name with
+   - [summaries]: each function's summary, the baseline of every probe
+     of it.  Filled lazily, and after an acceptance with the accepted
+     probe's own check, which ran under exactly the signatures that stay
+     installed.  [try_cand]'s other temporary installs bypass it.
+   - [rejected]: the (function, slot, word) candidates rejected since
+     the memo was last emptied.  A later round proposes each of them
+     again; {!apply_cand} reads only the slot and the word, so the
+     verdict is known and no check runs.
+
+   One memo lives for one {!run}: a probe is a candidate decision,
+   and [infer_summaries] counts the checker runs, which only the
+   decisions not already known cost. *)
+type memo = {
+  summaries : (string, Diag.t list * Check.Checker.exit_info list) Hashtbl.t;
+  rejected : (string * slot * string, unit) Hashtbl.t;
+}
+
+let forget memo =
+  Hashtbl.reset memo.summaries;
+  Hashtbl.reset memo.rejected
+
+let summarize_cached (memo : memo) prog bodies name =
+  match Hashtbl.find_opt memo.summaries name with
   | Some s -> s
   | None ->
       let s = summarize prog bodies name in
-      Hashtbl.add cache name s;
+      Hashtbl.add memo.summaries name s;
       s
 
 (* Diagnostics are compared by position and category: installing an
@@ -269,48 +288,55 @@ let ret_gate (c : cand) (exits : Check.Checker.exit_info list) : bool =
 
 (* Probe one candidate.  On acceptance the annotated signature stays
    installed; on rejection the original is restored.  Returns whether
-   it was accepted. *)
+   it was accepted.  A candidate already rejected under the installed
+   signatures is rejected again without a check. *)
 let try_cand (prog : Sema.program) (bodies : (string, Ast.fundef) Hashtbl.t)
-    (cache : summary_cache) (name : string) (c : cand) : bool =
-  let fs0 = funsig prog name in
-  (* For return-[only] the interesting comparison is against a
-     signature with *no* allocation claim at all: under the default
-     flags the baseline already carries the implicit only, and probing
-     the explicit spelling against it would measure nothing. *)
-  let base_fs =
-    match (c.Ranker.rc_slot, c.Ranker.rc_word) with
-    | Sret, "only" ->
-        let e = fs0.Sema.fs_ret_annots in
-        {
-          fs0 with
-          Sema.fs_ret_annots =
-            {
-              Sema.an = { e.Sema.an with Annot.an_alloc = None };
-              alloc_implicit = false;
-            };
-        }
-    | _ -> fs0
-  in
-  let before, _ =
-    if base_fs == fs0 then
-      (* unchanged baseline signature: reuse the per-SCC summary *)
-      summarize_cached cache prog bodies name
-    else begin
-      Sema.update_funsig prog base_fs;
-      summarize prog bodies name
+    (memo : memo) (name : string) (c : cand) : bool =
+  let key = (name, c.Ranker.rc_slot, c.Ranker.rc_word) in
+  if Hashtbl.mem memo.rejected key then false
+  else
+    let fs0 = funsig prog name in
+    (* For return-[only] the interesting comparison is against a
+       signature with *no* allocation claim at all: under the default
+       flags the baseline already carries the implicit only, and probing
+       the explicit spelling against it would measure nothing. *)
+    let base_fs =
+      match (c.Ranker.rc_slot, c.Ranker.rc_word) with
+      | Sret, "only" ->
+          let e = fs0.Sema.fs_ret_annots in
+          {
+            fs0 with
+            Sema.fs_ret_annots =
+              {
+                Sema.an = { e.Sema.an with Annot.an_alloc = None };
+                alloc_implicit = false;
+              };
+          }
+      | _ -> fs0
+    in
+    let before, _ =
+      if base_fs == fs0 then
+        (* unchanged baseline signature: reuse the memoized summary *)
+        summarize_cached memo prog bodies name
+      else begin
+        Sema.update_funsig prog base_fs;
+        summarize prog bodies name
+      end
+    in
+    Sema.update_funsig prog (apply_cand base_fs c);
+    let ((after, exits) as probed) = summarize prog bodies name in
+    if no_new_diags ~before ~after && ret_gate c exits then begin
+      (* the candidate stays installed: every memoized fact may change,
+         except that the probe itself is the new baseline of [name] *)
+      forget memo;
+      Hashtbl.add memo.summaries name probed;
+      true
     end
-  in
-  Sema.update_funsig prog (apply_cand base_fs c);
-  let after, exits = summarize prog bodies name in
-  if no_new_diags ~before ~after && ret_gate c exits then begin
-    (* the candidate stays installed: every cached summary may change *)
-    Hashtbl.reset cache;
-    true
-  end
-  else begin
-    Sema.update_funsig prog fs0;
-    false
-  end
+    else begin
+      Sema.update_funsig prog fs0;
+      Hashtbl.add memo.rejected key ();
+      false
+    end
 
 (* ------------------------------------------------------------------ *)
 (* The fixpoint engine                                                 *)
@@ -327,7 +353,7 @@ let run ?(max_rounds = default_max_rounds) ?(rankers = Ranker.default) ?budget
     (Sema.fundefs prog);
   let cg = Summary.Callgraph.build prog in
   let comps = Summary.Callgraph.sccs cg in
-  let cache : summary_cache = Hashtbl.create 32 in
+  let memo = { summaries = Hashtbl.create 32; rejected = Hashtbl.create 32 } in
   let findings_rev = ref [] in
   let rounds_total = ref 0 in
   let procedures = ref 0 in
@@ -343,7 +369,7 @@ let run ?(max_rounds = default_max_rounds) ?(rankers = Ranker.default) ?budget
       let component_count () =
         List.fold_left
           (fun acc n ->
-            acc + List.length (fst (summarize_cached cache prog bodies n)))
+            acc + List.length (fst (summarize_cached memo prog bodies n)))
           0 members
       in
       let baseline = component_count () in
@@ -388,7 +414,7 @@ let run ?(max_rounds = default_max_rounds) ?(rankers = Ranker.default) ?budget
                 Telemetry.Counter.add Telemetry.c_infer_probes_skipped n
             | c :: rest ->
                 incr probes_total;
-                if try_cand prog bodies cache name c then begin
+                if try_cand prog bodies memo name c then begin
                   accepted :=
                     {
                       fd_fun = name;
@@ -424,7 +450,7 @@ let run ?(max_rounds = default_max_rounds) ?(rankers = Ranker.default) ?budget
          most recent annotations until the component checks no worse
          than it originally did. *)
       let reinstall kept_newest_first =
-        Hashtbl.reset cache;
+        forget memo;
         List.iter (fun (_, fs) -> Sema.update_funsig prog fs) orig;
         List.iter
           (fun fd ->
