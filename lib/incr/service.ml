@@ -16,11 +16,12 @@
       opening the file, once the stamp is outside the racy window
       ([racy_margin]).
     - [fns]: per-function results keyed by (defining file, name).  An
-      entry pins the checked AST object, its direct callees, and the
-      string {!render_deps} gave for it when it was checked: everything
-      besides the body that the result depends on.  It is valid while
-      the body is the same and that string renders the same now; the
-      string with the body's digest is also its content key.  [order]
+      entry pins the checked AST object, its direct callees, and what
+      besides the body the result depends on, in two strings: the
+      environment's {!render_prefix}, physically shared by every entry
+      checked in it, and its own {!render_deps}.  It is valid while the
+      body is the same and both render the same now; the two strings
+      with the body's digest are also its content key.  [order]
       indexes the current entries in definition order, which is the
       order {!assemble} reads them in.
     - [summaries]: under [+xproc], the effect summaries of [env] with the
@@ -74,7 +75,9 @@ type doc = { doc_name : string; doc_text : string }
 type fn_entry = {
   mutable fn_fd : Ast.fundef;  (** the AST object the result is for *)
   fn_calls : string list;  (** its direct callees, {!Sema.calls_of_fundef} *)
-  fn_deps : string;  (** {!render_deps} when it was checked *)
+  fn_prefix : string;
+      (** the environment's {!render_prefix} when it was checked *)
+  fn_deps : string;  (** its own {!render_deps} when it was checked *)
   fn_diags : Diag.t list;  (** raw checker output, unsorted, unsuppressed *)
 }
 
@@ -123,7 +126,9 @@ type t = {
   mutable summary_hashes : (string, string) Hashtbl.t;
       (** function → effect-summary hash; brought up to date at the top
           of every revalidation when [+xproc] is on, empty otherwise *)
-  mutable typeenv_hash : string;
+  mutable deps_prefix : string;
+      (** {!render_prefix} of [env]; one string while it renders the
+          same, so entries share it *)
   mutable gen : int;  (** environments built *)
   persisted : (string, string * string * Diag.t list) Hashtbl.t;
       (** content key → (file, fn, diagnostics) *)
@@ -153,7 +158,7 @@ let create ?(flags = Flags.default) ?(no_stdlib = false) ?(load_libs = [])
     sig_hashes = Hashtbl.create 256;
     summaries = None;
     summary_hashes = Hashtbl.create 256;
-    typeenv_hash = "";
+    deps_prefix = "";
     gen = 0;
     persisted = Hashtbl.create 64;
     n_hits = 0;
@@ -324,14 +329,19 @@ let cache_version = 7
 let version_line = string_of_int cache_version ^ "\n"
 
 (* Everything the result of checking one function depends on besides its
-   body, rendered into [b] (cleared first): the cache format itself, the
-   flag set, the type environment, the function's own signature, the
-   signatures of [calls] (its direct callees) and, under [+xproc] only,
-   their derived effect summaries, which the checker reads there.  A
-   body's own declarations are part of the body, and no other body's are
-   in force while it is checked.  An entry stores this string and is
-   valid while it renders the same; with the body it makes the content
-   key ({!content_key}). *)
+   body comes in two parts.  The prefix is what every function of an
+   environment shares: the cache format itself, the flag set and the
+   type environment ([typeenv_fingerprint]). *)
+let render_prefix ~canon typeenv_hash =
+  String.concat "" [ version_line; canon; "\n"; typeenv_hash; "\n" ]
+
+(* The rest, rendered into [b] (cleared first): the function's own
+   signature, the signatures of [calls] (its direct callees) and, under
+   [+xproc] only, their derived effect summaries, which the checker
+   reads there.  A body's own declarations are part of the body, and no
+   other body's are in force while it is checked.  An entry stores this
+   string and is valid while it and the prefix render the same; with
+   the prefix and the body it makes the content key ({!content_key}). *)
 let render_deps b t (fs : Sema.funsig) calls =
   let hash tbl name =
     match Hashtbl.find_opt tbl name with Some h -> h | None -> "?"
@@ -347,11 +357,6 @@ let render_deps b t (fs : Sema.funsig) calls =
     Buffer.add_char b '\n'
   in
   Buffer.clear b;
-  Buffer.add_string b version_line;
-  Buffer.add_string b t.flags_canon;
-  Buffer.add_char b '\n';
-  Buffer.add_string b t.typeenv_hash;
-  Buffer.add_char b '\n';
   Buffer.add_string b
     (match Hashtbl.find_opt t.sig_hashes fs.Sema.fs_name with
     | Some h -> h
@@ -373,10 +378,12 @@ let holds b s =
   Buffer.length b = n && from 0
 
 (* The content key of one function result — the on-disk identity: its
-   dependencies ({!render_deps}) and the exact body (the structural
-   digest of the AST with its locations, so even a pure reformat that
-   moves lines gets a fresh key — diagnostics carry line numbers). *)
-let content_key deps (fd : Ast.fundef) = hex (deps ^ digest_of fd)
+   dependencies ({!render_prefix}, {!render_deps}) and the exact body
+   (the structural digest of the AST with its locations, so even a pure
+   reformat that moves lines gets a fresh key — diagnostics carry line
+   numbers). *)
+let content_key prefix deps (fd : Ast.fundef) =
+  hex (String.concat "" [ prefix; deps; digest_of fd ])
 
 (* ------------------------------------------------------------------ *)
 (* Structural interface comparison (the Patched-tier gate)             *)
@@ -468,7 +475,9 @@ let commit_env t ~flags ~canon env base_pragmas new_files docs =
      old solution is dead from here on, so let the collector have it
      while the new one is built *)
   t.summaries <- None;
-  t.typeenv_hash <- typeenv_fingerprint env;
+  let prefix = render_prefix ~canon (typeenv_fingerprint env) in
+  (* an unchanged prefix stays the string the entries already share *)
+  if not (String.equal prefix t.deps_prefix) then t.deps_prefix <- prefix;
   t.gen <- t.gen + 1
 
 (* ------------------------------------------------------------------ *)
@@ -478,9 +487,11 @@ let commit_env t ~flags ~canon env base_pragmas new_files docs =
 let fn_id (fs : Sema.funsig) = (fs.Sema.fs_loc.Loc.file, fs.Sema.fs_name)
 
 (* Validate the cached result of [fd]: [Ok e] when entry [e] is for the
-   same body and its dependencies render now ({!render_deps}) as they
-   did when it was checked; otherwise [Error (calls, deps)], the callees
-   and dependencies a new entry for [fd] is made with. *)
+   same body and its dependencies render now ([t.deps_prefix],
+   {!render_deps}) as they did when it was checked; otherwise
+   [Error (calls, deps)], the callees and own dependencies a new entry
+   for [fd] is made with.  [String.equal] compares a shared prefix by
+   address. *)
 let entry_valid t (fs : Sema.funsig) (fd : Ast.fundef) =
   let b = Domain.DLS.get deps_buffer in
   let same =
@@ -494,12 +505,19 @@ let entry_valid t (fs : Sema.funsig) (fd : Ast.fundef) =
   in
   render_deps b t fs calls;
   match same with
-  | Some e when holds b e.fn_deps -> Ok e
+  | Some e when String.equal e.fn_prefix t.deps_prefix && holds b e.fn_deps ->
+      Ok e
   | _ -> Error (calls, Buffer.contents b)
 
 let add_entry t ((fs : Sema.funsig), fd, calls, deps) diags =
   Hashtbl.replace t.fns (fn_id fs)
-    { fn_fd = fd; fn_calls = calls; fn_deps = deps; fn_diags = diags }
+    {
+      fn_fd = fd;
+      fn_calls = calls;
+      fn_prefix = t.deps_prefix;
+      fn_deps = deps;
+      fn_diags = diags;
+    }
 
 (* [+xproc]: bring the effect summaries and their hashes up to date.
    [patched] holds the definitions a Patched request swapped in; only
@@ -600,7 +618,9 @@ let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
        else
          List.filter
            (fun ((_, fd, _, deps) as miss) ->
-             match Hashtbl.find_opt t.persisted (content_key deps fd) with
+             match
+               Hashtbl.find_opt t.persisted (content_key t.deps_prefix deps fd)
+             with
              | Some (_, _, diags) ->
                  add_entry t miss diags;
                  incr hits;
@@ -935,7 +955,7 @@ let save t =
         (fun ((fs : Sema.funsig), _) ->
           match Hashtbl.find_opt t.fns (fn_id fs) with
           | Some e ->
-              let key = content_key e.fn_deps e.fn_fd in
+              let key = content_key e.fn_prefix e.fn_deps e.fn_fd in
               if not (Hashtbl.mem written key) then begin
                 Hashtbl.add written key ();
                 record key (fst (fn_id fs)) fs.Sema.fs_name e.fn_diags
