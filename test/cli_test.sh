@@ -691,7 +691,7 @@ done
 # Exempt: lib/sema itself and test/test_sema.ml, its white-box test.
 # perfbench/ is not scanned: its reads of p_typedefs move with the
 # benchmark's next revision (ROADMAP item 6).
-layout_reads=$(grep -rnE --include='*.ml' \
+layout_reads=$(grep -rnE --include='*.ml' --exclude='*.pp.ml' \
   '\bp_(typedefs|structs|enum_consts|funcs|globals|fundefs_rev|fundef_index|base)\b|\bp_(struct|typedef|global|func)_order_rev\b|\banon_counter\b' \
   "$ROOT/lib" "$ROOT/bin" "$ROOT/bench" "$ROOT/test" \
   | grep -vE "^$ROOT/(lib/sema/|test/test_sema\.ml:)")
@@ -706,7 +706,8 @@ ir_deps=$(grep -nwH 'ir' "$ROOT"/lib/*/dune "$ROOT/bin/dune" \
   | grep -v "^$ROOT/lib/ir/dune:")
 [ -z "$ir_deps" ] \
   || { echo "$ir_deps" >&2; fail "a library or binary outside lib/ir depends on ir"; }
-ir_uses=$(grep -rnE --include='*.ml' --include='*.mli' '\bIr\.' \
+ir_uses=$(grep -rnE --include='*.ml' --include='*.mli' --exclude='*.pp.ml' \
+  '\bIr\.' \
   "$ROOT/lib" "$ROOT/bin" | grep -v "^$ROOT/lib/ir/")
 [ -z "$ir_uses" ] \
   || { echo "$ir_uses" >&2; fail "code outside lib/ir names Ir: walk the AST instead"; }
