@@ -51,7 +51,9 @@ type outcome = {
   out_rounds : int;  (** fixpoint rounds across all components *)
   out_sccs : int;  (** strongly connected components visited *)
   out_procedures : int;  (** defined procedures considered *)
-  out_probes : int;  (** candidate probes executed *)
+  out_probes : int;
+      (** candidate decisions made; one already known under the same
+          installed signatures runs no check *)
   out_skipped : int;  (** ranked candidates skipped by the probe budget *)
 }
 
