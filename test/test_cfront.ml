@@ -84,6 +84,41 @@ let test_lex_locations () =
       Alcotest.(check (pair int int)) "b at 2,3" (2, 3) (b.Token.loc.Loc.line, b.Token.loc.Loc.col)
   | _ -> Alcotest.fail "expected two tokens"
 
+(* Identifiers that extend, prefix or embed a keyword stay identifiers. *)
+let test_lex_keyword_neighbours () =
+  Alcotest.check kinds "keyword neighbours"
+    [
+      Token.Ident "doit"; Token.Ident "int_"; Token.Ident "iff";
+      Token.Ident "_while"; Token.Ident "sizeof_x"; Token.Ident "i";
+      Token.Ident "whil"; Token.KwDo; Token.KwInt; Token.Eof;
+    ]
+    (lex "doit int_ iff _while sizeof_x i whil do int")
+
+(* A file may end inside an identifier or a keyword, with no newline. *)
+let test_lex_ident_at_eof () =
+  Alcotest.check kinds "identifier last"
+    [ Token.Ident "x"; Token.Ident "abc"; Token.Eof ]
+    (lex "x abc");
+  Alcotest.check kinds "keyword last" [ Token.KwReturn; Token.Eof ] (lex "return");
+  match Lexer.tokenize ~file:"t.c" "a\n\tzz" with
+  | [ _; z; eof ] ->
+      Alcotest.(check (pair int int)) "zz at 2,2" (2, 2)
+        (z.Token.loc.Loc.line, z.Token.loc.Loc.col);
+      Alcotest.(check (pair int int)) "eof at 2,4" (2, 4)
+        (eof.Token.loc.Loc.line, eof.Token.loc.Loc.col)
+  | _ -> Alcotest.fail "expected two tokens"
+
+(* [\r], [\t] and [\f] are one column each; only [\n] starts a line. *)
+let test_lex_whitespace_columns () =
+  let where src =
+    List.map
+      (fun (t : Token.t) -> (t.Token.loc.Loc.line, t.Token.loc.Loc.col))
+      (Lexer.tokenize ~file:"t.c" src)
+  in
+  Alcotest.(check (list (pair int int))) "tabs, CR, FF"
+    [ (1, 1); (1, 4); (1, 7); (2, 3); (3, 2); (3, 3) ]
+    (where "a\t\tb\r\012c\r\n\012 d\n\t;")
+
 let test_lex_errors () =
   let fails src =
     match lex src with
@@ -541,6 +576,9 @@ let () =
           Alcotest.test_case "numbers" `Quick test_lex_numbers;
           Alcotest.test_case "locations" `Quick test_lex_locations;
           Alcotest.test_case "errors" `Quick test_lex_errors;
+          Alcotest.test_case "keyword neighbours" `Quick test_lex_keyword_neighbours;
+          Alcotest.test_case "identifier at end of file" `Quick test_lex_ident_at_eof;
+          Alcotest.test_case "whitespace columns" `Quick test_lex_whitespace_columns;
           QCheck_alcotest.to_alcotest prop_lex_ints;
         ] );
       ( "parser",

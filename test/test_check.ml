@@ -101,6 +101,34 @@ let test_null_deref () =
   check_codes "arrow possibly null" [ "nullderef" ]
     "typedef struct { int v; } s; int f(/*@null@*/ s *p) { return p->v; }"
 
+(* The access part of a nullderef message names the expression form:
+   [p->f] for an arrow (or [( *p).f]), [p[...]] for an index and [*p] for a
+   dereference, the same whether the access is read or written. *)
+let test_null_deref_renderings () =
+  let message name expected src =
+    Alcotest.(check (list string)) name [ expected ]
+      (List.map
+         (fun (d : Cfront.Diag.t) -> d.Cfront.Diag.text)
+         (check src).Check.reports)
+  in
+  let s = "typedef struct { int v; } s; " in
+  message "arrow rvalue" "Arrow access from possibly null pointer p: p->v"
+    (s ^ "int f(/*@null@*/ s *p) { return p->v; }");
+  message "arrow lvalue" "Arrow access from possibly null pointer p: p->v"
+    (s ^ "void f(/*@null@*/ s *p) { p->v = 1; }");
+  message "star-dot" "Arrow access from possibly null pointer p: p->v"
+    (s ^ "int f(/*@null@*/ s *p) { return (*p).v; }");
+  message "index rvalue" "Index of possibly null pointer p: p[...]"
+    "int f(/*@null@*/ int *p) { return p[2]; }";
+  message "index lvalue" "Index of possibly null pointer p: p[...]"
+    "void f(/*@null@*/ int *p) { p[1] = 3; }";
+  message "deref rvalue" "Dereference of possibly null pointer p: *p"
+    "int f(/*@null@*/ int *p) { return *p; }";
+  message "deref lvalue" "Dereference of possibly null pointer p: *p"
+    "void f(/*@null@*/ int *p) { *p = 1; }";
+  message "deref null" "Dereference of null pointer p: *p"
+    "int f(void) { int *p = 0; return *p; }"
+
 let test_null_guards () =
   (* all the null-test forms the paper mentions *)
   check_codes "!= NULL" []
@@ -1284,6 +1312,8 @@ let () =
       ( "null",
         [
           Alcotest.test_case "deref" `Quick test_null_deref;
+          Alcotest.test_case "access renderings" `Quick
+            test_null_deref_renderings;
           Alcotest.test_case "guards" `Quick test_null_guards;
           Alcotest.test_case "wrong branch" `Quick test_null_wrong_branch;
           Alcotest.test_case "truenull/falsenull" `Quick test_truenull_falsenull;
