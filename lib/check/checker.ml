@@ -69,6 +69,7 @@ type localinfo = {
   li_annots : Annot.set;
   li_loc : Loc.t;
   li_param : int option;  (** parameter index if this is a parameter *)
+  li_ref : Sref.t;  (** the local's root reference, interned once *)
 }
 
 type scope = { mutable vars : (string * localinfo) list }
@@ -116,9 +117,11 @@ type env = {
   mutable continues : Store.t list list;
   mutable fresh : int;
   mutable statics : int;
-  conflict_memo : (string, unit) Hashtbl.t;
-  realloc_sources : (int, realloc_source) Hashtbl.t;
-      (** [+allocmodel]: live realloc results by [Rfresh] id *)
+  mutable conflict_memo : (string, unit) Hashtbl.t;
+      (** confluence reports made so far; {!no_conflicts} until the first *)
+  mutable realloc_sources : (int, realloc_source) Hashtbl.t;
+      (** [+allocmodel]: live realloc results by [Rfresh] id;
+          {!no_realloc_sources} until the first *)
   summaries : Summary.table option;
       (** [+xproc]: interprocedural effect summaries, consulted at call
           sites whose slot has no explicit or inferred annotation *)
@@ -135,6 +138,21 @@ let emit env ?(severity = Diag.Err) ?(notes = []) ~loc ~code fmt =
            ~inferred:(Lazy.force env.proc_inferred) ~loc ~code text))
     fmt
 
+(* The empty tables every check starts with; nothing writes them, since
+   every write goes through [own_conflicts] or [own_realloc_sources]. *)
+let no_conflicts : (string, unit) Hashtbl.t = Hashtbl.create 1
+let no_realloc_sources : (int, realloc_source) Hashtbl.t = Hashtbl.create 1
+
+let own_conflicts env =
+  if env.conflict_memo == no_conflicts then
+    env.conflict_memo <- Hashtbl.create 16;
+  env.conflict_memo
+
+let own_realloc_sources env =
+  if env.realloc_sources == no_realloc_sources then
+    env.realloc_sources <- Hashtbl.create 4;
+  env.realloc_sources
+
 let push_scope env = env.scopes <- { vars = [] } :: env.scopes
 
 let pop_scope env =
@@ -150,12 +168,14 @@ let add_local env name info =
   | [] -> invalid_arg "add_local: no scope"
 
 let find_local env name : localinfo option =
+  let rec in_scope = function
+    | [] -> None
+    | (n, i) :: rest -> if String.equal n name then Some i else in_scope rest
+  in
   let rec go = function
     | [] -> None
     | s :: rest -> (
-        match List.assoc_opt name s.vars with
-        | Some i -> Some i
-        | None -> go rest)
+        match in_scope s.vars with Some _ as hit -> hit | None -> go rest)
   in
   go env.scopes
 
@@ -297,7 +317,8 @@ let entry_state env ~(ty : Ctype.t) ~(annots : Annot.set) ~loc : Store.refstate
             | Some Annot.Exposed -> ASexposed
             | None -> ASnone)
   in
-  Store.mk_refstate ~def ~null ~alloc ~defloc:loc ~nullloc:loc ~allocloc:loc ()
+  let l = Some loc in
+  Store.mk_refstate ~def ~null ~alloc ?defloc:l ?nullloc:l ?allocloc:l ()
 
 (* ------------------------------------------------------------------ *)
 (* Use checks                                                          *)
@@ -308,18 +329,13 @@ let entry_state env ~(ty : Ctype.t) ~(annots : Annot.set) ~loc : Store.refstate
     anomaly to use a dead pointer as an rvalue"). *)
 let check_rvalue_use env st (r : Sref.t) ~loc =
   let s = Store.get st r in
-  let is_array =
-    match Option.map Ctype.unroll (type_of_ref env r) with
-    | Some (Ctype.Carray _) -> true
-    | _ -> false
+  let ty =
+    match type_of_ref env r with Some t -> Some (Ctype.unroll t) | None -> None
   in
-  if is_array then st
-  else begin
-  let scalar =
-    match Option.map Ctype.unroll (type_of_ref env r) with
-    | Some t -> Ctype.is_arith t
-    | None -> false
-  in
+  match ty with
+  | Some (Ctype.Carray _) -> st
+  | _ ->
+  let scalar = match ty with Some t -> Ctype.is_arith t | None -> false in
   (match s.Store.rs_def with
   | DSundefined when env.flags.Flags.check_def ->
       let notes =
@@ -352,26 +368,36 @@ let check_rvalue_use env st (r : Sref.t) ~loc =
   | DSundefined | DSdead -> Store.set_def ~loc st r DSerror
   | DSpdefined when scalar -> Store.set_def ~loc st r DSerror
   | _ -> st
-  end
+
+(** The expression form of a dereference, named in its nullderef
+    message: [p->f], [p[...]] or [*p]. *)
+type access = Aarrow of string | Aindex | Aderef
 
 (** Report a dereference of a possibly-null pointer, then refine to
-    non-null to avoid cascades.  [how] describes the access for the
-    message, e.g. "Arrow access from" or "Dereference of". *)
-let check_deref env st (r : Sref.t) ~(how : string) ~(access : string) ~loc =
+    non-null to avoid cascades.  The message text is built only when it
+    is emitted. *)
+let check_deref env st (r : Sref.t) ~(access : access) ~loc =
   let s = Store.get st r in
   match s.Store.rs_null with
   | (NSnull | NSpossnull) when env.flags.Flags.check_null ->
       let state_word =
         match s.Store.rs_null with NSnull -> "null" | _ -> "possibly null"
       in
+      let name = Sref.to_string r in
       let notes =
         match s.Store.rs_nullloc with
         | Some l when not (Loc.is_dummy l) ->
-            [ Diag.note ~loc:l (Fmt.str "Storage %s may become null" (Sref.to_string r)) ]
+            [ Diag.note ~loc:l (Fmt.str "Storage %s may become null" name) ]
         | _ -> []
       in
+      let how, shown =
+        match access with
+        | Aarrow f -> ("Arrow access from", name ^ "->" ^ f)
+        | Aindex -> ("Index of", name ^ "[...]")
+        | Aderef -> ("Dereference of", "*" ^ name)
+      in
       emit env ~loc ~code:"nullderef" ~notes "%s %s pointer %s: %s" how
-        state_word (Sref.to_string r) access;
+        state_word name shown;
       Store.refine_null ~loc st r NSnotnull
   | _ -> st
 
@@ -383,7 +409,7 @@ let check_deref env st (r : Sref.t) ~(how : string) ~(access : string) ~loc =
     enum constants and functions (not storage). *)
 let ident_ref env (name : string) : (Sref.t * Ctype.t) option =
   match find_local env name with
-  | Some i -> Some (Sref.root (Sref.Rlocal name), i.li_ty)
+  | Some i -> Some (i.li_ref, i.li_ty)
   | None -> (
       match Sema.find_global env.prog name with
       | Some gv -> Some (Sref.root (Sref.Rglobal name), gv.Sema.gv_ty)
@@ -479,9 +505,11 @@ let allocmodel_resurrect env st (r : Sref.t) : Store.t =
     name of an old block prunes it from that source's survivor list;
     overwriting the LAST name with the still-possibly-null result of the
     same realloc is the classic [p = realloc(p, n)] lost-pointer leak. *)
-let allocmodel_assign env st ~(rhs : value) ~(overwritten : Sref.Set.t) ~loc :
-    unit =
+let allocmodel_assign env st ~(rhs : value) ~(lhs_ref : Sref.t) ~loc : unit =
   if env.flags.Flags.alloc_model && Hashtbl.length env.realloc_sources > 0 then begin
+    let overwritten =
+      Sref.Set.add lhs_ref (Store.location_images st lhs_ref)
+    in
     let rhs_result_id =
       (* the realloc source whose fresh result the rhs value carries *)
       match rhs.v_ref with
@@ -640,9 +668,7 @@ let rec eval env st (e : Ast.expr) : Store.t * value =
       let st =
         match bv.v_ref with
         | Some r ->
-            check_deref env st r ~how:"Dereference of"
-              ~access:(Fmt.str "*%s" (Sref.to_string r))
-              ~loc
+            check_deref env st r ~access:Aderef ~loc
         | None -> st
       in
       let ty =
@@ -677,9 +703,7 @@ let rec eval env st (e : Ast.expr) : Store.t * value =
       let st =
         match bv.v_ref with
         | Some r ->
-            check_deref env st r ~how:"Index of"
-              ~access:(Fmt.str "%s[...]" (Sref.to_string r))
-              ~loc
+            check_deref env st r ~access:Aindex ~loc
         | None -> st
       in
       let ty =
@@ -805,9 +829,7 @@ let rec eval env st (e : Ast.expr) : Store.t * value =
 and arrow_base_checks env st (bv : value) ~fname ~loc : Store.t =
   match bv.v_ref with
   | Some r ->
-      check_deref env st r ~how:"Arrow access from"
-        ~access:(Fmt.str "%s->%s" (Sref.to_string r) fname)
-        ~loc
+      check_deref env st r ~access:(Aarrow fname) ~loc
   | None -> st
 
 (* Field access: the reference is Field (base, f); its state defaults
@@ -893,9 +915,7 @@ and lval env st (e : Ast.expr) : Store.t * (Sref.t option * Ctype.t) =
       let st =
         match bv.v_ref with
         | Some r ->
-            check_deref env st r ~how:"Dereference of"
-              ~access:(Fmt.str "*%s" (Sref.to_string r))
-              ~loc
+            check_deref env st r ~access:Aderef ~loc
         | None -> st
       in
       let ty =
@@ -908,9 +928,7 @@ and lval env st (e : Ast.expr) : Store.t * (Sref.t option * Ctype.t) =
       let st =
         match bv.v_ref with
         | Some r ->
-            check_deref env st r ~how:"Index of"
-              ~access:(Fmt.str "%s[...]" (Sref.to_string r))
-              ~loc
+            check_deref env st r ~access:Aindex ~loc
         | None -> st
       in
       let ty =
@@ -1048,9 +1066,9 @@ and report_conflict_filtered env ~loc (c : Store.conflict) : unit =
     | Store.Calloc _ -> false
   in
   if subsumed || Hashtbl.mem env.conflict_memo key then
-    Hashtbl.replace env.conflict_memo key ()
+    Hashtbl.replace (own_conflicts env) key ()
   else begin
-    Hashtbl.replace env.conflict_memo key ();
+    Hashtbl.replace (own_conflicts env) key ();
     report_conflict_always env ~loc c
   end
 
@@ -1247,9 +1265,7 @@ and do_assign env st ~(lhs_ref : Sref.t) ~(lhs_ty : Ctype.t) ~(rhs : value)
     | None -> Sref.Set.empty
   in
   (* --- +allocmodel: realloc-result bookkeeping (prune / realloclost) --- *)
-  allocmodel_assign env st ~rhs
-    ~overwritten:(Sref.Set.add lhs_ref (Store.location_images st lhs_ref))
-    ~loc;
+  allocmodel_assign env st ~rhs ~lhs_ref ~loc;
   (* --- losing the last reference to only storage (Fig. 4) --- *)
   (if
      env.flags.Flags.check_alloc
@@ -1415,10 +1431,12 @@ and do_assign env st ~(lhs_ref : Sref.t) ~(lhs_ty : Ctype.t) ~(rhs : value)
   let st =
     Sref.Set.fold
       (fun img st ->
-        Store.fold
-          (fun r _ st ->
-            if Sref.derived_from ~outer:img r then Store.remove st r else st)
-          st st)
+        if not (Sref.has_derivations img) then st
+        else
+          Store.fold
+            (fun r _ st ->
+              if Sref.derived_from ~outer:img r then Store.remove st r else st)
+            st st)
       images st
   in
   let def =
@@ -1435,14 +1453,15 @@ and do_assign env st ~(lhs_ref : Sref.t) ~(lhs_ty : Ctype.t) ~(rhs : value)
   in
   (* old alias edges on lhs are now stale: rebuild state from scratch *)
   let st =
-    Sref.Set.fold
-      (fun img st ->
-        Store.set st img
-          (Store.mk_refstate ~def ~null ~alloc:rhs_alloc_final
-             ~offset:rhs.v_offset ~defloc:loc ~nullloc:loc
-             ~allocloc:(match old.Store.rs_allocloc with Some l -> l | None -> loc)
-             ()))
-      images st
+    let here = Some loc in
+    let fresh =
+      Store.mk_refstate ~def ~null ~alloc:rhs_alloc_final ~offset:rhs.v_offset
+        ?defloc:here ?nullloc:here
+        ?allocloc:
+          (match old.Store.rs_allocloc with Some _ as l -> l | None -> here)
+        ()
+    in
+    Sref.Set.fold (fun img st -> Store.set st img fresh) images st
   in
 
   (* --- alias edges to the source reference (paper, Fig. 6, point 6) --- *)
@@ -1640,6 +1659,8 @@ and incomplete_refs env st (r : Sref.t) : Sref.t list =
     (possibly) null but whose declared annotations say non-null (the
     "Null storage c->vals derivable from return value" anomaly). *)
 and null_derivable env st (r : Sref.t) : (Sref.t * Store.refstate) list =
+  if not (Sref.has_derivations r) then []
+  else
   Store.fold
     (fun child (s : Store.refstate) acc ->
       if
@@ -1831,13 +1852,14 @@ and call_known env st (fs : Sema.funsig) (args : Ast.expr list) ~loc :
           let r = Sref.root (Sref.Rfresh (id, fname)) in
           (match realloc_capture with
           | Some (old_r, saved) ->
-              Hashtbl.replace env.realloc_sources id
+              Hashtbl.replace (own_realloc_sources env) id
                 { rsrc_old = old_r; rsrc_saved = saved; rsrc_loc = loc }
           | None -> ());
           let st =
+            let l = Some loc in
             Store.set st r
-              (Store.mk_refstate ~def ~null ~alloc ~defloc:loc ~nullloc:loc
-                 ~allocloc:loc ())
+              (Store.mk_refstate ~def ~null ~alloc ?defloc:l ?nullloc:l
+                 ?allocloc:l ())
           in
           (st, value_of_state ty r (Store.get st r))
         end
@@ -2103,6 +2125,8 @@ and check_obligation_transfer env st (fs : Sema.funsig) (p : Sema.param)
         | Some r ->
             (* tracked descendants holding obligations... *)
             let st =
+              if not (Sref.has_derivations r) then st
+              else
               Store.fold
                 (fun child (s : Store.refstate) st ->
                   if
@@ -2301,6 +2325,8 @@ and check_call_globals env st (fs : Sema.funsig) ~loc : Store.t =
           in
           (* drop stale derived refs *)
           let st =
+            if not (Sref.has_derivations r) then st
+            else
             Store.fold
               (fun child _ st ->
                 if Sref.derived_from ~outer:r child then Store.remove st child
@@ -2359,9 +2385,7 @@ let leak_check_ref ?ignoring env st (r : Sref.t) ~(what : string) ~loc :
 (** Leak-check every local in [vars] (a scope being exited). *)
 let leak_check_scope env st (vars : (string * localinfo) list) ~loc : Store.t =
   List.fold_left
-    (fun st (name, _) ->
-      leak_check_ref env st (Sref.root (Sref.Rlocal name)) ~what:"scope exit"
-        ~loc)
+    (fun st (_, i) -> leak_check_ref env st i.li_ref ~what:"scope exit" ~loc)
     st vars
 
 (* ------------------------------------------------------------------ *)
@@ -2802,11 +2826,13 @@ let silent_env env =
     diags;
     exit_obs = None;
     scopes = List.map (fun s -> { vars = s.vars }) env.scopes;
-    conflict_memo = Hashtbl.create 16;
+    conflict_memo = no_conflicts;
     (* deep copy: exploratory iterations prune/replace entries and the
        real pass must not observe that *)
     realloc_sources =
-      (let h = Hashtbl.create 4 in
+      (if Hashtbl.length env.realloc_sources = 0 then no_realloc_sources
+       else
+       let h = Hashtbl.create 4 in
        Hashtbl.iter
          (fun id (s : realloc_source) ->
            Hashtbl.replace h id { s with rsrc_saved = s.rsrc_saved })
@@ -2932,10 +2958,13 @@ and exec_decl env ~loc st (d : Ast.decl) : Store.t =
         emit env ~loc:e.pe_loc ~code:"annot" "%s" e.pe_text)
       errs;
     let set = Annot.override ~base:(Sema.typedef_annots env.prog ty) ~decl:set in
-    add_local env d.d_name
-      { li_ty = ty; li_annots = set; li_loc = d.d_loc; li_param = None };
     let r = Sref.root (Sref.Rlocal d.d_name) in
-    let st = Store.drop_root st (Sref.Rlocal d.d_name) in
+    add_local env d.d_name
+      { li_ty = ty; li_annots = set; li_loc = d.d_loc; li_param = None;
+        li_ref = r };
+    let st = Store.drop_root st (Sref.root_of r) in
+    (* one blame location, shared by the fields that name it *)
+    let here = Some d.d_loc in
     match d.d_init with
     | Some (Ast.Iexpr e) ->
         let st, v = eval env st e in
@@ -2944,14 +2973,14 @@ and exec_decl env ~loc st (d : Ast.decl) : Store.t =
           Store.set st r
             (Store.mk_refstate ~def:DSundefined
                ~null:(if Ctype.is_pointer ty then NSpossnull else NSuntracked)
-               ~alloc:ASnone ~defloc:d.d_loc ~allocloc:d.d_loc ())
+               ~alloc:ASnone ?defloc:here ?allocloc:here ())
         in
         do_assign env st ~lhs_ref:r ~lhs_ty:ty ~rhs:v ~loc:d.d_loc
     | Some (Ast.Ilist _) ->
         Store.set st r
           (Store.mk_refstate ~def:DSdefined
              ~null:(if Ctype.is_pointer ty then NSnotnull else NSuntracked)
-             ~alloc:ASstack ~defloc:d.d_loc ~allocloc:d.d_loc ())
+             ~alloc:ASstack ?defloc:here ?allocloc:here ())
     | None ->
         let def =
           match Ctype.unroll ty with
@@ -2972,8 +3001,7 @@ and exec_decl env ~loc st (d : Ast.decl) : Store.t =
           | _ -> ASnone
         in
         Store.set st r
-          (Store.mk_refstate ~def ~null ~alloc ~defloc:d.d_loc
-             ~allocloc:d.d_loc ())
+          (Store.mk_refstate ~def ~null ~alloc ?defloc:here ?allocloc:here ())
   end
 
 (* ---- loop dispatch ---- *)
@@ -3140,8 +3168,8 @@ let check_body ?exit_obs ?summaries (prog : Sema.program)
       continues = [];
       fresh = 0;
       statics = 0;
-      conflict_memo = Hashtbl.create 16;
-      realloc_sources = Hashtbl.create 4;
+      conflict_memo = no_conflicts;
+      realloc_sources = no_realloc_sources;
       summaries;
       escaped_args = Sref.Set.empty;
     }
@@ -3188,18 +3216,19 @@ let check_body ?exit_obs ?summaries (prog : Sema.program)
   let st =
     List.fold_left
       (fun st (i, (p : Sema.param)) ->
+        let local = Sref.root (Sref.Rlocal p.Sema.pr_name) in
         add_local env p.Sema.pr_name
           {
             li_ty = p.Sema.pr_ty;
             li_annots = p.Sema.pr_annots.Sema.an;
             li_loc = p.Sema.pr_loc;
             li_param = Some i;
+            li_ref = local;
           };
         let s =
           entry_state env ~ty:p.Sema.pr_ty ~annots:p.Sema.pr_annots.Sema.an
             ~loc:p.Sema.pr_loc
         in
-        let local = Sref.root (Sref.Rlocal p.Sema.pr_name) in
         let extern = Sref.root (Sref.Rparam (i, p.Sema.pr_name)) in
         let st = Store.set st local s in
         let st = Store.set st extern s in

@@ -71,10 +71,17 @@ let depth r = r.sr_depth
    lists stay tiny because a struct has few fields and a node has one
    deref.  Mutating them is safe: spines never leave the domain that
    interned their root. *)
-type intern_state = { roots : (root, t) Hashtbl.t; mutable next_id : int }
+module Roots = Hashtbl.Make (struct
+  type t = root
+
+  let equal = equal_root
+  let hash = Hashtbl.hash
+end)
+
+type intern_state = { roots : t Roots.t; mutable next_id : int }
 
 let intern_key : intern_state Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { roots = Hashtbl.create 64; next_id = 0 })
+  Domain.DLS.new_key (fun () -> { roots = Roots.create 64; next_id = 0 })
 
 (* FNV-style mixing, masked to stay a positive tagged int. *)
 let mix h x = (((h * 0x01000193) lxor x) land 0x3FFFFFFF : int)
@@ -91,11 +98,11 @@ let fresh node root depth hash =
 
 let root rt =
   let st = Domain.DLS.get intern_key in
-  match Hashtbl.find_opt st.roots rt with
+  match Roots.find_opt st.roots rt with
   | Some r -> r
   | None ->
       let r = fresh (Root rt) rt 0 (mix 1 (Hashtbl.hash rt)) in
-      Hashtbl.add st.roots rt r;
+      Roots.add st.roots rt r;
       r
 
 let rec assoc_field f = function
@@ -202,6 +209,14 @@ let ancestor_at_depth r k =
     else match base r with None -> r | Some b -> up b
   in
   up r
+
+(** Has any reference been derived from [r]?  Every derived reference is
+    memoized on its base, so a node with empty memo fields has no
+    derivation anywhere, in any store. *)
+let has_derivations r =
+  match r with
+  | { sr_deref = None; sr_fields = []; sr_indexes = []; _ } -> false
+  | _ -> true
 
 (** Is [inner] a proper derivation of [outer] (reachable from it)?  The
     cached depths bound the walk: once we are no deeper than [outer] no

@@ -77,6 +77,11 @@ val ancestor_at_depth : t -> int -> t
     widening uses it to collapse unboundedly growing derivation chains
     (e.g. a [p = p->next] list walk) onto finitely many representatives. *)
 
+val has_derivations : t -> bool
+(** Has any reference been built from this one by {!field}, {!deref} or
+    {!index}?  [false] means no store holds a reference {!derived_from}
+    it.  O(1). *)
+
 val derived_from : outer:t -> t -> bool
 (** Is the reference a proper derivation of [outer]?  Bounded by the
     cached depths. *)

@@ -64,7 +64,10 @@ let get st r = match find st r with Some s -> s | None -> unknown_refstate
    the same-value case is physical equality in practice; the structural
    fallback only fires when a fresh but identical loc was attached *)
 let same_loc a b =
-  a == b || match (a, b) with Some la, Some lb -> la == lb || la = lb | _ -> false
+  a == b
+  || match (a, b) with
+     | Some la, Some lb -> la == lb || Cfront.Loc.equal la lb
+     | _ -> false
 
 let refstate_same (a : refstate) (b : refstate) =
   a == b
@@ -270,6 +273,9 @@ let derived_def st r ~(other : defstate) : defstate =
   | Some { rs_def = DSdead; _ } -> DSdead
   | _ -> DSdefined
 
+(* A merged blame location: the first side's when it has one. *)
+let first_loc a b = match a with Some _ -> a | None -> b
+
 (** Merge two stores at a confluence point.  [on_conflict] is called for
     each anomaly; the merged state for a conflicting reference is the error
     marker, so one anomaly does not cascade. *)
@@ -351,15 +357,14 @@ let merge ~(on_conflict : conflict -> unit) (a : t) (b : t) : t =
             rs_aliases =
               (if xa.rs_aliases == xb.rs_aliases then xa.rs_aliases
                else Sref.Set.union xa.rs_aliases xb.rs_aliases);
-            rs_defloc = (if xa.rs_defloc <> None then xa.rs_defloc else xb.rs_defloc);
+            rs_defloc = first_loc xa.rs_defloc xb.rs_defloc;
             rs_nullloc =
               (if equal_nullstate xa.rs_null xb.rs_null then xa.rs_nullloc
                else if
                  equal_nullstate (merge_null xa.rs_null xb.rs_null) xa.rs_null
                then xa.rs_nullloc
                else xb.rs_nullloc);
-            rs_allocloc =
-              (if xa.rs_allocloc <> None then xa.rs_allocloc else xb.rs_allocloc);
+            rs_allocloc = first_loc xa.rs_allocloc xb.rs_allocloc;
           }
       in
       let map = Sref.Map.merge merge_one a.map b.map in
@@ -413,14 +418,13 @@ let widen_refstate (xa : refstate) (xb : refstate) : refstate =
       rs_aliases =
         (if xa.rs_aliases == xb.rs_aliases then xa.rs_aliases
          else Sref.Set.union xa.rs_aliases xb.rs_aliases);
-      rs_defloc = (if xa.rs_defloc <> None then xa.rs_defloc else xb.rs_defloc);
+      rs_defloc = first_loc xa.rs_defloc xb.rs_defloc;
       rs_nullloc =
         (if equal_nullstate xa.rs_null xb.rs_null then xa.rs_nullloc
          else if equal_nullstate (merge_null xa.rs_null xb.rs_null) xa.rs_null
          then xa.rs_nullloc
          else xb.rs_nullloc);
-      rs_allocloc =
-        (if xa.rs_allocloc <> None then xa.rs_allocloc else xb.rs_allocloc);
+      rs_allocloc = first_loc xa.rs_allocloc xb.rs_allocloc;
     }
 
 (** Widening join of two stores at a loop back edge.  Same one-sided
