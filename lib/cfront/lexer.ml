@@ -208,16 +208,32 @@ let read_number lx =
     | Some v -> Token.IntLit (v, spelling)
     | None -> error lx "invalid integer constant '%s'" spelling
 
+(* Whitespace and identifiers are scanned by index over the buffer, not
+   through [peek]/[advance], which re-test the bounds and the newline for
+   every byte.  [skip_blanks lx i] is the offset of the first non-blank
+   byte from [i], counting the lines it passes. *)
+let rec skip_blanks lx i =
+  if i >= String.length lx.src then i
+  else
+    match String.unsafe_get lx.src i with
+    | ' ' | '\t' | '\r' | '\012' -> skip_blanks lx (i + 1)
+    | '\n' ->
+        lx.line <- lx.line + 1;
+        lx.bol <- i + 1;
+        skip_blanks lx (i + 1)
+    | _ -> i
+
+(* The offset just past the identifier characters from [i] (an
+   identifier holds no newline). *)
+let rec ident_end src i =
+  if i < String.length src && is_ident_char (String.unsafe_get src i) then
+    ident_end src (i + 1)
+  else i
+
 (** Produce the next token.  Returns {!Token.Eof} at end of input. *)
 let rec next lx : Token.t =
   let mk kind loc : Token.t = { kind; loc } in
-  (* skip whitespace *)
-  while
-    (not (at_end lx))
-    && match peek lx with ' ' | '\t' | '\r' | '\n' | '\012' -> true | _ -> false
-  do
-    advance lx
-  done;
+  lx.pos <- skip_blanks lx lx.pos;
   let l = loc lx in
   if at_end lx then mk Eof l
   else
@@ -240,9 +256,7 @@ let rec next lx : Token.t =
         next lx
     | c when is_ident_start c ->
         let start = lx.pos in
-        while is_ident_char (peek lx) do
-          advance lx
-        done;
+        lx.pos <- ident_end lx.src (start + 1);
         let s = String.sub lx.src start (lx.pos - start) in
         let kind =
           match Token.keyword_of_string s with

@@ -52,20 +52,46 @@ let keyword_table : (string * kind) list =
     ("while", KwWhile);
   ]
 
-(* Built once: every identifier the lexer reads is looked up here. *)
-module Spelling = Hashtbl.Make (struct
-  type t = string
-
-  let equal = String.equal
-  let hash = Hashtbl.hash
-end)
-
-let keyword_kinds = Spelling.of_seq (List.to_seq keyword_table)
-
 let keyword_spellings =
   Hashtbl.of_seq (Seq.map (fun (s, k) -> (k, s)) (List.to_seq keyword_table))
 
-let keyword_of_string s = Spelling.find_opt keyword_kinds s
+(* Every identifier the lexer reads is looked up here: a compiled match
+   on the spelling hashes nothing and allocates nothing.  It lists the
+   spellings of [keyword_table]; test_cfront checks that they agree. *)
+let keyword_of_string = function
+  | "auto" -> Some KwAuto
+  | "break" -> Some KwBreak
+  | "case" -> Some KwCase
+  | "char" -> Some KwChar
+  | "const" -> Some KwConst
+  | "continue" -> Some KwContinue
+  | "default" -> Some KwDefault
+  | "do" -> Some KwDo
+  | "double" -> Some KwDouble
+  | "else" -> Some KwElse
+  | "enum" -> Some KwEnum
+  | "extern" -> Some KwExtern
+  | "float" -> Some KwFloat
+  | "for" -> Some KwFor
+  | "goto" -> Some KwGoto
+  | "if" -> Some KwIf
+  | "int" -> Some KwInt
+  | "long" -> Some KwLong
+  | "register" -> Some KwRegister
+  | "return" -> Some KwReturn
+  | "short" -> Some KwShort
+  | "signed" -> Some KwSigned
+  | "sizeof" -> Some KwSizeof
+  | "static" -> Some KwStatic
+  | "struct" -> Some KwStruct
+  | "switch" -> Some KwSwitch
+  | "typedef" -> Some KwTypedef
+  | "union" -> Some KwUnion
+  | "unsigned" -> Some KwUnsigned
+  | "void" -> Some KwVoid
+  | "volatile" -> Some KwVolatile
+  | "while" -> Some KwWhile
+  | _ -> None
 
 (** Human-readable rendering used in parse-error messages
     ("expected ';' before '}'" style). *)

@@ -82,23 +82,30 @@ type globalvar = {
    [fundefs] hand it out without building a new one. *)
 type fundef_slot = { mutable sl_pair : funsig * Ast.fundef }
 
+(* A function's [p_funcs] entry: its merged signature and the slots of
+   its definitions (several for same-named statics of different files),
+   so that adding a definition hashes its name once. *)
+type func_entry = {
+  mutable fe_sig : funsig;
+  mutable fe_defs : fundef_slot list;  (** most recent first *)
+}
+
 type program = {
   p_file : string;
   mutable p_structs : (string, suinfo) Hashtbl.t;
   mutable p_typedefs : (string, Ctype.t * Annot.set) Hashtbl.t;
   mutable p_enum_consts : (string, int64) Hashtbl.t;
-  mutable p_funcs : (string, funsig) Hashtbl.t;
+  mutable p_funcs : (string, func_entry) Hashtbl.t;
   mutable p_globals : (string, globalvar) Hashtbl.t;
       (** the five symbol tables; the [own_*] writers give an overlay
           its own table at its first write of that kind *)
   p_base : program option;
       (** the program an overlay ({!for_check}) reads through *)
   mutable p_fundefs_rev : fundef_slot list;
-      (** reversed; use {!fundefs} for source order *)
-  mutable p_fundef_index : (string, fundef_slot) Hashtbl.t;
-      (** the same slots by name, one binding each, entered as each
-          definition is added; a slot's name never changes, since
-          [update_funsig] writes only a signature of the same name *)
+      (** reversed; use {!fundefs} for source order.  The same slots
+          sit in their name's [p_funcs] entry; a slot's name never
+          changes, since [update_funsig] writes only a signature of the
+          same name *)
   mutable p_struct_order_rev : string list;
   mutable p_typedef_order_rev : string list;
   mutable p_global_order_rev : string list;
@@ -121,7 +128,6 @@ let create_program ?(flags = Flags.default) ~file () =
     p_globals = Hashtbl.create 32;
     p_base = None;
     p_fundefs_rev = [];
-    p_fundef_index = Hashtbl.create 64;
     p_struct_order_rev = [];
     p_typedef_order_rev = [];
     p_global_order_rev = [];
@@ -142,9 +148,8 @@ let create_program ?(flags = Flags.default) ~file () =
 let no_structs : (string, suinfo) Hashtbl.t = Hashtbl.create 1
 let no_typedefs : (string, Ctype.t * Annot.set) Hashtbl.t = Hashtbl.create 1
 let no_enum_consts : (string, int64) Hashtbl.t = Hashtbl.create 1
-let no_funcs : (string, funsig) Hashtbl.t = Hashtbl.create 1
+let no_funcs : (string, func_entry) Hashtbl.t = Hashtbl.create 1
 let no_globals : (string, globalvar) Hashtbl.t = Hashtbl.create 1
-let no_fundefs : (string, fundef_slot) Hashtbl.t = Hashtbl.create 1
 
 let for_check p ~diags =
   {
@@ -156,7 +161,6 @@ let for_check p ~diags =
     p_globals = no_globals;
     p_base = Some p;
     p_fundefs_rev = [];
-    p_fundef_index = no_fundefs;
     p_struct_order_rev = [];
     p_typedef_order_rev = [];
     p_global_order_rev = [];
@@ -189,10 +193,6 @@ let own_globals p =
   if p.p_globals == no_globals then p.p_globals <- Hashtbl.create 8;
   p.p_globals
 
-let own_fundef_index p =
-  if p.p_fundef_index == no_fundefs then p.p_fundef_index <- Hashtbl.create 8;
-  p.p_fundef_index
-
 (* [p]'s own entry for [k], else its base program's: an overlay's
    declarations shadow the program's.  An empty table is skipped
    without hashing [k]. *)
@@ -205,7 +205,10 @@ let rec lookup table p k =
 let find_struct p tag = lookup (fun p -> p.p_structs) p tag
 let find_typedef p name = lookup (fun p -> p.p_typedefs) p name
 let find_enum_const p name = lookup (fun p -> p.p_enum_consts) p name
-let find_func p name = lookup (fun p -> p.p_funcs) p name
+let find_func p name =
+  match lookup (fun p -> p.p_funcs) p name with
+  | Some e -> Some e.fe_sig
+  | None -> None
 let find_global p name = lookup (fun p -> p.p_globals) p name
 
 let diag p ?(severity = Diag.Err) ?(notes = []) ~loc ~code fmt =
@@ -533,15 +536,33 @@ let merge_funsig p (old_ : funsig) (new_ : funsig) : funsig =
       fs_static = old_.fs_static || new_.fs_static;
     }
 
-let add_funsig p (fs : funsig) =
-  match find_func p fs.fs_name with
-  | Some old_ ->
-      if old_.fs_defined && fs.fs_defined then
-        diag p ~loc:fs.fs_loc ~code:"decl" "function '%s' redefined" fs.fs_name;
-      Hashtbl.replace (own_funcs p) fs.fs_name (merge_funsig p old_ fs)
+(* Enter [fs] in [p]'s own table, merged with any earlier declaration,
+   and return its entry.  An overlay's first declaration of a base
+   program's function gets an entry of its own, with no definitions. *)
+let add_funsig p (fs : funsig) : func_entry =
+  let merged old_ =
+    if old_.fs_defined && fs.fs_defined then
+      diag p ~loc:fs.fs_loc ~code:"decl" "function '%s' redefined" fs.fs_name;
+    merge_funsig p old_ fs
+  in
+  let own = p.p_funcs in
+  match
+    if Hashtbl.length own = 0 then None else Hashtbl.find_opt own fs.fs_name
+  with
+  | Some e ->
+      e.fe_sig <- merged e.fe_sig;
+      e
   | None ->
-      p.p_func_order_rev <- fs.fs_name :: p.p_func_order_rev;
-      Hashtbl.replace (own_funcs p) fs.fs_name fs
+      let sig_ =
+        match Option.bind p.p_base (fun b -> find_func b fs.fs_name) with
+        | Some old_ -> merged old_
+        | None ->
+            p.p_func_order_rev <- fs.fs_name :: p.p_func_order_rev;
+            fs
+      in
+      let e = { fe_sig = sig_; fe_defs = [] } in
+      Hashtbl.replace (own_funcs p) fs.fs_name e;
+      e
 
 let process_decl p (d : Ast.decl) =
   if d.d_name = "" then
@@ -581,7 +602,7 @@ let process_decl p (d : Ast.decl) =
                 ~modifies:None
                 ~static:(d.d_storage = Ast.Sstatic) ~defined:false ~loc:d.d_loc
             in
-            add_funsig p fs
+            ignore (add_funsig p fs)
         | _ ->
             let defined = d.d_storage <> Ast.Sextern || d.d_init <> None in
             let gv =
@@ -625,10 +646,10 @@ let process_fundef p (f : Ast.fundef) =
       ~static:(f.f_storage = Ast.Sstatic)
       ~defined:true ~loc:f.f_loc
   in
-  add_funsig p fs;
-  let sl = { sl_pair = (Hashtbl.find p.p_funcs f.f_name, f) } in
+  let e = add_funsig p fs in
+  let sl = { sl_pair = (e.fe_sig, f) } in
   p.p_fundefs_rev <- sl :: p.p_fundefs_rev;
-  Hashtbl.add (own_fundef_index p) f.f_name sl
+  e.fe_defs <- sl :: e.fe_defs
 
 (** Analyze a translation unit, extending [into] if given (multi-file
     checking shares one program environment, as LCLint does with interface
@@ -684,10 +705,12 @@ let analyze_spec_string ?(flags = Flags.default) ?into ~file src : program =
     two views must never disagree, or the checker would check the body
     against a stale interface. *)
 let update_funsig p (fs : funsig) : unit =
-  Hashtbl.replace (own_funcs p) fs.fs_name fs;
-  List.iter
-    (fun sl -> sl.sl_pair <- (fs, snd sl.sl_pair))
-    (Hashtbl.find_all p.p_fundef_index fs.fs_name)
+  match Hashtbl.find_opt p.p_funcs fs.fs_name with
+  | Some e ->
+      e.fe_sig <- fs;
+      List.iter (fun sl -> sl.sl_pair <- (fs, snd sl.sl_pair)) e.fe_defs
+  | None ->
+      Hashtbl.replace (own_funcs p) fs.fs_name { fe_sig = fs; fe_defs = [] }
 
 (** Swap the AST paired with an already-analyzed definition for a new
     fundef whose interface is structurally identical but whose body
@@ -707,7 +730,9 @@ let patch_fundef p (f : Ast.fundef) : bool =
       end
       else hit)
     false
-    (Hashtbl.find_all p.p_fundef_index f.Ast.f_name)
+    (match Hashtbl.find_opt p.p_funcs f.Ast.f_name with
+    | Some e -> e.fe_defs
+    | None -> [])
 
 (* ------------------------------------------------------------------ *)
 (* Direct calls (call-graph support)                                   *)

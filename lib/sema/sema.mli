@@ -84,6 +84,10 @@ type fundef_slot
 (** One definition's (signature, body) pair, updated in place by
     {!update_funsig} and {!patch_fundef}; read it through {!fundefs}. *)
 
+type func_entry
+(** A function's signature and the slots of its definitions; read the
+    signature through {!find_func}. *)
+
 (** The analysed program: symbol tables shared by the checker, the
     interpreter and the interface-library writer.  Multiple translation
     units may be analysed into one program (see {!analyze}).  Read its
@@ -98,12 +102,10 @@ type program = private {
   mutable p_structs : (string, suinfo) Hashtbl.t;
   mutable p_typedefs : (string, Ctype.t * Annot.set) Hashtbl.t;
   mutable p_enum_consts : (string, int64) Hashtbl.t;
-  mutable p_funcs : (string, funsig) Hashtbl.t;
+  mutable p_funcs : (string, func_entry) Hashtbl.t;
   mutable p_globals : (string, globalvar) Hashtbl.t;
   p_base : program option;
   mutable p_fundefs_rev : fundef_slot list;
-  mutable p_fundef_index : (string, fundef_slot) Hashtbl.t;
-      (** the definitions by name, entered as each is added *)
   mutable p_struct_order_rev : string list;
   mutable p_typedef_order_rev : string list;
   mutable p_global_order_rev : string list;

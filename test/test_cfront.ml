@@ -407,6 +407,7 @@ let test_stream_long_annotation_run () =
     (Ast.equal_tunit tu (parse_array ~typedefs:[] ~file:"t.c" src))
 
 let test_keyword_table () =
+  Alcotest.(check int) "32 keywords" 32 (List.length Token.keyword_table);
   List.iter
     (fun (s, k) ->
       Alcotest.(check bool) s true

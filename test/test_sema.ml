@@ -8,7 +8,7 @@ let analyse ?(flags = Flags.default) src =
   Sema.analyze_string ~flags ~file:"t.c" src
 
 let fs prog name =
-  match Hashtbl.find_opt prog.Sema.p_funcs name with
+  match Sema.find_func prog name with
   | Some fs -> fs
   | None -> Alcotest.failf "function %s not found" name
 
