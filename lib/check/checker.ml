@@ -102,6 +102,8 @@ type env = {
   prog : Sema.program;
   flags : Flags.t;
   fs : Sema.funsig;
+  param_refs : Sref.t array;
+      (** the externally visible root [argl] of each parameter, by index *)
   diags : Diag.Collector.t;
   exit_obs : (exit_info -> unit) option;
       (** called once per reachable procedure exit (summary extraction) *)
@@ -1579,22 +1581,25 @@ and materialize_siblings env st (b : Sref.t) ~skip_field ~loc : Store.t =
     for [allocated] pointers the *contents* are undefined, so the report
     names the reachable fields (the [argl->next->next] pattern). *)
 and incomplete_refs env st (r : Sref.t) : Sref.t list =
+  match (Store.get st r).Store.rs_def with
+  | DSdefined | DSdead | DSerror -> [] (* the common case: nothing to scan *)
+  | _ ->
   let seen = ref Sref.Set.empty in
   let rec go r acc =
     if Sref.Set.mem r !seen || Sref.depth r > 6 then acc
     else begin
       seen := Sref.Set.add r !seen;
       let s = Store.get st r in
-      let relaxed =
+      let relaxed () =
         match (annots_of_ref env r).Annot.an_def with
         | Some Annot.Out | Some Annot.Partial | Some Annot.RelDef -> true
         | _ -> false
       in
       match s.Store.rs_def with
-      | _ when relaxed && not (Sref.equal (Sref.root (Sref.root_of r)) r) ->
+      | DSdefined | DSdead | DSerror -> acc
+      | _ when relaxed () && not (Sref.equal (Sref.root (Sref.root_of r)) r) ->
           (* relaxed field/ref: checking is suppressed (reldef/partial) *)
           acc
-      | DSdefined | DSdead | DSerror -> acc
       | DSundefined -> r :: acc
       | DSallocated ->
           (* contents undefined: name them by type *)
@@ -1771,8 +1776,12 @@ and call_known env st (fs : Sema.funsig) (args : Ast.expr list) ~loc :
   (* unique parameters: may not share storage with any other parameter or
      accessible global (the strcpy anomaly, Section 6) *)
   let st =
-    if env.flags.Flags.check_alias then
-      check_unique env st fs paired ~fname ~loc
+    if
+      env.flags.Flags.check_alias
+      && List.exists
+           (fun (p : Sema.param) -> p.Sema.pr_annots.Sema.an.Annot.an_unique)
+           fs.Sema.fs_params
+    then check_unique env st fs paired ~fname ~loc
     else st
   in
   (* globals used by the callee *)
@@ -2347,10 +2356,13 @@ let escapes ?(ignoring : Sref.root option) env st (r : Sref.t) : bool =
   ignore env;
   Sref.Set.exists
     (fun img ->
-      match Sref.root_of img with
-      | root when Some root = ignoring -> false
-      | Sref.Rparam _ | Sref.Rglobal _ | Sref.Rret -> true
-      | _ -> false)
+      let root = Sref.root_of img in
+      match ignoring with
+      | Some ig when Sref.equal_root root ig -> false
+      | _ -> (
+          match root with
+          | Sref.Rparam _ | Sref.Rglobal _ | Sref.Rret -> true
+          | _ -> false))
     (Store.alias_images st r)
 
 (** Report storage whose release obligation is lost when [r] goes out of
@@ -2408,14 +2420,11 @@ let check_exit env st ~(ret : value option) ~loc : Store.t =
         | _ -> None
       in
       let xi_params =
-        Array.of_list
-          (List.mapi
-             (fun i (p : Sema.param) ->
-               let s =
-                 Store.get st (Sref.root (Sref.Rparam (i, p.Sema.pr_name)))
-               in
-               (s.Store.rs_def, s.Store.rs_alloc))
-             env.fs.Sema.fs_params)
+        Array.map
+          (fun r ->
+            let s = Store.get st r in
+            (s.Store.rs_def, s.Store.rs_alloc))
+          env.param_refs
       in
       obs { xi_loc = loc; xi_ret; xi_params }
   | None -> ());
@@ -2529,6 +2538,9 @@ let check_exit env st ~(ret : value option) ~loc : Store.t =
            env.flags.Flags.check_alloc
            && (not ret_an.Annot.an_newref)
            && Ctype.is_pointer fs.Sema.fs_ret
+           && List.exists
+                (fun (p : Sema.param) -> p.Sema.pr_annots.Sema.an.Annot.an_tempref)
+                fs.Sema.fs_params
          then
            match v.v_ref with
            | Some r ->
@@ -2611,72 +2623,69 @@ let check_exit env st ~(ret : value option) ~loc : Store.t =
   in
   (* ---- parameters ---- *)
   let st =
-    List.fold_left
-      (fun st (i, (p : Sema.param)) ->
-        let r = Sref.root (Sref.Rparam (i, p.Sema.pr_name)) in
-        let s = Store.get st r in
-        let an = p.Sema.pr_annots.Sema.an in
-        let is_dead = equal_defstate s.Store.rs_def DSdead in
-        (* an unconsumed only parameter is a leak *)
-        let st =
-          match an.Annot.an_alloc with
-          | Some Annot.Only | Some Annot.Keep ->
-              if is_dead then st
-              else
-                (* the parameter's own external view is where the
-                   obligation LIVES, not an escape route *)
-                leak_check_ref
-                  ~ignoring:(Sref.Rparam (i, p.Sema.pr_name))
-                  env st r ~what:"return" ~loc
-          | _ when an.Annot.an_killref ->
-              if is_dead then st
-              else
-                leak_check_ref
-                  ~ignoring:(Sref.Rparam (i, p.Sema.pr_name))
-                  env st r ~what:"return" ~loc
-          | _ when an.Annot.an_tempref ->
-              (* a tempref reference is borrowed for the duration of the
-                 call: storing it where it outlives the call (a global,
-                 another parameter's object) escapes the borrow *)
-              if
-                env.flags.Flags.check_alloc && (not is_dead)
-                && escapes
-                     ~ignoring:(Sref.Rparam (i, p.Sema.pr_name))
-                     env st r
-              then begin
-                emit env ~loc ~code:"refcount"
-                  "Borrowed reference %s (tempref param) escapes through an \
-                   externally visible reference when %s returns"
-                  p.Sema.pr_name env.fs.Sema.fs_name;
-                Store.set_alloc ~loc st r ASerror
-              end
-              else st
-          | _ -> st
-        in
-        (* temp parameters must survive (a release was reported at the
-           release site; here we check completeness only) *)
-        let st =
-          if is_dead then st
-          else
-            match an.Annot.an_def with
-            | Some Annot.Out | Some Annot.Partial | Some Annot.RelDef
-              when false ->
-                st
-            | _ ->
-                if env.flags.Flags.check_def then
-                  List.fold_left
-                    (fun st m ->
-                      emit env ~loc ~code:"compdef"
-                        "Storage %s reachable from parameter %s is not \
-                         completely defined when function returns"
-                        (Sref.to_string m) p.Sema.pr_name;
-                      Store.set_def ~loc st m DSerror)
-                    st (incomplete_refs env st r)
+    let rec params st i = function
+      | [] -> st
+      | (p : Sema.param) :: rest ->
+          let r = env.param_refs.(i) in
+          let s = Store.get st r in
+          let an = p.Sema.pr_annots.Sema.an in
+          let is_dead = equal_defstate s.Store.rs_def DSdead in
+          (* an unconsumed only parameter is a leak *)
+          let st =
+            match an.Annot.an_alloc with
+            | Some Annot.Only | Some Annot.Keep ->
+                if is_dead then st
+                else
+                  (* the parameter's own external view is where the
+                     obligation LIVES, not an escape route *)
+                  leak_check_ref ~ignoring:(Sref.root_of r) env st r
+                    ~what:"return" ~loc
+            | _ when an.Annot.an_killref ->
+                if is_dead then st
+                else
+                  leak_check_ref ~ignoring:(Sref.root_of r) env st r
+                    ~what:"return" ~loc
+            | _ when an.Annot.an_tempref ->
+                (* a tempref reference is borrowed for the duration of the
+                   call: storing it where it outlives the call (a global,
+                   another parameter's object) escapes the borrow *)
+                if
+                  env.flags.Flags.check_alloc && (not is_dead)
+                  && escapes ~ignoring:(Sref.root_of r) env st r
+                then begin
+                  emit env ~loc ~code:"refcount"
+                    "Borrowed reference %s (tempref param) escapes through an \
+                     externally visible reference when %s returns"
+                    p.Sema.pr_name env.fs.Sema.fs_name;
+                  Store.set_alloc ~loc st r ASerror
+                end
                 else st
-        in
-        st)
-      st
-      (List.mapi (fun i p -> (i, p)) fs.Sema.fs_params)
+            | _ -> st
+          in
+          (* temp parameters must survive (a release was reported at the
+             release site; here we check completeness only) *)
+          let st =
+            if is_dead then st
+            else
+              match an.Annot.an_def with
+              | Some Annot.Out | Some Annot.Partial | Some Annot.RelDef
+                when false ->
+                  st
+              | _ ->
+                  if env.flags.Flags.check_def then
+                    List.fold_left
+                      (fun st m ->
+                        emit env ~loc ~code:"compdef"
+                          "Storage %s reachable from parameter %s is not \
+                           completely defined when function returns"
+                          (Sref.to_string m) p.Sema.pr_name;
+                        Store.set_def ~loc st m DSerror)
+                      st (incomplete_refs env st r)
+                  else st
+          in
+          params st (i + 1) rest
+    in
+    params st 0 fs.Sema.fs_params
   in
   (* ---- globals ---- *)
   let st =
@@ -2871,7 +2880,7 @@ let rec exec env st (stmt : Ast.stmt) : Store.t =
           else st
         in
         List.fold_left
-          (fun st (name, _) -> Store.drop_root st (Sref.Rlocal name))
+          (fun st (_, i) -> Store.drop_root st (Sref.root_of i.li_ref))
           st scope.vars
     | Ast.Sif (c, then_, else_) -> (
         let t, f = split_cond env st c in
@@ -2919,7 +2928,7 @@ let rec exec env st (stmt : Ast.stmt) : Store.t =
               let scope = pop_scope env in
               let st' =
                 List.fold_left
-                  (fun st (name, _) -> Store.drop_root st (Sref.Rlocal name))
+                  (fun st (_, i) -> Store.drop_root st (Sref.root_of i.li_ref))
                   st' scope.vars
               in
               st')
@@ -2952,12 +2961,18 @@ and exec_decl env ~loc st (d : Ast.decl) : Store.t =
   end
   else begin
     let ty = Sema.resolve_ty env.prog ~loc:d.d_loc d.d_ty in
-    let set, errs = Annot.of_annots d.d_annots in
-    List.iter
-      (fun (e : Annot.parse_error) ->
-        emit env ~loc:e.pe_loc ~code:"annot" "%s" e.pe_text)
-      errs;
-    let set = Annot.override ~base:(Sema.typedef_annots env.prog ty) ~decl:set in
+    let base = Sema.typedef_annots env.prog ty in
+    let set =
+      match d.d_annots with
+      | [] -> base
+      | annots ->
+          let set, errs = Annot.of_annots annots in
+          List.iter
+            (fun (e : Annot.parse_error) ->
+              emit env ~loc:e.pe_loc ~code:"annot" "%s" e.pe_text)
+            errs;
+          Annot.override ~base ~decl:set
+    in
     let r = Sref.root (Sref.Rlocal d.d_name) in
     add_local env d.d_name
       { li_ty = ty; li_annots = set; li_loc = d.d_loc; li_param = None;
@@ -3155,11 +3170,18 @@ let check_body ?exit_obs ?summaries (prog : Sema.program)
              | None -> false)
            (Sema.calls_of_fundef f))
   in
+  let param_refs =
+    Array.of_list
+      (List.mapi
+         (fun i (p : Sema.param) -> Sref.root (Sref.Rparam (i, p.Sema.pr_name)))
+         fs.Sema.fs_params)
+  in
   let env =
     {
       prog;
       flags = prog.Sema.flags;
       fs;
+      param_refs;
       diags = prog.Sema.diags;
       exit_obs;
       proc_inferred;
@@ -3229,7 +3251,7 @@ let check_body ?exit_obs ?summaries (prog : Sema.program)
           entry_state env ~ty:p.Sema.pr_ty ~annots:p.Sema.pr_annots.Sema.an
             ~loc:p.Sema.pr_loc
         in
-        let extern = Sref.root (Sref.Rparam (i, p.Sema.pr_name)) in
+        let extern = param_refs.(i) in
         let st = Store.set st local s in
         let st = Store.set st extern s in
         if env.flags.Flags.alias_tracking then Store.add_alias st local extern
