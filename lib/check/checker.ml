@@ -1259,12 +1259,17 @@ and do_assign env st ~(lhs_ref : Sref.t) ~(lhs_ty : Ctype.t) ~(rhs : value)
           { s with Store.rs_offset = true })
   | _ ->
   let old = Store.get st lhs_ref in
+  let makes_alias_edges =
+    Ctype.is_pointer lhs_ty && (not rhs.v_addrof)
+    && env.flags.Flags.alias_tracking
+  in
   (* names of the assigned value, captured before the store is mutated
-     (rebinding the lhs invalidates alias paths through it) *)
+     (rebinding the lhs invalidates alias paths through it); only an
+     assignment that records alias edges reads them *)
   let rhs_images_pre =
     match rhs.v_ref with
-    | Some rr -> Store.alias_images st rr
-    | None -> Sref.Set.empty
+    | Some rr when makes_alias_edges -> Store.alias_images st rr
+    | _ -> Sref.Set.empty
   in
   (* --- +allocmodel: realloc-result bookkeeping (prune / realloclost) --- *)
   allocmodel_assign env st ~rhs ~lhs_ref ~loc;
@@ -1469,9 +1474,7 @@ and do_assign env st ~(lhs_ref : Sref.t) ~(lhs_ty : Ctype.t) ~(rhs : value)
   (* --- alias edges to the source reference (paper, Fig. 6, point 6) --- *)
   let st =
     match rhs.v_ref with
-    | Some _
-      when Ctype.is_pointer lhs_ty && (not rhs.v_addrof)
-           && env.flags.Flags.alias_tracking ->
+    | Some _ when makes_alias_edges ->
         let rhs_images =
           (* exclude names that are stale after the rebind: the lhs itself
              and anything derived from it (after l = l->next, the name
