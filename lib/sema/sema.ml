@@ -205,10 +205,14 @@ let rec lookup table p k =
 let find_struct p tag = lookup (fun p -> p.p_structs) p tag
 let find_typedef p name = lookup (fun p -> p.p_typedefs) p name
 let find_enum_const p name = lookup (fun p -> p.p_enum_consts) p name
-let find_func p name =
-  match lookup (fun p -> p.p_funcs) p name with
-  | Some e -> Some e.fe_sig
-  | None -> None
+let rec find_func p name =
+  match
+    if Hashtbl.length p.p_funcs = 0 then raise Not_found
+    else Hashtbl.find p.p_funcs name
+  with
+  | e -> Some e.fe_sig
+  | exception Not_found -> (
+      match p.p_base with Some b -> find_func b name | None -> None)
 let find_global p name = lookup (fun p -> p.p_globals) p name
 
 let diag p ?(severity = Diag.Err) ?(notes = []) ~loc ~code fmt =
@@ -553,8 +557,11 @@ let add_funsig p (fs : funsig) : func_entry =
       e.fe_sig <- merged e.fe_sig;
       e
   | None ->
+      let earlier =
+        match p.p_base with Some b -> find_func b fs.fs_name | None -> None
+      in
       let sig_ =
-        match Option.bind p.p_base (fun b -> find_func b fs.fs_name) with
+        match earlier with
         | Some old_ -> merged old_
         | None ->
             p.p_func_order_rev <- fs.fs_name :: p.p_func_order_rev;
