@@ -169,17 +169,19 @@ let add_local env name info =
   | s :: _ -> s.vars <- (name, info) :: s.vars
   | [] -> invalid_arg "add_local: no scope"
 
-let find_local env name : localinfo option =
-  let rec in_scope = function
-    | [] -> None
-    | (n, i) :: rest -> if String.equal n name then Some i else in_scope rest
-  in
-  let rec go = function
-    | [] -> None
-    | s :: rest -> (
-        match in_scope s.vars with Some _ as hit -> hit | None -> go rest)
-  in
-  go env.scopes
+(* Innermost scope first; top-level so that a lookup builds no closure. *)
+let rec find_in_scopes name = function
+  | [] -> None
+  | s :: rest -> (
+      match find_var name s.vars with
+      | Some _ as hit -> hit
+      | None -> find_in_scopes name rest)
+
+and find_var name = function
+  | [] -> None
+  | (n, i) :: rest -> if String.equal n name then Some i else find_var name rest
+
+let find_local env name : localinfo option = find_in_scopes name env.scopes
 
 let fresh_id env =
   env.fresh <- env.fresh + 1;
@@ -192,6 +194,14 @@ let static_id env =
 (* ------------------------------------------------------------------ *)
 (* Types of references                                                 *)
 (* ------------------------------------------------------------------ *)
+
+(** The declaration of field [f] of the struct or union [ty] denotes,
+    directly or through one pointer. *)
+let field_decl env (ty : Ctype.t) f : Sema.field option =
+  let obj = match Ctype.deref ty with Some t -> t | None -> ty in
+  match Ctype.su_tag obj with
+  | Some tag -> Sema.find_field env.prog tag f
+  | None -> None
 
 (** Type of the storage denoted by a reference (best effort). *)
 let rec type_of_ref env (r : Sref.t) : Ctype.t option =
@@ -207,15 +217,13 @@ let rec type_of_ref env (r : Sref.t) : Ctype.t option =
   | Sref.Root Sref.Rret -> Some env.fs.fs_ret
   | Sref.Root (Sref.Rfresh _) -> None
   | Sref.Root (Sref.Rstatic _) -> Some Ctype.charptr
-  | Sref.Field (b, f) ->
-      Option.bind (type_of_ref env b) (fun bty ->
-          let obj =
-            (* field access through a pointer or directly on an aggregate *)
-            match Ctype.deref bty with Some t -> t | None -> bty
-          in
-          Option.bind (Ctype.su_tag obj) (fun tag ->
-              Sema.find_field env.prog tag f)
-          |> Option.map (fun fl -> fl.Sema.sf_ty))
+  | Sref.Field (b, f) -> (
+      match type_of_ref env b with
+      | Some bty -> (
+          match field_decl env bty f with
+          | Some fl -> Some fl.Sema.sf_ty
+          | None -> None)
+      | None -> None)
   | Sref.Deref b -> Option.bind (type_of_ref env b) Ctype.deref
   | Sref.Index (b, _) -> Option.bind (type_of_ref env b) Ctype.deref
 
@@ -246,14 +254,8 @@ let annots_of_ref env (r : Sref.t) : Annot.set =
   | Sref.Root (Sref.Rfresh _) | Sref.Root (Sref.Rstatic _) -> Annot.empty
   | Sref.Field (b, f) -> (
       match type_of_ref env b with
-      | Some bty ->
-          let obj =
-            match Ctype.deref bty with Some t -> t | None -> bty
-          in
-          (match
-             Option.bind (Ctype.su_tag obj) (fun tag ->
-                 Sema.find_field env.prog tag f)
-           with
+      | Some bty -> (
+          match field_decl env bty f with
           | Some fl -> fl.Sema.sf_annots.Sema.an
           | None -> Annot.empty)
       | None -> Annot.empty)
@@ -838,12 +840,7 @@ and arrow_base_checks env st (bv : value) ~fname ~loc : Store.t =
    depend on the base's definition state. *)
 and eval_field env st (bv : value) fname ~loc : Store.t * value =
   let fty =
-    let obj =
-      match Ctype.deref bv.v_ty with Some t -> t | None -> bv.v_ty
-    in
-    match
-      Option.bind (Ctype.su_tag obj) (fun tag -> Sema.find_field env.prog tag fname)
-    with
+    match field_decl env bv.v_ty fname with
     | Some fl -> fl.Sema.sf_ty
     | None -> Ctype.int_
   in
@@ -955,12 +952,7 @@ and lval env st (e : Ast.expr) : Store.t * (Sref.t option * Ctype.t) =
 and lval_field env st (bv : value) fname : Store.t * (Sref.t option * Ctype.t)
     =
   let fty =
-    let obj =
-      match Ctype.deref bv.v_ty with Some t -> t | None -> bv.v_ty
-    in
-    match
-      Option.bind (Ctype.su_tag obj) (fun tag -> Sema.find_field env.prog tag fname)
-    with
+    match field_decl env bv.v_ty fname with
     | Some fl -> fl.Sema.sf_ty
     | None -> Ctype.int_
   in
