@@ -544,29 +544,32 @@ let merge_funsig p (old_ : funsig) (new_ : funsig) : funsig =
    and return its entry.  An overlay's first declaration of a base
    program's function gets an entry of its own, with no definitions. *)
 let add_funsig p (fs : funsig) : func_entry =
-  let merged old_ =
-    if old_.fs_defined && fs.fs_defined then
-      diag p ~loc:fs.fs_loc ~code:"decl" "function '%s' redefined" fs.fs_name;
-    merge_funsig p old_ fs
-  in
   let own = p.p_funcs in
-  match
+  let mine =
     if Hashtbl.length own = 0 then None else Hashtbl.find_opt own fs.fs_name
-  with
+  in
+  let earlier =
+    match (mine, p.p_base) with
+    | Some e, _ -> Some e.fe_sig
+    | None, Some b -> find_func b fs.fs_name
+    | None, None -> None
+  in
+  let sig_ =
+    match earlier with
+    | Some old_ ->
+        if old_.fs_defined && fs.fs_defined then
+          diag p ~loc:fs.fs_loc ~code:"decl" "function '%s' redefined"
+            fs.fs_name;
+        merge_funsig p old_ fs
+    | None ->
+        p.p_func_order_rev <- fs.fs_name :: p.p_func_order_rev;
+        fs
+  in
+  match mine with
   | Some e ->
-      e.fe_sig <- merged e.fe_sig;
+      e.fe_sig <- sig_;
       e
   | None ->
-      let earlier =
-        match p.p_base with Some b -> find_func b fs.fs_name | None -> None
-      in
-      let sig_ =
-        match earlier with
-        | Some old_ -> merged old_
-        | None ->
-            p.p_func_order_rev <- fs.fs_name :: p.p_func_order_rev;
-            fs
-      in
       let e = { fe_sig = sig_; fe_defs = [] } in
       Hashtbl.replace (own_funcs p) fs.fs_name e;
       e

@@ -200,7 +200,7 @@ val update_funsig : program -> funsig -> unit
     A pair that no write has touched keeps the funsig it was defined
     with, even after a later redeclaration merged into the table.
 
-    Cost: the pairs are found through the definitions index, so a call
+    Cost: the pairs sit in the name's symbol-table entry, so a call
     costs O(definitions with that name), whatever the program's size. *)
 
 val patch_fundef : program -> Cfront.Ast.fundef -> bool
@@ -211,8 +211,8 @@ val patch_fundef : program -> Cfront.Ast.fundef -> bool
     position).  Matches by (definition file, name), so of two [static]
     functions of one name only the named file's is swapped; [false] when
     the definition is unknown.  The caller must have verified interface
-    identity.  Found through the definitions index: O(definitions with
-    that name). *)
+    identity.  Found through the name's symbol-table entry:
+    O(definitions with that name). *)
 
 val calls_of_fundef : Cfront.Ast.fundef -> string list
 (** Names in direct-call position anywhere in the body, first-occurrence
