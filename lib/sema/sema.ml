@@ -84,7 +84,7 @@ type fundef_slot = { mutable sl_pair : funsig * Ast.fundef }
 
 (* A function's [p_funcs] entry: its merged signature and the slots of
    its definitions (several for same-named statics of different files),
-   so that adding a definition hashes its name once. *)
+   so one table serves lookups, [update_funsig] and [patch_fundef]. *)
 type func_entry = {
   mutable fe_sig : funsig;
   mutable fe_defs : fundef_slot list;  (** most recent first *)
@@ -205,6 +205,7 @@ let rec lookup table p k =
 let find_struct p tag = lookup (fun p -> p.p_structs) p tag
 let find_typedef p name = lookup (fun p -> p.p_typedefs) p name
 let find_enum_const p name = lookup (fun p -> p.p_enum_consts) p name
+(* [lookup], unwrapping the entry without a second option *)
 let rec find_func p name =
   match
     if Hashtbl.length p.p_funcs = 0 then raise Not_found
