@@ -1453,14 +1453,14 @@ and do_assign env st ~(lhs_ref : Sref.t) ~(lhs_ty : Ctype.t) ~(rhs : value)
   (* old alias edges on lhs are now stale: rebuild state from scratch *)
   let st =
     let here = Some loc in
-    let fresh =
+    let assigned =
       Store.mk_refstate ~def ~null ~alloc:rhs_alloc_final ~offset:rhs.v_offset
         ?defloc:here ?nullloc:here
         ?allocloc:
           (match old.Store.rs_allocloc with Some _ as l -> l | None -> here)
         ()
     in
-    Sref.Set.fold (fun img st -> Store.set st img fresh) images st
+    Sref.Set.fold (fun img st -> Store.set st img assigned) images st
   in
 
   (* --- alias edges to the source reference (paper, Fig. 6, point 6) --- *)
