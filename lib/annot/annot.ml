@@ -14,7 +14,7 @@ type null_annot =
   | NotNull  (** not permitted to be NULL (the default; explicit form
                  overrides a [null] on the type definition) *)
   | RelNull  (** relaxed: assumed non-null when used, may be assigned NULL *)
-[@@deriving eq, ord, show]
+[@@deriving eq]
 
 (** Definition annotations (Appendix B, "Definition"). *)
 type def_annot =
@@ -22,7 +22,7 @@ type def_annot =
   | In  (** completely defined (the default) *)
   | Partial  (** partially defined; no errors on undefined fields *)
   | RelDef  (** relaxed definition checking *)
-[@@deriving eq, ord, show]
+[@@deriving eq]
 
 (** Allocation annotations (Appendix B, "Allocation"). *)
 type alloc_annot =
@@ -34,13 +34,13 @@ type alloc_annot =
   | Owned  (** owns storage possibly shared by [dependent] references *)
   | Dependent  (** shares storage owned by an [owned] reference *)
   | Shared  (** arbitrarily shared, never deallocated (GC use) *)
-[@@deriving eq, ord, show]
+[@@deriving eq]
 
 (** Exposure annotations (Appendix B, "Exposure"). *)
 type expose_annot =
   | Observer  (** returned storage must not be modified or freed by caller *)
   | Exposed  (** exposed internal storage: may be modified, not freed *)
-[@@deriving eq, ord, show]
+[@@deriving eq]
 
 (** A parsed annotation set as attached to one declaration. *)
 type set = {
@@ -71,7 +71,7 @@ type set = {
           ({!to_words} omits it); diagnostics use it to say "inferred,
           not declared". *)
 }
-[@@deriving eq, show]
+[@@deriving eq]
 
 let empty =
   {
@@ -360,15 +360,3 @@ let to_words (s : set) : string list =
   @ (if s.an_newref then [ "newref" ] else [])
   @ (if s.an_killref then [ "killref" ] else [])
   @ if s.an_tempref then [ "tempref" ] else []
-
-let to_string s = String.concat " " (to_words s)
-
-(** Build a set from a whitespace-separated word string; raises
-    [Invalid_argument] on unknown words.  Convenience for specs in OCaml
-    code (the annotated standard library). *)
-let of_string words : set =
-  let annots = [ Cfront.Ast.annot words ] in
-  let s, errs = of_annots annots in
-  match errs with
-  | [] -> s
-  | e :: _ -> invalid_arg ("Annot.of_string: " ^ e.pe_text)

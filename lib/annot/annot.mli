@@ -19,23 +19,6 @@ type alloc_annot = Only | Keep | Temp | Owned | Dependent | Shared
 (** Exposure annotations. *)
 type expose_annot = Observer | Exposed
 
-val equal_null_annot : null_annot -> null_annot -> bool
-val compare_null_annot : null_annot -> null_annot -> int
-val pp_null_annot : Format.formatter -> null_annot -> unit
-val show_null_annot : null_annot -> string
-val equal_def_annot : def_annot -> def_annot -> bool
-val compare_def_annot : def_annot -> def_annot -> int
-val pp_def_annot : Format.formatter -> def_annot -> unit
-val show_def_annot : def_annot -> string
-val equal_alloc_annot : alloc_annot -> alloc_annot -> bool
-val compare_alloc_annot : alloc_annot -> alloc_annot -> int
-val pp_alloc_annot : Format.formatter -> alloc_annot -> unit
-val show_alloc_annot : alloc_annot -> string
-val equal_expose_annot : expose_annot -> expose_annot -> bool
-val compare_expose_annot : expose_annot -> expose_annot -> int
-val pp_expose_annot : Format.formatter -> expose_annot -> unit
-val show_expose_annot : expose_annot -> string
-
 (** A parsed annotation set as attached to one declaration. *)
 type set = {
   an_null : null_annot option;
@@ -58,10 +41,6 @@ type set = {
           not declared in source; {!to_words} never renders it *)
 }
 
-val equal_set : set -> set -> bool
-val pp_set : Format.formatter -> set -> unit
-val show_set : set -> string
-
 val empty : set
 val is_empty : set -> bool
 
@@ -69,32 +48,6 @@ val mark_inferred : set -> set
 (** Stamp the inference-provenance bit (see {!type-set}). *)
 
 val is_inferred : set -> bool
-
-(** One parsed annotation word. *)
-type word =
-  | Wnull of null_annot
-  | Wdef of def_annot
-  | Walloc of alloc_annot
-  | Wexpose of expose_annot
-  | Wunique
-  | Wreturned
-  | Wtruenull
-  | Wfalsenull
-  | Wexits
-  | Wundef
-  | Wkilled
-  | Wrefcounted
-  | Wnewref
-  | Wkillref
-  | Wtempref
-  | Wignore
-  | Wend
-  | Wiline
-  | Winferred
-  | Wunknown of string
-
-val word_of_string : string -> word
-val split_words : string -> string list
 
 type parse_error = { pe_loc : Cfront.Loc.t; pe_text : string }
 
@@ -121,8 +74,3 @@ val validate : slot:slot -> set -> string option
 
 val to_words : set -> string list
 (** Canonical word list (the interface-library writer's form). *)
-
-val to_string : set -> string
-
-val of_string : string -> set
-(** Parse a word string; raises [Invalid_argument] on unknown words. *)

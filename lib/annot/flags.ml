@@ -111,17 +111,6 @@ let allimponly_off f =
     implicit_only_fields = false;
   }
 
-(** All checks off except parsing: used for message-count baselines. *)
-let none =
-  {
-    default with
-    check_null = false;
-    check_def = false;
-    check_alloc = false;
-    check_alias = false;
-    check_use_released = false;
-  }
-
 type flag_error = Unknown_flag of string
 
 (** Apply one LCLint-style flag string ([+name] enables, [-name] disables).

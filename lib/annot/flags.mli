@@ -47,16 +47,7 @@ val allimponly_off : t -> t
 (** The paper's [-allimponly] run: no implicit [only] annotations, so
     every transfer of fresh storage surfaces (Section 6). *)
 
-val none : t
-(** All checks off; used for message-count baselines. *)
-
 type flag_error = Unknown_flag of string
-
-val apply : t -> string -> (t, flag_error) result
-(** Apply one flag string: [+name] enables, [-name] (or [no-name])
-    disables, a bare name enables.  A leading [=] is tolerated (cmdliner
-    glue).  [loopiter=N] is the one valued flag (fixpoint iteration
-    bound, [N >= 1]). *)
 
 val apply_all : t -> string list -> (t, flag_error) result
 
@@ -68,9 +59,6 @@ val canonical : t -> string
 
 val flag_names : string list
 (** Every recognized flag name. *)
-
-val edit_distance : string -> string -> int
-(** Levenshtein distance between two strings. *)
 
 val suggest : string -> string option
 (** The known flag nearest to a mistyped name, when close enough to be a

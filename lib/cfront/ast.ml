@@ -10,26 +10,26 @@
     lists on declarations, parameters, fields, typedefs and function return
     values rather than inside types. *)
 
-type annot = { a_text : string; a_loc : Loc.t } [@@deriving eq, show]
+type annot = { a_text : string; a_loc : Loc.t } [@@deriving eq]
 
 type storage = Snone | Sextern | Sstatic | Stypedef | Sauto | Sregister
-[@@deriving eq, show]
+[@@deriving eq]
 
 type unop =
   | Uneg  (** -e *)
   | Unot  (** !e *)
   | Ubnot  (** ~e *)
-[@@deriving eq, show]
+[@@deriving eq]
 
 type binop =
   | Badd | Bsub | Bmul | Bdiv | Bmod
   | Bshl | Bshr | Bband | Bbor | Bbxor
   | Blt | Bgt | Ble | Bge | Beq | Bne
   | Bland | Blor
-[@@deriving eq, show]
+[@@deriving eq]
 
 (** Compound-assignment carrier: [None] is plain [=], [Some op] is [op=]. *)
-type assignop = binop option [@@deriving eq, show]
+type assignop = binop option [@@deriving eq]
 
 type base_type =
   | Tvoid
@@ -98,9 +98,9 @@ and expr_desc =
   | Esizeof_expr of expr
   | Esizeof_type of ty
   | Ecomma of expr * expr
-[@@deriving eq, show]
+[@@deriving eq]
 
-type init = Iexpr of expr | Ilist of init list [@@deriving eq, show]
+type init = Iexpr of expr | Ilist of init list [@@deriving eq]
 
 type decl = {
   d_name : string;
@@ -110,12 +110,12 @@ type decl = {
   d_init : init option;
   d_loc : Loc.t;
 }
-[@@deriving eq, show]
+[@@deriving eq]
 
 (** One entry of a [/*@globals ...@*/] list on a function: the named global
     with its per-function annotations (e.g. [undef]). *)
 type globspec = { g_name : string; g_annots : annot list; g_loc : Loc.t }
-[@@deriving eq, show]
+[@@deriving eq]
 
 type fundef = {
   f_name : string;
@@ -153,14 +153,14 @@ and stmt_desc =
   | Sgoto of string
   | Slabel of string * stmt
   | Sassert of expr  (** [assert(e)] — recognized specially, it refines guards *)
-[@@deriving eq, show]
+[@@deriving eq]
 
 type topdecl =
   | Tfundef of fundef
   | Tdecl of decl list
       (** variable / extern function declarations; typedefs carry
           [Stypedef] storage *)
-[@@deriving eq, show]
+[@@deriving eq]
 
 type tunit = {
   tu_file : string;
@@ -169,7 +169,7 @@ type tunit = {
       (** free-standing annotation comments found at statement or top level:
           message suppressions ([ignore], [i<code>]) and control comments *)
 }
-[@@deriving eq, show]
+[@@deriving eq]
 
 (* ------------------------------------------------------------------ *)
 (* Convenience constructors and observers                              *)

@@ -17,10 +17,9 @@ type severity =
   | Err  (** anomaly that almost certainly indicates a bug *)
   | Warn  (** anomaly that may be benign *)
   | Info  (** informational (e.g. parse recovery notes) *)
-[@@deriving eq, ord, show]
 
 (** Indented secondary line attached to a diagnostic. *)
-type note = { nloc : Loc.t; ntext : string } [@@deriving eq, show]
+type note = { nloc : Loc.t; ntext : string }
 
 type t = {
   loc : Loc.t;
@@ -37,7 +36,6 @@ type t = {
           inference-synthesized annotation (so the message depends on an
           inferred, not declared, interface) *)
 }
-[@@deriving eq, show]
 
 let note ~loc text = { nloc = loc; ntext = text }
 
@@ -53,9 +51,6 @@ let severity_string = function
 (* ------------------------------------------------------------------ *)
 (* Categories                                                          *)
 (* ------------------------------------------------------------------ *)
-
-let categories =
-  [ "null"; "definition"; "allocation"; "alias"; "process"; "frontend"; "other" ]
 
 (** Map a stable diagnostic code to its anomaly category — the grouping
     the paper's Section 6 iteration reports counts by (null, definition,
@@ -190,12 +185,10 @@ module Collector = struct
   let sort_emission ds =
     List.stable_sort
       (fun a b ->
-        match Loc.compare_pos a.loc b.loc with
+        match Loc.compare a.loc b.loc with
         | 0 -> String.compare a.code b.code
         | c -> c)
       ds
-
-  let clear c = c.rev <- []
 end
 
 exception Fatal of t

@@ -4,16 +4,7 @@
 
 type severity = Err | Warn | Info
 
-val equal_severity : severity -> severity -> bool
-val compare_severity : severity -> severity -> int
-val pp_severity : Format.formatter -> severity -> unit
-val show_severity : severity -> string
-
 type note = { nloc : Loc.t; ntext : string }
-
-val equal_note : note -> note -> bool
-val pp_note : Format.formatter -> note -> unit
-val show_note : note -> string
 
 type t = {
   loc : Loc.t;
@@ -29,42 +20,27 @@ type t = {
       (** the producing check consulted an inference-synthesized annotation *)
 }
 
-val equal : t -> t -> bool
-val show : t -> string
-
 val note : loc:Loc.t -> string -> note
 val make :
   ?severity:severity -> ?notes:note list -> ?proc:string -> ?inferred:bool ->
   loc:Loc.t -> code:string -> string -> t
 
-val severity_string : severity -> string
-
-val categories : string list
-(** The anomaly categories, in reporting order: null, definition,
-    allocation, alias, process, frontend, other. *)
-
-val category_of_code : string -> string
-(** The category a stable diagnostic code belongs to (the grouping of
-    the paper's Section 6 message counts). *)
-
 val category : t -> string
 
 val to_json : ?suppressed:bool -> t -> Telemetry.Json.t
-
-val of_json : Telemetry.Json.t -> (t, string) result
-(** Faithful inverse of {!to_json} (the derived [category]/[suppressed]
-    fields are ignored); the incremental summary cache uses this to
-    restore persisted per-function diagnostics. *)
 (** The machine-readable record emitted by [olclint -json]: an object
     with [file]/[line]/[column]/[severity]/[category]/[code]/[message]/
     [suppressed]/[inferred]/[notes] fields, plus [procedure] when the
     message came from a procedure check (docs/diagnostics.md documents
     the schema). *)
 
-val pp : Format.formatter -> t -> unit
-(** Renders the primary line and its indented notes. *)
+val of_json : Telemetry.Json.t -> (t, string) result
+(** Faithful inverse of {!to_json} (the derived [category]/[suppressed]
+    fields are ignored); the incremental summary cache uses this to
+    restore persisted per-function diagnostics. *)
 
 val to_string : t -> string
+(** Renders the primary line and its indented notes. *)
 
 (** Accumulates diagnostics in emission order. *)
 module Collector : sig
@@ -80,7 +56,6 @@ module Collector : sig
       stable beyond that — deterministic and diffable no matter how many
       files were given or how checking was parallelized. *)
 
-  val clear : t -> unit
 end
 
 exception Fatal of t

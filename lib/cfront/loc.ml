@@ -9,16 +9,12 @@ type t = {
   line : int;  (** 1-based line number *)
   col : int;  (** 1-based column number *)
 }
-[@@deriving eq, ord, show]
-
-(** A span covers a half-open region of source text from [l] to [r].  Spans
-    are used for multi-token constructs (expressions, statements). *)
-type span = { l : t; r : t } [@@deriving eq, ord, show]
+[@@deriving eq, ord]
+(* The derived [compare] follows the field order: file, line, column. *)
 
 let dummy = { file = "<none>"; line = 0; col = 0 }
 let is_dummy l = l.line = 0
 let make ~file ~line ~col = { file; line; col }
-let span l r = { l; r }
 
 (** [pp] prints in LCLint style: [file.c:LINE] or [file.c:LINE,COL].
     Column is omitted when 1 to match the paper's message excerpts. *)
@@ -27,9 +23,3 @@ let pp ppf t =
   else Fmt.pf ppf "%s:%d,%d" t.file t.line t.col
 
 let to_string t = Fmt.str "%a" pp t
-
-(** Total order: by file, then line, then column. *)
-let compare_pos a b =
-  match String.compare a.file b.file with
-  | 0 -> ( match Int.compare a.line b.line with 0 -> Int.compare a.col b.col | c -> c)
-  | c -> c

@@ -1158,9 +1158,3 @@ let parse_string ?(spec_mode = false) ?(typedefs = []) ~file src : Ast.tunit
     Telemetry.Counter.add Telemetry.c_ast_nodes (Ast.size_tunit tu);
     tu
   end
-
-(** Parse an LCL-style specification file: like {!parse_string} but with
-    bare-word annotations enabled, matching the paper's notation
-    ("null out only void *malloc (size_t size);"). *)
-let parse_spec_string ?(typedefs = []) ~file src : Ast.tunit =
-  parse_string ~spec_mode:true ~typedefs ~file src

@@ -31,9 +31,3 @@ val parse_string :
     seeds the typedef table (used when checking a module against
     previously loaded interface libraries).  [spec_mode] enables
     bare-word annotations. *)
-
-val parse_spec_string :
-  ?typedefs:string list -> file:string -> string -> Ast.tunit
-(** Parse an LCL-style specification: bare-word annotations before the
-    type specifiers, matching the paper's notation
-    ("null out only void *malloc (size_t size);"). *)

@@ -280,6 +280,3 @@ let pp_tunit ppf (tu : tunit) =
   List.iter (fun d -> Fmt.pf ppf "%a@\n" pp_topdecl d) tu.tu_decls
 
 let tunit_to_string tu = Fmt.str "%a" pp_tunit tu
-let expr_to_string e = Fmt.str "%a" pp_expr e
-let ty_to_string ty = Fmt.str "%a" pp_ty ty
-let stmt_to_string s = Fmt.str "%a" (pp_stmt ~indent:0) s

@@ -4,22 +4,5 @@
     parse-print-parse fixpoint); annotations print back in [/*@...@*/]
     form. *)
 
-val pp_annots : Format.formatter -> Ast.annot list -> unit
-val pp_ty : Format.formatter -> Ast.ty -> unit
-
-val pp_declaration : string -> Format.formatter -> Ast.ty -> unit
-(** [pp_declaration name ppf ty] prints a C declaration of [name] with
-    type [ty] using the inside-out declarator syntax. *)
-
-val pp_expr : Format.formatter -> Ast.expr -> unit
-val pp_init : Format.formatter -> Ast.init -> unit
-val pp_decl : Format.formatter -> Ast.decl -> unit
-val pp_stmt : ?indent:int -> Format.formatter -> Ast.stmt -> unit
 val pp_fundef : Format.formatter -> Ast.fundef -> unit
-val pp_topdecl : Format.formatter -> Ast.topdecl -> unit
-val pp_tunit : Format.formatter -> Ast.tunit -> unit
-
 val tunit_to_string : Ast.tunit -> string
-val expr_to_string : Ast.expr -> string
-val ty_to_string : Ast.ty -> string
-val stmt_to_string : Ast.stmt -> string

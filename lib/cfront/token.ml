@@ -34,9 +34,9 @@ type kind =
   | StarAssign | SlashAssign | PercentAssign | PlusAssign | MinusAssign
   | LShiftAssign | RShiftAssign | AmpAssign | CaretAssign | PipeAssign
   | Eof
-[@@deriving eq, show]
+[@@deriving eq]
 
-type t = { kind : kind; loc : Loc.t } [@@deriving show]
+type t = { kind : kind; loc : Loc.t }
 
 let keyword_table : (string * kind) list =
   [

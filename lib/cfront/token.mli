@@ -32,13 +32,8 @@ type kind =
   | Eof
 
 val equal_kind : kind -> kind -> bool
-val pp_kind : Format.formatter -> kind -> unit
-val show_kind : kind -> string
 
 type t = { kind : kind; loc : Loc.t }
-
-val pp : Format.formatter -> t -> unit
-val show : t -> string
 
 val keyword_table : (string * kind) list
 val keyword_of_string : string -> kind option

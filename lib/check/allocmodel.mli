@@ -11,10 +11,6 @@ type family =
       (** realloc-like: consumes its first pointer argument only when
           the result is non-null *)
 
-val classify : string -> family option
-(** Classify a standard allocator by name; [None] outside the modeled
-    family. *)
-
 val is_realloc : string -> bool
 
 val result_def : string -> State.defstate option

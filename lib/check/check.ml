@@ -47,6 +47,3 @@ let run_program (program : Sema.program) : result =
     modularly. *)
 let run ?(flags = Flags.default) ?into ~file (src : string) : result =
   run_program (Sema.analyze_string ~flags ?into ~file src)
-
-let codes (r : result) : string list =
-  List.map (fun (d : Diag.t) -> d.Diag.code) r.reports

@@ -36,6 +36,3 @@ val run : ?flags:Flags.t -> ?into:Sema.program -> file:string -> string -> resul
 (** Parse and check a source string ({!Sema.analyze_string}).  [into]
     pre-loads interface libraries (see {!Libspec}) for modular
     checking. *)
-
-val codes : result -> string list
-(** The diagnostic codes, in report order. *)

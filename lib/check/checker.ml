@@ -279,7 +279,7 @@ let ref_escaped env st (r : Sref.t) =
   Sref.Set.mem r env.escaped_args
   || not
        (Sref.Set.is_empty
-          (Sref.Set.inter (Store.alias_images st r) env.escaped_args))
+          (Sref.Set.inter (Store.value_images st r) env.escaped_args))
 
 (** Initial reference state implied by a declaration's annotations, for an
     entity assumed completely defined (function entry). *)
@@ -459,7 +459,7 @@ let touch_global env st (name : string) : Store.t =
 let realloc_source_of env st (r : Sref.t) : realloc_source option =
   if Hashtbl.length env.realloc_sources = 0 then None
   else
-    let candidates = Sref.Set.add r (Store.alias_images st r) in
+    let candidates = Sref.Set.add r (Store.value_images st r) in
     Sref.Set.fold
       (fun img acc ->
         match acc with
@@ -518,7 +518,7 @@ let allocmodel_assign env st ~(rhs : value) ~(lhs_ref : Sref.t) ~loc : unit =
       (* the realloc source whose fresh result the rhs value carries *)
       match rhs.v_ref with
       | Some rr when not rhs.v_addrof ->
-          let candidates = Sref.Set.add rr (Store.alias_images st rr) in
+          let candidates = Sref.Set.add rr (Store.value_images st rr) in
           Sref.Set.fold
             (fun img acc ->
               match acc with
@@ -1243,7 +1243,7 @@ and do_assign env st ~(lhs_ref : Sref.t) ~(lhs_ty : Ctype.t) ~(rhs : value)
   match rhs.v_ref with
   | Some rr
     when rhs.v_offset
-         && Sref.Set.mem lhs_ref (Store.alias_images st rr) ->
+         && Sref.Set.mem lhs_ref (Store.value_images st rr) ->
       (* p = p + n: same storage through an interior pointer; the
          obligation stays, but the reference can no longer release the
          block start *)
@@ -1260,7 +1260,7 @@ and do_assign env st ~(lhs_ref : Sref.t) ~(lhs_ty : Ctype.t) ~(rhs : value)
      assignment that records alias edges reads them *)
   let rhs_images_pre =
     match rhs.v_ref with
-    | Some rr when makes_alias_edges -> Store.alias_images st rr
+    | Some rr when makes_alias_edges -> Store.value_images st rr
     | _ -> Sref.Set.empty
   in
   (* --- +allocmodel: realloc-result bookkeeping (prune / realloclost) --- *)
@@ -1740,7 +1740,7 @@ and call_known env st (fs : Sema.funsig) (args : Ast.expr list) ~loc :
       | (({ v_ref = Some r; _ } : value) as v, _) :: _
         when has_obligation v.v_alloc
              && not (equal_nullstate v.v_null NSnull) ->
-          let imgs = Sref.Set.add r (Store.alias_images st r) in
+          let imgs = Sref.Set.add r (Store.value_images st r) in
           Some
             (r, List.map (fun i -> (i, Store.get st i)) (Sref.Set.elements imgs))
       | _ -> None
@@ -2013,7 +2013,7 @@ and check_arg env st (fs : Sema.funsig) (p : Sema.param) (v : value)
                  leaves the stored copy dangling *)
               env.escaped_args <-
                 Sref.Set.add r
-                  (Sref.Set.union (Store.alias_images st r) env.escaped_args);
+                  (Sref.Set.union (Store.value_images st r) env.escaped_args);
               Store.set_alloc ~loc:aloc st r ASshared
             end
             else st
@@ -2222,7 +2222,7 @@ and check_unique env st (fs : Sema.funsig)
                     | None -> true)
                 | Sref.Rglobal _ -> true
                 | _ -> false)
-              (Store.alias_images st r)
+              (Store.value_images st r)
         | None -> false)
   in
   let rec positions i = function
@@ -2265,7 +2265,7 @@ and directly_alias st (v : value) (w : value) =
   | Some a, Some b ->
       not
         (Sref.Set.is_empty
-           (Sref.Set.inter (Store.alias_images st a) (Store.alias_images st b)))
+           (Sref.Set.inter (Store.value_images st a) (Store.value_images st b)))
   | _ -> false
 
 (** Call-site checking of the callee's globals list: entry constraints
@@ -2358,7 +2358,7 @@ let escapes ?(ignoring : Sref.root option) env st (r : Sref.t) : bool =
           match root with
           | Sref.Rparam _ | Sref.Rglobal _ | Sref.Rret -> true
           | _ -> false))
-    (Store.alias_images st r)
+    (Store.value_images st r)
 
 (** Report storage whose release obligation is lost when [r] goes out of
     scope or the function returns. *)
@@ -2539,7 +2539,7 @@ let check_exit env st ~(ret : value option) ~loc : Store.t =
          then
            match v.v_ref with
            | Some r ->
-               let imgs = Sref.Set.add r (Store.alias_images st r) in
+               let imgs = Sref.Set.add r (Store.value_images st r) in
                List.iteri
                  (fun i (p : Sema.param) ->
                    if

@@ -7,16 +7,6 @@
     — rendered as an annotated C header; loading is just parsing it back
     into a program environment. *)
 
-val decl_string : string -> Sema.Ctype.t -> string
-(** [decl_string name ty] renders a C declaration of [name] with semantic
-    type [ty] (inside-out declarator syntax). *)
-
-val annots_prefix : Annot.set -> string
-(** The [/*@...@*/] qualifier prefix for an annotation set.  Renders the
-    inference-provenance bit as the extension word [inferred] (which
-    {!Annot.of_annots} parses back), so dumped libraries round-trip
-    synthesized interfaces faithfully. *)
-
 (** {1 Versioned, hash-stamped persistence}
 
     Every on-disk artifact — interface libraries here, the incremental
@@ -34,10 +24,6 @@ val stamp : kind:string -> version:int -> string -> string
 val unstamp : kind:string -> string -> (int * string, string) result
 (** Parse and verify a stamped artifact; [Ok (version, payload)] only
     when the kind matches and the payload digests to the stamp. *)
-
-val is_stamped : string -> bool
-(** Whether the text begins with a stamped-artifact header (as opposed
-    to a raw hand-written annotated header). *)
 
 val save : Sema.program -> string
 (** Render the public interface (static definitions are omitted) as a

@@ -9,12 +9,12 @@
     References are hash-consed: {!root}, {!field}, {!deref} and {!index}
     return the unique physical representative of a term, so within one
     domain structural equality coincides with [(==)], and every value
-    carries a precomputed hash, an interning id, its root and its depth.
+    carries a precomputed hash, its root and its depth.
     The intern table is domain-local ({!Domain.DLS}): references are
     created, stored and compared inside the per-procedure checker, which
     never shares them across domains (the parallel driver exchanges only
     rendered diagnostics).  {!compare} preserves the pre-interning
-    structural order — NOT interning-id order, which would depend on how
+    structural order — NOT interning order, which would depend on how
     many procedures a domain happened to check earlier — so store
     iteration, and therefore diagnostic text, is identical no matter how
     work is partitioned across domains. *)
@@ -32,10 +32,9 @@ type root =
       (** storage allocated during this function, by site id; the string
           names the allocating function for messages *)
   | Rstatic of int  (** a string literal or other static object *)
-[@@deriving eq, ord, show]
+[@@deriving eq, ord]
 
 type t = {
-  sr_id : int;  (** dense per-domain interning id, first-intern order *)
   sr_hash : int;  (** precomputed structural hash *)
   sr_node : node;
   sr_root : root;  (** cached [root_of] *)
@@ -55,7 +54,6 @@ and node =
           Section 2) *)
 
 let view r = r.sr_node
-let id r = r.sr_id
 let hash r = r.sr_hash
 let root_of r = r.sr_root
 let depth r = r.sr_depth
@@ -78,23 +76,18 @@ module Roots = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-type intern_state = { roots : t Roots.t; mutable next_id : int }
+type intern_state = { roots : t Roots.t }
 
 let intern_key : intern_state Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { roots = Roots.create 64; next_id = 0 })
+  Domain.DLS.new_key (fun () -> { roots = Roots.create 64 })
 
 (* FNV-style mixing, masked to stay a positive tagged int. *)
 let mix h x = (((h * 0x01000193) lxor x) land 0x3FFFFFFF : int)
 
 let fresh node root depth hash =
-  let st = Domain.DLS.get intern_key in
-  let r =
-    { sr_id = st.next_id; sr_hash = hash; sr_node = node; sr_root = root;
-      sr_depth = depth; sr_deref = None; sr_fields = []; sr_indexes = [] }
-  in
-  st.next_id <- st.next_id + 1;
   Telemetry.Counter.tick Telemetry.c_srefs_interned;
-  r
+  { sr_hash = hash; sr_node = node; sr_root = root; sr_depth = depth;
+    sr_deref = None; sr_fields = []; sr_indexes = [] }
 
 let root rt =
   let st = Domain.DLS.get intern_key in
@@ -231,25 +224,6 @@ let derived_from ~outer inner =
   in
   (not (equal inner outer)) && up inner
 
-(** Substitute reference [from_] by [to_] inside [r] (used to map a
-    reference through an alias: if [l] aliases [argl], the alias image of
-    [l->next] is [argl->next]).  Untouched spines come back physically
-    unchanged, so downstream [Set.map]s preserve sharing. *)
-let rec subst ~from_ ~to_ r =
-  if equal r from_ then to_
-  else
-    match r.sr_node with
-    | Root _ -> r
-    | Field (b, f) ->
-        let b' = subst ~from_ ~to_ b in
-        if b' == b then r else field b' f
-    | Deref b ->
-        let b' = subst ~from_ ~to_ b in
-        if b' == b then r else deref b'
-    | Index (b, i) ->
-        let b' = subst ~from_ ~to_ b in
-        if b' == b then r else index b' i
-
 (** Does the reference mention the given root?  Roots only occur at the
     leaf, so this is the cached root. *)
 let mentions_root rt r = equal_root r.sr_root rt
@@ -283,21 +257,12 @@ let is_external r =
   | Rlocal _ -> false
   | Rparam _ | Rglobal _ | Rret | Rfresh _ | Rstatic _ -> true
 
-let pp ppf r = Format.pp_print_string ppf (to_string r)
-let show = to_string
-
 module Ord = struct
   type nonrec t = t
 
   let compare = compare
 end
 
-module Set = struct
-  include Stdlib.Set.Make (Ord)
-
-  let pp ppf s =
-    Fmt.pf ppf "{%a}" (Fmt.list ~sep:(Fmt.any ", ") Fmt.string)
-      (List.map to_string (elements s))
-end
+module Set = Stdlib.Set.Make (Ord)
 
 module Map = Stdlib.Map.Make (Ord)

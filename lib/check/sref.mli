@@ -3,12 +3,11 @@
 
     References are hash-consed per domain: the smart constructors
     ({!root}, {!field}, {!deref}, {!index}) return the unique physical
-    representative of a term, every value carries a precomputed hash, an
-    interning {!id}, and cached {!root_of}/{!depth}, and {!equal} is a
-    pointer comparison in the common case.  Inspect structure with
-    {!view}.  References must not be shared across domains (each domain
-    interns its own; the parallel driver only exchanges rendered
-    diagnostics). *)
+    representative of a term, every value carries a precomputed hash
+    and cached {!root_of}/{!depth}, and {!equal} is a pointer comparison
+    in the common case.  Inspect structure with {!view}.  References must
+    not be shared across domains (each domain interns its own; the
+    parallel driver only exchanges rendered diagnostics). *)
 
 type root =
   | Rlocal of string  (** local variable / a parameter's local copy *)
@@ -37,18 +36,11 @@ val index : t -> int option -> t
 val view : t -> node
 (** The outermost constructor. *)
 
-val id : t -> int
-(** Dense per-domain interning id (first-intern order).  Stable within a
-    run of one procedure, but NOT across domains — never let it reach
-    output. *)
-
 val hash : t -> int
 (** Precomputed structural hash (interning-history independent). *)
 
 val equal_root : root -> root -> bool
 val compare_root : root -> root -> int
-val pp_root : Format.formatter -> root -> unit
-val show_root : root -> string
 
 val equal : t -> t -> bool
 (** [(==)] plus a hash test in the common (same-domain) case. *)
@@ -58,9 +50,6 @@ val compare : t -> t -> int
     to the pre-interning order and independent of interning history, so
     map/set iteration is deterministic under [-j].  Shared subterms
     short-circuit physically. *)
-
-val pp : Format.formatter -> t -> unit
-val show : t -> string
 
 val root_of : t -> root
 (** Cached; O(1). *)
@@ -86,10 +75,6 @@ val derived_from : outer:t -> t -> bool
 (** Is the reference a proper derivation of [outer]?  Bounded by the
     cached depths. *)
 
-val subst : from_:t -> to_:t -> t -> t
-(** Rewrite occurrences of [from_] inside a reference (alias images).
-    Returns the argument physically unchanged when nothing matches. *)
-
 val mentions_root : root -> t -> bool
 (** O(1): compares the cached root. *)
 
@@ -99,10 +84,6 @@ val to_string : t -> string
 val is_external : t -> bool
 (** Visible in the caller's environment (not rooted at a local). *)
 
-module Set : sig
-  include Set.S with type elt = t
-
-  val pp : Format.formatter -> t -> unit
-end
+module Set : Set.S with type elt = t
 
 module Map : Map.S with type key = t

@@ -16,7 +16,7 @@ type defstate =
   | DSdead
       (** dead: released, or obligation transferred; may not be used *)
   | DSerror  (** error marker set after reporting, to stop cascades *)
-[@@deriving eq, ord, show]
+[@@deriving eq]
 
 (** Null state of a pointer reference. *)
 type nullstate =
@@ -25,7 +25,7 @@ type nullstate =
   | NSnotnull  (** known not NULL *)
   | NSrel  (** relnull: assumed non-null at uses, assignable from null *)
   | NSuntracked  (** not a pointer, or nullness not tracked *)
-[@@deriving eq, ord, show]
+[@@deriving eq]
 
 (** Allocation state: who owns the storage and what the obligations are. *)
 type allocstate =
@@ -45,22 +45,7 @@ type allocstate =
   | ASstatic  (** static-duration storage (string literals, statics) *)
   | ASnone  (** unmanaged / not pointer-valued *)
   | ASerror  (** error marker after reporting *)
-[@@deriving eq, ord, show]
-
-let defstate_string = function
-  | DSundefined -> "undefined"
-  | DSallocated -> "allocated"
-  | DSpdefined -> "partially defined"
-  | DSdefined -> "defined"
-  | DSdead -> "dead"
-  | DSerror -> "error"
-
-let nullstate_string = function
-  | NSnull -> "null"
-  | NSpossnull -> "possibly null"
-  | NSnotnull -> "non-null"
-  | NSrel -> "relnull"
-  | NSuntracked -> "untracked"
+[@@deriving eq]
 
 let allocstate_string = function
   | ASonly -> "only"
@@ -191,9 +176,4 @@ let has_obligation = function
     (an [only] parameter / assignment / return)? *)
 let can_transfer_obligation = function
   | ASonly | ASowned | ASrefcounted | ASnone -> true
-  | _ -> false
-
-(** May this storage be released at all (even given an obligation)? *)
-let releasable = function
-  | ASonly | ASowned | ASnone -> true
   | _ -> false

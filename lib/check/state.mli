@@ -33,20 +33,9 @@ type allocstate =
   | ASerror
 
 val equal_defstate : defstate -> defstate -> bool
-val compare_defstate : defstate -> defstate -> int
-val pp_defstate : Format.formatter -> defstate -> unit
-val show_defstate : defstate -> string
 val equal_nullstate : nullstate -> nullstate -> bool
-val compare_nullstate : nullstate -> nullstate -> int
-val pp_nullstate : Format.formatter -> nullstate -> unit
-val show_nullstate : nullstate -> string
 val equal_allocstate : allocstate -> allocstate -> bool
-val compare_allocstate : allocstate -> allocstate -> int
-val pp_allocstate : Format.formatter -> allocstate -> unit
-val show_allocstate : allocstate -> string
 
-val defstate_string : defstate -> string
-val nullstate_string : nullstate -> string
 val allocstate_string : allocstate -> string
 
 val merge_def : defstate -> defstate -> defstate
@@ -77,5 +66,3 @@ val has_obligation : allocstate -> bool
 
 val can_transfer_obligation : allocstate -> bool
 (** May storage in this state be passed where an obligation is required? *)
-
-val releasable : allocstate -> bool

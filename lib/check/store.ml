@@ -167,7 +167,7 @@ let rec location_images st r : Sref.Set.t =
   let rewrite b mk =
     Sref.Set.fold
       (fun b' acc -> Sref.Set.add (mk b') acc)
-      (value_images_at st b) Sref.Set.empty
+      (value_images st b) Sref.Set.empty
   in
   match Sref.view r with
   | Sref.Root _ -> Sref.Set.singleton r
@@ -177,16 +177,11 @@ let rec location_images st r : Sref.Set.t =
 
 (** Locations that may hold the same pointer value as [r]: [r]'s location
     names plus their recorded direct edges. *)
-and value_images_at st r : Sref.Set.t =
+and value_images st r : Sref.Set.t =
   let locs = location_images st r in
   Sref.Set.fold
     (fun l acc -> Sref.Set.union (aliases_of st l) acc)
     locs locs
-
-let value_images = value_images_at
-
-(** Backwards-compatible name: the same-value closure. *)
-let alias_images = value_images
 
 (** Apply [f] to [r] and every same-value name (object-state updates).
     A root with no recorded edges is its own only image — the common
@@ -198,9 +193,6 @@ let update_images st r f =
 
 let set_def ?loc st r d =
   update_images st r (fun s -> { s with rs_def = d; rs_defloc = loc })
-
-let set_null ?loc st r n =
-  update_images st r (fun s -> { s with rs_null = n; rs_nullloc = loc })
 
 (** Null-state refinement from a guard.  Applied to the tested reference
     and its same-value names: a test on [l] also tells us about [argl]
@@ -487,14 +479,3 @@ let collapse_deep ~depth (st : t) : t =
         st.map Sref.Map.empty
     in
     { st with map }
-
-let pp ppf st =
-  Sref.Map.iter
-    (fun r s ->
-      Fmt.pf ppf "%-30s def=%s null=%s alloc=%s%s@\n" (Sref.to_string r)
-        (defstate_string s.rs_def)
-        (nullstate_string s.rs_null)
-        (allocstate_string s.rs_alloc)
-        (if Sref.Set.is_empty s.rs_aliases then ""
-         else Fmt.str " aliases=%a" Sref.Set.pp s.rs_aliases))
-    st.map

@@ -26,10 +26,6 @@ val mk_refstate :
   ?nullloc:Cfront.Loc.t -> ?allocloc:Cfront.Loc.t -> def:defstate ->
   null:nullstate -> alloc:allocstate -> unit -> refstate
 
-val unknown_refstate : refstate
-(** Default for untracked references: defined, untracked nullness,
-    unmanaged. *)
-
 type t
 
 val empty : t
@@ -54,8 +50,6 @@ val is_reachable : t -> bool
 val add_alias : t -> Sref.t -> Sref.t -> t
 (** Record a (symmetric) same-value edge. *)
 
-val aliases_of : t -> Sref.t -> Sref.Set.t
-
 val value_images : t -> Sref.t -> Sref.Set.t
 (** Locations that may hold the same pointer value (flat closure: recorded
     edges of the location's names; chains are materialized eagerly at
@@ -64,14 +58,10 @@ val value_images : t -> Sref.t -> Sref.Set.t
 val location_images : t -> Sref.t -> Sref.Set.t
 (** Names denoting the same storage location. *)
 
-val alias_images : t -> Sref.t -> Sref.Set.t
-(** Alias of {!value_images}. *)
-
 val update_images : t -> Sref.t -> (refstate -> refstate) -> t
 (** Apply an object-state update to every same-value name. *)
 
 val set_def : ?loc:Cfront.Loc.t -> t -> Sref.t -> defstate -> t
-val set_null : ?loc:Cfront.Loc.t -> t -> Sref.t -> nullstate -> t
 val set_alloc : ?loc:Cfront.Loc.t -> t -> Sref.t -> allocstate -> t
 
 val refine_null : ?loc:Cfront.Loc.t -> t -> Sref.t -> nullstate -> t
@@ -89,22 +79,14 @@ type conflict =
   | Calloc of Sref.t * refstate * refstate
       (** irreconcilable allocation states (kept vs only, Fig. 5/6) *)
 
-val derived_def : t -> Sref.t -> other:defstate -> defstate
-(** Implicit definition state of an untracked reference, derived from its
-    nearest tracked ancestor ([other] is the opposing branch's state, used
-    when the ancestor is definitely NULL). *)
-
 val merge : on_conflict:(conflict -> unit) -> t -> t -> t
 (** Merge two branch stores; conflicting references become error-marked so
     one anomaly does not cascade. *)
 
-val refstate_equal : refstate -> refstate -> bool
-(** Structural equality for fixpoint convergence: alias sets compare by
-    contents (not physically), blame locations are ignored. *)
-
 val equal : t -> t -> bool
-(** Structural store equality ({!refstate_equal} pointwise plus
-    reachability) — the [+loopexec] fixpoint's convergence test. *)
+(** Structural store equality — the [+loopexec] fixpoint's convergence
+    test.  Bindings compare pointwise: alias sets by contents (not
+    physically), blame locations ignored; reachability must agree. *)
 
 val widen : t -> t -> t
 (** Widening join at a loop back edge: the {!merge} rules, silent, with
@@ -117,5 +99,3 @@ val collapse_deep : depth:int -> t -> t
     ancestor (joining with the widening rules) and rewrite alias sets
     through the cap, keeping the per-loop reference universe finite
     (e.g. under a [p = p->next] list walk). *)
-
-val pp : Format.formatter -> t -> unit

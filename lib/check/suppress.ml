@@ -19,8 +19,6 @@ type t = {
   regions : region list;
 }
 
-let empty = { lines = []; regions = [] }
-
 (** Build the suppression table from the free-standing annotation comments
     collected by the parser.  Unmatched [ignore]/[end] pairs are reported
     via the returned diagnostics. *)

@@ -5,13 +5,9 @@
 type t
 (** A suppression table built from the parser's free-standing pragmas. *)
 
-val empty : t
-
 val of_pragmas : Cfront.Ast.annot list -> t * Cfront.Diag.t list
 (** Build the table; unmatched [ignore]/[end] pairs come back as
     diagnostics (code ["suppress"]). *)
-
-val suppresses : t -> Cfront.Loc.t -> bool
 
 val filter : t -> Cfront.Diag.t list -> Cfront.Diag.t list * Cfront.Diag.t list
 (** Partition diagnostics into (kept, suppressed). *)

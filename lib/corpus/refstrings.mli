@@ -3,9 +3,6 @@
     the paper cites from the LCLint guide [3].  The count arithmetic is
     real, so the same program validates under the interpreter. *)
 
-val source : string
-(** The annotated implementation. *)
-
 val client_balanced : string
 (** Every reference released: clean statically and dynamically. *)
 

@@ -60,12 +60,6 @@ let trial_of_seed seed =
     t_max_steps = 200_000;
   }
 
-let pp_trial ppf t =
-  Fmt.pf ppf "seed %d: %d modules x %d fns, bugs [%s], coverage %.2f"
-    t.t_seed t.t_modules t.t_fns
-    (String.concat "; " (List.map Progen.bug_kind_string t.t_bugs))
-    t.t_coverage
-
 (* ------------------------------------------------------------------ *)
 (* Divergence taxonomy *)
 

@@ -32,8 +32,6 @@ val trial_of_seed : int -> trial
     counts, bug mixes and driver coverage; every fourth seed is a clean
     program probing for precision regressions. *)
 
-val pp_trial : Format.formatter -> trial -> unit
-
 (** {1 Divergence taxonomy} *)
 
 type divergence_kind =
@@ -43,7 +41,6 @@ type divergence_kind =
   | Harness_bug  (** crash / unsupported abort / baseline miss *)
 
 val kind_string : divergence_kind -> string
-val kind_of_string : string -> divergence_kind option
 
 type finding = {
   f_kind : divergence_kind;
@@ -97,8 +94,6 @@ val classify :
 
 type outcome = { o_trial : trial; o_verdict : verdict }
 
-val run_trial : ?flags:Annot.Flags.t -> trial -> outcome
-
 val sweep :
   ?jobs:int -> ?flags:Annot.Flags.t -> trial list -> outcome list
 (** Run independent trials on a {!Parcheck.map_tasks} domain pool;
@@ -109,16 +104,12 @@ val gaps : outcome list -> finding list
 (** Soundness gaps, precision regressions and harness bugs across a
     sweep — everything except excused blind spots. *)
 
-val oom_sweep_program :
-  ?flags:Annot.Flags.t -> ?max_steps:int -> ?limit:int -> Progen.program ->
-  (int * verdict) list
-(** Classify [p] once per heap allocation request with that request
-    forced to fail ([limit] caps the schedule); the request count comes
-    from a baseline run, so the schedule covers every reached site. *)
-
 val run_trial_oom :
   ?flags:Annot.Flags.t -> ?limit:int -> trial -> (int * verdict) list
-(** Generate a trial's program and run {!oom_sweep_program} on it. *)
+(** Generate a trial's program and classify it once per heap
+    allocation request with that request forced to fail ([limit] caps
+    the schedule); the request count comes from a baseline run, so the
+    schedule covers every reached site. *)
 
 val oom_gaps : (int * verdict) list -> finding list
 (** Everything except excused blind spots, across an OOM sweep. *)

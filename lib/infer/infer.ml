@@ -35,7 +35,6 @@ module Ctype = Sema.Ctype
 module Ranker = Ranker
 
 type slot = Ranker.slot = Sret | Sparam of int
-[@@deriving eq, ord, show { with_path = false }]
 
 (** One accepted annotation: [fd_word] (an Appendix-B keyword) on slot
     [fd_slot] of function [fd_fun]. *)
@@ -494,7 +493,7 @@ let prototype (fs : Sema.funsig) (fds : finding list) : string =
     String.concat ""
       (List.filter_map
          (fun fd ->
-           if equal_slot fd.fd_slot slot then Some ("/*@" ^ fd.fd_word ^ "@*/ ")
+           if Ranker.equal_slot fd.fd_slot slot then Some ("/*@" ^ fd.fd_word ^ "@*/ ")
            else None)
          fds)
   in
@@ -638,7 +637,7 @@ let splice_line (line : string) (fs : Sema.funsig) (fds : finding list) :
         String.concat ""
           (List.filter_map
              (fun fd ->
-               if equal_slot fd.fd_slot slot then
+               if Ranker.equal_slot fd.fd_slot slot then
                  Some ("/*@" ^ fd.fd_word ^ " inferred@*/ ")
                else None)
              fds)
@@ -744,63 +743,3 @@ let render_patch (prog : Sema.program) (o : outcome)
         hs)
     (List.rev !file_order);
   Buffer.contents buf
-
-let apply_patch (patch : string) (files : (string * string) list) :
-    ((string * string) list, string) result =
-  let contents : (string, string array) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (f, text) ->
-      Hashtbl.replace contents f
-        (Array.of_list (String.split_on_char '\n' text)))
-    files;
-  let current = ref None in
-  let err = ref None in
-  let fail msg = if !err = None then err := Some msg in
-  let pending_old = ref None in
-  let pending_line = ref 0 in
-  let lines = String.split_on_char '\n' patch in
-  List.iter
-    (fun line ->
-      if !err = None then
-        let starts p =
-          String.length line >= String.length p
-          && String.sub line 0 (String.length p) = p
-        in
-        if starts "# " || String.equal line "" then ()
-        else if starts "--- a/" then
-          let f = String.sub line 6 (String.length line - 6) in
-          if Hashtbl.mem contents f then current := Some f
-          else fail ("patch names unknown file " ^ f)
-        else if starts "+++ b/" then ()
-        else if starts "@@ " then (
-          match Scanf.sscanf_opt line "@@ -%d,%d +%d,%d" (fun a b c d -> (a, b, c, d)) with
-          | Some (a, 1, c, 1) when a = c -> pending_line := a
-          | _ -> fail ("bad hunk header: " ^ line))
-        else if starts "-" then
-          pending_old := Some (String.sub line 1 (String.length line - 1))
-        else if starts "+" then (
-          let new_line = String.sub line 1 (String.length line - 1) in
-          match (!current, !pending_old) with
-          | Some f, Some old_line -> (
-              let arr = Hashtbl.find contents f in
-              let i = !pending_line - 1 in
-              if i < 0 || i >= Array.length arr then
-                fail (Printf.sprintf "%s:%d: line out of range" f !pending_line)
-              else if not (String.equal arr.(i) old_line) then
-                fail
-                  (Printf.sprintf "%s:%d: context mismatch (got %S)" f
-                     !pending_line arr.(i))
-              else (
-                arr.(i) <- new_line;
-                pending_old := None))
-          | _ -> fail "misplaced + line")
-        else fail ("unrecognized patch line: " ^ line))
-    lines;
-  match !err with
-  | Some msg -> Error msg
-  | None ->
-      Ok
-        (List.map
-           (fun (f, _) ->
-             (f, String.concat "\n" (Array.to_list (Hashtbl.find contents f))))
-           files)

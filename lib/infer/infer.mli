@@ -19,11 +19,6 @@ module Ranker = Ranker
 (** An annotatable interface slot of a function. *)
 type slot = Ranker.slot = Sret | Sparam of int
 
-val equal_slot : slot -> slot -> bool
-val compare_slot : slot -> slot -> int
-val pp_slot : Format.formatter -> slot -> unit
-val show_slot : slot -> string
-
 (** One accepted annotation: the Appendix-B keyword [fd_word] on slot
     [fd_slot] of function [fd_fun] (declared at [fd_loc]). *)
 type finding = {
@@ -43,8 +38,6 @@ type outcome = {
           installed signatures runs no check *)
   out_skipped : int;  (** ranked candidates skipped by the probe budget *)
 }
-
-val default_max_rounds : int
 
 val run :
   ?max_rounds:int ->
@@ -66,10 +59,6 @@ val run :
     telemetry counter).  Acceptances never count against the budget.
     Omitted, every ranked candidate is re-probed each round. *)
 
-val prototype : Sema.funsig -> finding list -> string
-(** Render a function's declaration with the given findings spliced in
-    as [/*@word@*/] comments, Appendix-B style. *)
-
 val render : Sema.program -> outcome -> string
 (** One line per function that gained annotations, in source order:
     [file:line: annotated-prototype]. *)
@@ -84,14 +73,7 @@ val render_patch :
     source order.  [read] supplies original
     file contents by name.  Definitions whose opening line cannot be
     respliced (folded signatures) degrade to [# manual:] comment lines
-    carrying the {!prototype} rendering. *)
-
-val apply_patch :
-  string -> (string * string) list -> ((string * string) list, string) result
-(** Apply a {!render_patch} patch to [(file, contents)] pairs, strictly:
-    every hunk must name a known file and match its original line
-    exactly.  Returns the rewritten pairs (same order), or [Error] with
-    the first mismatch. *)
+    carrying the annotated prototype. *)
 
 val strip_annotations : string -> string
 (** Replace every [/*@...@*/] span in C source with spaces (newlines

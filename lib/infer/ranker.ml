@@ -26,19 +26,15 @@
 open Cfront
 module Ctype = Sema.Ctype
 
-type slot = Sret | Sparam of int
-[@@deriving eq, ord, show { with_path = false }]
+type slot = Sret | Sparam of int [@@deriving eq]
 
 type candidate = { rc_slot : slot; rc_word : string; rc_prior : float }
-[@@deriving show { with_path = false }]
 
 type t = {
   rk_name : string;
   rk_rank :
     Sema.program -> Sema.funsig -> Ast.fundef option -> candidate list;
 }
-
-let name r = r.rk_name
 
 (* ------------------------------------------------------------------ *)
 (* Admissibility                                                       *)

@@ -9,17 +9,11 @@
 type slot = Sret | Sparam of int
 
 val equal_slot : slot -> slot -> bool
-val compare_slot : slot -> slot -> int
-val pp_slot : Format.formatter -> slot -> unit
-val show_slot : slot -> string
 
 (** A scored proposal: Appendix-B word [rc_word] on slot [rc_slot],
     with prior confidence [rc_prior] in [0, 1].  Higher priors are
     probed first. *)
 type candidate = { rc_slot : slot; rc_word : string; rc_prior : float }
-
-val pp_candidate : Format.formatter -> candidate -> unit
-val show_candidate : candidate -> string
 
 (** A ranker: maps a function (current signature plus, when the
     function is defined, its body) to candidates.  The signature seen
@@ -33,15 +27,6 @@ type t = {
     Cfront.Ast.fundef option ->
     candidate list;
 }
-
-val name : t -> string
-
-val admissible : Sema.funsig -> candidate -> bool
-(** May this candidate still be proposed against the current signature?
-    (The slot is a pointer, not refcount-qualified or exposed, and the
-    word's category is unfilled; mutually exclusive categories — [out]
-    vs [only] on one parameter — exclude each other.)  The pipeline
-    applies this filter to every ranker's output. *)
 
 val grid : t
 (** The exhaustive candidate grid the original engine probed, at a
@@ -76,15 +61,15 @@ val default : t list
 (** [names; shapes; grid] — heuristics first, the exhaustive grid as
     the low-prior tail. *)
 
-val default_spec_prior : float
-
 val pipeline :
   t list ->
   Sema.program ->
   Sema.funsig ->
   Cfront.Ast.fundef option ->
   candidate list
-(** Merge the rankers' candidates: filter by {!admissible}, coalesce
+(** Merge the rankers' candidates: drop those the signature no longer
+    admits (a non-pointer slot, a refcount-qualified or exposed one, a
+    filled category, or [out] beside [only] on one parameter), coalesce
     duplicate (slot, word) proposals keeping the highest prior, and
     sort highest-prior-first (ties in grid order: parameters by index
     with [out]/[only]/[null], then the return).  Deterministic for a

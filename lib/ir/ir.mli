@@ -47,8 +47,5 @@ type proc = {
 val lower_fundef : Cfront.Ast.fundef -> proc
 (** Compile one function body. *)
 
-val pp_proc : Format.formatter -> proc -> unit
-(** Stable, compact rendering of a lowered procedure (golden tests). *)
-
 val to_string : proc -> string
 (** [pp_proc] to a string. *)

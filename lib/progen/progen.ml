@@ -117,18 +117,6 @@ let loop_carried = function
   | Bxproc_callee_free_df | Bxproc_cond_release | Bxproc_escape_store ->
       false
 
-(** Does this bug class only manifest dynamically when an allocation is
-    forced to fail (the OOM fault-injection sweep)?  These hide on the
-    untaken failure path of every ordinary run. *)
-let oom_carried = function
-  | Brealloc_lost | Boom_leak -> true
-  | Bleak | Buse_after_free | Bdouble_free | Bnull_deref | Buse_undef
-  | Bfree_offset | Bfree_static | Bglobal_leak | Bloop_leak
-  | Bloop_use_after_free | Bloop_null_deref | Brefcount_leak | Brefcount_use
-  | Bxproc_callee_free | Bxproc_callee_free_df | Bxproc_cond_release
-  | Bxproc_escape_store ->
-      false
-
 (** One seeded bug: which function carries it, and whether the generated
     driver actually exercises that function (run-time tools only see
     executed bugs). *)
@@ -209,7 +197,7 @@ let expected_dynamic ~(executed : bool) = function
   | Bnull_deref -> `Nothing
   | Brealloc_lost | Boom_leak ->
       (* the failure path is untaken unless an allocation is injected to
-         fail: see {!oom_carried} and the OOM sweep *)
+         fail (the OOM sweep) *)
       `Nothing
   | Brefcount_leak -> `Nothing
   | Bleak | Bglobal_leak | Bloop_leak -> `Leak

@@ -48,11 +48,6 @@ val loop_carried : bug_kind -> bool
     zero-or-one-times heuristic, statically detectable only under
     [+loopexec]. *)
 
-val oom_carried : bug_kind -> bool
-(** Manifests dynamically only when an allocation is forced to fail
-    (the OOM fault-injection sweep); every ordinary run hides it on the
-    untaken failure path. *)
-
 type seeded = {
   sb_kind : bug_kind;
   sb_module : int;

@@ -14,7 +14,6 @@ type storage_kind =
   | Kstack of int  (** automatic storage; the int is the frame depth *)
   | Kstatic  (** string literals, static-duration objects *)
   | Kglobal of string  (** a global variable's storage *)
-[@@deriving show]
 
 type slot =
   | Sundef
@@ -48,7 +47,6 @@ type error_kind =
   | Efree_nonheap  (** freeing stack/static/global storage *)
   | Ebounds  (** slot access outside the block *)
   | Ebad_arg of string
-[@@deriving show]
 
 type error = { e_kind : error_kind; e_loc : Loc.t; e_msg : string }
 

@@ -9,9 +9,6 @@ type storage_kind =
   | Kstatic
   | Kglobal of string
 
-val pp_storage_kind : Format.formatter -> storage_kind -> unit
-val show_storage_kind : storage_kind -> string
-
 type slot = Sundef | Sint of int64 | Sfloat of float | Sptr of ptr | Snull
 
 and ptr = { p_block : int; p_off : int }
@@ -38,9 +35,6 @@ type error_kind =
   | Ebounds
   | Ebad_arg of string
 
-val pp_error_kind : Format.formatter -> error_kind -> unit
-val show_error_kind : error_kind -> string
-
 type error = { e_kind : error_kind; e_loc : Cfront.Loc.t; e_msg : string }
 
 val error_kind_string : error_kind -> string
@@ -49,9 +43,6 @@ val error_class : error_kind -> string
 (** The differential oracle's shared error-class name for this kind
     (["use-after-free"], ["free-offset"], ...).  {!Check.Errclass} maps
     static diagnostic codes onto the same vocabulary. *)
-
-val class_leak : string
-(** Class name for an unreachable leaked block. *)
 
 val class_global_leak : string
 (** Class name for a leaked block still reachable from a global — the
@@ -85,10 +76,6 @@ val errors : t -> error list
 val alloc : t -> kind:storage_kind -> size:int -> loc:Cfront.Loc.t -> ptr
 val find : t -> int -> block option
 
-val access : t -> ptr -> count:int -> loc:Cfront.Loc.t -> block option
-(** Validate an access; reports and returns [None] when it must not
-    proceed. *)
-
 val read : t -> ptr -> loc:Cfront.Loc.t -> slot option
 val write : t -> ptr -> slot -> loc:Cfront.Loc.t -> unit
 
@@ -102,7 +89,7 @@ val release_frame : t -> depth:int -> unit
 type leak = { lk_block : block; lk_reachable : bool }
 
 val leak_class : leak -> string
-(** {!class_global_leak} when reachable, {!class_leak} otherwise. *)
+(** {!class_global_leak} when reachable, ["leak"] otherwise. *)
 
 val leaks : t -> roots:ptr list -> leak list
 (** Live heap blocks at exit, marked reachable/unreachable from the root

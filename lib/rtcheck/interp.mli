@@ -49,13 +49,7 @@ type state = {
       (** fail exactly this allocation request (OOM fault injection) *)
 }
 
-val eval : state -> Cfront.Ast.expr -> Heap.slot
-val exec : state -> Cfront.Ast.stmt -> unit
-
 val call_fundef :
   state -> Sema.funsig -> Cfront.Ast.fundef ->
   (Heap.slot * Sema.Ctype.t) list -> loc:Cfront.Loc.t -> Heap.slot
 (** Call a defined function with evaluated arguments. *)
-
-val type_of_expr : state -> Cfront.Ast.expr -> Sema.Ctype.t
-(** Static type of an expression (drives [sizeof] and pointer scaling). *)

@@ -19,8 +19,6 @@ type abort =
   | Aerror_limit of string  (** [max_errors] exhausted *)
   | Aunsupported of string  (** unsupported construct / harness failure *)
 
-val abort_string : abort -> string
-
 type result = {
   errors : Heap.error list;  (** detection order *)
   leaks : Heap.leak list;  (** live heap blocks at exit *)

@@ -5,16 +5,15 @@
     fields live in the program environment (breaking the recursion that
     direct embedding would create for [struct s { struct s *next; }]). *)
 
-type sign = Signed | Unsigned [@@deriving eq, ord, show]
+type sign = Signed | Unsigned
 
 type int_kind =
   | Ichar of sign
   | Ishort of sign
   | Iint of sign
   | Ilong of sign
-[@@deriving eq, ord, show]
 
-type float_kind = Ffloat | Fdouble [@@deriving eq, ord, show]
+type float_kind = Ffloat | Fdouble
 
 type t =
   | Cvoid
@@ -30,7 +29,6 @@ type t =
   | Cnamed of string * t  (** typedef name and its expansion *)
 
 and cfun = { cf_ret : t; cf_params : t list; cf_varargs : bool }
-[@@deriving eq, ord, show]
 
 (** Strip typedef wrappers. *)
 let rec unroll = function Cnamed (_, t) -> unroll t | t -> t
@@ -91,24 +89,3 @@ let rec to_string = function
       Printf.sprintf "%s (*)(%s)" (to_string f.cf_ret)
         (String.concat ", " (List.map to_string f.cf_params))
   | Cnamed (n, _) -> n
-
-(** Loose compatibility: enough to type-check the C subset without a full
-    ANSI conversion matrix.  Pointers are compatible with pointers of any
-    pointee (casts are routine in the corpus) and with integer constants
-    (null).  Arithmetic types are inter-compatible. *)
-let rec compatible a b =
-  let a = unroll a and b = unroll b in
-  match (a, b) with
-  | Cvoid, Cvoid -> true
-  | _, _ when is_arith a && is_arith b -> true
-  | (Cptr _ | Carray _), (Cptr _ | Carray _) -> true
-  | (Cptr _ | Carray _), _ when is_arith b -> true
-  | _, (Cptr _ | Carray _) when is_arith a -> true
-  | Cstruct t1, Cstruct t2 -> t1 = t2
-  | Cunion t1, Cunion t2 -> t1 = t2
-  | Cfunc f1, Cfunc f2 ->
-      compatible f1.cf_ret f2.cf_ret
-      && List.length f1.cf_params = List.length f2.cf_params
-      && List.for_all2 compatible f1.cf_params f2.cf_params
-  | (Cptr _ | Carray _), Cfunc _ | Cfunc _, (Cptr _ | Carray _) -> true
-  | _ -> false

@@ -23,27 +23,6 @@ type t =
 
 and cfun = { cf_ret : t; cf_params : t list; cf_varargs : bool }
 
-val equal_sign : sign -> sign -> bool
-val compare_sign : sign -> sign -> int
-val pp_sign : Format.formatter -> sign -> unit
-val show_sign : sign -> string
-val equal_int_kind : int_kind -> int_kind -> bool
-val compare_int_kind : int_kind -> int_kind -> int
-val pp_int_kind : Format.formatter -> int_kind -> unit
-val show_int_kind : int_kind -> string
-val equal_float_kind : float_kind -> float_kind -> bool
-val compare_float_kind : float_kind -> float_kind -> int
-val pp_float_kind : Format.formatter -> float_kind -> unit
-val show_float_kind : float_kind -> string
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
-val show : t -> string
-val equal_cfun : cfun -> cfun -> bool
-val compare_cfun : cfun -> cfun -> int
-val pp_cfun : Format.formatter -> cfun -> unit
-val show_cfun : cfun -> string
-
 val unroll : t -> t
 (** Strip typedef wrappers. *)
 
@@ -68,6 +47,3 @@ val charptr : t
 val voidptr : t
 
 val to_string : t -> string
-
-val compatible : t -> t -> bool
-(** Loose compatibility, enough for the checked C subset. *)

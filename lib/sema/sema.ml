@@ -23,9 +23,6 @@ type eannot = {
   an : Annot.set;
   alloc_implicit : bool;  (** allocation annotation was implied by a flag *)
 }
-[@@deriving show]
-
-let explicit an = { an; alloc_implicit = false }
 
 type field = {
   sf_name : string;
@@ -33,7 +30,6 @@ type field = {
   sf_annots : eannot;
   sf_loc : Loc.t;
 }
-[@@deriving show]
 
 type suinfo = {
   su_tag : string;
@@ -41,7 +37,6 @@ type suinfo = {
   su_fields : field list;
   su_loc : Loc.t;
 }
-[@@deriving show]
 
 type param = {
   pr_name : string;
@@ -49,7 +44,6 @@ type param = {
   pr_annots : eannot;
   pr_loc : Loc.t;
 }
-[@@deriving show]
 
 type funsig = {
   fs_name : string;
@@ -65,7 +59,6 @@ type funsig = {
   fs_static : bool;
   fs_loc : Loc.t;
 }
-[@@deriving show]
 
 type globalvar = {
   gv_name : string;
@@ -75,7 +68,6 @@ type globalvar = {
   gv_defined : bool;  (** tentative or initialized definition (not extern) *)
   gv_loc : Loc.t;
 }
-[@@deriving show]
 
 (* One definition's (signature, body) pair, replaced in place by
    [update_funsig] and [patch_fundef].  Holding the pair itself lets

@@ -20,11 +20,6 @@ module Flags = Annot.Flags
 (** Annotation set plus provenance of its allocation member. *)
 type eannot = { an : Annot.set; alloc_implicit : bool }
 
-val pp_eannot : Format.formatter -> eannot -> unit
-val show_eannot : eannot -> string
-
-val explicit : Annot.set -> eannot
-
 type field = {
   sf_name : string;
   sf_ty : Ctype.t;
@@ -68,17 +63,6 @@ type globalvar = {
   gv_defined : bool;
   gv_loc : Cfront.Loc.t;
 }
-
-val pp_field : Format.formatter -> field -> unit
-val show_field : field -> string
-val pp_suinfo : Format.formatter -> suinfo -> unit
-val show_suinfo : suinfo -> string
-val pp_param : Format.formatter -> param -> unit
-val show_param : param -> string
-val pp_funsig : Format.formatter -> funsig -> unit
-val show_funsig : funsig -> string
-val pp_globalvar : Format.formatter -> globalvar -> unit
-val show_globalvar : globalvar -> string
 
 type fundef_slot
 (** One definition's (signature, body) pair, updated in place by

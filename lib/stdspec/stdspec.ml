@@ -125,36 +125,3 @@ let load ?(flags = Annot.Flags.default) ?(no_stdlib = false)
 (** Check a source string against the standard library. *)
 let check ?(flags = Annot.Flags.default) ~file src : Check.result =
   Check.run_program (load ~flags (Seq.return (file, src)))
-
-(* ------------------------------------------------------------------ *)
-(* The same library in LCL specification notation                      *)
-(* ------------------------------------------------------------------ *)
-
-(** The core of {!source} in the paper's LCL notation: annotations as bare
-    words.  Parsing this with {!Cfront.Parser.parse_spec_string} yields the
-    same interfaces as the comment form (checked by the test suite). *)
-let lcl_core = {|
-typedef unsigned long size_t;
-
-null out only void *malloc(size_t size);
-null only void *calloc(size_t nmemb, size_t size);
-null out only void *aligned_alloc(size_t alignment, size_t size);
-null only void *realloc(null only void *ptr, size_t size);
-null only void *reallocarray(null only void *ptr, size_t nmemb, size_t size);
-void free(null out only void *ptr);
-
-exits void exit(int status);
-exits void abort(void);
-
-char *strcpy(out returned unique char *s1, char *s2);
-char *strcat(returned unique char *s1, char *s2);
-int strcmp(char *s1, char *s2);
-size_t strlen(char *s);
-null only char *strdup(char *s);
-|}
-
-(** A program environment built from {!lcl_core} (spec-mode parsing). *)
-let lcl_environment ?(flags = Annot.Flags.default) () : Sema.program =
-  let prog = Sema.create_program ~flags ~file:"<stdlib.lcl>" () in
-  ignore (Sema.analyze_spec_string ~flags ~into:prog ~file:"<stdlib.lcl>" lcl_core);
-  prog

@@ -41,11 +41,3 @@ val check : ?flags:Annot.Flags.t -> file:string -> string -> Check.result
 (** Parse and check one source string against the standard library, with
     the emission step of {!Check.finish}: the entry point for the paper's
     examples and the library's tests. *)
-
-val lcl_core : string
-(** The core of {!source} in the paper's LCL notation (bare-word
-    annotations); parses with {!Cfront.Parser.parse_spec_string} to the
-    same interfaces. *)
-
-val lcl_environment : ?flags:Annot.Flags.t -> unit -> Sema.program
-(** A program environment built from {!lcl_core}. *)

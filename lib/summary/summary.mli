@@ -63,11 +63,6 @@ val top : string -> int -> t
 
 val equal : t -> t -> bool
 
-val summarize : Sema.program -> table -> Sema.funsig -> Cfront.Ast.fundef -> t
-(** One extraction pass over the function's body, consulting [table] for
-    already-summarized callees (and the current iterate for same-SCC
-    members). *)
-
 val of_program : Sema.program -> table
 (** Summaries for every defined function, computed callee-first over the
     call-graph SCCs; recursive components iterate to a fixpoint (bounded;

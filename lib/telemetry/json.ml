@@ -9,23 +9,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let rec equal a b =
-  match (a, b) with
-  | Null, Null -> true
-  | Bool x, Bool y -> x = y
-  | Int x, Int y -> x = y
-  | Float x, Float y -> x = y
-  | Int x, Float y | Float y, Int x -> float_of_int x = y
-  | String x, String y -> String.equal x y
-  | List xs, List ys ->
-      List.length xs = List.length ys && List.for_all2 equal xs ys
-  | Obj xs, Obj ys ->
-      List.length xs = List.length ys
-      && List.for_all2
-           (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && equal v1 v2)
-           xs ys
-  | _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -45,11 +28,6 @@ let escape_into buf s =
           Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
     s
-
-let escape_string s =
-  let buf = Buffer.create (String.length s + 8) in
-  escape_into buf s;
-  Buffer.contents buf
 
 (* A float rendering that always re-reads as a JSON number: force a
    decimal point or exponent so "1." style OCaml output never leaks, and

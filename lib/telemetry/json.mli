@@ -22,16 +22,8 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val equal : t -> t -> bool
-
-val escape_string : string -> string
-(** The escaped contents of a JSON string literal, without the
-    surrounding quotes. *)
-
 val to_string : t -> string
 (** Compact (single-line) rendering — one call per NDJSON record. *)
-
-val to_buffer : Buffer.t -> t -> unit
 
 val of_string : string -> (t, string) result
 (** Parse one JSON value; [Error] carries a message with the byte

@@ -119,7 +119,7 @@ let spans () = List.rev (state ()).st_roots
 (* ------------------------------------------------------------------ *)
 
 module Counter = struct
-  type t = { c_name : string; c_id : int }
+  type t = { c_id : int }
 
   (* Registry of counter names -> dense ids, shared by every domain. *)
   let mu = Mutex.create ()
@@ -140,7 +140,7 @@ module Counter = struct
               names := bigger
             end;
             !names.(id) <- name;
-            let c = { c_name = name; c_id = id } in
+            let c = { c_id = id } in
             Hashtbl.add by_name name c;
             c)
 
@@ -163,8 +163,6 @@ module Counter = struct
   let value c =
     let st = state () in
     if c.c_id < Array.length st.st_counts then st.st_counts.(c.c_id) else 0
-
-  let name c = c.c_name
 
   let registry_snapshot () =
     Mutex.protect mu (fun () -> (Array.sub !names 0 !registered : string array))
@@ -212,7 +210,6 @@ let phase_sema = "sema"
 let phase_infer = "infer"
 let phase_check = "check"
 let phase_interp = "interp"
-let phase_difftest = "difftest"
 
 let c_tokens = Counter.make "tokens"
 let c_ast_nodes = Counter.make "ast_nodes"
@@ -270,7 +267,7 @@ type phase_row = {
 let phase_order =
   [
     phase_lex; phase_parse; phase_sema; phase_infer; phase_check;
-    phase_interp; phase_difftest;
+    phase_interp;
   ]
 
 let phase_rank p =

@@ -95,7 +95,6 @@ module Counter : sig
   val tick : t -> unit
   val add : t -> int -> unit
   val value : t -> int
-  val name : t -> string
 end
 
 val count : string -> int -> unit
@@ -116,7 +115,6 @@ val phase_sema : string
 val phase_infer : string
 val phase_check : string
 val phase_interp : string
-val phase_difftest : string
 
 val c_tokens : Counter.t
 val c_ast_nodes : Counter.t

@@ -712,6 +712,89 @@ ir_uses=$(grep -rnE --include='*.ml' --include='*.mli' --exclude='*.pp.ml' \
 [ -z "$ir_uses" ] \
   || { echo "$ir_uses" >&2; fail "code outside lib/ir names Ir: walk the AST instead"; }
 
+# --- no export without a caller ---------------------------------------------
+# Every `val` in a lib/*/*.mli must be named outside its own module: in
+# another module under lib/, or in bin/, bench/, perfbench/ or
+# examples/.  A value only tests name, or one only generated code calls
+# (a derived equality calling the equality of a field's type), is listed
+# in exports_allowed with its reason.  The match is by word; a name
+# several interfaces declare, and pp/show/equal/compare/to_string, count
+# only as the qualified Module.name (a `module J = Telemetry.Json` alias
+# resolves).
+allowed="$(dirname "$0")/exports_allowed"
+[ -f "$allowed" ] || fail "test/exports_allowed is missing"
+find "$ROOT/lib" "$ROOT/bin" "$ROOT/bench" "$ROOT/perfbench" "$ROOT/examples" \
+  "$ROOT/test" \
+  \( -name '*.ml' -o -name '*.mli' \) ! -name '*.pp.ml' ! -name '*.pp.mli' \
+  | sort > "$tmp/exports.files"
+[ -s "$tmp/exports.files" ] || fail "no sources found under $ROOT"
+awk -v root="$ROOT/" -v allowed="$allowed" '
+function words(line,   tok, k, c, q) {
+  while (match(line, /[A-Za-z_][A-Za-z0-9_'"'"']*(\.[A-Za-z_][A-Za-z0-9_'"'"']*)*/)) {
+    tok = substr(line, RSTART, RLENGTH); line = substr(line, RSTART + RLENGTH)
+    k = split(tok, c, ".")
+    hit(c[k])
+    if (k >= 2) { q = c[k - 1]; if (q in alias) q = alias[q]; hit(q "." c[k]) }
+  }
+}
+function hit(w) {
+  if (area == "test") { if (!((w, own) in tseen)) { tseen[w, own]; tcount[w]++ } }
+  else if (!((w, own) in pseen)) { pseen[w, own]; pcount[w]++ }
+}
+FNR == 1 {
+  path = substr(FILENAME, length(root) + 1)
+  n = split(path, parts, "/"); base = parts[n]; sub(/\.mli?$/, "", base)
+  area = parts[1]
+  own = (area == "lib") ? toupper(substr(base, 1, 1)) substr(base, 2) : ""
+  is_mli = (area == "lib" && path ~ /\.mli$/)
+  inner = ""
+  split("", alias)
+}
+{
+  line = $0
+  if (match(line, /module [A-Z][A-Za-z0-9_]* = [A-Z][A-Za-z0-9_.]*/)) {
+    m = substr(line, RSTART + 7, RLENGTH - 7)
+    split(m, ab, " = "); k = split(ab[2], comp, ".")
+    if (ab[1] != comp[k]) alias[ab[1]] = comp[k]
+  }
+  if (is_mli) {
+    if (match(line, /^ *module [A-Z][A-Za-z0-9_]* *: *sig/)) {
+      inner = line; sub(/^ *module /, "", inner); sub(/[ :].*/, "", inner)
+    } else if (inner != "" && line ~ /^end/) inner = ""
+    if (match(line, /^ *val [a-z_][A-Za-z0-9_'"'"']*/)) {
+      name = substr(line, RSTART, RLENGTH); sub(/^ *val /, "", name)
+      q = (inner != "") ? inner : own
+      decl[q "." name] = own; declared[name]++
+    }
+  }
+  words(line)
+}
+END {
+  while ((getline line < allowed) > 0) {
+    if (line ~ /^#/ || line ~ /^ *$/) continue
+    ref = line; sub(/ .*/, "", ref)
+    reason = line; sub(/^[^ ]* */, "", reason)
+    if (reason == "") print "exports_allowed: " ref " has no reason"
+    if (!(ref in decl)) print "exports_allowed: " ref " is not declared in any lib/ interface"
+    allow[ref]
+  }
+  split("pp show equal compare to_string", g, " ")
+  for (i in g) generic[g[i]]
+  for (ref in decl) {
+    own = decl[ref]; name = ref; sub(/^.*\./, "", name)
+    w = ((name in generic) || declared[name] > 1) ? ref : name
+    prod = pcount[w] - (((w, own) in pseen) ? 1 : 0)
+    tst = tcount[w]
+    if (prod > 0 && (ref in allow))
+      print "exports_allowed: " ref " has a caller outside its module now: drop its entry"
+    else if (prod == 0 && !(ref in allow))
+      print ref (tst ? " is named only by tests" : " is named nowhere outside its module") \
+        ": unexport it, or list it in test/exports_allowed with a reason"
+  }
+}' $(cat "$tmp/exports.files") | sort > "$tmp/exports.dead"
+[ -s "$tmp/exports.dead" ] \
+  && { cat "$tmp/exports.dead" >&2; fail "lib/ interfaces export values without a caller"; }
+
 # --- what sema reports while a body is checked, at every -j --------------
 # a block-scope redeclaration, and a type name only a closed block
 # declared, in a declaration and in a sizeof: the same lines

@@ -20,9 +20,7 @@ let test_all_appendix_b_words () =
   (* every Appendix B word must parse *)
   List.iter
     (fun w ->
-      match Annot.word_of_string w with
-      | Annot.Wunknown _ -> Alcotest.failf "unknown word %s" w
-      | _ -> ())
+      if errs_of [ w ] <> [] then Alcotest.failf "unknown word %s" w)
     [
       "null"; "notnull"; "relnull"; "out"; "in"; "partial"; "reldef"; "only";
       "keep"; "temp"; "owned"; "dependent"; "shared"; "unique"; "returned";
@@ -69,13 +67,13 @@ let test_to_words_roundtrip () =
   List.iter
     (fun words ->
       let s = set_of words in
-      let s' = Annot.of_string (String.concat " " (Annot.to_words s)) in
+      let s' = set_of [ String.concat " " (Annot.to_words s) ] in
       Alcotest.(check bool)
         (String.concat "," words)
-        true (Annot.equal_set s s'))
+        true (s = s'))
     cases
 
-(* property: to_words/of_string round-trips arbitrary sets *)
+(* property: to_words round-trips arbitrary sets through the parser *)
 let prop_roundtrip =
   let gen =
     QCheck.Gen.(
@@ -100,8 +98,8 @@ let prop_roundtrip =
   QCheck.Test.make ~count:200 ~name:"annotation sets round-trip through words"
     (QCheck.make gen) (fun s ->
       match Annot.to_words s with
-      | [] -> Annot.equal_set s Annot.empty
-      | words -> Annot.equal_set s (Annot.of_string (String.concat " " words)))
+      | [] -> s = Annot.empty
+      | words -> s = set_of [ String.concat " " words ])
 
 (* ------------------------------------------------------------------ *)
 (* Flags                                                               *)
@@ -109,27 +107,27 @@ let prop_roundtrip =
 
 let test_flags_apply () =
   let f = Annot.Flags.default in
-  (match Annot.Flags.apply f "-allimponly" with
+  (match Annot.Flags.apply_all f [ "-allimponly" ] with
   | Ok f' ->
       Alcotest.(check bool) "returns off" false f'.Annot.Flags.implicit_only_returns;
       Alcotest.(check bool) "globals off" false f'.Annot.Flags.implicit_only_globals;
       Alcotest.(check bool) "fields off" false f'.Annot.Flags.implicit_only_fields;
       Alcotest.(check bool) "temp params still on" true f'.Annot.Flags.implicit_temp_params
   | Error _ -> Alcotest.fail "-allimponly should parse");
-  (match Annot.Flags.apply f "+freeoffset" with
+  (match Annot.Flags.apply_all f [ "+freeoffset" ] with
   | Ok f' -> Alcotest.(check bool) "freeoffset" true f'.Annot.Flags.free_offset
   | Error _ -> Alcotest.fail "+freeoffset should parse");
-  (match Annot.Flags.apply f "no-null" with
+  (match Annot.Flags.apply_all f [ "no-null" ] with
   | Ok f' -> Alcotest.(check bool) "no-null" false f'.Annot.Flags.check_null
   | Error _ -> Alcotest.fail "no-null should parse");
-  match Annot.Flags.apply f "-nonsense" with
+  match Annot.Flags.apply_all f [ "-nonsense" ] with
   | Error (Annot.Flags.Unknown_flag "nonsense") -> ()
   | _ -> Alcotest.fail "unknown flag should be rejected"
 
 let test_flags_all_names () =
   List.iter
     (fun name ->
-      match Annot.Flags.(apply default ("+" ^ name)) with
+      match Annot.Flags.(apply_all default [ "+" ^ name ]) with
       | Ok _ -> ()
       | Error _ -> Alcotest.failf "flag %s should be known" name)
     Annot.Flags.flag_names
@@ -139,7 +137,7 @@ let test_gc_flag () =
      a garbage collector, flags can be used to adjust checking so only
      those errors relevant in a garbage-collected environment are
      reported." *)
-  match Annot.Flags.(apply default "+gc") with
+  match Annot.Flags.(apply_all default [ "+gc" ]) with
   | Ok f -> Alcotest.(check bool) "gc" true f.Annot.Flags.gc_mode
   | Error _ -> Alcotest.fail "+gc should parse"
 

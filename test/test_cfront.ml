@@ -5,7 +5,10 @@ open Cfront
 let lex src =
   List.map (fun (t : Token.t) -> t.Token.kind) (Lexer.tokenize ~file:"t.c" src)
 
-let kinds = Alcotest.testable (Fmt.Dump.list Token.pp_kind) (List.equal Token.equal_kind)
+let kinds =
+  Alcotest.testable
+    (Fmt.Dump.list (Fmt.of_to_string Token.describe))
+    (List.equal Token.equal_kind)
 
 (* ------------------------------------------------------------------ *)
 (* Lexer                                                               *)
@@ -497,7 +500,7 @@ let prop_lex_ints =
 (* LCL spec mode (bare-word annotations, the paper's notation)         *)
 (* ------------------------------------------------------------------ *)
 
-let parse_spec src = Parser.parse_spec_string ~file:"t.lcl" src
+let parse_spec src = Parser.parse_string ~spec_mode:true ~file:"t.lcl" src
 
 let annots_of_decl (tu : Ast.tunit) =
   match tu.Ast.tu_decls with
@@ -507,7 +510,7 @@ let annots_of_decl (tu : Ast.tunit) =
 let test_spec_malloc () =
   (* the paper's exact notation: "null out only void *malloc (size_t size);" *)
   let tu =
-    Parser.parse_spec_string ~typedefs:[ "size_t" ] ~file:"t.lcl"
+    Parser.parse_string ~spec_mode:true ~typedefs:[ "size_t" ] ~file:"t.lcl"
       "null out only void *malloc(size_t size);"
   in
   Alcotest.(check (list string)) "annots" [ "null"; "out"; "only" ]
@@ -540,7 +543,7 @@ let test_spec_mode_off_by_default () =
 let test_spec_equivalent_to_comments () =
   (* the two notations produce identical interfaces *)
   let spec =
-    Parser.parse_spec_string ~typedefs:[ "size_t" ] ~file:"a.lcl"
+    Parser.parse_string ~spec_mode:true ~typedefs:[ "size_t" ] ~file:"a.lcl"
       "null out only void *malloc(size_t n);"
   in
   let comments =

@@ -3,6 +3,10 @@
 
 module E = Corpus.Employee_db
 
+(* The diagnostic codes of a result, in report order. *)
+let codes (r : Check.result) =
+  List.map (fun (d : Cfront.Diag.t) -> d.Cfront.Diag.code) r.Check.reports
+
 let counts stage =
   let r = E.check ~flags:E.paper_flags stage in
   E.categorize r
@@ -168,12 +172,12 @@ let test_figures_present () =
 
 let test_refstrings_balanced_static () =
   let r = Corpus.Refstrings.check Corpus.Refstrings.client_balanced in
-  Alcotest.(check (list string)) "clean" [] (Check.codes r)
+  Alcotest.(check (list string)) "clean" [] (codes r)
 
 let test_refstrings_leaky_static () =
   let r = Corpus.Refstrings.check Corpus.Refstrings.client_leaky in
   Alcotest.(check bool) "reference leak found" true
-    (List.mem "mustfree" (Check.codes r))
+    (List.mem "mustfree" (codes r))
 
 let test_refstrings_balanced_dynamic () =
   let r = Corpus.Refstrings.interpret Corpus.Refstrings.client_balanced in

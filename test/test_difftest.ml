@@ -64,7 +64,7 @@ let test_replay_recovery_flags () =
           | None -> ()
           | Some flag ->
               let flags =
-                match Flags.apply Flags.default flag with
+                match Flags.apply_all Flags.default [ flag ] with
                 | Ok f -> f
                 | Error (Flags.Unknown_flag f) ->
                     Alcotest.failf "%s: triage record names unknown flag %s"

@@ -5,7 +5,9 @@ module Flags = Annot.Flags
 
 let paper_flags = Flags.(allimponly_off default)
 let check ?(flags = paper_flags) src = Stdspec.check ~flags ~file:"t.c" src
-let codes r = Check.codes r
+(* The diagnostic codes of a result, in report order. *)
+let codes (r : Check.result) =
+  List.map (fun (d : Cfront.Diag.t) -> d.Cfront.Diag.code) r.Check.reports
 
 let check_codes ?flags name expected src =
   Alcotest.(check (list string)) name expected (codes (check ?flags src))

@@ -55,10 +55,17 @@ let contains ~affix s =
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
   n = 0 || go 0
 
+(* A slot as the expected finding strings spell it. *)
+let slot_string = function
+  | Infer.Sret -> "Sret"
+  | Infer.Sparam i -> Printf.sprintf "(Sparam %d)" i
+
 let words outcome fname slot =
   List.filter_map
     (fun (fd : Infer.finding) ->
-      if String.equal fd.Infer.fd_fun fname && Infer.equal_slot fd.Infer.fd_slot slot
+      if
+        String.equal fd.Infer.fd_fun fname
+        && Infer.Ranker.equal_slot fd.Infer.fd_slot slot
       then Some fd.Infer.fd_word
       else None)
     outcome.Infer.out_findings
@@ -228,7 +235,7 @@ let test_infer_annotated_source_stable () =
       Alcotest.(check bool)
         (Printf.sprintf "no alloc/null re-inference (%s %s on %s)"
            fd.Infer.fd_word
-           (Infer.show_slot fd.Infer.fd_slot)
+           (slot_string fd.Infer.fd_slot)
            fd.Infer.fd_fun)
         false
         (String.equal fd.Infer.fd_fun "mk" || String.equal fd.Infer.fd_fun "rel"))
@@ -290,7 +297,7 @@ let finding_strings (o : Infer.outcome) =
   List.map
     (fun (fd : Infer.finding) ->
       Printf.sprintf "%s %s %s" fd.Infer.fd_fun
-        (Infer.show_slot fd.Infer.fd_slot)
+        (slot_string fd.Infer.fd_slot)
         fd.Infer.fd_word)
     o.Infer.out_findings
 
@@ -411,7 +418,7 @@ let test_strip_inferred_reinference_idempotent () =
     (List.map
        (fun (fd : Infer.finding) ->
          Printf.sprintf "%s %s %s" fd.Infer.fd_fun
-           (Infer.show_slot fd.Infer.fd_slot)
+           (slot_string fd.Infer.fd_slot)
            fd.Infer.fd_word)
        outcome.Infer.out_findings);
   (* the pre-existing machine annotations are still live and marked *)

@@ -46,14 +46,13 @@ let test_roundtrip_annotations () =
   let orig = Option.get (Sema.find_func prog "node_create") in
   let loaded = Option.get (Sema.find_func env "node_create") in
   Alcotest.(check bool) "only ret survives" true
-    (Annot.equal_set orig.Sema.fs_ret_annots.Sema.an
-       loaded.Sema.fs_ret_annots.Sema.an);
+    (orig.Sema.fs_ret_annots.Sema.an = loaded.Sema.fs_ret_annots.Sema.an);
   let orig_d = Option.get (Sema.find_func prog "node_destroy") in
   let loaded_d = Option.get (Sema.find_func env "node_destroy") in
   List.iter2
     (fun (a : Sema.param) (b : Sema.param) ->
       Alcotest.(check bool) "param annots survive" true
-        (Annot.equal_set a.Sema.pr_annots.Sema.an b.Sema.pr_annots.Sema.an))
+        (a.Sema.pr_annots.Sema.an = b.Sema.pr_annots.Sema.an))
     orig_d.Sema.fs_params loaded_d.Sema.fs_params;
   (* field annotations survive through the struct layout *)
   match Sema.find_field env "_node" "next" with

@@ -3,6 +3,10 @@
 
 module Flags = Annot.Flags
 
+(* The diagnostic codes of a result, in report order. *)
+let codes (r : Check.result) =
+  List.map (fun (d : Cfront.Diag.t) -> d.Cfront.Diag.code) r.Check.reports
+
 (* a flag configuration from a bitmask *)
 let flags_of_bits bits =
   let b i = bits land (1 lsl i) <> 0 in
@@ -115,7 +119,7 @@ let prop_gc_mode_subset =
       let r = Progen.static_check ~flags:gc p in
       List.for_all
         (fun c -> c <> "mustfree" && c <> "onlytrans")
-        (Check.codes r))
+        (codes r))
 
 let prop_pretty_stable =
   QCheck.Test.make ~count:20 ~name:"pretty-printing is a fixpoint"

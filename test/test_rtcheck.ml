@@ -196,9 +196,8 @@ let test_step_limit_marker () =
   in
   (match r.Rtcheck.aborted with
   | Some (Rtcheck.Astep_limit _) -> ()
-  | Some a ->
-      Alcotest.failf "expected a step-limit abort, got %s"
-        (Rtcheck.abort_string a)
+  | Some _ ->
+      Alcotest.failf "expected a step-limit abort, got %a" Rtcheck.pp_summary r
   | None -> Alcotest.fail "expected an abort");
   Alcotest.(check (option int)) "no exit code" None r.Rtcheck.exit_code;
   Alcotest.(check bool) "pre-abort errors survive" true
@@ -211,9 +210,8 @@ let test_unsupported_marker () =
   let r = run "int main(void) { goto end; end: return 0; }" in
   match r.Rtcheck.aborted with
   | Some (Rtcheck.Aunsupported _) -> ()
-  | Some a ->
-      Alcotest.failf "expected an unsupported abort, got %s"
-        (Rtcheck.abort_string a)
+  | Some _ ->
+      Alcotest.failf "expected an unsupported abort, got %a" Rtcheck.pp_summary r
   | None -> Alcotest.fail "expected an abort"
 
 let test_error_limit_marker () =
@@ -233,9 +231,8 @@ let test_error_limit_marker () =
   | Some (Rtcheck.Aerror_limit _) ->
       Alcotest.(check bool) "errors reported up to the cap" true
         (List.length r.Rtcheck.errors > 0)
-  | Some a ->
-      Alcotest.failf "expected an error-limit abort, got %s"
-        (Rtcheck.abort_string a)
+  | Some _ ->
+      Alcotest.failf "expected an error-limit abort, got %a" Rtcheck.pp_summary r
   | None -> Alcotest.fail "expected an abort"
 
 (* ------------------------------------------------------------------ *)

@@ -227,7 +227,10 @@ let with_notnull (fs : Sema.funsig) =
           {
             pr with
             Sema.pr_annots =
-              Sema.explicit { an with Annot.an_null = Some Annot.NotNull };
+              {
+                Sema.an = { an with Annot.an_null = Some Annot.NotNull };
+                alloc_implicit = false;
+              };
           })
         fs.Sema.fs_params;
   }

@@ -158,16 +158,6 @@ let prop_derived_from_prefix =
           = structural_derived_from ~outer whole)
         (List.init (List.length r.rsteps) (fun i -> i)))
 
-let prop_subst_identity =
-  QCheck.Test.make ~count:300
-    ~name:"subst with an unrelated from_ is physically the identity"
-    arb_pair
-    (fun (ra, rb) ->
-      let r = build ra and from_ = build rb in
-      structural_derived_from ~outer:from_ r
-      || Sref.equal r from_
-      || Sref.subst ~from_ ~to_:(Sref.root Sref.Rret) r == r)
-
 let () =
   Alcotest.run "sref"
     [
@@ -182,6 +172,5 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_derived_from;
           QCheck_alcotest.to_alcotest prop_derived_from_prefix;
-          QCheck_alcotest.to_alcotest prop_subst_identity;
         ] );
     ]

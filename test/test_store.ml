@@ -63,8 +63,7 @@ let test_obligations () =
   Alcotest.(check bool) "only obliges" true (has_obligation ASonly);
   Alcotest.(check bool) "owned obliges" true (has_obligation ASowned);
   Alcotest.(check bool) "kept does not" false (has_obligation ASkept);
-  Alcotest.(check bool) "temp cannot transfer" false (can_transfer_obligation AStemp);
-  Alcotest.(check bool) "observer not releasable" false (releasable ASobserver)
+  Alcotest.(check bool) "temp cannot transfer" false (can_transfer_obligation AStemp)
 
 (* merge_def is commutative and idempotent *)
 let all_defstates =
