@@ -717,10 +717,10 @@ ir_uses=$(grep -rnE --include='*.ml' --include='*.mli' --exclude='*.pp.ml' \
 # another module under lib/, or in bin/, bench/, perfbench/ or
 # examples/.  A value only tests name, or one only generated code calls
 # (a derived equality calling the equality of a field's type), is listed
-# in exports_allowed with its reason.  The match is by word; a name
-# several interfaces declare, and pp/show/equal/compare/to_string, count
-# only as the qualified Module.name (a `module J = Telemetry.Json` alias
-# resolves).
+# in exports_allowed with its reason.  A name counts where it is written
+# qualified (Module.name, a `module J = Telemetry.Json` alias resolved),
+# or unqualified in a file that opens its module (open, include, let
+# open ... in, Module.( ... )).
 allowed="$(dirname "$0")/exports_allowed"
 [ -f "$allowed" ] || fail "test/exports_allowed is missing"
 find "$ROOT/lib" "$ROOT/bin" "$ROOT/bench" "$ROOT/perfbench" "$ROOT/examples" \
@@ -729,12 +729,20 @@ find "$ROOT/lib" "$ROOT/bin" "$ROOT/bench" "$ROOT/perfbench" "$ROOT/examples" \
   | sort > "$tmp/exports.files"
 [ -s "$tmp/exports.files" ] || fail "no sources found under $ROOT"
 awk -v root="$ROOT/" -v allowed="$allowed" '
-function words(line,   tok, k, c, q) {
+function resolve(m) { return (m in alias) ? alias[m] : m }
+function opens(line,   t, n, pc) {
+  while (match(line, /(open!? +|include +)[A-Z][A-Za-z0-9_.]*|[A-Z][A-Za-z0-9_.]*\.\(/)) {
+    t = substr(line, RSTART, RLENGTH); line = substr(line, RSTART + RLENGTH)
+    sub(/^(open!? +|include +)/, "", t); sub(/\.\($/, "", t)
+    n = split(t, pc, "."); opened[resolve(pc[n])]
+  }
+}
+function words(line,   tok, k, c, m) {
   while (match(line, /[A-Za-z_][A-Za-z0-9_'"'"']*(\.[A-Za-z_][A-Za-z0-9_'"'"']*)*/)) {
     tok = substr(line, RSTART, RLENGTH); line = substr(line, RSTART + RLENGTH)
     k = split(tok, c, ".")
-    hit(c[k])
-    if (k >= 2) { q = c[k - 1]; if (q in alias) q = alias[q]; hit(q "." c[k]) }
+    if (k >= 2) hit(resolve(c[k - 1]) "." c[k])
+    else for (m in opened) hit(m "." tok)
   }
 }
 function hit(w) {
@@ -748,7 +756,7 @@ FNR == 1 {
   own = (area == "lib") ? toupper(substr(base, 1, 1)) substr(base, 2) : ""
   is_mli = (area == "lib" && path ~ /\.mli$/)
   inner = ""
-  split("", alias)
+  split("", alias); split("", opened)
 }
 {
   line = $0
@@ -763,10 +771,10 @@ FNR == 1 {
     } else if (inner != "" && line ~ /^end/) inner = ""
     if (match(line, /^ *val [a-z_][A-Za-z0-9_'"'"']*/)) {
       name = substr(line, RSTART, RLENGTH); sub(/^ *val /, "", name)
-      q = (inner != "") ? inner : own
-      decl[q "." name] = own; declared[name]++
+      decl[((inner != "") ? inner : own) "." name] = own
     }
   }
+  opens(line)
   words(line)
 }
 END {
@@ -778,17 +786,13 @@ END {
     if (!(ref in decl)) print "exports_allowed: " ref " is not declared in any lib/ interface"
     allow[ref]
   }
-  split("pp show equal compare to_string", g, " ")
-  for (i in g) generic[g[i]]
   for (ref in decl) {
-    own = decl[ref]; name = ref; sub(/^.*\./, "", name)
-    w = ((name in generic) || declared[name] > 1) ? ref : name
-    prod = pcount[w] - (((w, own) in pseen) ? 1 : 0)
-    tst = tcount[w]
+    own = decl[ref]
+    prod = pcount[ref] - (((ref, own) in pseen) ? 1 : 0)
     if (prod > 0 && (ref in allow))
       print "exports_allowed: " ref " has a caller outside its module now: drop its entry"
     else if (prod == 0 && !(ref in allow))
-      print ref (tst ? " is named only by tests" : " is named nowhere outside its module") \
+      print ref (tcount[ref] ? " is named only by tests" : " is named nowhere outside its module") \
         ": unexport it, or list it in test/exports_allowed with a reason"
   }
 }' $(cat "$tmp/exports.files") | sort > "$tmp/exports.dead"
