@@ -280,6 +280,121 @@ let prop_merge_comm =
           && Sref.Set.equal x.Store.rs_aliases y.Store.rs_aliases)
         ab true)
 
+(* ------------------------------------------------------------------ *)
+(* Widening ([+loopexec] back-edge joins)                              *)
+(* ------------------------------------------------------------------ *)
+
+let prop_widen_comm =
+  QCheck.Test.make ~count:300
+    ~name:"store widen commutative on def/null/alloc/offset/aliases"
+    QCheck.(pair gen_states gen_states)
+    (fun (ea, eb) ->
+      let a = store_of ea and b = store_of eb in
+      let ab = Store.widen a b and ba = Store.widen b a in
+      Store.equal ab ba
+      && Store.fold
+           (fun r (x : Store.refstate) ok ->
+             let y = Store.get ba r in
+             ok
+             && equal_defstate x.Store.rs_def y.Store.rs_def
+             && equal_nullstate x.Store.rs_null y.Store.rs_null
+             && equal_allocstate x.Store.rs_alloc y.Store.rs_alloc
+             && Bool.equal x.Store.rs_offset y.Store.rs_offset
+             && Sref.Set.equal x.Store.rs_aliases y.Store.rs_aliases)
+           ab true)
+
+let test_widen_dead_dominates () =
+  let p = v "p" in
+  let dead = Store.set Store.empty p (state ~def:DSdead ~alloc:ASonly ()) in
+  let live = Store.set Store.empty p (state ~def:DSdefined ~alloc:ASkept ()) in
+  List.iter
+    (fun (name, w) ->
+      let s = Store.get w p in
+      Alcotest.(check bool) (name ^ ": dead") true
+        (equal_defstate s.Store.rs_def DSdead);
+      Alcotest.(check bool) (name ^ ": live side's alloc") true
+        (equal_allocstate s.Store.rs_alloc ASkept))
+    [ ("dead first", Store.widen dead live); ("live first", Store.widen live dead) ];
+  (* where the reporting merge would error-mark, widening keeps the
+     stronger obligation *)
+  let kept = Store.set Store.empty p (state ~alloc:ASkept ()) in
+  let only = Store.set Store.empty p (state ~alloc:ASonly ()) in
+  Alcotest.(check bool) "only survives kept" true
+    (equal_allocstate (Store.get (Store.widen kept only) p).Store.rs_alloc ASonly)
+
+let test_widen_one_sided_fill () =
+  (* a reference bound on one side only gets the same implicit state from
+     widen as from a merge that raises no conflict *)
+  let p = v "p" and q = v "q" and r = v "r" in
+  let a =
+    List.fold_left
+      (fun st (x, s) -> Store.set st x s)
+      Store.empty
+      [
+        (p, state ~def:DSpdefined ());
+        (fld p "f", state ~def:DSundefined ());
+        (q, state ~def:DSallocated ());
+        (r, state ~null:NSnull ());
+      ]
+  in
+  let b =
+    List.fold_left
+      (fun st (x, s) -> Store.set st x s)
+      Store.empty
+      [
+        (p, state ~def:DSallocated ());
+        (fld q "g", state ~def:DSdefined ());
+        (r, state ~null:NSnull ());
+        (fld r "h", state ~def:DSpdefined ());
+      ]
+  in
+  List.iter
+    (fun (x, y) ->
+      let merged =
+        Store.merge ~on_conflict:(fun _ -> Alcotest.fail "no conflicts") x y
+      in
+      let widened = Store.widen x y in
+      List.iter
+        (fun ref_ ->
+          Alcotest.(check bool)
+            (Sref.to_string ref_ ^ " def")
+            true
+            (equal_defstate (Store.get merged ref_).Store.rs_def
+               (Store.get widened ref_).Store.rs_def))
+        [ fld p "f"; fld q "g"; fld r "h" ])
+    [ (a, b); (b, a) ];
+  Alcotest.(check bool) "child of allocated storage is undefined" true
+    (equal_defstate (Store.get (Store.widen a b) (fld p "f")).Store.rs_def
+       DSundefined);
+  Alcotest.(check bool) "null parent: the other side stands" true
+    (equal_defstate (Store.get (Store.widen a b) (fld r "h")).Store.rs_def
+       DSpdefined)
+
+let test_collapse_deep () =
+  let p = v "p" and q = v "q" in
+  let pf = fld p "f" in
+  let pfg = fld pf "g" in
+  let shallow =
+    Store.set (Store.set Store.empty p (state ())) pf (state ~alloc:ASonly ())
+  in
+  Alcotest.(check bool) "nothing deep: store unchanged" true
+    (Store.collapse_deep ~depth:1 shallow == shallow);
+  let st = Store.set shallow pfg (state ~def:DSdead ~alloc:ASkept ()) in
+  let st =
+    Store.set st q { (state ()) with Store.rs_aliases = Sref.Set.singleton pfg }
+  in
+  let c = Store.collapse_deep ~depth:1 st in
+  Alcotest.(check bool) "p->f->g folded away" false (Store.mem c pfg);
+  let s = Store.get c pf in
+  Alcotest.(check bool) "p->f joins the dead state" true
+    (equal_defstate s.Store.rs_def DSdead);
+  Alcotest.(check bool) "p->f keeps the live side's alloc" true
+    (equal_allocstate s.Store.rs_alloc ASonly);
+  Alcotest.(check bool) "alias set rewritten to p->f" true
+    (Sref.Set.equal (Sref.Set.singleton pf) (Store.get c q).Store.rs_aliases);
+  Alcotest.(check bool) "p untouched" true
+    (equal_defstate (Store.get c p).Store.rs_def DSdefined)
+
 let () =
   Alcotest.run "store"
     [
@@ -306,5 +421,12 @@ let () =
           Alcotest.test_case "derived defaults" `Quick test_merge_derived_default;
           QCheck_alcotest.to_alcotest prop_merge_idem;
           QCheck_alcotest.to_alcotest prop_merge_comm;
+        ] );
+      ( "widen",
+        [
+          QCheck_alcotest.to_alcotest prop_widen_comm;
+          Alcotest.test_case "dead dominates" `Quick test_widen_dead_dominates;
+          Alcotest.test_case "one-sided fill" `Quick test_widen_one_sided_fill;
+          Alcotest.test_case "collapse deep" `Quick test_collapse_deep;
         ] );
     ]
