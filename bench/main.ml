@@ -53,16 +53,25 @@ let fig_sample () =
     ]
   in
   row "  %-28s %-10s %-10s %s\n" "figure" "paper" "measured" "status";
-  List.iter
-    (fun (name, src, expected) ->
-      let r = Stdspec.check ~flags ~file:"sample.c" src in
-      let n = List.length r.Check.reports in
-      row "  %-28s %-10d %-10d %s\n" name expected n
-        (if n = expected then "ok" else "MISMATCH");
-      List.iter
-        (fun d -> row "      %s\n" (Cfront.Diag.to_string d))
-        r.Check.reports)
-    cases
+  let mismatches =
+    List.filter
+      (fun (name, src, expected) ->
+        let r = Stdspec.check ~flags ~file:"sample.c" src in
+        let n = List.length r.Check.reports in
+        row "  %-28s %-10d %-10d %s\n" name expected n
+          (if n = expected then "ok" else "MISMATCH");
+        List.iter
+          (fun d -> row "      %s\n" (Cfront.Diag.to_string d))
+          r.Check.reports;
+        n <> expected)
+      cases
+  in
+  (* the CI smoke gate: every figure reports the paper's message count *)
+  if mismatches <> [] then begin
+    Printf.eprintf "fig_sample: %d figure(s) disagree with the paper\n"
+      (List.length mismatches);
+    exit 3
+  end
 
 (* ------------------------------------------------------------------ *)
 (* F5-F6: list_addh                                                    *)
@@ -1089,22 +1098,34 @@ let difftest_exp () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* E12: loop fixpoint mode (+loopexec)                                 *)
+(* E12 and E17: feature sweeps (+loopexec, +xproc)                     *)
 (* ------------------------------------------------------------------ *)
 
-(* A loop-heavy trial mix: every seeded bug is loop-carried, every
-   fourth trial is clean (probing +loopexec for precision regressions),
-   and driver coverage is full so the carriers always execute. *)
-let loop_trial seed =
-  let kinds =
-    [|
-      Progen.Bloop_leak; Progen.Bloop_use_after_free; Progen.Bloop_null_deref;
-    |]
-  in
+(* A feature sweep runs 48 fixed-seed difftest trials twice: under the
+   default flags and with one feature on.  Every seeded bug of a trial
+   is one of [kinds]; every fourth trial is clean (probing the feature
+   for precision regressions), and driver coverage is full so the
+   carriers always execute.  Under the default flags the bugs classify
+   as excused blind spots of the classes named [stem-*]; the feature
+   must witness them all statically. *)
+type sweep = {
+  name : string;  (** the experiment; it writes BENCH_<name>.json *)
+  title : string;
+  intro : string list;  (** the lines explaining the sweep *)
+  arm : string;  (** the feature's arm in the JSON document *)
+  flags : Annot.Flags.t;  (** the flags of that arm *)
+  kinds : Progen.bug_kind array;
+  stem : string;  (** the finding classes the feature removes: stem-* *)
+  what : string;  (** those findings, as the table names them *)
+  counters : (string * Telemetry.Counter.t) list;
+      (** the feature's telemetry, reported per arm *)
+}
+
+let sweep_trial kinds seed =
+  let n = Array.length kinds in
   let bugs =
     if seed mod 4 = 0 then []
-    else
-      List.sort_uniq compare [ kinds.(seed mod 3); kinds.(seed / 3 mod 3) ]
+    else List.sort_uniq compare [ kinds.(seed mod n); kinds.(seed / n mod n) ]
   in
   {
     Difftest.t_seed = seed;
@@ -1115,364 +1136,202 @@ let loop_trial seed =
     t_max_steps = 200_000;
   }
 
+let run_sweep sw =
+  section sw.title;
+  row "  Fixed-seed sweep, seeds %d..%d.\n" !seed_flag (!seed_flag + 47);
+  List.iter (fun l -> row "  %s\n" l) sw.intro;
+  row "  Written to BENCH_%s.json.\n\n" sw.name;
+  let trials = List.init 48 (fun i -> sweep_trial sw.kinds (!seed_flag + i)) in
+  let jobs = min 4 (Parcheck.default_jobs ()) in
+  let prefix = sw.stem ^ "-" in
+  let findings outs =
+    List.concat_map
+      (fun (o : Difftest.outcome) ->
+        List.filter
+          (fun (f : Difftest.finding) ->
+            String.starts_with ~prefix f.Difftest.f_class)
+          o.Difftest.o_verdict.Difftest.v_findings)
+      outs
+  in
+  (* one arm: its outcomes, seconds, counter values and findings *)
+  let run flags =
+    Telemetry.reset ();
+    Telemetry.set_enabled true;
+    let outs, dt = time (fun () -> Difftest.sweep ~jobs ~flags trials) in
+    let counts =
+      List.map (fun (_, c) -> Telemetry.Counter.value c) sw.counters
+    in
+    Telemetry.set_enabled false;
+    Telemetry.reset ();
+    (outs, dt, counts, findings outs)
+  in
+  let outs_d, dt_d, counts_d, found_d = run Annot.Flags.default in
+  let outs_f, dt_f, counts_f, found_f = run sw.flags in
+  let eliminated = List.length found_d - List.length found_f in
+  let static_reports outs =
+    List.fold_left
+      (fun acc (o : Difftest.outcome) ->
+        acc + o.Difftest.o_verdict.Difftest.v_static_reports)
+      0 outs
+  in
+  let gaps_d = Difftest.gaps outs_d and gaps_f = Difftest.gaps outs_f in
+  let flag = "+" ^ sw.arm in
+  row "  %-24s %10s %10s\n" (sw.what ^ " class") "default" flag;
+  let class_rows =
+    List.sort_uniq compare
+      (List.map (fun (f : Difftest.finding) -> f.Difftest.f_class)
+         (found_d @ found_f))
+    |> List.map (fun cls ->
+           let n found =
+             List.length
+               (List.filter
+                  (fun (f : Difftest.finding) -> f.Difftest.f_class = cls)
+                  found)
+           in
+           let d = n found_d and x = n found_f in
+           row "  %-24s %10d %10d\n" cls d x;
+           Telemetry.Json.(
+             Obj
+               [
+                 ("class", String cls);
+                 ("default_divergences", Int d);
+                 (sw.arm ^ "_divergences", Int x);
+               ]))
+  in
+  row "\n  %-24s %10s %10s\n" "counter" "default" flag;
+  List.iter2
+    (fun (key, _) (d, x) -> row "  %-24s %10d %10d\n" key d x)
+    sw.counters
+    (List.combine counts_d counts_f);
+  row "  (the default arm's counters are 0 by construction)\n\n";
+  row "  default: %d %s divergences excused, %d static reports, %.1fs\n"
+    (List.length found_d) sw.what (static_reports outs_d) dt_d;
+  row "  %s: %d %s divergences remain, %d static reports, %.1fs\n" flag
+    (List.length found_f) sw.what (static_reports outs_f) dt_f;
+  row "  %d %s divergences eliminated by %s\n" eliminated sw.what flag;
+  let arm_doc outs dt counts found gaps =
+    Telemetry.Json.(
+      Obj
+        ([
+           ("seconds", Float dt);
+           ("static_reports", Int (static_reports outs));
+           (sw.stem ^ "_divergences", Int (List.length found));
+           ("gaps", Int (List.length gaps));
+         ]
+        @ List.map2 (fun (key, _) v -> (key, Int v)) sw.counters counts))
+  in
+  let doc =
+    Telemetry.Json.(
+      Obj
+        [
+          ("experiment", String sw.name);
+          ("seed", Int !seed_flag);
+          ("trials", Int (List.length trials));
+          ("jobs", Int jobs);
+          ("default", arm_doc outs_d dt_d counts_d found_d gaps_d);
+          (sw.arm, arm_doc outs_f dt_f counts_f found_f gaps_f);
+          ("eliminated", Int eliminated);
+          ("per_class", List class_rows);
+        ])
+  in
+  let file = Printf.sprintf "BENCH_%s.json" sw.name in
+  let oc = open_out file in
+  output_string oc (Telemetry.Json.to_string doc);
+  output_string oc "\n";
+  close_out oc;
+  row "\n  wrote %s\n" file;
+  (* the CI gate: the feature must eliminate at least 3 divergences of
+     its classes, leave none behind, and introduce no gap or precision
+     regression anywhere (the clean trials included) *)
+  let fail fmt = Printf.eprintf fmt in
+  let bad = ref false in
+  if eliminated < 3 then begin
+    fail "%s: only %d %s divergences eliminated (want >= 3)\n" sw.name
+      eliminated sw.what;
+    bad := true
+  end;
+  if found_f <> [] then begin
+    fail "%s: %d %s divergences survive %s\n" sw.name (List.length found_f)
+      sw.what flag;
+    bad := true
+  end;
+  List.iter
+    (fun (side, findings) ->
+      List.iter
+        (fun (f : Difftest.finding) ->
+          fail "%s (%s): %s\n" sw.name side (Fmt.str "%a" Difftest.pp_finding f);
+          bad := true)
+        findings)
+    [ (flag, found_f @ gaps_f); ("default", gaps_d) ];
+  if !bad then exit 3
+
+(* E12: every seeded bug needs a back edge to manifest *)
 let loops_exp () =
-  section "E12: loop fixpoint mode -- default heuristic vs +loopexec";
-  row "  Fixed-seed loop-heavy sweep (seeds %d..%d): every seeded bug\n"
-    !seed_flag (!seed_flag + 47);
-  row "  needs a back edge to manifest.  Under the default heuristic\n";
-  row "  they classify as excused loop-* blind spots; under +loopexec\n";
-  row "  the fixpoint must witness them statically -- no remaining\n";
-  row "  loop-* divergences, no new gaps, no precision loss on the\n";
-  row "  clean trials.  Written to BENCH_loops.json.\n\n";
-  let trials = List.init 48 (fun i -> loop_trial (!seed_flag + i)) in
-  let jobs = min 4 (Parcheck.default_jobs ()) in
-  let loopexec_flags =
-    { Annot.Flags.default with Annot.Flags.loop_exec = true }
-  in
-  let loop_findings outs =
-    List.concat_map
-      (fun (o : Difftest.outcome) ->
-        List.filter_map
-          (fun (f : Difftest.finding) ->
-            if
-              String.length f.Difftest.f_class >= 5
-              && String.sub f.Difftest.f_class 0 5 = "loop-"
-            then Some (o.Difftest.o_trial.Difftest.t_seed, f)
-            else None)
-          o.Difftest.o_verdict.Difftest.v_findings)
-      outs
-  in
-  let static_reports outs =
-    List.fold_left
-      (fun acc (o : Difftest.outcome) ->
-        acc + o.Difftest.o_verdict.Difftest.v_static_reports)
-      0 outs
-  in
-  let read_loop_counters () =
-    Telemetry.Counter.
-      ( value Telemetry.c_loop_fixpoint_iters,
-        value Telemetry.c_loop_widenings,
-        value Telemetry.c_loop_bailouts )
-  in
-  Telemetry.reset ();
-  Telemetry.set_enabled true;
-  let outs_d, dt_d = time (fun () -> Difftest.sweep ~jobs trials) in
-  let d_iters, d_widen, d_bail = read_loop_counters () in
-  Telemetry.reset ();
-  let outs_l, dt_l =
-    time (fun () -> Difftest.sweep ~jobs ~flags:loopexec_flags trials)
-  in
-  let l_iters, l_widen, l_bail = read_loop_counters () in
-  Telemetry.set_enabled false;
-  Telemetry.reset ();
-  let loops_d = loop_findings outs_d and loops_l = loop_findings outs_l in
-  let eliminated = List.length loops_d - List.length loops_l in
-  let reports_d = static_reports outs_d
-  and reports_l = static_reports outs_l in
-  let gaps_d = Difftest.gaps outs_d and gaps_l = Difftest.gaps outs_l in
-  let classes =
-    List.sort_uniq compare
-      (List.map (fun (_, (f : Difftest.finding)) -> f.Difftest.f_class)
-         (loops_d @ loops_l))
-  in
-  row "  %-22s %10s %10s\n" "loop-carried class" "default" "+loopexec";
-  let class_rows =
-    List.map
-      (fun cls ->
-        let n outs =
-          List.length
-            (List.filter
-               (fun (_, (f : Difftest.finding)) -> f.Difftest.f_class = cls)
-               outs)
-        in
-        let d = n loops_d and l = n loops_l in
-        row "  %-22s %10d %10d\n" cls d l;
-        Telemetry.Json.(
-          Obj
-            [
-              ("class", String cls);
-              ("default_divergences", Int d);
-              ("loopexec_divergences", Int l);
-            ]))
-      classes
-  in
-  row "\n  default:   %d loop-carried divergences excused, %d static\n"
-    (List.length loops_d) reports_d;
-  row "  reports, %.1fs; fixpoint counters %d/%d/%d (iters/widenings/\n"
-    dt_d d_iters d_widen d_bail;
-  row "  bailouts, all 0 by construction)\n";
-  row "  +loopexec: %d loop-carried divergences remain, %d static\n"
-    (List.length loops_l) reports_l;
-  row "  reports, %.1fs; %d fixpoint iterations, %d widenings, %d\n" dt_l
-    l_iters l_widen l_bail;
-  row "  bailouts\n";
-  row "  %d loop-carried divergences eliminated by +loopexec\n" eliminated;
-  let doc =
-    Telemetry.Json.(
-      Obj
+  run_sweep
+    {
+      name = "loops";
+      title = "E12: loop fixpoint mode -- default heuristic vs +loopexec";
+      intro =
         [
-          ("experiment", String "loops");
-          ("seed", Int !seed_flag);
-          ("trials", Int (List.length trials));
-          ("jobs", Int jobs);
-          ( "default",
-            Obj
-              [
-                ("seconds", Float dt_d);
-                ("static_reports", Int reports_d);
-                ("loop_divergences", Int (List.length loops_d));
-                ("gaps", Int (List.length gaps_d));
-                ("loop_fixpoint_iters", Int d_iters);
-                ("loop_widenings", Int d_widen);
-                ("loop_bailouts", Int d_bail);
-              ] );
-          ( "loopexec",
-            Obj
-              [
-                ("seconds", Float dt_l);
-                ("static_reports", Int reports_l);
-                ("loop_divergences", Int (List.length loops_l));
-                ("gaps", Int (List.length gaps_l));
-                ("loop_fixpoint_iters", Int l_iters);
-                ("loop_widenings", Int l_widen);
-                ("loop_bailouts", Int l_bail);
-              ] );
-          ("eliminated", Int eliminated);
-          ("per_class", List class_rows);
-        ])
-  in
-  let oc = open_out "BENCH_loops.json" in
-  output_string oc (Telemetry.Json.to_string doc);
-  output_string oc "\n";
-  close_out oc;
-  row "\n  wrote BENCH_loops.json\n";
-  (* the CI gate: +loopexec must eliminate at least 3 loop-carried
-     divergences, leave none behind, and introduce no gap or precision
-     regression anywhere (the clean trials included) *)
-  let fail fmt = Printf.eprintf fmt in
-  let bad = ref false in
-  if eliminated < 3 then begin
-    fail "loops: only %d loop-carried divergences eliminated (want >= 3)\n"
-      eliminated;
-    bad := true
-  end;
-  if loops_l <> [] then begin
-    fail "loops: %d loop-carried divergences survive +loopexec\n"
-      (List.length loops_l);
-    bad := true
-  end;
-  List.iter
-    (fun (f : Difftest.finding) ->
-      fail "loops (+loopexec): %s\n" (Fmt.str "%a" Difftest.pp_finding f);
-      bad := true)
-    gaps_l;
-  List.iter
-    (fun (f : Difftest.finding) ->
-      fail "loops (default): %s\n" (Fmt.str "%a" Difftest.pp_finding f);
-      bad := true)
-    gaps_d;
-  if !bad then exit 3
+          "Every seeded bug needs a back edge to manifest.  Under the";
+          "default heuristic they classify as excused loop-* blind spots;";
+          "under +loopexec the fixpoint must witness them statically -- no";
+          "remaining loop-* divergences, no new gaps, no precision loss on";
+          "the clean trials.";
+        ];
+      arm = "loopexec";
+      flags = { Annot.Flags.default with Annot.Flags.loop_exec = true };
+      kinds =
+        [|
+          Progen.Bloop_leak; Progen.Bloop_use_after_free;
+          Progen.Bloop_null_deref;
+        |];
+      stem = "loop";
+      what = "loop-carried";
+      counters =
+        Telemetry.
+          [
+            ("loop_fixpoint_iters", c_loop_fixpoint_iters);
+            ("loop_widenings", c_loop_widenings);
+            ("loop_bailouts", c_loop_bailouts);
+          ];
+    }
 
-(* ------------------------------------------------------------------ *)
-(* E17: interprocedural effect summaries (+xproc)                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Cross-function sweep: every seeded bug hides its release/escape in a
-   locally unannotated helper; every 4th seed is a clean precision
-   trial.  The carrier mix cycles through all four xproc kinds. *)
-let xproc_trial seed =
-  let kinds =
-    [|
-      Progen.Bxproc_callee_free; Progen.Bxproc_callee_free_df;
-      Progen.Bxproc_cond_release; Progen.Bxproc_escape_store;
-    |]
-  in
-  let bugs =
-    if seed mod 4 = 0 then []
-    else
-      List.sort_uniq compare [ kinds.(seed mod 4); kinds.(seed / 4 mod 4) ]
-  in
-  {
-    Difftest.t_seed = seed;
-    t_modules = 2 + (seed mod 3);
-    t_fns = 2 + (seed mod 2);
-    t_bugs = bugs;
-    t_coverage = 1.0;
-    t_max_steps = 200_000;
-  }
-
+(* E17: every seeded bug hides its release or escape in a locally
+   unannotated helper; the carriers cycle through all four xproc kinds *)
 let xproc_exp () =
-  section "E17: interprocedural effect summaries -- default vs +xproc";
-  row "  Fixed-seed cross-function sweep (seeds %d..%d): every seeded\n"
-    !seed_flag (!seed_flag + 47);
-  row "  bug buries its release or escape in a locally unannotated\n";
-  row "  helper.  Under the default call-site transfer they classify as\n";
-  row "  excused xproc-* blind spots; under +xproc the bottom-up effect\n";
-  row "  summaries must witness them statically -- no remaining xproc-*\n";
-  row "  divergences, no new gaps, no precision loss on the clean\n";
-  row "  trials.  Written to BENCH_xproc.json.\n\n";
-  let trials = List.init 48 (fun i -> xproc_trial (!seed_flag + i)) in
-  let jobs = min 4 (Parcheck.default_jobs ()) in
-  let xproc_flags = { Annot.Flags.default with Annot.Flags.xproc = true } in
-  let xproc_findings outs =
-    List.concat_map
-      (fun (o : Difftest.outcome) ->
-        List.filter_map
-          (fun (f : Difftest.finding) ->
-            if
-              String.length f.Difftest.f_class >= 6
-              && String.sub f.Difftest.f_class 0 6 = "xproc-"
-            then Some (o.Difftest.o_trial.Difftest.t_seed, f)
-            else None)
-          o.Difftest.o_verdict.Difftest.v_findings)
-      outs
-  in
-  let static_reports outs =
-    List.fold_left
-      (fun acc (o : Difftest.outcome) ->
-        acc + o.Difftest.o_verdict.Difftest.v_static_reports)
-      0 outs
-  in
-  let read_summary_counters () =
-    Telemetry.Counter.
-      ( value Telemetry.c_summary_funcs,
-        value Telemetry.c_summary_rounds,
-        value Telemetry.c_summary_top,
-        value Telemetry.c_summary_consults,
-        value Telemetry.c_summary_clashes )
-  in
-  Telemetry.reset ();
-  Telemetry.set_enabled true;
-  let outs_d, dt_d = time (fun () -> Difftest.sweep ~jobs trials) in
-  let d_funcs, d_rounds, d_top, d_consults, d_clashes =
-    read_summary_counters ()
-  in
-  Telemetry.reset ();
-  let outs_x, dt_x =
-    time (fun () -> Difftest.sweep ~jobs ~flags:xproc_flags trials)
-  in
-  let x_funcs, x_rounds, x_top, x_consults, x_clashes =
-    read_summary_counters ()
-  in
-  Telemetry.set_enabled false;
-  Telemetry.reset ();
-  let spots_d = xproc_findings outs_d and spots_x = xproc_findings outs_x in
-  let eliminated = List.length spots_d - List.length spots_x in
-  let reports_d = static_reports outs_d
-  and reports_x = static_reports outs_x in
-  let gaps_d = Difftest.gaps outs_d and gaps_x = Difftest.gaps outs_x in
-  let classes =
-    List.sort_uniq compare
-      (List.map (fun (_, (f : Difftest.finding)) -> f.Difftest.f_class)
-         (spots_d @ spots_x))
-  in
-  row "  %-24s %10s %10s\n" "cross-function class" "default" "+xproc";
-  let class_rows =
-    List.map
-      (fun cls ->
-        let n outs =
-          List.length
-            (List.filter
-               (fun (_, (f : Difftest.finding)) -> f.Difftest.f_class = cls)
-               outs)
-        in
-        let d = n spots_d and x = n spots_x in
-        row "  %-24s %10d %10d\n" cls d x;
-        Telemetry.Json.(
-          Obj
-            [
-              ("class", String cls);
-              ("default_divergences", Int d);
-              ("xproc_divergences", Int x);
-            ]))
-      classes
-  in
-  row "\n  default: %d cross-function divergences excused, %d static\n"
-    (List.length spots_d) reports_d;
-  row "  reports, %.1fs; summary counters %d/%d/%d/%d/%d (funcs/rounds/\n"
-    dt_d d_funcs d_rounds d_top d_consults d_clashes;
-  row "  top/consults/clashes, all 0 by construction)\n";
-  row "  +xproc:  %d cross-function divergences remain, %d static\n"
-    (List.length spots_x) reports_x;
-  row "  reports, %.1fs; %d functions summarized in %d rounds, %d sent\n"
-    dt_x x_funcs x_rounds x_top;
-  row "  to top, %d call-site consults, %d interface clashes\n" x_consults
-    x_clashes;
-  row "  %d cross-function divergences eliminated by +xproc\n" eliminated;
-  let doc =
-    Telemetry.Json.(
-      Obj
+  run_sweep
+    {
+      name = "xproc";
+      title = "E17: interprocedural effect summaries -- default vs +xproc";
+      intro =
         [
-          ("experiment", String "xproc");
-          ("seed", Int !seed_flag);
-          ("trials", Int (List.length trials));
-          ("jobs", Int jobs);
-          ( "default",
-            Obj
-              [
-                ("seconds", Float dt_d);
-                ("static_reports", Int reports_d);
-                ("xproc_divergences", Int (List.length spots_d));
-                ("gaps", Int (List.length gaps_d));
-                ("summary_funcs", Int d_funcs);
-                ("summary_rounds", Int d_rounds);
-                ("summary_top", Int d_top);
-                ("summary_consults", Int d_consults);
-                ("summary_clashes", Int d_clashes);
-              ] );
-          ( "xproc",
-            Obj
-              [
-                ("seconds", Float dt_x);
-                ("static_reports", Int reports_x);
-                ("xproc_divergences", Int (List.length spots_x));
-                ("gaps", Int (List.length gaps_x));
-                ("summary_funcs", Int x_funcs);
-                ("summary_rounds", Int x_rounds);
-                ("summary_top", Int x_top);
-                ("summary_consults", Int x_consults);
-                ("summary_clashes", Int x_clashes);
-              ] );
-          ("eliminated", Int eliminated);
-          ("per_class", List class_rows);
-        ])
-  in
-  let oc = open_out "BENCH_xproc.json" in
-  output_string oc (Telemetry.Json.to_string doc);
-  output_string oc "\n";
-  close_out oc;
-  row "\n  wrote BENCH_xproc.json\n";
-  (* the CI gate: +xproc must eliminate at least 3 cross-function
-     divergences, leave none behind, and introduce no gap or precision
-     regression anywhere (the clean trials included) *)
-  let fail fmt = Printf.eprintf fmt in
-  let bad = ref false in
-  if eliminated < 3 then begin
-    fail "xproc: only %d cross-function divergences eliminated (want >= 3)\n"
-      eliminated;
-    bad := true
-  end;
-  if spots_x <> [] then begin
-    fail "xproc: %d cross-function divergences survive +xproc\n"
-      (List.length spots_x);
-    bad := true
-  end;
-  List.iter
-    (fun ((_ : int), (f : Difftest.finding)) ->
-      fail "xproc (+xproc): %s\n" (Fmt.str "%a" Difftest.pp_finding f);
-      bad := true)
-    spots_x;
-  List.iter
-    (fun (f : Difftest.finding) ->
-      fail "xproc (+xproc): %s\n" (Fmt.str "%a" Difftest.pp_finding f);
-      bad := true)
-    gaps_x;
-  List.iter
-    (fun (f : Difftest.finding) ->
-      fail "xproc (default): %s\n" (Fmt.str "%a" Difftest.pp_finding f);
-      bad := true)
-    gaps_d;
-  if !bad then exit 3
+          "Every seeded bug buries its release or escape in a locally";
+          "unannotated helper.  Under the default call-site transfer they";
+          "classify as excused xproc-* blind spots; under +xproc the";
+          "bottom-up effect summaries must witness them statically -- no";
+          "remaining xproc-* divergences, no new gaps, no precision loss";
+          "on the clean trials.";
+        ];
+      arm = "xproc";
+      flags = { Annot.Flags.default with Annot.Flags.xproc = true };
+      kinds =
+        [|
+          Progen.Bxproc_callee_free; Progen.Bxproc_callee_free_df;
+          Progen.Bxproc_cond_release; Progen.Bxproc_escape_store;
+        |];
+      stem = "xproc";
+      what = "cross-function";
+      counters =
+        Telemetry.
+          [
+            ("summary_funcs", c_summary_funcs);
+            ("summary_rounds", c_summary_rounds);
+            ("summary_top", c_summary_top);
+            ("summary_consults", c_summary_consults);
+            ("summary_clashes", c_summary_clashes);
+          ];
+    }
 
 (* ------------------------------------------------------------------ *)
 (* E13: incremental checking service                                   *)

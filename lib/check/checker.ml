@@ -140,6 +140,18 @@ let emit env ?(severity = Diag.Err) ?(notes = []) ~loc ~code fmt =
            ~inferred:(Lazy.force env.proc_inferred) ~loc ~code text))
     fmt
 
+(** The second part of a two-part message: a note at [where], the place
+    the blamed state was set, when that place is known. *)
+let blame (where : Loc.t option) fmt =
+  match where with
+  | Some l when not (Loc.is_dummy l) ->
+      Fmt.kstr (fun text -> [ Diag.note ~loc:l text ]) fmt
+  | _ -> Format.ikfprintf (fun _ -> []) Format.str_formatter fmt
+
+(** A value's name in a message. *)
+let describe (v : value) =
+  match v.v_ref with Some r -> Sref.to_string r | None -> "<expression>"
+
 (* The empty tables every check starts with; nothing writes them, since
    every write goes through [own_conflicts] or [own_realloc_sources]. *)
 let no_conflicts : (string, unit) Hashtbl.t = Hashtbl.create 1
@@ -283,9 +295,7 @@ let ref_escaped env st (r : Sref.t) =
 
 (** Initial reference state implied by a declaration's annotations, for an
     entity assumed completely defined (function entry). *)
-let entry_state env ~(ty : Ctype.t) ~(annots : Annot.set) ~loc : Store.refstate
-    =
-  ignore env;
+let entry_state ~(ty : Ctype.t) ~(annots : Annot.set) ~loc : Store.refstate =
   let null =
     if not (Ctype.is_pointer ty) then NSuntracked
     else
@@ -324,6 +334,15 @@ let entry_state env ~(ty : Ctype.t) ~(annots : Annot.set) ~loc : Store.refstate
   let l = Some loc in
   Store.mk_refstate ~def ~null ~alloc ?defloc:l ?nullloc:l ?allocloc:l ()
 
+(** Does [s] still owe a release: an obligation on storage that is live
+    (not dead, undefined or already reported) and not null? *)
+let live_obligation (s : Store.refstate) =
+  has_obligation s.Store.rs_alloc
+  && (match s.Store.rs_def with
+     | DSdead | DSundefined | DSerror -> false
+     | _ -> true)
+  && not (equal_nullstate s.Store.rs_null NSnull)
+
 (* ------------------------------------------------------------------ *)
 (* Use checks                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -343,10 +362,7 @@ let check_rvalue_use env st (r : Sref.t) ~loc =
   (match s.Store.rs_def with
   | DSundefined when env.flags.Flags.check_def ->
       let notes =
-        match s.Store.rs_defloc with
-        | Some l when not (Loc.is_dummy l) ->
-            [ Diag.note ~loc:l (Fmt.str "Storage %s becomes undefined" (Sref.to_string r)) ]
-        | _ -> []
+        blame s.Store.rs_defloc "Storage %s becomes undefined" (Sref.to_string r)
       in
       emit env ~loc ~code:"usedef" ~notes
         "Variable %s used before definition" (Sref.to_string r)
@@ -359,10 +375,7 @@ let check_rvalue_use env st (r : Sref.t) ~loc =
         "Variable %s may be used before definition" (Sref.to_string r)
   | DSdead when env.flags.Flags.check_use_released ->
       let notes =
-        match s.Store.rs_defloc with
-        | Some l when not (Loc.is_dummy l) ->
-            [ Diag.note ~loc:l (Fmt.str "Storage %s is released" (Sref.to_string r)) ]
-        | _ -> []
+        blame s.Store.rs_defloc "Storage %s is released" (Sref.to_string r)
       in
       emit env ~loc ~code:"usereleased" ~notes
         "Dead storage %s used as rvalue" (Sref.to_string r)
@@ -388,12 +401,7 @@ let check_deref env st (r : Sref.t) ~(access : access) ~loc =
         match s.Store.rs_null with NSnull -> "null" | _ -> "possibly null"
       in
       let name = Sref.to_string r in
-      let notes =
-        match s.Store.rs_nullloc with
-        | Some l when not (Loc.is_dummy l) ->
-            [ Diag.note ~loc:l (Fmt.str "Storage %s may become null" name) ]
-        | _ -> []
-      in
+      let notes = blame s.Store.rs_nullloc "Storage %s may become null" name in
       let how, shown =
         match access with
         | Aarrow f -> ("Arrow access from", name ^ "->" ^ f)
@@ -435,7 +443,7 @@ let touch_global env st (name : string) : Store.t =
               { annots with Annot.an_def = Some Annot.Out }
           | _ -> annots
         in
-        let s = entry_state env ~ty:gv.Sema.gv_ty ~annots ~loc:gv.Sema.gv_loc in
+        let s = entry_state ~ty:gv.Sema.gv_ty ~annots ~loc:gv.Sema.gv_loc in
         let s =
           match List.assoc_opt name env.fs.fs_globals with
           | Some ga when ga.Annot.an_undef ->
@@ -585,6 +593,77 @@ let allocmodel_assign env st ~(rhs : value) ~(lhs_ref : Sref.t) ~loc : unit =
 (* Expression evaluation                                               *)
 (* ------------------------------------------------------------------ *)
 
+(** Check [bv] as the pointer of a dereference ([p->f], [p[...]] or
+    [*p]). *)
+let check_pointer env st (bv : value) ~access ~loc =
+  match bv.v_ref with Some r -> check_deref env st r ~access ~loc | None -> st
+
+(** The type [bv] points to. *)
+let pointee (bv : value) =
+  match Ctype.deref bv.v_ty with Some t -> t | None -> Ctype.int_
+
+(** The reference [bv[idx]]: one per compile-time index under
+    [indep_array_elements], else one for every element. *)
+let index_ref env (bv : value) idx =
+  let iopt =
+    match Sema.const_eval env.prog idx with
+    | Some v when env.flags.Flags.indep_array_elements -> Some (Int64.to_int v)
+    | _ -> None
+  in
+  Option.map (fun r -> Sref.index r iopt) bv.v_ref
+
+let field_ty env (bv : value) fname =
+  match field_decl env bv.v_ty fname with
+  | Some fl -> fl.Sema.sf_ty
+  | None -> Ctype.int_
+
+(** Bind the field [r] of the base value [bv] when the store does not
+    track it yet: the field's declared annotations give its state, which
+    is undefined under an allocated or undefined base (an embedded array
+    exists, its contents do not).  The new state is blamed on [loc]. *)
+let materialize_field env st (bv : value) r fty ~loc =
+  if Store.mem st r then st
+  else
+    let s0 = entry_state ~ty:fty ~annots:(annots_of_ref env r) ~loc in
+    let s0 =
+      match bv.v_def with
+      | DSallocated | DSundefined -> (
+          match Ctype.unroll fty with
+          | Ctype.Carray _ ->
+              { s0 with Store.rs_def = DSallocated; rs_null = NSnotnull }
+          | _ ->
+              {
+                s0 with
+                Store.rs_def = DSundefined;
+                rs_null =
+                  (if Ctype.is_pointer fty then NSpossnull else NSuntracked);
+              })
+      | _ -> s0
+    in
+    Store.set st r s0
+
+(* Field access: the reference is Field (base, f), materialized on first
+   use. *)
+let eval_field env st (bv : value) fname ~loc : Store.t * value =
+  let fty = field_ty env bv fname in
+  match bv.v_ref with
+  | None -> (st, unit_value fty)
+  | Some br ->
+      let r = Sref.field br fname in
+      let st = materialize_field env st bv r fty ~loc in
+      let st = check_rvalue_use env st r ~loc in
+      (st, value_of_state fty r (Store.get st r))
+
+(* An assigned field is materialized too, so the assignment transfer can
+   see its prior state (e.g. a live only field about to be overwritten). *)
+let lval_field env st (bv : value) fname =
+  let fty = field_ty env bv fname in
+  match bv.v_ref with
+  | None -> (st, (None, fty))
+  | Some br ->
+      let r = Sref.field br fname in
+      (materialize_field env st bv r fty ~loc:Loc.dummy, (Some r, fty))
+
 (* Normalize member access: "star-p dot f" and "p->f" both become
    [Field (p, f)] when [p] is a pointer; direct struct variables give
    [Field (s, f)]. *)
@@ -657,75 +736,49 @@ let rec eval env st (e : Ast.expr) : Store.t * value =
   | Ast.Earrow (b, fname) | Ast.Emember ({ e = Ast.Ederef b; _ }, fname) ->
       (* p->f: p must be defined, non-null *)
       let st, bv = eval env st b in
-      let st = arrow_base_checks env st bv ~fname ~loc in
+      let st = check_pointer env st bv ~access:(Aarrow fname) ~loc in
       eval_field env st bv fname ~loc
   | Ast.Emember (b, fname) -> (
       let st, bv = eval env st b in
       match Ctype.unroll bv.v_ty with
       | Ctype.Cptr _ | Ctype.Carray _ ->
           (* s.f where s is a pointer: uncommon, treat like arrow *)
-          let st = arrow_base_checks env st bv ~fname ~loc in
+          let st = check_pointer env st bv ~access:(Aarrow fname) ~loc in
           eval_field env st bv fname ~loc
       | _ -> eval_field env st bv fname ~loc)
-  | Ast.Ederef b ->
+  | Ast.Ederef b -> (
       let st, bv = eval env st b in
-      let st =
-        match bv.v_ref with
-        | Some r ->
-            check_deref env st r ~access:Aderef ~loc
-        | None -> st
-      in
-      let ty =
-        match Ctype.deref bv.v_ty with Some t -> t | None -> Ctype.int_
-      in
-      let r = Option.map (fun r -> Sref.deref r) bv.v_ref in
-      let st, value =
-        match r with
-        | Some r ->
-            let st =
-              (* the pointee of allocated storage is undefined *)
-              if Store.mem st r then st
-              else
-                match bv.v_def with
-                | DSallocated ->
-                    Store.set st r
-                      (Store.mk_refstate ~def:DSundefined
-                         ~null:
-                           (if Ctype.is_pointer ty then NSpossnull
-                            else NSuntracked)
-                         ~alloc:ASnone ~defloc:loc ())
-                | _ -> st
-            in
-            (st, value_of_state ty r (Store.get st r))
-        | None -> (st, unit_value ty)
-      in
-      let st = match r with Some r -> check_rvalue_use env st r ~loc | None -> st in
-      (st, value)
-  | Ast.Eindex (b, idx) ->
+      let st = check_pointer env st bv ~access:Aderef ~loc in
+      let ty = pointee bv in
+      match bv.v_ref with
+      | None -> (st, unit_value ty)
+      | Some br ->
+          let r = Sref.deref br in
+          let st =
+            (* the pointee of allocated storage is undefined *)
+            if Store.mem st r then st
+            else
+              match bv.v_def with
+              | DSallocated ->
+                  Store.set st r
+                    (Store.mk_refstate ~def:DSundefined
+                       ~null:
+                         (if Ctype.is_pointer ty then NSpossnull
+                          else NSuntracked)
+                       ~alloc:ASnone ~defloc:loc ())
+              | _ -> st
+          in
+          (* the value is read before the use check error-marks it *)
+          let value = value_of_state ty r (Store.get st r) in
+          (check_rvalue_use env st r ~loc, value))
+  | Ast.Eindex (b, idx) -> (
       let st, bv = eval env st b in
       let st, _ = eval env st idx in
-      let st =
-        match bv.v_ref with
-        | Some r ->
-            check_deref env st r ~access:Aindex ~loc
-        | None -> st
-      in
-      let ty =
-        match Ctype.deref bv.v_ty with Some t -> t | None -> Ctype.int_
-      in
-      let known = Sema.const_eval env.prog idx in
-      let iopt =
-        match known with
-        | Some v when env.flags.Flags.indep_array_elements -> Some (Int64.to_int v)
-        | _ -> None
-      in
-      let r = Option.map (fun r -> Sref.index r iopt) bv.v_ref in
-      let value =
-        match r with
-        | Some r -> value_of_state ty r (Store.get st r)
-        | None -> unit_value ty
-      in
-      (st, value)
+      let st = check_pointer env st bv ~access:Aindex ~loc in
+      let ty = pointee bv in
+      match index_ref env bv idx with
+      | Some r -> (st, value_of_state ty r (Store.get st r))
+      | None -> (st, unit_value ty))
   | Ast.Eaddr b -> (
       let st, (lref, lty) = lval env st b in
       let ty = Ctype.Cptr lty in
@@ -830,53 +883,6 @@ let rec eval env st (e : Ast.expr) : Store.t * value =
       let st, _ = eval env st a in
       eval env st b
 
-and arrow_base_checks env st (bv : value) ~fname ~loc : Store.t =
-  match bv.v_ref with
-  | Some r ->
-      check_deref env st r ~access:(Aarrow fname) ~loc
-  | None -> st
-
-(* Field access: the reference is Field (base, f); its state defaults
-   depend on the base's definition state. *)
-and eval_field env st (bv : value) fname ~loc : Store.t * value =
-  let fty =
-    match field_decl env bv.v_ty fname with
-    | Some fl -> fl.Sema.sf_ty
-    | None -> Ctype.int_
-  in
-  match bv.v_ref with
-  | None -> (st, unit_value fty)
-  | Some br ->
-      let r = Sref.field br fname in
-      let st =
-        if Store.mem st r then st
-        else
-          (* materialize from the base state and the field's declared
-             annotations *)
-          let annots = annots_of_ref env r in
-          let s0 = entry_state env ~ty:fty ~annots ~loc in
-          let s0 =
-            match bv.v_def with
-            | DSallocated | DSundefined -> (
-                match Ctype.unroll fty with
-                | Ctype.Carray _ ->
-                    (* embedded array storage exists; contents undefined *)
-                    { s0 with Store.rs_def = DSallocated; rs_null = NSnotnull }
-                | _ ->
-                    {
-                      s0 with
-                      Store.rs_def = DSundefined;
-                      rs_null =
-                        (if Ctype.is_pointer fty then NSpossnull
-                         else NSuntracked);
-                    })
-            | _ -> s0
-          in
-          Store.set st r s0
-      in
-      let st = check_rvalue_use env st r ~loc in
-      (st, value_of_state fty r (Store.get st r))
-
 (* ------------------------------------------------------------------ *)
 (* Lvalues                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -904,43 +910,20 @@ and lval env st (e : Ast.expr) : Store.t * (Sref.t option * Ctype.t) =
           (st, (None, Ctype.int_)))
   | Ast.Earrow (b, fname) | Ast.Emember ({ e = Ast.Ederef b; _ }, fname) ->
       let st, bv = eval env st b in
-      let st = arrow_base_checks env st bv ~fname ~loc in
+      let st = check_pointer env st bv ~access:(Aarrow fname) ~loc in
       lval_field env st bv fname
   | Ast.Emember (b, fname) ->
       let st, bv = eval env st b in
       lval_field env st bv fname
   | Ast.Ederef b ->
       let st, bv = eval env st b in
-      let st =
-        match bv.v_ref with
-        | Some r ->
-            check_deref env st r ~access:Aderef ~loc
-        | None -> st
-      in
-      let ty =
-        match Ctype.deref bv.v_ty with Some t -> t | None -> Ctype.int_
-      in
-      (st, (Option.map (fun r -> Sref.deref r) bv.v_ref, ty))
+      let st = check_pointer env st bv ~access:Aderef ~loc in
+      (st, (Option.map Sref.deref bv.v_ref, pointee bv))
   | Ast.Eindex (b, idx) ->
       let st, bv = eval env st b in
       let st, _ = eval env st idx in
-      let st =
-        match bv.v_ref with
-        | Some r ->
-            check_deref env st r ~access:Aindex ~loc
-        | None -> st
-      in
-      let ty =
-        match Ctype.deref bv.v_ty with Some t -> t | None -> Ctype.int_
-      in
-      let known = Sema.const_eval env.prog idx in
-      let iopt =
-        match known with
-        | Some v when env.flags.Flags.indep_array_elements ->
-            Some (Int64.to_int v)
-        | _ -> None
-      in
-      (st, (Option.map (fun r -> Sref.index r iopt) bv.v_ref, ty))
+      let st = check_pointer env st bv ~access:Aindex ~loc in
+      (st, (index_ref env bv idx, pointee bv))
   | Ast.Ecast (ty, b) ->
       let st, (r, _) = lval env st b in
       (st, (r, Sema.resolve_ty env.prog ~loc ty))
@@ -948,45 +931,6 @@ and lval env st (e : Ast.expr) : Store.t * (Sref.t option * Ctype.t) =
       (* not an lvalue shape: evaluate for effect *)
       let st, v = eval env st e in
       (st, (v.v_ref, v.v_ty))
-
-and lval_field env st (bv : value) fname : Store.t * (Sref.t option * Ctype.t)
-    =
-  let fty =
-    match field_decl env bv.v_ty fname with
-    | Some fl -> fl.Sema.sf_ty
-    | None -> Ctype.int_
-  in
-  match bv.v_ref with
-  | None -> (st, (None, fty))
-  | Some br ->
-      let r = Sref.field br fname in
-      (* materialize from the declaration so the assignment transfer can
-         see the field's prior state (e.g. a live only field about to be
-         overwritten) *)
-      let st =
-        if Store.mem st r then st
-        else
-          let annots = annots_of_ref env r in
-          let s0 = entry_state env ~ty:fty ~annots ~loc:Loc.dummy in
-          let s0 =
-            match bv.v_def with
-            | DSallocated | DSundefined -> (
-                match Ctype.unroll fty with
-                | Ctype.Carray _ ->
-                    { s0 with Store.rs_def = DSallocated; rs_null = NSnotnull }
-                | _ ->
-                    {
-                      s0 with
-                      Store.rs_def = DSundefined;
-                      rs_null =
-                        (if Ctype.is_pointer fty then NSpossnull
-                         else NSuntracked);
-                    })
-            | _ -> s0
-          in
-          Store.set st r s0
-      in
-      (st, (Some r, fty))
 
 (* ------------------------------------------------------------------ *)
 (* Confluence reporting                                                *)
@@ -1005,10 +949,11 @@ and merge_reporting env ~loc a b : Store.t =
   st
 
 and report_conflict env ~loc (c : Store.conflict) : unit =
+  let r = match c with Store.Cdef (r, _, _) | Store.Calloc (r, _, _) -> r in
   (* inside the implementation of a killref function, the
      decrement-and-conditionally-free idiom legitimately releases the
      parameter on one path only: the killref annotation vouches for it *)
-  let killref_param r =
+  let killref_param =
     let idx =
       match Sref.root_of r with
       | Sref.Rparam (i, _) -> Some i
@@ -1025,71 +970,54 @@ and report_conflict env ~loc (c : Store.conflict) : unit =
         | None -> false)
     | None -> false
   in
-  let excused =
-    match c with
-    | Store.Cdef (r, _, _) | Store.Calloc (r, _, _) -> killref_param r
-  in
-  if excused then ()
-  else report_conflict_filtered env ~loc c
-
-and report_conflict_filtered env ~loc (c : Store.conflict) : unit =
-  (* one report per reference name and conflict kind per merge point:
-     the local view and the external arg view of a parameter are distinct
-     references with the same display name, and would otherwise produce
-     duplicate messages *)
-  let def_key r = Fmt.str "def:%a:%s" Loc.pp loc (Sref.to_string r) in
-  let key =
-    match c with
-    | Store.Cdef (r, _, _) -> def_key r
-    | Store.Calloc (r, sa, sb) ->
-        Fmt.str "alloc:%a:%s:%s:%s" Loc.pp loc (Sref.to_string r)
-          (allocstate_string sa.Store.rs_alloc)
-          (allocstate_string sb.Store.rs_alloc)
-  in
-  (* a release conflict on a base reference subsumes conflicts on storage
-     derived from it (children of dead storage are dead) *)
-  let subsumed =
-    match c with
-    | Store.Cdef (r, _, _) ->
-        let rec up r =
-          match Sref.base r with
-          | None -> false
-          | Some b -> Hashtbl.mem env.conflict_memo (def_key b) || up b
-        in
-        up r
-    | Store.Calloc _ -> false
-  in
-  if subsumed || Hashtbl.mem env.conflict_memo key then
-    Hashtbl.replace (own_conflicts env) key ()
-  else begin
+  if not killref_param then begin
+    (* one report per reference name and conflict kind per merge point:
+       the local view and the external arg view of a parameter are
+       distinct references with the same display name, and would
+       otherwise produce duplicate messages *)
+    let def_key r = Fmt.str "def:%a:%s" Loc.pp loc (Sref.to_string r) in
+    let key =
+      match c with
+      | Store.Cdef _ -> def_key r
+      | Store.Calloc (_, sa, sb) ->
+          Fmt.str "alloc:%a:%s:%s:%s" Loc.pp loc (Sref.to_string r)
+            (allocstate_string sa.Store.rs_alloc)
+            (allocstate_string sb.Store.rs_alloc)
+    in
+    (* a release conflict on a base reference subsumes conflicts on
+       storage derived from it (children of dead storage are dead) *)
+    let subsumed =
+      match c with
+      | Store.Cdef _ ->
+          let rec up r =
+            match Sref.base r with
+            | None -> false
+            | Some b -> Hashtbl.mem env.conflict_memo (def_key b) || up b
+          in
+          up r
+      | Store.Calloc _ -> false
+    in
+    let seen = subsumed || Hashtbl.mem env.conflict_memo key in
     Hashtbl.replace (own_conflicts env) key ();
-    report_conflict_always env ~loc c
+    if not seen then
+      match c with
+      | Store.Cdef (_, sa, sb) ->
+          let dead = if equal_defstate sa.Store.rs_def DSdead then sa else sb in
+          let notes =
+            blame dead.Store.rs_defloc "Storage %s is released on one path"
+              (Sref.to_string r)
+          in
+          emit env ~loc ~code:"branchstate" ~notes
+            "Storage %s is released on one path but not on the other"
+            (Sref.to_string r)
+      | Store.Calloc (_, sa, sb) ->
+          emit env ~loc ~code:"branchstate"
+            "Storage %s has inconsistent states after branches: %s on one \
+             path, %s on the other"
+            (Sref.to_string r)
+            (allocstate_string sa.Store.rs_alloc)
+            (allocstate_string sb.Store.rs_alloc)
   end
-
-and report_conflict_always env ~loc (c : Store.conflict) : unit =
-  match c with
-  | Store.Cdef (r, sa, sb) ->
-      let where st =
-        match st.Store.rs_defloc with
-        | Some l when not (Loc.is_dummy l) ->
-            [ Diag.note ~loc:l
-                (Fmt.str "Storage %s is released on one path" (Sref.to_string r));
-            ]
-        | _ -> []
-      in
-      let notes =
-        if equal_defstate sa.Store.rs_def DSdead then where sa else where sb
-      in
-      emit env ~loc ~code:"branchstate" ~notes
-        "Storage %s is released on one path but not on the other"
-        (Sref.to_string r)
-  | Store.Calloc (r, sa, sb) ->
-      emit env ~loc ~code:"branchstate"
-        "Storage %s has inconsistent states after branches: %s on one path, \
-         %s on the other"
-        (Sref.to_string r)
-        (allocstate_string sa.Store.rs_alloc)
-        (allocstate_string sb.Store.rs_alloc)
 
 (* ------------------------------------------------------------------ *)
 (* Guards                                                              *)
@@ -1266,37 +1194,18 @@ and do_assign env st ~(lhs_ref : Sref.t) ~(lhs_ty : Ctype.t) ~(rhs : value)
   (* --- +allocmodel: realloc-result bookkeeping (prune / realloclost) --- *)
   allocmodel_assign env st ~rhs ~lhs_ref ~loc;
   (* --- losing the last reference to only storage (Fig. 4) --- *)
-  (if
-     env.flags.Flags.check_alloc
-     && (not env.flags.Flags.gc_mode)
-     && has_obligation old.Store.rs_alloc
-     && (match old.Store.rs_def with
-        | DSdead | DSundefined | DSerror -> false
-        | _ -> true)
-     && not (equal_nullstate old.Store.rs_null NSnull)
+  let owed = live_obligation old in
+  (if env.flags.Flags.check_alloc && (not env.flags.Flags.gc_mode) && owed
    then
      let notes =
-       match old.Store.rs_allocloc with
-       | Some l when not (Loc.is_dummy l) ->
-           [ Diag.note ~loc:l
-               (Fmt.str "Storage %s becomes only" (Sref.to_string lhs_ref));
-           ]
-       | _ -> []
+       blame old.Store.rs_allocloc "Storage %s becomes only"
+         (Sref.to_string lhs_ref)
      in
      emit env ~loc ~code:"mustfree" ~notes
        "Only storage %s not released before assignment" (Sref.to_string lhs_ref));
   (* silence the overwritten object's other names so the same leak is not
      re-reported when the orphaned fresh object is scanned at exit *)
-  let st =
-    if
-      has_obligation old.Store.rs_alloc
-      && (match old.Store.rs_def with
-         | DSdead | DSundefined | DSerror -> false
-         | _ -> true)
-      && not (equal_nullstate old.Store.rs_null NSnull)
-    then Store.set_alloc ~loc st lhs_ref ASerror
-    else st
-  in
+  let st = if owed then Store.set_alloc ~loc st lhs_ref ASerror else st in
   (* --- allocation-state transfer --- *)
   let expected = annots_of_ref env lhs_ref in
   let lhs_expects_obligation =
@@ -1320,14 +1229,9 @@ and do_assign env st ~(lhs_ref : Sref.t) ~(lhs_ty : Ctype.t) ~(rhs : value)
          in
          let notes =
            match rhs.v_ref with
-           | Some r -> (
-               match (Store.get st r).Store.rs_allocloc with
-               | Some l when not (Loc.is_dummy l) ->
-                   [ Diag.note ~loc:l
-                       (Fmt.str "Storage %s becomes %s" (Sref.to_string r)
-                          (allocstate_string rhs.v_alloc));
-                   ]
-               | _ -> [])
+           | Some r ->
+               blame (Store.get st r).Store.rs_allocloc "Storage %s becomes %s"
+                 (Sref.to_string r) (allocstate_string rhs.v_alloc)
            | None -> []
          in
          emit env ~loc ~code:"onlytrans" ~notes
@@ -1765,7 +1669,7 @@ and call_known env st (fs : Sema.funsig) (args : Ast.expr list) ~loc :
                      Some sm.Summary.sm_params.(i)
                  | _ -> None
                in
-               (check_arg env st fs p v ~sum_effect ~fname ~aloc, i + 1))
+               (check_arg env st p v ~sum_effect ~fname ~aloc, i + 1))
          (st, 0) paired)
   in
   (* unique parameters: may not share storage with any other parameter or
@@ -1776,7 +1680,7 @@ and call_known env st (fs : Sema.funsig) (args : Ast.expr list) ~loc :
       && List.exists
            (fun (p : Sema.param) -> p.Sema.pr_annots.Sema.an.Annot.an_unique)
            fs.Sema.fs_params
-    then check_unique env st fs paired ~fname ~loc
+    then check_unique env st paired ~fname
     else st
   in
   (* globals used by the callee *)
@@ -1895,8 +1799,8 @@ and check_arg_complete env st (v : value) ~fname ~aloc : Store.t =
           st missing
     | None -> st
 
-and check_arg env st (fs : Sema.funsig) (p : Sema.param) (v : value)
-    ~sum_effect ~fname ~aloc : Store.t =
+and check_arg env st (p : Sema.param) (v : value) ~sum_effect ~fname ~aloc :
+    Store.t =
   let an = p.Sema.pr_annots.Sema.an in
   (* --- null --- *)
   let st =
@@ -1908,18 +1812,12 @@ and check_arg env st (fs : Sema.funsig) (p : Sema.param) (v : value)
          | _ -> true)
       && (match v.v_null with NSnull | NSpossnull -> true | _ -> false)
     then begin
-      let desc =
-        match v.v_ref with
-        | Some r -> Sref.to_string r
-        | None -> "<expression>"
-      in
+      let desc = describe v in
       let notes =
         match v.v_ref with
-        | Some r -> (
-            match (Store.get st r).Store.rs_nullloc with
-            | Some l when not (Loc.is_dummy l) ->
-                [ Diag.note ~loc:l (Fmt.str "Storage %s may become null" desc) ]
-            | _ -> [])
+        | Some r ->
+            blame (Store.get st r).Store.rs_nullloc
+              "Storage %s may become null" desc
         | None -> []
       in
       emit env ~loc:aloc ~code:"nullpass" ~notes
@@ -1948,7 +1846,7 @@ and check_arg env st (fs : Sema.funsig) (p : Sema.param) (v : value)
   let st =
     match an.Annot.an_alloc with
     | Some Annot.Only | Some Annot.Keep | Some Annot.Owned ->
-        check_obligation_transfer env st fs p v ~fname ~aloc
+        check_obligation_transfer env st p v ~fname ~aloc
     | _ when an.Annot.an_killref ->
         (* a killref parameter consumes one reference; the object itself
            stays usable (the count may still be positive) *)
@@ -1957,16 +1855,11 @@ and check_arg env st (fs : Sema.funsig) (p : Sema.param) (v : value)
           && (not (equal_nullstate v.v_null NSnull))
           && not (equal_allocstate v.v_alloc ASrefcounted)
         then begin
-          let desc =
-            match v.v_ref with
-            | Some r -> Sref.to_string r
-            | None -> "<expression>"
-          in
           emit env ~loc:aloc ~code:"refcount"
             "%s storage %s passed as killref param %s of %s (no live \
              reference to consume)"
             (String.capitalize_ascii (allocstate_string v.v_alloc))
-            desc p.Sema.pr_name fname;
+            (describe v) p.Sema.pr_name fname;
           match v.v_ref with
           | Some r -> Store.set_alloc ~loc:aloc st r ASerror
           | None -> st
@@ -2029,9 +1922,8 @@ and check_arg env st (fs : Sema.funsig) (p : Sema.param) (v : value)
 
 (** Transfer of a release obligation into an [only]/[keep]/[owned]
     parameter, including the special checks for [free]-like interfaces. *)
-and check_obligation_transfer env st (fs : Sema.funsig) (p : Sema.param)
-    (v : value) ~fname ~aloc : Store.t =
-  ignore fs;
+and check_obligation_transfer env st (p : Sema.param) (v : value) ~fname ~aloc
+    : Store.t =
   let an = p.Sema.pr_annots.Sema.an in
   let is_free_like =
     (* an out only void * parameter can only sensibly deallocate its
@@ -2079,13 +1971,10 @@ and check_obligation_transfer env st (fs : Sema.funsig) (p : Sema.param)
       then begin
         (* [+xproc]: a summarized callee stored this reference away; the
            release leaves that stored copy dangling *)
-        let desc =
-          match v.v_ref with Some r -> Sref.to_string r | None -> "<expression>"
-        in
         emit env ~loc:aloc ~code:"escapefree"
           "Storage %s passed as only param %s of %s but a reference escaped \
            through an earlier call (the stored reference would dangle)"
-          desc p.Sema.pr_name fname;
+          (describe v) p.Sema.pr_name fname;
         match v.v_ref with
         | Some r -> Store.set_alloc ~loc:aloc st r ASerror
         | None -> st
@@ -2094,7 +1983,6 @@ and check_obligation_transfer env st (fs : Sema.funsig) (p : Sema.param)
         let implicitly =
           match v.v_ref with
           | Some r -> (
-              let an = annots_of_ref env r in
               match Sref.view r with
               | Sref.Root (Sref.Rlocal n) -> (
                   match find_local env n with
@@ -2103,18 +1991,15 @@ and check_obligation_transfer env st (fs : Sema.funsig) (p : Sema.param)
                       | Some pp -> pp.Sema.pr_annots.Sema.alloc_implicit
                       | None -> false)
                   | _ -> false)
-              | _ -> ignore an; false)
+              | _ -> false)
           | None -> false
-        in
-        let desc =
-          match v.v_ref with Some r -> Sref.to_string r | None -> "<expression>"
         in
         emit env ~loc:aloc ~code:"onlytrans"
           "%s%s storage %s passed as only param %s of %s"
           (if implicitly then "Implicitly " else "")
           (if implicitly then allocstate_string v.v_alloc
            else String.capitalize_ascii (allocstate_string v.v_alloc))
-          desc p.Sema.pr_name fname;
+          (describe v) p.Sema.pr_name fname;
         match v.v_ref with
         | Some r -> Store.set_alloc ~loc:aloc st r ASerror
         | None -> st
@@ -2199,9 +2084,8 @@ and check_obligation_transfer env st (fs : Sema.funsig) (p : Sema.param)
 
 (** Unique parameters: "May not share storage with any other function
     parameter or accessible global." *)
-and check_unique env st (fs : Sema.funsig)
-    (paired : (Sema.param option * (value * Loc.t)) list) ~fname ~loc :
-    Store.t =
+and check_unique env st (paired : (Sema.param option * (value * Loc.t)) list)
+    ~fname : Store.t =
   let shareable (v : value) =
     (* could this argument's storage be externally shared?  Fresh or
        unshared (only) storage cannot. *)
@@ -2235,8 +2119,7 @@ and check_unique env st (fs : Sema.funsig)
       match popt with
       | Some (p : Sema.param) when p.Sema.pr_annots.Sema.an.Annot.an_unique ->
           List.fold_left
-            (fun st (j, qopt, ((w : value), _)) ->
-              ignore qopt;
+            (fun st (j, _, ((w : value), _)) ->
               if
                 i <> j
                 && Ctype.is_pointer v.v_ty
@@ -2244,20 +2127,15 @@ and check_unique env st (fs : Sema.funsig)
                 && (directly_alias st v w
                    || (shareable v && shareable w))
               then begin
-                let d (x : value) =
-                  match x.v_ref with
-                  | Some r -> Sref.to_string r
-                  | None -> "<expression>"
-                in
                 emit env ~loc:aloc ~code:"aliasunique"
                   "Parameter %d (%s) to function %s is declared unique but \
                    may be aliased externally by parameter %d (%s)"
-                  i (d v) fname j (d w);
+                  i (describe v) fname j (describe w);
                 st
               end
               else st)
             st pos
-      | _ -> (ignore fs; ignore loc; st))
+      | _ -> st)
     st pos
 
 and directly_alias st (v : value) (w : value) =
@@ -2294,12 +2172,7 @@ and check_call_globals env st (fs : Sema.funsig) ~loc : Store.t =
                 | _ -> false
            then
              let notes =
-               match s.Store.rs_nullloc with
-               | Some l when not (Loc.is_dummy l) ->
-                   [ Diag.note ~loc:l
-                       (Fmt.str "Storage %s may become null" gname);
-                   ]
-               | _ -> []
+               blame s.Store.rs_nullloc "Storage %s may become null" gname
              in
              emit env ~loc ~code:"globnull" ~notes
                "Non-null global %s may reference null storage at call to %s"
@@ -2325,7 +2198,7 @@ and check_call_globals env st (fs : Sema.funsig) ~loc : Store.t =
             if ga.Annot.an_killed then
               { (Store.get st r) with Store.rs_def = DSdead; rs_defloc = Some loc }
             else
-              entry_state env ~ty:gv.Sema.gv_ty ~annots:declared ~loc
+              entry_state ~ty:gv.Sema.gv_ty ~annots:declared ~loc
           in
           (* drop stale derived refs *)
           let st =
@@ -2347,8 +2220,7 @@ and check_call_globals env st (fs : Sema.funsig) ~loc : Store.t =
 (** Does any alias image of [r] escape to the caller (parameter object,
     global, or the return value)?  Fresh storage reachable only from
     locals does not escape. *)
-let escapes ?(ignoring : Sref.root option) env st (r : Sref.t) : bool =
-  ignore env;
+let escapes ?(ignoring : Sref.root option) st (r : Sref.t) : bool =
   Sref.Set.exists
     (fun img ->
       let root = Sref.root_of img in
@@ -2368,19 +2240,11 @@ let leak_check_ref ?ignoring env st (r : Sref.t) ~(what : string) ~loc :
   if
     env.flags.Flags.check_alloc
     && (not env.flags.Flags.gc_mode)
-    && has_obligation s.Store.rs_alloc
-    && (match s.Store.rs_def with
-       | DSdead | DSundefined | DSerror -> false
-       | _ -> true)
-    && (not (equal_nullstate s.Store.rs_null NSnull))
-    && not (escapes ?ignoring env st r)
+    && live_obligation s
+    && not (escapes ?ignoring st r)
   then begin
     let notes =
-      match s.Store.rs_allocloc with
-      | Some l when not (Loc.is_dummy l) ->
-          [ Diag.note ~loc:l
-              (Fmt.str "Storage %s becomes only" (Sref.to_string r)) ]
-      | _ -> []
+      blame s.Store.rs_allocloc "Storage %s becomes only" (Sref.to_string r)
     in
     emit env ~loc ~code:"mustfree" ~notes
       "Only storage %s not released before %s" (Sref.to_string r) what;
@@ -2439,17 +2303,12 @@ let check_exit env st ~(ret : value option) ~loc : Store.t =
               | _ -> true)
            && match v.v_null with NSnull | NSpossnull -> true | _ -> false
          then
-           let desc =
-             match v.v_ref with Some r -> Sref.to_string r | None -> "<expression>"
-           in
+           let desc = describe v in
            let notes =
              match v.v_ref with
-             | Some r -> (
-                 match (Store.get st r).Store.rs_nullloc with
-                 | Some l when not (Loc.is_dummy l) ->
-                     [ Diag.note ~loc:l
-                         (Fmt.str "Storage %s may become null" desc) ]
-                 | _ -> [])
+             | Some r ->
+                 blame (Store.get st r).Store.rs_nullloc
+                   "Storage %s may become null" desc
              | None -> []
            in
            emit env ~loc ~code:"nullret" ~notes
@@ -2461,13 +2320,8 @@ let check_exit env st ~(ret : value option) ~loc : Store.t =
               List.fold_left
                 (fun st (child, (s : Store.refstate)) ->
                   let notes =
-                    match s.Store.rs_nullloc with
-                    | Some l when not (Loc.is_dummy l) ->
-                        [ Diag.note ~loc:l
-                            (Fmt.str "Storage %s becomes null"
-                               (Sref.to_string child));
-                        ]
-                    | _ -> []
+                    blame s.Store.rs_nullloc "Storage %s becomes null"
+                      (Sref.to_string child)
                   in
                   emit env ~loc ~code:"nullderive" ~notes
                     "Null storage %s derivable from return value: %s"
@@ -2515,17 +2369,12 @@ let check_exit env st ~(ret : value option) ~loc : Store.t =
                       | _ -> false)
                   | None -> false))
          then
-           let desc =
-             match v.v_ref with
-             | Some r -> Sref.to_string r
-             | None -> "<expression>"
-           in
            emit env ~loc ~code:"refcount"
              "Function %s returns %s storage %s as a newref result: no new \
               reference is created (reference count balance)"
              fs.Sema.fs_name
              (allocstate_string v.v_alloc)
-             desc);
+             (describe v));
         (* a borrowed (tempref) parameter reference must not outlive the
            call through the result unless the function vouches for a new
            reference (newref) *)
@@ -2574,15 +2423,10 @@ let check_exit env st ~(ret : value option) ~loc : Store.t =
                   (* a newref result gets the refcount-family message *)
                && not (equal_nullstate v.v_null NSnull)
              then
-               let desc =
-                 match v.v_ref with
-                 | Some r -> Sref.to_string r
-                 | None -> "<expression>"
-               in
                emit env ~loc ~code:"onlytrans"
                  "%s storage %s returned as only result"
                  (String.capitalize_ascii (allocstate_string v.v_alloc))
-                 desc);
+                 (describe v));
             match v.v_ref with
             | Some r when has_obligation (Store.get st r).Store.rs_alloc ->
                 (* consumed by the caller *)
@@ -2597,18 +2441,13 @@ let check_exit env st ~(ret : value option) ~loc : Store.t =
                && (not env.flags.Flags.gc_mode)
                && has_obligation v.v_alloc
                && (match v.v_ref with
-                  | Some r -> not (escapes env st r)
+                  | Some r -> not (escapes st r)
                   | None -> true)
              then
-               let desc =
-                 match v.v_ref with
-                 | Some r -> Sref.to_string r
-                 | None -> "<expression>"
-               in
                emit env ~loc ~code:"mustfree"
                  "Fresh storage %s returned as unqualified result: obligation \
                   to release storage is lost (memory leak)"
-                 desc);
+                 (describe v));
             match v.v_ref with
             | Some r -> Store.set_alloc ~loc st r ASerror
             | None -> st
@@ -2646,7 +2485,7 @@ let check_exit env st ~(ret : value option) ~loc : Store.t =
                    another parameter's object) escapes the borrow *)
                 if
                   env.flags.Flags.check_alloc && (not is_dead)
-                  && escapes ~ignoring:(Sref.root_of r) env st r
+                  && escapes ~ignoring:(Sref.root_of r) st r
                 then begin
                   emit env ~loc ~code:"refcount"
                     "Borrowed reference %s (tempref param) escapes through an \
@@ -2660,23 +2499,16 @@ let check_exit env st ~(ret : value option) ~loc : Store.t =
           (* temp parameters must survive (a release was reported at the
              release site; here we check completeness only) *)
           let st =
-            if is_dead then st
+            if is_dead || not env.flags.Flags.check_def then st
             else
-              match an.Annot.an_def with
-              | Some Annot.Out | Some Annot.Partial | Some Annot.RelDef
-                when false ->
-                  st
-              | _ ->
-                  if env.flags.Flags.check_def then
-                    List.fold_left
-                      (fun st m ->
-                        emit env ~loc ~code:"compdef"
-                          "Storage %s reachable from parameter %s is not \
-                           completely defined when function returns"
-                          (Sref.to_string m) p.Sema.pr_name;
-                        Store.set_def ~loc st m DSerror)
-                      st (incomplete_refs env st r)
-                  else st
+              List.fold_left
+                (fun st m ->
+                  emit env ~loc ~code:"compdef"
+                    "Storage %s reachable from parameter %s is not \
+                     completely defined when function returns"
+                    (Sref.to_string m) p.Sema.pr_name;
+                  Store.set_def ~loc st m DSerror)
+                st (incomplete_refs env st r)
           in
           params st (i + 1) rest
     in
@@ -2710,11 +2542,7 @@ let check_exit env st ~(ret : value option) ~loc : Store.t =
                    && not (equal_defstate s.Store.rs_def DSdead)
                  then
                    let notes =
-                     match s.Store.rs_nullloc with
-                     | Some l when not (Loc.is_dummy l) ->
-                         [ Diag.note ~loc:l
-                             (Fmt.str "Storage %s may become null" g) ]
-                     | _ -> []
+                     blame s.Store.rs_nullloc "Storage %s may become null" g
                    in
                    emit env ~loc ~code:"globnull" ~notes
                      "Function returns with non-null global %s referencing \
@@ -3098,17 +2926,11 @@ and exec_do_fixpoint env st ~loc body c =
     let ends = List.fold_left Store.widen bend continues in
     if Store.is_reachable ends then fst (split_cond shadow ends c) else ends
   in
+  (* the reporting pass over a converged body entry is the heuristic's
+     single trip *)
   match loop_fixpoint env st ~round with
   | `Bailout -> exec_do_heuristic env st ~loc body c
-  | `Converged e ->
-      push_breakable env;
-      let bend = exec env e body in
-      let breaks, continues = pop_breakable env in
-      let ends = merge_all env ~loc (bend :: continues) in
-      let f =
-        if Store.is_reachable ends then snd (split_cond env ends c) else ends
-      in
-      merge_all env ~loc (f :: breaks)
+  | `Converged e -> exec_do_heuristic env e ~loc body c
 
 and exec_for_fixpoint env st ~loc cond step body =
   let split env e =
@@ -3243,7 +3065,7 @@ let check_body ?exit_obs ?summaries (prog : Sema.program)
             li_ref = local;
           };
         let s =
-          entry_state env ~ty:p.Sema.pr_ty ~annots:p.Sema.pr_annots.Sema.an
+          entry_state ~ty:p.Sema.pr_ty ~annots:p.Sema.pr_annots.Sema.an
             ~loc:p.Sema.pr_loc
         in
         let extern = param_refs.(i) in

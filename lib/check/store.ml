@@ -268,10 +268,36 @@ let derived_def st r ~(other : defstate) : defstate =
 (* A merged blame location: the first side's when it has one. *)
 let first_loc a b = match a with Some _ -> a | None -> b
 
-(** Merge two stores at a confluence point.  [on_conflict] is called for
-    each anomaly; the merged state for a conflicting reference is the error
-    marker, so one anomaly does not cascade. *)
-let merge ~(on_conflict : conflict -> unit) (a : t) (b : t) : t =
+(* The joined refstate once a rule has chosen [def] and [alloc]: the
+   Section 5 merge of nullness, offsets and aliases.  The null blame is
+   the side's whose nullness survives; the other two prefer the first
+   side's. *)
+let joined ~def ~alloc (xa : refstate) (xb : refstate) : refstate =
+  let null = merge_null xa.rs_null xb.rs_null in
+  {
+    rs_def = def;
+    rs_null = null;
+    rs_alloc = alloc;
+    rs_offset = xa.rs_offset || xb.rs_offset;
+    rs_aliases =
+      (if xa.rs_aliases == xb.rs_aliases then xa.rs_aliases
+       else Sref.Set.union xa.rs_aliases xb.rs_aliases);
+    rs_defloc = first_loc xa.rs_defloc xb.rs_defloc;
+    rs_nullloc =
+      (if equal_nullstate null xa.rs_null then xa.rs_nullloc
+       else xb.rs_nullloc);
+    rs_allocloc = first_loc xa.rs_allocloc xb.rs_allocloc;
+  }
+
+(* The implicit state, on the side [st] that does not bind it, of a
+   reference bound to [other] on the other side. *)
+let fill st r (other : refstate) =
+  { unknown_refstate with rs_def = derived_def st r ~other:other.rs_def }
+
+(* The one traversal behind {!merge} and {!widen}, which supply only
+   [rule on_conflict r xa xb]: the join of two bindings of [r] that the
+   branches do not share physically. *)
+let join rule on_conflict (a : t) (b : t) : t =
   match (a.reachable, b.reachable) with
   | false, false -> { a with reachable = false }
   | false, true -> b
@@ -281,86 +307,66 @@ let merge ~(on_conflict : conflict -> unit) (a : t) (b : t) : t =
          untouched: nothing to reconcile *)
       a
   | true, true ->
-      let merge_one r (sa : refstate option) (sb : refstate option) :
-          refstate option =
+      let join_one r sa sb =
         match (sa, sb) with
         | Some xa, Some xb when xa == xb ->
             (* branches that did not touch this reference share its
-               refstate physically; merging it with itself is the
-               identity (same def/null/alloc, union of equal alias
-               sets) and can raise no conflict *)
+               refstate physically; joining it with itself is the
+               identity and can raise no conflict *)
             sa
-        | _ ->
-        let other_def = function
-          | Some (x : refstate) -> x.rs_def
-          | None -> DSdefined
-        in
-        let fill st s other = function
-          | Some x -> x
-          | None ->
-              { unknown_refstate with rs_def = derived_def st s ~other }
-        in
-        let xa = fill a r (other_def sb) sa
-        and xb = fill b r (other_def sa) sb in
-        (* A dead-on-one-path merge is consistent when the live path
-           carries no release obligation either: the pointer is NULL
-           (freeing null is a no-op) or its obligation was satisfied
-           (kept).  The guarded-free idiom [if (p != NULL) free(p);] and
-           transfer-or-release patterns rely on this. *)
-        let relaxed (x : refstate) =
-          equal_nullstate x.rs_null NSnull
-          || equal_allocstate x.rs_alloc ASkept
-        in
-        let dead_ok =
-          (equal_defstate xa.rs_def DSdead && relaxed xb)
-          || (equal_defstate xb.rs_def DSdead && relaxed xa)
-        in
-        let def =
-          if def_conflict xa.rs_def xb.rs_def && not dead_ok then (
-            on_conflict (Cdef (r, xa, xb));
-            DSerror)
-          else merge_def xa.rs_def xb.rs_def
-        in
-        let alloc =
-          (* once the storage is dead on some path (or was reported), the
-             allocation-state combination carries no new information; the
-             choices below are symmetric in the two branches, so merge
-             commutes (a property test pins this down) *)
-          if equal_defstate def DSerror then ASerror
-          else if equal_defstate xa.rs_def DSdead then
-            if equal_defstate xb.rs_def DSdead then
-              if equal_allocstate xa.rs_alloc xb.rs_alloc then xa.rs_alloc
-              else ASerror
-            else xb.rs_alloc
-          else if equal_defstate xb.rs_def DSdead then xa.rs_alloc
-          else
-            match merge_alloc xa.rs_alloc xb.rs_alloc with
-            | Ok al -> al
-            | Error _ ->
-                on_conflict (Calloc (r, xa, xb));
-                ASerror
-        in
-        Some
-          {
-            rs_def = def;
-            rs_null = merge_null xa.rs_null xb.rs_null;
-            rs_alloc = alloc;
-            rs_offset = xa.rs_offset || xb.rs_offset;
-            rs_aliases =
-              (if xa.rs_aliases == xb.rs_aliases then xa.rs_aliases
-               else Sref.Set.union xa.rs_aliases xb.rs_aliases);
-            rs_defloc = first_loc xa.rs_defloc xb.rs_defloc;
-            rs_nullloc =
-              (if equal_nullstate xa.rs_null xb.rs_null then xa.rs_nullloc
-               else if
-                 equal_nullstate (merge_null xa.rs_null xb.rs_null) xa.rs_null
-               then xa.rs_nullloc
-               else xb.rs_nullloc);
-            rs_allocloc = first_loc xa.rs_allocloc xb.rs_allocloc;
-          }
+        | Some xa, Some xb -> Some (rule on_conflict r xa xb)
+        | Some xa, None -> Some (rule on_conflict r xa (fill b r xa))
+        | None, Some xb -> Some (rule on_conflict r (fill a r xb) xb)
+        | None, None -> None
       in
-      let map = Sref.Map.merge merge_one a.map b.map in
-      { map; reachable = true }
+      { map = Sref.Map.merge join_one a.map b.map; reachable = true }
+
+(* The reporting rule: each anomaly goes to [on_conflict], and the
+   conflicting reference becomes the error marker. *)
+let merge_rule on_conflict r (xa : refstate) (xb : refstate) =
+  (* A dead-on-one-path merge is consistent when the live path carries
+     no release obligation either: the pointer is NULL (freeing null is
+     a no-op) or its obligation was satisfied (kept).  The guarded-free
+     idiom [if (p != NULL) free(p);] and transfer-or-release patterns
+     rely on this. *)
+  let relaxed (x : refstate) =
+    equal_nullstate x.rs_null NSnull || equal_allocstate x.rs_alloc ASkept
+  in
+  let dead_ok =
+    (equal_defstate xa.rs_def DSdead && relaxed xb)
+    || (equal_defstate xb.rs_def DSdead && relaxed xa)
+  in
+  let def =
+    if def_conflict xa.rs_def xb.rs_def && not dead_ok then (
+      on_conflict (Cdef (r, xa, xb));
+      DSerror)
+    else merge_def xa.rs_def xb.rs_def
+  in
+  let alloc =
+    (* once the storage is dead on some path (or was reported), the
+       allocation-state combination carries no new information; the
+       choices below are symmetric in the two branches, so merge
+       commutes (a property test pins this down) *)
+    if equal_defstate def DSerror then ASerror
+    else if equal_defstate xa.rs_def DSdead then
+      if equal_defstate xb.rs_def DSdead then
+        if equal_allocstate xa.rs_alloc xb.rs_alloc then xa.rs_alloc
+        else ASerror
+      else xb.rs_alloc
+    else if equal_defstate xb.rs_def DSdead then xa.rs_alloc
+    else
+      match merge_alloc xa.rs_alloc xb.rs_alloc with
+      | Ok al -> al
+      | Error _ ->
+          on_conflict (Calloc (r, xa, xb));
+          ASerror
+  in
+  joined ~def ~alloc xa xb
+
+(** Merge two stores at a confluence point.  [on_conflict] is called for
+    each anomaly; the merged state for a conflicting reference is the error
+    marker, so one anomaly does not cascade. *)
+let merge ~(on_conflict : conflict -> unit) a b = join merge_rule on_conflict a b
 
 (* ------------------------------------------------------------------ *)
 (* Widening ([+loopexec] back-edge joins)                              *)
@@ -402,54 +408,14 @@ let widen_refstate (xa : refstate) (xb : refstate) : refstate =
       else if equal_defstate xb.rs_def DSdead then xa.rs_alloc
       else widen_alloc xa.rs_alloc xb.rs_alloc
     in
-    {
-      rs_def = widen_def xa.rs_def xb.rs_def;
-      rs_null = merge_null xa.rs_null xb.rs_null;
-      rs_alloc = alloc;
-      rs_offset = xa.rs_offset || xb.rs_offset;
-      rs_aliases =
-        (if xa.rs_aliases == xb.rs_aliases then xa.rs_aliases
-         else Sref.Set.union xa.rs_aliases xb.rs_aliases);
-      rs_defloc = first_loc xa.rs_defloc xb.rs_defloc;
-      rs_nullloc =
-        (if equal_nullstate xa.rs_null xb.rs_null then xa.rs_nullloc
-         else if equal_nullstate (merge_null xa.rs_null xb.rs_null) xa.rs_null
-         then xa.rs_nullloc
-         else xb.rs_nullloc);
-      rs_allocloc = first_loc xa.rs_allocloc xb.rs_allocloc;
-    }
+    joined ~def:(widen_def xa.rs_def xb.rs_def) ~alloc xa xb
 
 (** Widening join of two stores at a loop back edge.  Same one-sided
     fill-in rules as {!merge} (so references first bound inside the body
     get a sensible implicit state on the entry side), but reports
     nothing: the fixpoint iterations are silent, only the final pass over
     the converged store emits diagnostics. *)
-let widen (a : t) (b : t) : t =
-  match (a.reachable, b.reachable) with
-  | false, false -> { a with reachable = false }
-  | false, true -> b
-  | true, false -> a
-  | true, true when a.map == b.map -> a
-  | true, true ->
-      let widen_one r (sa : refstate option) (sb : refstate option) :
-          refstate option =
-        match (sa, sb) with
-        | Some xa, Some xb when xa == xb -> sa
-        | _ ->
-            let other_def = function
-              | Some (x : refstate) -> x.rs_def
-              | None -> DSdefined
-            in
-            let fill st s other = function
-              | Some x -> x
-              | None ->
-                  { unknown_refstate with rs_def = derived_def st s ~other }
-            in
-            let xa = fill a r (other_def sb) sa
-            and xb = fill b r (other_def sa) sb in
-            Some (widen_refstate xa xb)
-      in
-      { map = Sref.Map.merge widen_one a.map b.map; reachable = true }
+let widen a b = join (fun _ _ xa xb -> widen_refstate xa xb) ignore a b
 
 (** Collapse every binding deeper than [depth] onto its depth-[depth]
     ancestor (joining states with {!widen_refstate}), and rewrite alias
