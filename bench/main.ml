@@ -1365,10 +1365,11 @@ let incr_exp () =
   row "  incremental service, then one function body is edited and the\n";
   row "  same documents are re-submitted.  The warm request must patch\n";
   row "  the single dirty body into the persistent environment, re-check\n";
-  row "  exactly one function, run >100x faster than a cold check of the\n";
-  row "  edited corpus, and produce byte-identical diagnostics -- at\n";
-  row "  every -j and across a save/load service restart, which must\n";
-  row "  itself beat a cold check.  The body edit is gated again under\n";
+  row "  exactly one function, test the validity of exactly one cache\n";
+  row "  entry, run >100x faster than a cold check of the edited corpus,\n";
+  row "  and produce byte-identical diagnostics -- at every -j and\n";
+  row "  across a save/load service restart, which must itself beat a\n";
+  row "  cold check.  The body edit is gated again under\n";
   row "  +xproc, where the warm request must also refresh the effect\n";
   row "  summaries it affects.  20 body edits may grow the live set by\n";
   row "  at most %d words each.  Last, the corpus is written to disk and\n"
@@ -1464,8 +1465,16 @@ let incr_exp () =
     let svc = Incr.Service.create ~flags () in
     let oc_cold, t_cold = time (fun () -> run svc files0) in
     show ("cold (pristine corpus)" ^ label) 1 t_cold oc_cold;
+    let validated () = List.assoc "incr_validated" (Incr.Service.stats svc) in
+    let validated_cold = validated () in
     let oc_warm, t_warm = time (fun () -> run svc files1) in
     show ("warm (one body edited)" ^ label) 1 t_warm oc_warm;
+    (* the edit is effect-neutral, so the request tests the edited
+       body's entry and no other *)
+    let warm_validated = validated () - validated_cold in
+    if warm_validated <> 1 then
+      fail "warm body edit%s validated %d entries (want exactly 1)" label
+        warm_validated;
     let svc_ref = Incr.Service.create ~flags () in
     let oc_ref, t_ref = time (fun () -> run svc_ref files1) in
     show ("cold (edited, reference)" ^ label) 1 t_ref oc_ref;
@@ -1496,6 +1505,7 @@ let incr_exp () =
           ("warm_seconds", Float t_warm);
           ("speedup", Float speedup);
           ("warm_rechecked", Int oc_warm.Incr.Service.oc_rechecked);
+          ("validated", Int warm_validated);
           ("cold_j4_seconds", Float t_cold4);
           ("warm_j4_seconds", Float t_warm4);
         ]

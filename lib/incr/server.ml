@@ -38,11 +38,28 @@ let doc_of_entry t = function
       | _ -> Error "file entry object needs \"name\" and \"text\"")
   | _ -> Error "file entry must be a path string or a {name,text} object"
 
+(* The diagnostic records of the last answer encoded.  The service
+   hands out the very same lists while its answer stands, and equal
+   lists encode alike, so a physically equal pair reuses them. *)
+let last_records = ref ([], [], J.List [])
+
+let diag_records (oc : Service.outcome) =
+  let kept, suppressed, records = !last_records in
+  if oc.Service.oc_kept == kept && oc.Service.oc_suppressed == suppressed then
+    records
+  else begin
+    let records =
+      J.List
+        (List.map (fun d -> Diag.to_json ~suppressed:false d) oc.Service.oc_kept
+        @ List.map
+            (fun d -> Diag.to_json ~suppressed:true d)
+            oc.Service.oc_suppressed)
+    in
+    last_records := (oc.Service.oc_kept, oc.Service.oc_suppressed, records);
+    records
+  end
+
 let check_response (oc : Service.outcome) =
-  let diag_records =
-    List.map (fun d -> Diag.to_json ~suppressed:false d) oc.Service.oc_kept
-    @ List.map (fun d -> Diag.to_json ~suppressed:true d) oc.Service.oc_suppressed
-  in
   J.Obj
     [
       ("op", J.String "check");
@@ -54,8 +71,22 @@ let check_response (oc : Service.outcome) =
       ("hits", J.Int oc.Service.oc_hits);
       ("misses", J.Int oc.Service.oc_misses);
       ("rechecked", J.Int oc.Service.oc_rechecked);
-      ("diagnostics", J.List diag_records);
+      ("diagnostics", diag_records oc);
     ]
+
+(* Where the last answered [check] request's time went, in
+   microseconds: reading its documents, {!Service.check} (updating the
+   environment, revalidating, re-checking and assembling the answer),
+   and encoding the response, which {!serve} completes by writing it
+   out as text.  [stats] reports them. *)
+type times = {
+  mutable read_us : int;
+  mutable update_us : int;
+  mutable encode_us : int;
+}
+
+let last = { read_us = 0; update_us = 0; encode_us = 0 }
+let microseconds_since t0 = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)
 
 let handle t request =
   let op =
@@ -65,6 +96,7 @@ let handle t request =
   in
   match op with
   | "check" -> (
+      let t_read = Unix.gettimeofday () in
       let entries =
         match J.member "files" request with
         | Some (J.List items) -> Ok items
@@ -84,6 +116,8 @@ let handle t request =
       match docs with
       | Error msg -> (error_response "check" msg, true)
       | Ok docs -> (
+          let read_us = microseconds_since t_read in
+          let t_update = Unix.gettimeofday () in
           let flag_args =
             Option.value ~default:[] (strings_of (J.member "flags" request))
           in
@@ -101,7 +135,13 @@ let handle t request =
                    ~loc:{ Cfront.Loc.file = "<request>"; line = 1; col = 1 }
                    ~code:"io" msg)
           with
-          | Ok oc -> (check_response oc, true)
+          | Ok oc ->
+              last.read_us <- read_us;
+              last.update_us <- microseconds_since t_update;
+              let t_encode = Unix.gettimeofday () in
+              let response = check_response oc in
+              last.encode_us <- microseconds_since t_encode;
+              (response, true)
           | Error d -> (error_response "check" (Diag.to_string d), true)))
   | "invalidate" ->
       let files = strings_of (J.member "files" request) in
@@ -121,9 +161,12 @@ let handle t request =
       let heap_gauge v =
         if gc.Gc.major_collections > 0 then J.Int v else J.Null
       in
-      let heap =
+      let gauges =
         [
           ("heap_words", heap_gauge gc.Gc.heap_words);
+          ("last_encode_us", J.Int last.encode_us);
+          ("last_read_us", J.Int last.read_us);
+          ("last_update_us", J.Int last.update_us);
           ("top_heap_words", heap_gauge gc.Gc.top_heap_words);
         ]
       in
@@ -132,7 +175,7 @@ let handle t request =
           @ List.merge
               (fun (a, _) (b, _) -> String.compare a b)
               (List.map (fun (k, v) -> (k, J.Int v)) (Service.stats t))
-              heap),
+              gauges),
         true )
   | "shutdown" ->
       (J.Obj [ ("op", J.String "shutdown"); ("ok", J.Bool true) ], false)
@@ -163,14 +206,21 @@ let serve ?cache t ic oc =
           | Error msg -> (error_response "?" ("bad request: " ^ msg), true)
           | Ok request -> handle t request
         in
-        output_string oc (J.to_string response);
+        let t_encode = Unix.gettimeofday () in
+        let text = J.to_string response in
+        (* a check answer carries its tier; its text is part of its
+           encoding *)
+        let tier = J.member "tier" response in
+        if Option.is_some tier then
+          last.encode_us <- last.encode_us + microseconds_since t_encode;
+        output_string oc text;
         output_char oc '\n';
         flush oc;
         (* a cold answer leaves the build's temporaries behind: collect
            them while the client reads the answer.  A rebuild collects
            the environment it replaces before it builds
            ({!Service.check}), so one collection per rebuild is enough *)
-        (match J.member "tier" response with
+        (match tier with
         | Some (J.String "cold") -> Gc.full_major ()
         | _ -> ());
         continue := keep

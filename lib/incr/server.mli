@@ -19,7 +19,11 @@
     once its stamp has settled; a path that cannot be read answers
     [ok:false] with an error naming it.  [stats] adds the
     process's [heap_words] and [top_heap_words] to {!Service.stats},
-    [null] until the first major collection has completed.
+    [null] until the first major collection has completed, and where
+    the last answered [check] spent its time, in microseconds:
+    [last_read_us] reading its documents, [last_update_us] in
+    {!Service.check}, [last_encode_us] encoding the response (with
+    {!serve}, writing it out as text included).
     Responses always carry ["op"] and ["ok"]; see
     docs/incremental.md for the full schema.  Malformed input yields an
     [ok:false] response and the server keeps serving — only [shutdown]

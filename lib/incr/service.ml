@@ -101,6 +101,16 @@ type stamp = {
           later write gets a different mtime or ctime *)
 }
 
+(* The answer {!assemble} last gave, kept while nothing it was made
+   from has changed. *)
+type answer = {
+  an_kept : Diag.t list;
+  an_suppressed : Diag.t list;
+  an_errors : Diag.t list;
+      (** the suppression table's errors among them, which every
+          emission counts again in telemetry *)
+}
+
 type t = {
   base_flags : Flags.t;
   no_stdlib : bool;
@@ -118,8 +128,11 @@ type t = {
   mutable order : fn_entry array;
       (** the [fns] entry of each function at its {!Sema.fundefs}
           position: rebuilt by every full revalidation; a Patched one
-          replaces only the swapped-in bodies' slots, whose positions
-          {!Sema.patch_fundef} keeps *)
+          replaces only the slots it validated, at the positions
+          {!Sema.patch_fundef} returned or a caller scan found *)
+  mutable answer : answer option;
+      (** [None] once a request changed a pragma, an entry's
+          diagnostics or the environment *)
   mutable sig_hashes : (string, string) Hashtbl.t;
   mutable summaries : Summary.solution option;
       (** the [+xproc] effect summaries of [env]; [None] otherwise *)
@@ -136,6 +149,7 @@ type t = {
   mutable n_misses : int;
   mutable n_invalidated : int;
   mutable n_rechecked : int;
+  mutable n_validated : int;
   mutable n_doc_reads : int;  (** documents whose bytes were read *)
 }
 
@@ -155,6 +169,7 @@ let create ?(flags = Flags.default) ?(no_stdlib = false) ?(load_libs = [])
     stamps = Hashtbl.create 64;
     fns = Hashtbl.create 256;
     order = [||];
+    answer = None;
     sig_hashes = Hashtbl.create 256;
     summaries = None;
     summary_hashes = Hashtbl.create 256;
@@ -165,6 +180,7 @@ let create ?(flags = Flags.default) ?(no_stdlib = false) ?(load_libs = [])
     n_misses = 0;
     n_invalidated = 0;
     n_rechecked = 0;
+    n_validated = 0;
     n_doc_reads = 0;
   }
 
@@ -176,46 +192,53 @@ let create ?(flags = Flags.default) ?(no_stdlib = false) ?(load_libs = [])
    as the text it saves. *)
 let read_buffer = Domain.DLS.new_key (fun () -> Bytes.create 65536)
 
-(* Do the remaining [String.length text] bytes of [ic] equal [text]?
-   Reads through [read_buffer] and compares 8 bytes at a time, so an
-   unchanged file costs no allocation. *)
-let same_contents ic text =
+(* Is the rest of the file behind [fd] exactly [text]?  Reads through
+   [read_buffer] and compares 8 bytes at a time, so an unchanged file
+   costs no allocation, and asks for one more byte at the end: the file
+   must end where the text does, whatever size [stat] saw. *)
+let same_contents fd text =
   let buf = Domain.DLS.get read_buffer in
   let len = String.length text in
   let rec chunk off =
-    off >= len
-    ||
-    let n = min (Bytes.length buf) (len - off) in
-    really_input ic buf 0 n;
-    let rec words i =
-      if i + 8 > n then bytes i
-      else
-        Int64.equal (Bytes.get_int64_ne buf i)
-          (String.get_int64_ne text (off + i))
-        && words (i + 8)
-    and bytes i =
-      i >= n
-      || Char.equal (Bytes.unsafe_get buf i) (String.unsafe_get text (off + i))
-         && bytes (i + 1)
-    in
-    words 0 && chunk (off + n)
+    if off >= len then Unix.read fd buf 0 1 = 0
+    else
+      let n = Unix.read fd buf 0 (min (Bytes.length buf) (len - off)) in
+      let rec words i =
+        if i + 8 > n then bytes i
+        else
+          Int64.equal (Bytes.get_int64_ne buf i)
+            (String.get_int64_ne text (off + i))
+          && words (i + 8)
+      and bytes i =
+        i >= n
+        || Char.equal (Bytes.unsafe_get buf i) (String.unsafe_get text (off + i))
+           && bytes (i + 1)
+      in
+      n > 0 && words 0 && chunk (off + n)
   in
-  try chunk 0 with End_of_file -> false
+  chunk 0
 
-(* The file's text: [held] itself when the bytes equal it, else a
-   fresh string. *)
-let read_text ?held path =
+(* The file's text, read whole into a fresh string. *)
+let read_whole path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      match held with
-      | Some text when String.length text = len && same_contents ic text ->
-          text
-      | _ ->
-          seek_in ic 0;
-          really_input_string ic len)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* The file's text: [held] itself when the bytes equal it, compared
+   through a plain descriptor (no channel, no seek), else a fresh
+   string. *)
+let read_text ?held path =
+  match held with
+  | None -> read_whole path
+  | Some text ->
+      let fd = Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+      let same =
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () -> same_contents fd text)
+      in
+      if same then text else read_whole path
 
 (* How much older than a read a file's mtime and ctime must be before
    their stamp is trusted without reading the bytes (git's racy-git
@@ -307,13 +330,26 @@ let funsig_hash (fs : Sema.funsig) = digest_of fs
 
 (* Everything a body check can read besides funsigs: struct layouts,
    typedef expansions and annotations, global variables, enum constants,
-   digested together in declaration (enums: sorted) order. *)
+   digested together in declaration (enums: sorted) order.  Struct and
+   field locations are left out: only sema reads them, and no message a
+   cached result holds cites them, so a line shift above a struct keeps
+   every key.  A global's location stays in: [entry_state]'s messages
+   cite it. *)
 let typeenv_fingerprint (env : Sema.program) =
   let in_order find order f =
     List.filter_map (fun name -> Option.map (f name) (find env name)) order
   in
   let structs =
-    in_order Sema.find_struct (Sema.struct_order env) (fun _ su -> su)
+    in_order Sema.find_struct (Sema.struct_order env)
+      (fun _ (su : Sema.suinfo) ->
+        {
+          su with
+          Sema.su_loc = Loc.dummy;
+          su_fields =
+            List.map
+              (fun (f : Sema.field) -> { f with Sema.sf_loc = Loc.dummy })
+              su.Sema.su_fields;
+        })
   in
   let typedefs =
     in_order Sema.find_typedef (Sema.typedef_order env)
@@ -325,7 +361,7 @@ let typeenv_fingerprint (env : Sema.program) =
   digest_of (structs, typedefs, globals, Sema.enum_consts env)
 
 let cache_kind = "summary-cache"
-let cache_version = 7
+let cache_version = 8
 let version_line = string_of_int cache_version ^ "\n"
 
 (* Everything the result of checking one function depends on besides its
@@ -520,12 +556,12 @@ let add_entry t ((fs : Sema.funsig), fd, calls, deps) diags =
     }
 
 (* [+xproc]: bring the effect summaries and their hashes up to date.
-   [patched] holds the definitions a Patched request swapped in; only
+   [dirty] holds the definitions a Patched request swapped in; only
    their components and the callers their new summaries reach are
    re-solved and re-hashed.  Every other tier solves from scratch.
    Returns the table and [Some] the names whose summary hash may have
    moved, or [None] when any may have. *)
-let update_summaries t env ~patched =
+let update_summaries t env ~dirty =
   if not t.flags.Flags.xproc then begin
     t.summaries <- None;
     if Hashtbl.length t.summary_hashes > 0 then
@@ -533,7 +569,7 @@ let update_summaries t env ~patched =
     (None, Some [])
   end
   else
-    match (patched, t.summaries) with
+    match (dirty, t.summaries) with
     | Some dirty, Some sol ->
         let changed = Summary.refresh env sol ~dirty in
         let tbl = Summary.table sol in
@@ -555,47 +591,61 @@ let update_summaries t env ~patched =
         (Some tbl, None)
 
 (* Validate every function of the environment against the cache (on
-   the Patched fast path, only the swapped-in bodies); adopt persisted
-   results by content key; re-check the rest with
-   {!Check.Checker.check_fundef}, each miss on its own, on the checking
-   pool; bring [t.order] up to date.  [patched] holds the bodies a
-   Patched request swapped in.  Returns (hits, misses, rechecked). *)
+   the Patched fast path, only the swapped-in bodies and the callers of
+   a moved summary); adopt persisted results by content key; re-check
+   the rest with {!Check.Checker.check_fundef}, each miss on its own, on
+   the checking pool; bring [t.order] up to date.  [patched] holds the
+   position, signature and new body of each definition a Patched
+   request swapped in.  Returns (hits, misses, rechecked). *)
 let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
   (* summaries first: the dependencies of a caller under [+xproc] name
      its callees' summary hashes, so a callee body edit that changes the
      callee's derived effects (with an unchanged declared signature)
      invalidates its cached callers *)
-  let summaries, moved = update_summaries t env ~patched in
-  let all_pairs = Sema.fundefs env in
+  let summaries, moved =
+    update_summaries t env
+      ~dirty:(Option.map (List.map (fun (_, _, fd) -> fd)) patched)
+  in
   (* a Patched request changed no interface and dropped exactly the
      entries of the bodies it swapped in; every other function keeps its
      entry, in its slot of [t.order] (the invariant the Clean tier
      relies on), and its dependencies render the same unless a callee's
-     summary moved.  So only those bodies and the callers of a moved
-     summary, found with their positions, need validating *)
+     summary moved.  So only those bodies, found at the positions
+     {!Sema.patch_fundef} returned, and the callers of a moved summary,
+     found by a scan made only when a summary moved, need validating *)
   let slots =
     match (patched, moved) with
+    | Some dirty, Some [] ->
+        Some (List.map (fun (i, fs, fd) -> (i, (fs, fd))) dirty)
     | Some dirty, Some moved ->
         let moved_set = Hashtbl.create 16 in
         List.iter (fun name -> Hashtbl.replace moved_set name ()) moved;
-        let stale i fd =
-          List.memq fd dirty
-          || (moved <> []
-             && List.exists (Hashtbl.mem moved_set) t.order.(i).fn_calls)
+        let stale i =
+          List.exists (fun (j, _, _) -> j = i) dirty
+          || List.exists (Hashtbl.mem moved_set) t.order.(i).fn_calls
         in
         let rec find i = function
           | [] -> []
-          | ((_, fd) as pair) :: rest ->
-              if stale i fd then (i, pair) :: find (i + 1) rest
+          | pair :: rest ->
+              if stale i then (i, pair) :: find (i + 1) rest
               else find (i + 1) rest
         in
-        Some (find 0 all_pairs)
+        Some (find 0 (Sema.fundefs env))
     | _ -> None
   in
   let pairs =
-    match slots with Some s -> List.map snd s | None -> all_pairs
+    match slots with
+    | Some s -> List.map snd s
+    | None -> Sema.fundefs env
   in
-  let hits = ref (List.length all_pairs - List.length pairs)
+  let validated = List.length pairs in
+  t.n_validated <- t.n_validated + validated;
+  Telemetry.Counter.add Telemetry.c_incr_validated validated;
+  let hits =
+    ref
+      (match slots with
+      | Some _ -> Array.length t.order - validated
+      | None -> 0)
   and misses = ref 0 in
   let miss_list =
     List.filter_map
@@ -639,19 +689,50 @@ let revalidate_and_check t ~jobs ~patched (env : Sema.program) =
         Diag.Collector.all diags)
   in
   Array.iteri (fun i diags -> add_entry t to_check.(i) diags) results;
-  (* every function now has its current entry in [t.fns] *)
+  (* every function now has its current entry in [t.fns]; a slot whose
+     diagnostics changed changes the answer *)
   let entry (fs : Sema.funsig) = Hashtbl.find t.fns (fn_id fs) in
   (match slots with
-  | Some s -> List.iter (fun (i, (fs, _)) -> t.order.(i) <- entry fs) s
+  | Some s ->
+      List.iter
+        (fun (i, (fs, _)) ->
+          let e = entry fs and old = t.order.(i) in
+          if e != old && e.fn_diags <> old.fn_diags then t.answer <- None;
+          t.order.(i) <- e)
+        s
   | None ->
-      t.order <- Array.of_list (List.map (fun (fs, _) -> entry fs) all_pairs));
+      t.answer <- None;
+      t.order <- Array.of_list (List.map (fun (fs, _) -> entry fs) pairs));
   (!hits, !misses, Array.length to_check)
 
 (* The request's answer: the cached per-function results in definition
-   order through the cold drivers' emission step. *)
+   order through the cold drivers' emission step, or the previous answer
+   while it stands. *)
 let assemble t (env : Sema.program) =
-  Check.finish env
-    (Array.fold_right (fun e acc -> e.fn_diags @ acc) t.order [])
+  match t.answer with
+  | Some an ->
+      (* what {!Check.finish} counts on every emission *)
+      List.iter
+        (fun d ->
+          Telemetry.count (Telemetry.diag_counter_prefix ^ Diag.category d) 1)
+        an.an_errors;
+      (an.an_kept, an.an_suppressed)
+  | None ->
+      let kept, suppressed =
+        Check.finish env
+          (Array.fold_right (fun e acc -> e.fn_diags @ acc) t.order [])
+      in
+      (* the suppression table's errors carry its code, which nothing
+         else emits *)
+      let errors = List.filter (fun (d : Diag.t) -> d.Diag.code = "suppress") in
+      t.answer <-
+        Some
+          {
+            an_kept = kept;
+            an_suppressed = suppressed;
+            an_errors = errors kept @ errors suppressed;
+          };
+      (kept, suppressed)
 
 (* ------------------------------------------------------------------ *)
 (* The check request                                                   *)
@@ -679,6 +760,7 @@ let rebuild ?fresh t ~flags ~canon docs =
   let restorable =
     Option.is_some t.env && List.for_all (Hashtbl.mem t.files) t.doc_order
   in
+  t.answer <- None;
   if restorable then begin
     t.env <- None;
     t.summaries <- None;
@@ -702,8 +784,9 @@ let rebuild ?fresh t ~flags ~canon docs =
       raise e
 
 (* Decide how to bring the environment up to date with [docs]; returns
-   the tier and, for Patched, the definitions whose bodies were swapped
-   in.  Raises [Diag.Fatal] with the service answering as before. *)
+   the tier and, for Patched, the position, signature and new body of
+   each definition swapped in.  Raises [Diag.Fatal] with the service
+   answering as before. *)
 let update t ~flags ~canon docs =
   let structure_changed =
     t.env = None
@@ -771,7 +854,7 @@ let update t ~flags ~canon docs =
       end
       else begin
         let env = Option.get t.env in
-        let patched = ref [] in
+        let patched = ref [] and pragmas_moved = ref false in
         List.iter
           (fun (d, p) ->
             let fe, tu = Option.get p in
@@ -786,8 +869,9 @@ let update t ~flags ~canon docs =
                   | Ast.Tfundef ofd, Ast.Tfundef nfd
                     when not (Ast.equal_fundef ofd nfd) ->
                       (* dirty body: swap the AST in place, drop the entry *)
-                      ignore (Sema.patch_fundef env nfd);
-                      patched := nfd :: !patched;
+                      Option.iter
+                        (fun (i, fs) -> patched := (i, fs, nfd) :: !patched)
+                        (Sema.patch_fundef env nfd);
                       let id = (d.doc_name, nfd.Ast.f_name) in
                       if Hashtbl.mem t.fns id then begin
                         Hashtbl.remove t.fns id;
@@ -798,6 +882,8 @@ let update t ~flags ~canon docs =
                   | _ -> od)
                 fe.fe_ast.Ast.tu_decls tu.Ast.tu_decls
             in
+            if fe.fe_ast.Ast.tu_pragmas <> tu.Ast.tu_pragmas then
+              pragmas_moved := true;
             Hashtbl.replace t.files d.doc_name
               {
                 fe_text = d.doc_text;
@@ -807,7 +893,10 @@ let update t ~flags ~canon docs =
           parsed;
         (* suppression comments live in the per-file pragma lists; a
            body edit may have changed them *)
-        Sema.set_pragmas env (rebuild_pragmas t);
+        if !pragmas_moved then begin
+          Sema.set_pragmas env (rebuild_pragmas t);
+          t.answer <- None
+        end;
         (Patched, Some !patched)
       end
     end
@@ -859,6 +948,7 @@ let check ?(jobs = 1) ?(flag_args = []) t docs =
 
 let invalidate t files =
   let dropped = ref 0 in
+  t.answer <- None;
   (match files with
   | None ->
       dropped := Hashtbl.length t.fns;
@@ -909,6 +999,7 @@ let stats t =
     ("incr_invalidations", t.n_invalidated);
     ("incr_misses", t.n_misses);
     ("incr_rechecked", t.n_rechecked);
+    ("incr_validated", t.n_validated);
     ("persisted", Hashtbl.length t.persisted);
   ]
 

@@ -132,12 +132,12 @@ val invalidate : t -> string list option -> int
 
 val stats : t -> (string * int) list
 (** Cumulative service statistics, sorted by name: [incr_hits],
-    [incr_misses], [incr_invalidations], [incr_rechecked] (mirroring the
-    telemetry counters, but maintained even when telemetry is off) plus
-    gauges ([files], [functions], [entries], [persisted]),
-    [generation], the number of environments built, and [doc_reads],
-    the number of {!doc_of_file} calls with [current] that read the
-    file's bytes. *)
+    [incr_misses], [incr_invalidations], [incr_rechecked] and
+    [incr_validated] (mirroring the telemetry counters, but maintained
+    even when telemetry is off) plus gauges ([files], [functions],
+    [entries], [persisted]), [generation], the number of environments
+    built, and [doc_reads], the number of {!doc_of_file} calls with
+    [current] that read the file's bytes. *)
 
 (** {1 Inspection} *)
 

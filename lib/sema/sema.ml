@@ -71,8 +71,9 @@ type globalvar = {
 
 (* One definition's (signature, body) pair, replaced in place by
    [update_funsig] and [patch_fundef].  Holding the pair itself lets
-   [fundefs] hand it out without building a new one. *)
-type fundef_slot = { mutable sl_pair : funsig * Ast.fundef }
+   [fundefs] hand it out without building a new one.  [sl_index] is the
+   pair's position in [fundefs], which [patch_fundef] returns. *)
+type fundef_slot = { mutable sl_pair : funsig * Ast.fundef; sl_index : int }
 
 (* A function's [p_funcs] entry: its merged signature and the slots of
    its definitions (several for same-named statics of different files),
@@ -650,7 +651,10 @@ let process_fundef p (f : Ast.fundef) =
       ~defined:true ~loc:f.f_loc
   in
   let e = add_funsig p fs in
-  let sl = { sl_pair = (e.fe_sig, f) } in
+  let sl_index =
+    match p.p_fundefs_rev with sl :: _ -> sl.sl_index + 1 | [] -> 0
+  in
+  let sl = { sl_pair = (e.fe_sig, f); sl_index } in
   p.p_fundefs_rev <- sl :: p.p_fundefs_rev;
   e.fe_defs <- sl :: e.fe_defs
 
@@ -720,19 +724,21 @@ let update_funsig p (fs : funsig) : unit =
     changed — the incremental service's body-only-edit patch path, which
     skips re-running {!analyze} entirely.  The caller is responsible for
     the interface-identity check; this only requires the definition to
-    exist.  Matching is by (definition file, name) so [static] functions
-    of the same name in different files never collide.  Returns [false]
-    when no such definition is known. *)
-let patch_fundef p (f : Ast.fundef) : bool =
+    exist.  Matching is by name and header location, so [static]
+    functions of the same name in different files never collide, and
+    neither do two definitions of one name in one file.  Returns the
+    definition's position in {!fundefs} and the signature paired with
+    it, or [None] when no such definition is known. *)
+let patch_fundef p (f : Ast.fundef) : (int * funsig) option =
   List.fold_left
     (fun hit sl ->
-      let fs, _ = sl.sl_pair in
-      if String.equal fs.fs_loc.Loc.file f.Ast.f_loc.Loc.file then begin
+      let fs, old = sl.sl_pair in
+      if Loc.equal old.Ast.f_loc f.Ast.f_loc then begin
         sl.sl_pair <- (fs, f);
-        true
+        Some (sl.sl_index, fs)
       end
       else hit)
-    false
+    None
     (match Hashtbl.find_opt p.p_funcs f.Ast.f_name with
     | Some e -> e.fe_defs
     | None -> [])

@@ -187,16 +187,18 @@ val update_funsig : program -> funsig -> unit
     Cost: the pairs sit in the name's symbol-table entry, so a call
     costs O(definitions with that name), whatever the program's size. *)
 
-val patch_fundef : program -> Cfront.Ast.fundef -> bool
+val patch_fundef : program -> Cfront.Ast.fundef -> (int * funsig) option
 (** Swap the AST paired with an already-analyzed definition for a new
     fundef with a structurally identical interface but a changed body —
     the incremental service's body-only-edit patch path (no re-analysis;
     the existing funsig stays, and the pair keeps its {!fundefs}
-    position).  Matches by (definition file, name), so of two [static]
-    functions of one name only the named file's is swapped; [false] when
-    the definition is unknown.  The caller must have verified interface
-    identity.  Found through the name's symbol-table entry:
-    O(definitions with that name). *)
+    position).  Matches by name and header location (file, line and
+    column), so of two [static] functions of one name only the named
+    file's is swapped.  Returns [Some (i, fs)]: the pair's position in
+    {!fundefs} and the signature it keeps, so a caller finds the pair
+    without walking the list; [None] when the definition is unknown.
+    The caller must have verified interface identity.  Found through the
+    name's symbol-table entry: O(definitions with that name). *)
 
 val calls_of_fundef : Cfront.Ast.fundef -> string list
 (** Names in direct-call position anywhere in the body, first-occurrence

@@ -801,11 +801,16 @@ let summarize (prog : Sema.program) (tbl : table) (fs : Sema.funsig)
 
 type solution = {
   mutable table : table;
-  mutable defs : (string, Sema.funsig * Ast.fundef) Hashtbl.t;
-      (** the definition each name is summarized from (the last one in
-          source order, like the call graph's edges) *)
+  mutable defs : (string, int) Hashtbl.t;
+      (** each summarized name's component: its index in [order] *)
   mutable graph : Callgraph.t;
-  mutable order : string list array;  (** SCCs, callee-first *)
+  mutable order : (Sema.funsig * Ast.fundef) list array;
+      (** SCCs, callee-first, as the definitions their members are
+          summarized from (per name the last one in source order, like
+          the call graph's edges) *)
+  mutable callers : (string, string list) Hashtbl.t option;
+      (** the call graph's reverse edges, built by the first refresh
+          that changes a summary *)
 }
 
 let table sol = sol.table
@@ -815,14 +820,16 @@ let table sol = sol.table
    until nothing changes (once, for a non-recursive component).  The
    result depends only on the members' bodies and on the summaries of
    the callees outside the component. *)
-let solve_component prog tbl cg defs component =
-  let members = List.filter_map (Hashtbl.find_opt defs) component in
+let solve_component prog tbl cg members =
   List.iter
     (fun ((fs : Sema.funsig), _) ->
       Hashtbl.replace tbl fs.Sema.fs_name
         (bottom fs.Sema.fs_name (List.length fs.Sema.fs_params)))
     members;
-  let recursive = Callgraph.is_recursive cg component in
+  let recursive =
+    Callgraph.is_recursive cg
+      (List.map (fun ((fs : Sema.funsig), _) -> fs.Sema.fs_name) members)
+  in
   let rec iterate round =
     Telemetry.Counter.tick Telemetry.c_summary_rounds;
     let changed =
@@ -851,38 +858,80 @@ let solve_component prog tbl cg defs component =
 
 let solve (prog : Sema.program) : solution =
   let tbl : table = Hashtbl.create 64 in
-  let defs = Hashtbl.create 64 in
+  let last = Hashtbl.create 64 in
   List.iter
-    (fun ((fs : Sema.funsig), fd) ->
-      Hashtbl.replace defs fs.Sema.fs_name (fs, fd))
+    (fun (((fs : Sema.funsig), _) as pair) ->
+      Hashtbl.replace last fs.Sema.fs_name pair)
     (Sema.fundefs prog);
   let cg = Callgraph.build prog in
-  let order = Array.of_list (Callgraph.sccs cg) in
-  Array.iter (solve_component prog tbl cg defs) order;
-  { table = tbl; defs; graph = cg; order }
+  let order =
+    Array.of_list
+      (List.map (List.filter_map (Hashtbl.find_opt last)) (Callgraph.sccs cg))
+  in
+  let defs = Hashtbl.create 64 in
+  Array.iteri
+    (fun i members ->
+      List.iter
+        (fun ((fs : Sema.funsig), _) -> Hashtbl.replace defs fs.Sema.fs_name i)
+        members;
+      solve_component prog tbl cg members)
+    order;
+  { table = tbl; defs; graph = cg; order; callers = None }
 
 let of_program (prog : Sema.program) : table = (solve prog).table
+
+(* The defined functions that call [name] directly. *)
+let callers sol name =
+  let rev =
+    match sol.callers with
+    | Some rev -> rev
+    | None ->
+        let rev = Hashtbl.create (Hashtbl.length sol.defs) in
+        Hashtbl.iter
+          (fun caller callees ->
+            List.iter
+              (fun callee ->
+                Hashtbl.replace rev callee
+                  (caller :: Option.value ~default:[] (Hashtbl.find_opt rev callee)))
+              callees)
+          sol.graph.Callgraph.cg_edges;
+        sol.callers <- Some rev;
+        rev
+  in
+  Option.value ~default:[] (Hashtbl.find_opt rev name)
+
+module Pending = Set.Make (Int)
 
 let refresh (prog : Sema.program) (sol : solution)
     ~(dirty : Ast.fundef list) : string list =
   (* swap in the new bodies; a definition that is not the one a name is
      summarized from (a same-named static in another file) changes
-     nothing *)
+     nothing.  Each dirty definition's component joins the worklist *)
   let dirty =
     List.filter_map
       (fun (fd : Ast.fundef) ->
         match Hashtbl.find_opt sol.defs fd.Ast.f_name with
-        | Some ((fs : Sema.funsig), _)
-          when String.equal fs.Sema.fs_loc.Cfront.Loc.file
-                 fd.Ast.f_loc.Cfront.Loc.file ->
-            Hashtbl.replace sol.defs fd.Ast.f_name (fs, fd);
-            Some fd.Ast.f_name
-        | _ -> None)
+        | None -> None
+        | Some i ->
+            let hit = ref false in
+            sol.order.(i) <-
+              List.map
+                (fun (((fs : Sema.funsig), (old : Ast.fundef)) as pair) ->
+                  if
+                    String.equal fs.Sema.fs_name fd.Ast.f_name
+                    && Cfront.Loc.equal old.Ast.f_loc fd.Ast.f_loc
+                  then begin
+                    hit := true;
+                    (fs, fd)
+                  end
+                  else pair)
+                sol.order.(i);
+            if !hit then Some (fd, i) else None)
       dirty
   in
-  let same_callees name =
-    Callgraph.calls sol.graph name
-    = Callgraph.defined_callees sol.graph (snd (Hashtbl.find sol.defs name))
+  let same_callees ((fd : Ast.fundef), _) =
+    Callgraph.calls sol.graph fd.Ast.f_name
+    = Callgraph.defined_callees sol.graph fd
   in
   if not (List.for_all same_callees dirty) then begin
     (* the call graph moved: solve from scratch and report the diff *)
@@ -899,32 +948,41 @@ let refresh (prog : Sema.program) (sol : solution)
     sol.defs <- fresh.defs;
     sol.graph <- fresh.graph;
     sol.order <- fresh.order;
+    sol.callers <- None;
     changed
   end
   else begin
-    (* one callee-first pass: a component is re-solved after every
-       component it calls into, so it sees their final summaries.  The
-       pass allocates nothing per component until a summary changes. *)
-    let changed = Hashtbl.create 16 in
-    let is_dirty f = List.mem f dirty in
-    let calls_changed f =
-      List.exists (Hashtbl.mem changed) (Callgraph.calls sol.graph f)
+    (* a worklist of components in callee-first (index) order: a
+       component is re-solved after every stale component it calls
+       into, so it sees their final summaries, and a summary that comes
+       out equal to its previous one stops there *)
+    let changed = ref [] in
+    let pending =
+      ref (List.fold_left (fun s (_, i) -> Pending.add i s) Pending.empty dirty)
     in
-    let stale component =
-      List.exists is_dirty component
-      || (Hashtbl.length changed > 0 && List.exists calls_changed component)
-    in
-    Array.iter
-      (fun component ->
-        if stale component then begin
-          let before = List.map (Hashtbl.find sol.table) component in
-          solve_component prog sol.table sol.graph sol.defs component;
-          List.iter2
-            (fun name old ->
-              if not (equal old (Hashtbl.find sol.table name)) then
-                Hashtbl.replace changed name ())
-            component before
-        end)
-      sol.order;
-    Hashtbl.fold (fun name () acc -> name :: acc) changed []
+    while not (Pending.is_empty !pending) do
+      let i = Pending.min_elt !pending in
+      pending := Pending.remove i !pending;
+      let members = sol.order.(i) in
+      let before =
+        List.map
+          (fun ((fs : Sema.funsig), _) -> Hashtbl.find sol.table fs.Sema.fs_name)
+          members
+      in
+      solve_component prog sol.table sol.graph members;
+      List.iter2
+        (fun ((fs : Sema.funsig), _) old ->
+          let name = fs.Sema.fs_name in
+          if not (equal old (Hashtbl.find sol.table name)) then begin
+            changed := name :: !changed;
+            (* a caller in the same component was solved with it *)
+            List.iter
+              (fun caller ->
+                let j = Hashtbl.find sol.defs caller in
+                if j > i then pending := Pending.add j !pending)
+              (callers sol name)
+          end)
+        members before
+    done;
+    !changed
   end

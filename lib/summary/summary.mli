@@ -88,12 +88,16 @@ val refresh :
     their bodies swapped into [prog] ({!Sema.patch_fundef}); nothing else
     about [prog] may have changed.  A component is re-solved when a
     member is dirty or a callee's summary changed in this pass;
-    propagation stops where summaries come out {!equal}.  When a dirty
-    function's defined-callee list changed, the call graph may have
-    moved, so the whole program is solved again.  Either way the table
-    afterwards equals {!of_program}[ prog].  Returns the names whose
-    summaries are no longer {!equal} to their previous ones.  Ticks the
-    [summary_*] counters for the re-solved functions only. *)
+    propagation stops where summaries come out {!equal}.  The components
+    come from a worklist in callee-first order, so the cost is that of
+    the components re-solved, not of the program; the call graph's
+    reverse edges are built when a summary first changes and kept with
+    [solution].  When a dirty function's defined-callee list changed,
+    the call graph may have moved, so the whole program is solved again.
+    Either way the table afterwards equals {!of_program}[ prog].
+    Returns the names whose summaries are no longer {!equal} to their
+    previous ones.  Ticks the [summary_*] counters for the re-solved
+    functions only. *)
 
 val slot_unannotated : Sema.eannot -> bool
 (** Does this slot carry no explicit or inferred allocation annotation,

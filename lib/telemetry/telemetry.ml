@@ -233,6 +233,7 @@ let c_incr_hits = Counter.make "incr_hits"
 let c_incr_misses = Counter.make "incr_misses"
 let c_incr_invalidations = Counter.make "incr_invalidations"
 let c_incr_rechecked = Counter.make "incr_rechecked"
+let c_incr_validated = Counter.make "incr_validated"
 let c_oom_injections = Counter.make "oom_injections"
 let c_tasks_stolen = Counter.make "tasks_stolen"
 let c_pool_reuses = Counter.make "pool_reuses"

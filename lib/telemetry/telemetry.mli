@@ -190,6 +190,12 @@ val c_incr_rechecked : Counter.t
 (** Functions actually re-checked by the incremental service (misses
     that were not satisfied by the persisted key cache). *)
 
+val c_incr_validated : Counter.t
+(** Incremental-service cache entries whose validity a request tested:
+    every function on a full revalidation, only the swapped-in bodies
+    and the callers of a moved summary on a patched request, none on a
+    clean one. *)
+
 val c_oom_injections : Counter.t
 (** Heap allocation requests forced to fail by the runtime checker's
     OOM fault-injection schedule. *)

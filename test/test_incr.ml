@@ -75,6 +75,13 @@ let run ?jobs ?flag_args svc files =
   | Ok oc -> oc
   | Error d -> Alcotest.failf "service error: %s" (Diag.to_string d)
 
+(* How many entries [f]'s requests validated. *)
+let validated_during svc f =
+  let count () = List.assoc "incr_validated" (Service.stats svc) in
+  let before = count () in
+  let r = f () in
+  (r, count () - before)
+
 let render (oc : Service.outcome) =
   List.map Diag.to_string oc.Service.oc_kept
   @ List.map (fun d -> "sup:" ^ Diag.to_string d) oc.Service.oc_suppressed
@@ -123,12 +130,63 @@ let test_body_edit_patches () =
   let svc = Service.create ~flags () in
   ignore (run svc base_files);
   let edited = edit "b.c" "return v;" "return v + 1;" base_files in
-  let oc = run svc edited in
+  let oc, validated = validated_during svc (fun () -> run svc edited) in
   Alcotest.check tier "patched tier" Service.Patched oc.Service.oc_tier;
   Alcotest.(check int) "exactly one re-check" 1 oc.Service.oc_rechecked;
+  Alcotest.(check int) "exactly one entry validated" 1 validated;
   Alcotest.(check int) "four hits" 4 oc.Service.oc_hits;
   Alcotest.(check (list string))
     "matches a cold check of the edit" (direct edited) (render oc)
+
+(* A Patched request reuses the previous answer only while no
+   re-checked entry's diagnostics and no suppression comment changed.
+   Each request below must answer as a cold check does: a suppression
+   comment added after a statement (no body changes) and removed, an
+   unclosed ignore comment whose error is the suppression table's, and
+   then a body edit elsewhere and a resubmission, which keep that error
+   and count it in telemetry as a cold check's emission does. *)
+let test_answer_reuse () =
+  let svc = Service.create ~flags () in
+  let step what ?(want = Service.Patched) files =
+    let oc = run svc files in
+    Alcotest.check tier (what ^ ": tier") want oc.Service.oc_tier;
+    Alcotest.(check (list string))
+      (what ^ ": matches a cold check") (direct files) (render oc);
+    oc
+  in
+  let leak = "r = s;\n" in
+  let plain = step "cold" ~want:Service.Cold base_files in
+  let commented = edit "b.c" leak "r = s; /*@i@*/\n" base_files in
+  let oc = step "suppression comment added" commented in
+  Alcotest.(check int) "the comment changes no body" 0 oc.Service.oc_rechecked;
+  Alcotest.(check bool) "the comment suppresses the leak" true
+    (List.length oc.Service.oc_suppressed
+    > List.length plain.Service.oc_suppressed);
+  ignore (step "suppression comment removed" base_files);
+  let unclosed files = edit "b.c" "rec_destroy(r);\n}\n" "rec_destroy(r);\n}\n/*@ignore@*/\n" files in
+  let oc = step "unclosed ignore comment" (unclosed base_files) in
+  let errors =
+    List.filter
+      (fun (d : Diag.t) -> d.Diag.code = "suppress")
+      (oc.Service.oc_kept @ oc.Service.oc_suppressed)
+  in
+  Alcotest.(check int) "one suppression-table error" 1 (List.length errors);
+  let edited = unclosed (edit "a.c" "return r->v;" "return r->v + 0;" base_files) in
+  let oc = step "body edit elsewhere" edited in
+  Alcotest.(check int) "one re-check" 1 oc.Service.oc_rechecked;
+  let counted f =
+    Telemetry.set_enabled true;
+    Telemetry.reset ();
+    Fun.protect ~finally:(fun () -> Telemetry.set_enabled false) f;
+    Option.value ~default:0
+      (List.assoc_opt
+         (Telemetry.diag_counter_prefix ^ Diag.category (List.hd errors))
+         (Telemetry.counters ()))
+  in
+  ignore (step "resubmission" ~want:Service.Clean edited);
+  Alcotest.(check int) "a resubmission counts the error as a cold emission does"
+    (counted (fun () -> ignore (direct edited)))
+    (counted (fun () -> ignore (run svc edited)))
 
 let test_funsig_edit_rechecks_callers () =
   let svc = Service.create ~flags () in
@@ -199,12 +257,14 @@ let test_summary_edit_rechecks_callers () =
 (* Incremental summary refresh under +xproc                            *)
 (* ------------------------------------------------------------------ *)
 
-(* A three-module corpus with one editable line per slot.  h0 <- h1 <-
+(* A four-module corpus with one editable line per slot.  h0 <- h1 <-
    h2 <- drive is a helper chain, so a release inserted into h0 reaches
    two caller levels above it; ev/od is a mutually recursive SCC; leaf
-   starts with no defined callee, so giving it one moves the call graph.
-   Every variant is one line, so no function header shifts and every
-   edit is a body-only (Patched) request. *)
+   starts with no defined callee, so giving it one moves the call graph;
+   k0 <- k1 <- k2 <- k3 <- k4 <- drive3 is a deeper chain whose top also
+   calls its bottom, so k4 must be re-solved after k3, not when k0's
+   change first reaches it.  Every variant is one line, so no function
+   header shifts and every edit is a body-only (Patched) request. *)
 let refresh_slots =
   [|
     ("lib.c", [| "r[0] = 0;"; "free(r);"; "if (r[0] == 'x') { free(r); }";
@@ -212,6 +272,7 @@ let refresh_slots =
     ("mid.c", [| "r[0] = 1;"; "if (n == 1) { free(r); }" |]);
     ("mid.c", [| "r[0] = 2;"; "if (n == 0) { free(r); }"; "free(r);" |]);
     ("mid.c", [| "r[0] = 3;"; "h0(r);"; "h2(r);"; "free(r);" |]);
+    ("deep.c", [| "r[0] = 4;"; "free(r);"; "if (r[0] == 'y') { free(r); }" |]);
   |]
 
 let refresh_files choice =
@@ -266,9 +327,38 @@ let refresh_files choice =
        leaf(q);\n\
        return q[0];\n\
        }\n" );
+    ( "deep.c",
+      "void k0(char *r)\n\
+       {\n" ^ slot 4 ^ "\n\
+       }\n\
+       void k1(char *r)\n\
+       {\n\
+       k0(r);\n\
+       }\n\
+       void k2(char *r)\n\
+       {\n\
+       k1(r);\n\
+       }\n\
+       void k3(char *r)\n\
+       {\n\
+       k2(r);\n\
+       }\n\
+       void k4(char *r, int n)\n\
+       {\n\
+       if (n > 0) { k0(r); return; }\n\
+       k3(r);\n\
+       }\n\
+       int drive3(void)\n\
+       {\n\
+       char *p = (char *) malloc(1);\n\
+       if (p == NULL) { return 1; }\n\
+       p[0] = 'x';\n\
+       k4(p, 1);\n\
+       return p[0];\n\
+       }\n" );
   ]
 
-let refresh_functions = 8
+let refresh_functions = 14
 
 (* After a request, the service's summaries must be what a from-scratch
    solve of its environment gives, its hashes a full re-hash of those,
@@ -324,16 +414,19 @@ let patched_request svc choice =
 
 let test_refresh_cases () =
   let svc = Service.create ~flags:xproc_flags () in
-  let choice = [| 0; 0; 0; 0 |] in
+  let choice = [| 0; 0; 0; 0; 0 |] in
   let files = refresh_files choice in
   check_refreshed "cold" svc files (run svc files);
   let hash name = List.assoc name (Service.summary_hashes svc) in
-  (* an effect-neutral body edit re-summarizes the edited function only *)
+  (* an effect-neutral body edit re-summarizes the edited function only,
+     and validates its entry alone *)
   choice.(0) <- 3;
-  let (files, oc), n =
-    summary_funcs_during (fun () -> patched_request svc choice)
+  let ((files, oc), n), validated =
+    validated_during svc (fun () ->
+        summary_funcs_during (fun () -> patched_request svc choice))
   in
   Alcotest.(check int) "effect-neutral edit: one function summarized" 1 n;
+  Alcotest.(check int) "effect-neutral edit: one entry validated" 1 validated;
   Alcotest.(check int) "effect-neutral edit: one re-check" 1
     oc.Service.oc_rechecked;
   check_refreshed "effect-neutral edit" svc files oc;
@@ -341,10 +434,14 @@ let test_refresh_cases () =
      drive, whose summary has nothing to change *)
   let h2_before = hash "h2" in
   choice.(0) <- 1;
-  let (files, oc), n =
-    summary_funcs_during (fun () -> patched_request svc choice)
+  let ((files, oc), n), validated =
+    validated_during svc (fun () ->
+        summary_funcs_during (fun () -> patched_request svc choice))
   in
   Alcotest.(check int) "release inserted: h0, h1, h2, drive summarized" 4 n;
+  (* the callers of a moved summary: h1, h2 and drive *)
+  Alcotest.(check int) "release inserted: h0 and three callers validated" 4
+    validated;
   Alcotest.(check bool) "two caller levels up, h2's summary changed" true
     (hash "h2" <> h2_before);
   check_refreshed "release inserted" svc files oc;
@@ -353,6 +450,14 @@ let test_refresh_cases () =
   let files, oc = patched_request svc choice in
   Alcotest.(check string) "release removed: h2 is back" h2_before (hash "h2");
   check_refreshed "release removed" svc files oc;
+  (* a release at the bottom of the deep chain reaches k4 both directly
+     and through k3 *)
+  choice.(4) <- 1;
+  let (files, oc), n =
+    summary_funcs_during (fun () -> patched_request svc choice)
+  in
+  Alcotest.(check int) "deep chain: k0..k4 and drive3 summarized" 6 n;
+  check_refreshed "deep chain" svc files oc;
   (* an edit inside the ev/od SCC re-solves the component *)
   choice.(2) <- 1;
   let files, oc = patched_request svc choice in
@@ -408,6 +513,45 @@ let test_type_edit_invalidates_all () =
   Alcotest.(check int) "everything re-checked" 5 oc.Service.oc_rechecked;
   Alcotest.(check (list string))
     "matches a cold check of the edit" (direct edited) (render oc)
+
+(* A line inserted into a body shifts every later definition of its
+   file.  With a struct below the edit, the type environment digests
+   alike (struct and field locations are not in it), so only the edited
+   body, the two shifted definitions and the caller of a shifted
+   signature re-check.  With a global there instead, its location is in
+   the digest and everything re-checks. *)
+let test_line_shift_above_struct () =
+  let files later =
+    [
+      ( "s.c",
+        "int first(int x)\n\
+         {\n\
+         return x;\n\
+         }\n\
+         int second(int y) { return y; }\n" ^ later ^ "\n\
+         int third(void) { return 0; }\n" );
+      ( "u.c",
+        "int use_second(void) { return second(1); }\n\
+         int use_first(void) { return first(1); }\n\
+         int alone(void) { return 5; }\n" );
+    ]
+  in
+  let shift files = edit "s.c" "{\nreturn x;" "{\nx = x + 1;\nreturn x;" files in
+  List.iter
+    (fun (what, later, want) ->
+      let svc = Service.create ~flags () in
+      ignore (run svc (files later));
+      let edited = shift (files later) in
+      let oc = run svc edited in
+      Alcotest.check tier (what ^ ": rebuilt") Service.Rebuilt
+        oc.Service.oc_tier;
+      Alcotest.(check int) (what ^ ": re-checked") want oc.Service.oc_rechecked;
+      Alcotest.(check (list string))
+        (what ^ ": matches a cold check") (direct edited) (render oc))
+    [
+      ("struct below", "struct later { int a; /*@null@*/ char *b; };", 4);
+      ("global below", "int later_count;", 6);
+    ]
 
 (* The service builds its environment through the program loader, whose
    parse step reuses a cached AST only when the file's text and the
@@ -984,6 +1128,8 @@ let test_stats_shape () =
   Alcotest.(check int) "files gauge" 2 (get "files");
   Alcotest.(check int) "rechecked total" 5 (get "incr_rechecked");
   Alcotest.(check int) "hits total" 5 (get "incr_hits");
+  Alcotest.(check int) "validated: all on cold, none when clean" 5
+    (get "incr_validated");
   Alcotest.(check bool) "sorted by name" true
     (let names = List.map fst stats in
      names = List.sort String.compare names)
@@ -1072,6 +1218,50 @@ let test_doc_of_file_in_place () =
     (String.mapi (fun i c -> if i = 65536 + 10 then 'y' else c) big);
   changed "a.c" "";
   List.iter Sys.remove paths;
+  Sys.rmdir dir
+
+(* Inside the racy window a held text is compared with the file through
+   a descriptor, and the file must end where the text does: a same-size
+   rewrite is seen, and a file that grew past the held text or shrank to
+   a prefix of it, at a read-buffer boundary or not, comes back whole. *)
+let test_racy_reread () =
+  let dir = Filename.temp_dir "incr" "racy" in
+  let path = Filename.concat dir "big.c" in
+  let write text =
+    Out_channel.with_open_bin path (fun oc -> output_string oc text)
+  in
+  let held =
+    "/* " ^ String.make 70000 'x' ^ " */\nint big(void) { return 1; }\n"
+  in
+  write held;
+  let svc = Service.create ~flags () in
+  let doc = Service.doc_of_file ~current:svc path in
+  (match Service.check svc [ doc ] with
+  | Ok _ -> ()
+  | Error d -> Alcotest.failf "service error: %s" (Diag.to_string d));
+  let stored = doc.Service.doc_text in
+  let read what text =
+    write text;
+    let got = (Service.doc_of_file ~current:svc path).Service.doc_text in
+    Alcotest.(check string) (what ^ ": the file's bytes") text got;
+    got
+  in
+  Alcotest.(check bool) "unchanged: the held string" true
+    (read "unchanged" held == stored);
+  let n = String.length held in
+  List.iter
+    (fun (what, text) ->
+      Alcotest.(check bool) (what ^ ": a fresh string") false
+        (read what text == stored))
+    [
+      ( "same size, second buffer",
+        String.mapi (fun i c -> if i = n - 5 then 'y' else c) held );
+      ("grew", held ^ "int z;\n");
+      ("shrank to a buffer boundary", String.sub held 0 65536);
+      ("shrank", String.sub held 0 (n - 1));
+      ("emptied", "");
+    ];
+  Sys.remove path;
   Sys.rmdir dir
 
 (* Documents on disk for the stat-stamp tests: [a.c] and [b.c] in a
@@ -1445,6 +1635,13 @@ let test_protocol_stats_invalidate_shutdown () =
   let after = cycles () in
   Alcotest.(check bool) "stats ok" true (get_bool "ok" stats);
   Alcotest.(check int) "stats entries" 5 (get_int "entries" stats);
+  Alcotest.(check int) "stats validated" 5 (get_int "incr_validated" stats);
+  Alcotest.(check bool) "the check's update time is recorded" true
+    (get_int "last_update_us" stats > 0);
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (k ^ " recorded") true (get_int k stats >= 0))
+    [ "last_read_us"; "last_encode_us" ];
   (match (obj_get "heap_words" stats, obj_get "top_heap_words" stats) with
   | J.Int heap, J.Int top ->
       Alcotest.(check bool) "sizes only after a major cycle" true (after > 0);
@@ -1545,6 +1742,7 @@ let () =
             test_cold_matches_direct;
           Alcotest.test_case "clean no-op" `Quick test_clean_noop;
           Alcotest.test_case "body edit" `Quick test_body_edit_patches;
+          Alcotest.test_case "answer reuse" `Quick test_answer_reuse;
           Alcotest.test_case "funsig edit" `Quick
             test_funsig_edit_rechecks_callers;
           Alcotest.test_case "summary edit recheck" `Quick
@@ -1556,6 +1754,8 @@ let () =
             prop_refresh_equivalence;
           Alcotest.test_case "type edit" `Quick
             test_type_edit_invalidates_all;
+          Alcotest.test_case "line shift above a struct" `Quick
+            test_line_shift_above_struct;
           Alcotest.test_case "removed typedef re-parses" `Quick
             test_removed_typedef_reparses;
           Alcotest.test_case "interface edit parses once" `Quick
@@ -1579,6 +1779,7 @@ let () =
           Alcotest.test_case "stats" `Quick test_stats_shape;
           Alcotest.test_case "patched file keeps one AST" `Quick
             test_patched_keeps_one_ast;
+          Alcotest.test_case "racy re-read" `Quick test_racy_reread;
           Alcotest.test_case "unchanged file read in place" `Quick
             test_doc_of_file_in_place;
           Alcotest.test_case "stat stamps, racy window" `Quick
