@@ -1374,9 +1374,12 @@ let incr_exp () =
   row "  summaries it affects.  20 body edits may grow the live set by\n";
   row "  at most %d words each.  Last, the corpus is written to disk and\n"
     live_growth_bound;
-  row "  named by path: once its files have settled (%.0f s), an unchanged\n"
+  row "  named by path: right after the cold check, the second of two\n";
+  row "  unchanged resubmissions must read only the files with the\n";
+  row "  corpus's newest ctime (no later ctime vouches for them), and once\n";
+  row "  those have settled (%.0f s), an unchanged resubmission must read\n"
     Incr.Service.racy_margin;
-  row "  resubmission must read no file and answer like the cold check.\n";
+  row "  no file; each answers like the cold check.\n";
   row "  Written to BENCH_incr.json.\n\n";
   let modules = 240 and fns_per_module = 25 in
   let p =
@@ -1454,9 +1457,10 @@ let incr_exp () =
   (* each timed request starts from a collected heap, outside the timed
      region: where the previous request left the minor heap would
      otherwise move the speedup and restart gates *)
+  let plain_time = time in
   let time f =
     Gc.full_major ();
-    time f
+    plain_time f
   in
   let jobs = 4 in
   let body_edit ~xproc =
@@ -1602,10 +1606,20 @@ let incr_exp () =
       live_growth_bound;
   (* the path-named arm: the corpus on disk, named by path the way the
      server reads it.  The cold read records every file's stat stamp
-     inside the racy window; the first resubmission after the margin
-     compares the files once more and settles their stamps, and the
-     next one must cost a stat per file and read nothing *)
+     inside the racy window, none of them trusted: the files are read
+     in the order they were written, so no file's ctime is below one
+     seen before it.  The first resubmission compares them all once
+     more, now with the corpus's newest ctime seen, which vouches for
+     every file below it; the second must read only the files with that
+     newest ctime.  The first resubmission after the margin settles
+     those, and the next one must cost a stat per file and read
+     nothing *)
   let dir = Filename.temp_dir "e13" "corpus" in
+  (* the collection a timed request starts from, taken before the
+     corpus is written: here it takes about as long as the cold check,
+     and the two resubmissions after the cold check must come well
+     inside the margin *)
+  Gc.full_major ();
   let paths =
     List.map
       (fun (name, text) ->
@@ -1616,41 +1630,86 @@ let incr_exp () =
   in
   let svc_path = Incr.Service.create ~flags () in
   let doc_reads () = List.assoc "doc_reads" (Incr.Service.stats svc_path) in
-  let path_request () =
+  (* one path-named request: its outcome and the files it read *)
+  let path_check () =
     let before = doc_reads () in
-    let oc, dt =
-      time (fun () ->
-          match
-            Incr.Service.check svc_path
-              (List.map (Incr.Service.doc_of_file ~current:svc_path) paths)
-          with
-          | Ok oc -> oc
-          | Error d ->
-              Printf.eprintf "incr: fatal frontend error: %s\n"
-                (Cfront.Diag.to_string d);
-              exit 2)
-    in
-    (oc, dt, doc_reads () - before)
+    match
+      Incr.Service.check svc_path
+        (List.map (Incr.Service.doc_of_file ~current:svc_path) paths)
+    with
+    | Ok oc -> (oc, doc_reads () - before)
+    | Error d ->
+        Printf.eprintf "incr: fatal frontend error: %s\n"
+          (Cfront.Diag.to_string d);
+        exit 2
   in
-  let oc_path_cold, t_path_cold, reads_cold = path_request () in
+  let path_request ~time () =
+    let (oc, reads), dt = time path_check in
+    (oc, dt, reads)
+  in
+  let oc_path_cold, t_path_cold, reads_cold =
+    path_request ~time:plain_time ()
+  in
+  let started = Unix.gettimeofday () in
+  let oc_resubmit, _ = path_check () in
+  let ended = Unix.gettimeofday () in
+  let oc_witness, reads_witness = path_check () in
+  (* the files the second resubmission must read: those with the newest
+     ctime, unless the margin had passed their last change when the
+     first resubmission compared them (a slow cold check); [None] when
+     that moment fell inside the first resubmission *)
+  let expected_witness =
+    let stats = List.map Unix.stat paths in
+    let newest =
+      List.fold_left (fun m st -> Float.max m st.Unix.st_ctime) neg_infinity
+        stats
+    in
+    let change st = Float.max st.Unix.st_mtime st.Unix.st_ctime in
+    let racy st = change st > ended -. Incr.Service.racy_margin in
+    let settled st = change st <= started -. Incr.Service.racy_margin in
+    let newest_files =
+      List.filter (fun st -> Float.equal st.Unix.st_ctime newest) stats
+    in
+    if List.for_all (fun st -> racy st || settled st) newest_files then
+      Some (List.length (List.filter racy newest_files))
+    else None
+  in
   Unix.sleepf (Incr.Service.racy_margin +. 0.2);
-  let oc_settle, t_settle, reads_settle = path_request () in
-  let oc_settled, t_settled, reads_settled = path_request () in
+  let oc_settle, t_settle, reads_settle = path_request ~time () in
+  let oc_settled, t_settled, reads_settled = path_request ~time () in
   List.iter Sys.remove paths;
   Sys.rmdir dir;
-  row "\n  by path: cold %.3fs (%d files read), first after the margin %.4fs\n"
-    t_path_cold reads_cold t_settle;
-  row "  (%d read), settled resubmission %.4fs (%d read)\n" reads_settle
-    t_settled reads_settled;
+  row "\n  by path: cold %.3fs (%d files read), second resubmission\n"
+    t_path_cold reads_cold;
+  row "  %d read (%s with the newest ctime), first after the margin\n"
+    reads_witness
+    (match expected_witness with
+    | Some n -> string_of_int n
+    | None -> "margin passed during the first resubmission: any");
+  row "  %.4fs (%d read), settled resubmission %.4fs (%d read)\n" t_settle
+    reads_settle t_settled reads_settled;
   expect_tier "path-named cold" "cold" oc_path_cold;
+  expect_tier "path-named first resubmission" "clean" oc_resubmit;
+  expect_tier "path-named second resubmission" "clean" oc_witness;
   expect_tier "path-named resubmission" "clean" oc_settle;
   expect_tier "path-named settled resubmission" "clean" oc_settled;
   if reads_cold <> List.length paths then
     fail "path-named cold check read %d of %d files" reads_cold
       (List.length paths);
+  (match expected_witness with
+  | Some n when reads_witness <> n ->
+      fail
+        "second resubmission read %d files (want %d: the files with the \
+         newest ctime)"
+        reads_witness n
+  | _ -> ());
   if reads_settled <> 0 then
     fail "settled resubmission read %d files (want 0: one stat each)"
       reads_settled;
+  expect_same "path-named first resubmission vs cold" (render oc_resubmit)
+    (render oc_path_cold);
+  expect_same "path-named second resubmission vs cold" (render oc_witness)
+    (render oc_path_cold);
   expect_same "path-named resubmission vs cold" (render oc_settle)
     (render oc_path_cold);
   expect_same "settled resubmission vs cold" (render oc_settled)
@@ -1680,6 +1739,9 @@ let incr_exp () =
           ("live_growth_per_edit", Int growth_per_edit);
           ("path_cold_seconds", Float t_path_cold);
           ("path_cold_doc_reads", Int reads_cold);
+          ("path_witness_doc_reads", Int reads_witness);
+          ( "path_witness_expected",
+            match expected_witness with Some n -> Int n | None -> Null );
           ("path_settle_seconds", Float t_settle);
           ("path_settle_doc_reads", Int reads_settle);
           ("path_settled_seconds", Float t_settled);

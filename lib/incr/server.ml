@@ -78,14 +78,17 @@ let check_response (oc : Service.outcome) =
    microseconds: reading its documents, {!Service.check} (updating the
    environment, revalidating, re-checking and assembling the answer),
    and encoding the response, which {!serve} completes by writing it
-   out as text.  [stats] reports them. *)
+   out as text; and how many of its documents' bytes were read.
+   [stats] reports them. *)
 type times = {
+  mutable doc_reads : int;
   mutable read_us : int;
   mutable update_us : int;
   mutable encode_us : int;
 }
 
-let last = { read_us = 0; update_us = 0; encode_us = 0 }
+let last = { doc_reads = 0; read_us = 0; update_us = 0; encode_us = 0 }
+let doc_reads t = List.assoc "doc_reads" (Service.stats t)
 let microseconds_since t0 = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)
 
 let handle t request =
@@ -97,6 +100,7 @@ let handle t request =
   match op with
   | "check" -> (
       let t_read = Unix.gettimeofday () in
+      let reads_before = doc_reads t in
       let entries =
         match J.member "files" request with
         | Some (J.List items) -> Ok items
@@ -117,6 +121,7 @@ let handle t request =
       | Error msg -> (error_response "check" msg, true)
       | Ok docs -> (
           let read_us = microseconds_since t_read in
+          let reads = doc_reads t - reads_before in
           let t_update = Unix.gettimeofday () in
           let flag_args =
             Option.value ~default:[] (strings_of (J.member "flags" request))
@@ -136,6 +141,7 @@ let handle t request =
                    ~code:"io" msg)
           with
           | Ok oc ->
+              last.doc_reads <- reads;
               last.read_us <- read_us;
               last.update_us <- microseconds_since t_update;
               let t_encode = Unix.gettimeofday () in
@@ -164,6 +170,7 @@ let handle t request =
       let gauges =
         [
           ("heap_words", heap_gauge gc.Gc.heap_words);
+          ("last_doc_reads", J.Int last.doc_reads);
           ("last_encode_us", J.Int last.encode_us);
           ("last_read_us", J.Int last.read_us);
           ("last_update_us", J.Int last.update_us);

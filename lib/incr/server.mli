@@ -16,14 +16,16 @@
     an object with [name]/[text] is an in-memory document (an editor
     buffer); a path whose bytes are unchanged is answered with the
     service's stored text ({!Service.doc_of_file}), after one [stat]
-    once its stamp has settled; a path that cannot be read answers
-    [ok:false] with an error naming it.  [stats] adds the
+    once its stamp is trusted; a path that cannot be read, or names
+    anything but a regular file, answers [ok:false] with an error
+    naming it.  [stats] adds the
     process's [heap_words] and [top_heap_words] to {!Service.stats},
     [null] until the first major collection has completed, and where
     the last answered [check] spent its time, in microseconds:
     [last_read_us] reading its documents, [last_update_us] in
     {!Service.check}, [last_encode_us] encoding the response (with
-    {!serve}, writing it out as text included).
+    {!serve}, writing it out as text included), next to
+    [last_doc_reads], the path-named documents whose bytes it read.
     Responses always carry ["op"] and ["ok"]; see
     docs/incremental.md for the full schema.  Malformed input yields an
     [ok:false] response and the server keeps serving — only [shutdown]

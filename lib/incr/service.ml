@@ -13,8 +13,10 @@
     - [stamps]: per path, the [Unix.stat] stamp {!doc_of_file} saw next
       to the text it returned.  An unchanged stamp whose text the
       service still holds answers the path after one [stat], without
-      opening the file, once the stamp is outside the racy window
-      ([racy_margin]).
+      opening the file, once the stamp is trusted: its ctime was below
+      a ctime an earlier [stat] had shown on its device
+      ([ctime_seen]), or its mtime and ctime were outside the racy
+      window ([racy_margin]).
     - [fns]: per-function results keyed by (defining file, name).  An
       entry pins the checked AST object, its direct callees, and what
       besides the body the result depends on, in two strings: the
@@ -97,7 +99,8 @@ type stamp = {
   sp_ctime : float;
   sp_text : string;
   sp_trusted : bool;
-      (** mtime and ctime were [racy_margin] older than the read: any
+      (** ctime was below a ctime the device had already shown, or
+          mtime and ctime were [racy_margin] older than the read: any
           later write gets a different mtime or ctime *)
 }
 
@@ -124,6 +127,10 @@ type t = {
   mutable doc_order : string list;
   files : (string, file_entry) Hashtbl.t;
   stamps : (string, stamp) Hashtbl.t;
+  ctime_seen : (int, float) Hashtbl.t;
+      (** per device, the largest ctime a {!doc_of_file} [stat] has
+          returned on it: every later write there gets a ctime at least
+          this large *)
   fns : (string * string, fn_entry) Hashtbl.t;
   mutable order : fn_entry array;
       (** the [fns] entry of each function at its {!Sema.fundefs}
@@ -167,6 +174,7 @@ let create ?(flags = Flags.default) ?(no_stdlib = false) ?(load_libs = [])
     doc_order = [];
     files = Hashtbl.create 64;
     stamps = Hashtbl.create 64;
+    ctime_seen = Hashtbl.create 4;
     fns = Hashtbl.create 256;
     order = [||];
     answer = None;
@@ -244,11 +252,18 @@ let read_text ?held path =
    their stamp is trusted without reading the bytes (git's racy-git
    rule).  A write within the same timestamp tick as the one the read
    saw leaves the stamp unchanged, so the margin must cover the
-   coarsest file-timestamp granularity in common use: 2 s (FAT).  A
-   file written within the margin of a read is compared again on every
-   request until a comparison happens outside it. *)
+   coarsest file-timestamp granularity in common use: 2 s (FAT).  It
+   matters only for the file with the newest ctime on its device, which
+   no later ctime vouches for (see {!doc_of_file}). *)
 let racy_margin = 2.0
 
+(* The witness of a stamp is the device's [t.ctime_seen] as it stood
+   before this file's own [stat] raised it.  Once the device has shown
+   ctime [w], every later write there gets a ctime of at least [w],
+   which differs from a recorded ctime below [w]: that needs no
+   timestamp granularity, only a clock that does not step back, as the
+   margin does.  [Unix.stat] rounds nanoseconds to floats monotonically,
+   so a float [<] is a nanosecond [<]. *)
 let doc_of_file ?current path =
   match current with
   | None -> { doc_name = path; doc_text = read_text path }
@@ -258,9 +273,18 @@ let doc_of_file ?current path =
       in
       let read_at = Unix.gettimeofday () in
       let st = Unix.stat path in
-      (* a directory opens, then fails to read with a misleading error *)
-      if st.Unix.st_kind = Unix.S_DIR then
-        raise (Sys_error (path ^ ": Is a directory"));
+      (* a directory opens, then fails to read with a misleading error;
+         a FIFO or a device would block the read or never end *)
+      (match st.Unix.st_kind with
+      | Unix.S_REG -> ()
+      | Unix.S_DIR -> raise (Sys_error (path ^ ": Is a directory"))
+      | _ -> raise (Sys_error (path ^ ": not a regular file")));
+      let witness =
+        Option.value ~default:Float.neg_infinity
+          (Hashtbl.find_opt t.ctime_seen st.Unix.st_dev)
+      in
+      if st.Unix.st_ctime > witness then
+        Hashtbl.replace t.ctime_seen st.Unix.st_dev st.Unix.st_ctime;
       match (Hashtbl.find_opt t.stamps path, held) with
       | Some sp, Some text
         when sp.sp_trusted && sp.sp_text == text && sp.sp_ino = st.Unix.st_ino
@@ -281,7 +305,8 @@ let doc_of_file ?current path =
               sp_ctime = st.Unix.st_ctime;
               sp_text = text;
               sp_trusted =
-                st.Unix.st_mtime <= settled && st.Unix.st_ctime <= settled;
+                (st.Unix.st_mtime <= settled && st.Unix.st_ctime <= settled)
+                || st.Unix.st_ctime < witness;
             };
           { doc_name = path; doc_text = text })
 
@@ -992,8 +1017,8 @@ let stats t =
     ("doc_reads", t.n_doc_reads);
     ("entries", Hashtbl.length t.fns);
     ("files", Hashtbl.length t.files);
-    ( "functions",
-      match t.env with Some e -> List.length (Sema.fundefs e) | None -> 0 );
+    (* [order] has one slot per definition of [env] *)
+    ("functions", match t.env with Some _ -> Array.length t.order | None -> 0);
     ("generation", t.gen);
     ("incr_hits", t.n_hits);
     ("incr_invalidations", t.n_invalidated);

@@ -51,22 +51,31 @@ type t
 val doc_of_file : ?current:t -> string -> doc
 (** Read a document from disk ([Sys_error] on failure).  With
     [current], the path is [Unix.stat]ed first ([Unix.Unix_error] on
-    failure) and its stamp (device, inode, size, mtime, ctime) recorded
-    next to the text returned.  If the stamp equals the one recorded
-    last, [current] still holds that text, and that stamp's mtime and
-    ctime were at least {!racy_margin} older than the read that recorded
-    it (git's racy-git rule: a later write cannot have kept them), the
-    stored string is returned without opening the file.  Otherwise the
-    file is read: bytes equal to the text [current] holds are compared
-    in place through a reusable per-domain buffer and answered with the
-    stored string itself (physically), so re-reading an unchanged
-    document allocates nothing; any other file is read into a fresh
-    string.  Each read counts in the [doc_reads] gauge of {!stats}. *)
+    failure), anything but a regular file is refused with a [Sys_error]
+    naming the path before it is opened, and the file's stamp (device,
+    inode, size, mtime, ctime) is recorded next to the text returned.
+    If the stamp equals the one recorded last, [current] still holds
+    that text, and that stamp was trusted, the stored string is returned
+    without opening the file.  A stamp is trusted when its ctime was
+    below the largest ctime any earlier [stat] of [current] had returned
+    on the same device, or when its mtime and ctime were at least
+    {!racy_margin} older than the read that recorded it.  The kernel
+    sets ctime on every write and nothing can set it back, so once the
+    device has shown a later ctime, any further write there changes the
+    stamp (the idea of git's racy-git rule, with the file system's own
+    clock in place of the wall clock's margin).  Otherwise the file is
+    read: bytes equal to the text [current] holds are compared in place
+    through a reusable per-domain buffer and answered with the stored
+    string itself (physically), so re-reading an unchanged document
+    allocates nothing; any other file is read into a fresh string.
+    Each read counts in the [doc_reads] gauge of {!stats}. *)
 
 val racy_margin : float
 (** How much older than the read that recorded it a stamp's mtime and
-    ctime must be before {!doc_of_file} trusts it: 2 s, the coarsest
-    file-timestamp granularity in common use. *)
+    ctime must be before {!doc_of_file} trusts it without a later ctime
+    on its device: 2 s, the coarsest file-timestamp granularity in
+    common use.  Only the file with its device's newest ctime waits for
+    it. *)
 
 val create :
   ?flags:Annot.Flags.t ->

@@ -1308,10 +1308,30 @@ let disk_request ?jobs what svc d =
 let text_of ds path =
   (List.find (fun doc -> doc.Service.doc_name = path) ds).Service.doc_text
 
-(* Inside the racy window every request reads the files (here at
-   -j 4): a same-size edit written right after a request is seen, a
-   [touch] that keeps the bytes answers with the stored string, and
-   [invalidate] drops the stamps of the files it drops. *)
+(* Run [redo], a rewrite of [path] that keeps what the test needs of it,
+   until [stat] shows [path]'s ctime past [than]'s: a test that needs two
+   different ctimes must not depend on whether two writes shared a
+   timestamp tick.  Each [stat] also asks the file system for a
+   fine-grained stamp on the next write, where it keeps one. *)
+let ctime_past ~than path redo =
+  let ctime p = (Unix.stat p).Unix.st_ctime in
+  let rec go tries =
+    if ctime path <= ctime than then
+      if tries = 0 then
+        Alcotest.failf "%s: ctime never passed %s's" path than
+      else begin
+        Unix.sleepf 0.001;
+        redo ();
+        go (tries - 1)
+      end
+  in
+  go 3000
+
+(* A stamp that no later ctime vouches for is compared on every request
+   inside the racy window (here at -j 4): a same-size edit written right
+   after a request is seen, a [touch] that keeps the bytes answers with
+   the stored string, and [invalidate] drops the stamps of the files it
+   drops. *)
 let test_stamps_racy_window () =
   let d = make_disk () in
   let svc = Service.create ~flags () in
@@ -1324,6 +1344,9 @@ let test_stamps_racy_window () =
   let ds1, oc, reads = disk_request ~jobs:4 "same-size edit" svc d in
   Alcotest.check tier "same-size edit patched" Service.Patched
     oc.Service.oc_tier;
+  (* whatever ticks the writes landed in, no cold stamp was trusted:
+     a.c's stat came first, with nothing seen on its device yet, and
+     b.c, written after a.c, showed a ctime no smaller than a.c's *)
   Alcotest.(check int) "racy files are read" 2 reads;
   Alcotest.(check bool) "unchanged b.c: stored string" true
     (text_of ds1 d.pb == text_of ds0 d.pb);
@@ -1349,16 +1372,26 @@ let test_stamps_racy_window () =
 let test_stamps_settled () =
   let d = make_disk () in
   (* a whole-second mtime, so that [Unix.utimes] can restore it exactly;
-     setting it makes ctime now, which keeps the files racy *)
+     setting it makes ctime now, which keeps the files racy.  b.c's is
+     set again until its ctime is past a.c's, so that b.c is the newest
+     file and a.c has a witness *)
   let mtime = Float.round (Unix.gettimeofday ()) -. 10.0 in
-  List.iter (fun p -> Unix.utimes p mtime mtime) [ d.pa; d.pb ];
+  let old_mtime p = Unix.utimes p mtime mtime in
+  old_mtime d.pa;
+  old_mtime d.pb;
+  ctime_past ~than:d.pa d.pb (fun () -> old_mtime d.pb);
   let svc = Service.create ~flags () in
   let ds0, _, _ = disk_request "cold" svc d in
   let _, _, reads = disk_request "old mtime, new ctime" svc d in
+  (* the cold stamps had old mtimes; their new ctimes kept them racy,
+     and no earlier ctime witnessed them (a.c was stat'ed first, and
+     b.c is the newest) *)
   Alcotest.(check int) "a new ctime keeps the stamps racy" 2 reads;
   Unix.sleepf (Service.racy_margin +. 0.2);
   let _, _, reads = disk_request "first after the margin" svc d in
-  Alcotest.(check int) "the racy stamps are compared once more" 2 reads;
+  (* a.c was trusted by b.c's later ctime at the last comparison; b.c,
+     the newest, waited out the margin *)
+  Alcotest.(check int) "only the newest stamp is compared once more" 1 reads;
   let ds, oc, reads = disk_request "settled resubmission" svc d in
   Alcotest.check tier "settled resubmission clean" Service.Clean
     oc.Service.oc_tier;
@@ -1394,6 +1427,51 @@ let test_stamps_settled () =
     reads;
   Alcotest.(check bool) "replaced b.c: fresh string" false
     (text_of ds d.pb == text_of ds0 d.pb);
+  remove_disk d
+
+(* A stamp is trusted once a later ctime has been seen on its device,
+   without waiting out the margin: after one comparison the older a.c is
+   answered from its stamp.  The newest file has no witness, so a
+   same-size rewrite of it right after its read is seen, and so is a
+   same-size rewrite of the trusted a.c with its mtime set back. *)
+let test_stamps_witness () =
+  let d = make_disk () in
+  (* a.c gets a whole-second mtime to restore later, and an old one, so
+     that only its ctime can keep it racy; b.c is rewritten with its own
+     bytes until its ctime is past a.c's *)
+  let mtime = Float.round (Unix.gettimeofday ()) -. 10.0 in
+  Unix.utimes d.pa mtime mtime;
+  ctime_past ~than:d.pa d.pb (fun () -> write_file d.pb file_b);
+  let svc = Service.create ~flags () in
+  let _, _, reads = disk_request "cold" svc d in
+  Alcotest.(check int) "cold reads both files" 2 reads;
+  let ds1, _, reads = disk_request "first comparison" svc d in
+  Alcotest.(check int) "no cold stamp was trusted" 2 reads;
+  let ds2, oc, reads = disk_request "witnessed" svc d in
+  Alcotest.check tier "witnessed resubmission clean" Service.Clean
+    oc.Service.oc_tier;
+  Alcotest.(check int) "only the newest file is read" 1 reads;
+  Alcotest.(check bool) "witnessed a.c: stored string" true
+    (text_of ds2 d.pa == text_of ds1 d.pa);
+  let b3 = replace ~what:"rec_create(2)" ~with_:"rec_create(3)" file_b in
+  write_file d.pb b3;
+  let ds3, oc, reads = disk_request "newest rewritten" svc d in
+  Alcotest.check tier "rewritten newest patched" Service.Patched
+    oc.Service.oc_tier;
+  Alcotest.(check int) "the newest file is read again" 1 reads;
+  Alcotest.(check string) "rewritten b.c: the file's bytes" b3
+    (text_of ds3 d.pb);
+  let a4 = replace ~what:"r->v = v;" ~with_:"r->v = 7;" file_a in
+  write_file d.pa a4;
+  Unix.utimes d.pa mtime mtime;
+  Alcotest.(check (float 0.0)) "a.c's mtime restored" mtime
+    (Unix.stat d.pa).Unix.st_mtime;
+  let ds4, oc, reads = disk_request "witnessed file, mtime set back" svc d in
+  Alcotest.check tier "rewritten a.c patched" Service.Patched
+    oc.Service.oc_tier;
+  Alcotest.(check string) "rewritten a.c: the file's bytes" a4
+    (text_of ds4 d.pa);
+  Alcotest.(check int) "a.c, and b.c, still the newest, are read" 2 reads;
   remove_disk d
 
 (* ------------------------------------------------------------------ *)
@@ -1619,7 +1697,30 @@ let test_protocol_check () =
   (* the same request again is served from cache *)
   let resp2, _ = Server.handle svc (check_request base_files) in
   Alcotest.(check string) "clean tier" "clean" (get_string "tier" resp2);
-  Alcotest.(check int) "no rechecks" 0 (get_int "rechecked" resp2)
+  Alcotest.(check int) "no rechecks" 0 (get_int "rechecked" resp2);
+  (* [last_doc_reads] counts the files the last answered check read,
+     not the service's total *)
+  let d = make_disk () in
+  let last_reads files =
+    let resp, _ =
+      Server.handle svc
+        (J.Obj
+           [ ("op", J.String "check"); ("files", J.List files) ])
+    in
+    Alcotest.(check bool) "check ok" true (get_bool "ok" resp);
+    let stats, _ = Server.handle svc (J.Obj [ ("op", J.String "stats") ]) in
+    get_int "last_doc_reads" stats
+  in
+  let paths = [ J.String d.pa; J.String d.pb ] in
+  Alcotest.(check int) "path-named check reads both files" 2
+    (last_reads paths);
+  Alcotest.(check int) "in-memory check reads no file" 0
+    (last_reads
+       (List.map
+          (fun (name, text) ->
+            J.Obj [ ("name", J.String name); ("text", J.String text) ])
+          base_files));
+  remove_disk d
 
 let test_protocol_stats_invalidate_shutdown () =
   let svc = Service.create ~flags () in
@@ -1641,7 +1742,7 @@ let test_protocol_stats_invalidate_shutdown () =
   List.iter
     (fun k ->
       Alcotest.(check bool) (k ^ " recorded") true (get_int k stats >= 0))
-    [ "last_read_us"; "last_encode_us" ];
+    [ "last_doc_reads"; "last_read_us"; "last_encode_us" ];
   (match (obj_get "heap_words" stats, obj_get "top_heap_words" stats) with
   | J.Int heap, J.Int top ->
       Alcotest.(check bool) "sizes only after a major cycle" true (after > 0);
@@ -1707,6 +1808,10 @@ let test_protocol_errors () =
   in
   let before = stats () in
   let dir = Filename.temp_dir "incr" "paths" in
+  (* a FIFO would block the read until a writer came, a device would
+     answer forever or nothing: neither is opened *)
+  let fifo = Filename.concat dir "pipe.c" in
+  Unix.mkfifo fifo 0o600;
   List.iter
     (fun (path, why) ->
       let resp, keep =
@@ -1726,7 +1831,10 @@ let test_protocol_errors () =
     [
       (Filename.concat dir "missing.c", "No such file or directory");
       (dir, "Is a directory");
+      ("/dev/null", "not a regular file");
+      (fifo, "not a regular file");
     ];
+  Sys.remove fifo;
   Sys.rmdir dir;
   let again, _ = Server.handle svc (check_request base_files) in
   Alcotest.(check string) "then clean" "clean" (get_string "tier" again);
@@ -1785,6 +1893,7 @@ let () =
           Alcotest.test_case "stat stamps, racy window" `Quick
             test_stamps_racy_window;
           Alcotest.test_case "stat stamps, settled" `Quick test_stamps_settled;
+          Alcotest.test_case "stat stamps, witness" `Quick test_stamps_witness;
         ] );
       ( "persistence",
         [
